@@ -13,7 +13,6 @@
      tcvs proxy      fault-injecting TCP proxy (drop/delay/dup/partition)
      tcvs route      cluster router: compose shard-daemon roots for clients
      tcvs serve-cluster  spawn N shard daemons plus the router, foreground
-     tcvs bench-net  closed-loop throughput/latency against a daemon
      tcvs trace-join merge per-process span journals into one timeline
      tcvs stats      scrape a daemon's admin endpoint once
      tcvs top        refreshing terminal view of a daemon's admin endpoint
@@ -571,7 +570,7 @@ let store_inspect_cmd =
   in
   Cmd.v (Cmd.info "store-inspect" ~doc) Term.(const run $ dir_arg)
 
-(* ---- networking: serve / client / proxy / bench-net ---------------------- *)
+(* ---- networking: serve / client / proxy ---------------------------------- *)
 
 let parse_hostport s =
   match String.rindex_opt s ':' with
@@ -607,8 +606,8 @@ let journal_arg =
 
 let serve_cmd =
   let run seed users k epoch_len protocol_str adversary_str sanitize verbosity listen
-      port_file store_dir shards shard_id shard_count durability tail_ticks
-      tick_timeout max_conns journal admin_port admin_port_file metrics =
+      port_file store_dir shards shard_id shard_count durability max_conns journal
+      admin_port admin_port_file metrics =
     Log_setup.install ~level:verbosity ();
     if sanitize then Sanitize.set_enabled true;
     match (protocol_conv k epoch_len protocol_str, parse_adversary ~users adversary_str) with
@@ -637,8 +636,6 @@ let serve_cmd =
             seed;
             adversary;
             max_conns;
-            tick_timeout;
-            tail_ticks;
             durability;
             journal;
             admin_port;
@@ -653,14 +650,6 @@ let serve_cmd =
         | Error e ->
             Printf.eprintf "error: %s\n" e;
             exit 1)
-  in
-  let tail_ticks_arg =
-    let doc = "All-drained rounds to run before a clean session end." in
-    Arg.(value & opt int 64 & info [ "tail-ticks" ] ~docv:"N" ~doc)
-  in
-  let tick_timeout_arg =
-    let doc = "Seconds before an unanswered Tick is re-sent." in
-    Arg.(value & opt float 0.5 & info [ "tick-timeout" ] ~docv:"SECONDS" ~doc)
   in
   let max_conns_arg =
     let doc = "Connection limit; excess connections are rejected busy." in
@@ -697,8 +686,7 @@ let serve_cmd =
       const run $ seed_arg $ users_arg $ k_arg $ epoch_arg $ protocol_arg
       $ adversary_arg $ sanitize_arg $ verbosity_arg $ listen_arg $ port_file_arg
       $ store_arg $ shards_arg $ shard_id_arg $ shard_count_arg $ durability_arg
-      $ tail_ticks_arg $ tick_timeout_arg $ max_conns_arg $ journal_arg $ admin_arg
-      $ admin_port_file_arg $ metrics_arg)
+      $ max_conns_arg $ journal_arg $ admin_arg $ admin_port_file_arg $ metrics_arg)
 
 let client_cmd =
   let run seed users rounds k epoch_len protocol_str verbosity connect user shards
@@ -934,9 +922,8 @@ let start_shards ~dir ~shards ~seed ?store_base ?journal_base () =
   Result.map (fun ports -> (pids, ports)) (collect [] procs)
 
 let route_cmd =
-  let run verbosity listen port_file shard_strs shard_port_files users files
-      tail_ticks tick_timeout barrier_timeout barrier_retries max_conns journal
-      admin_port admin_port_file metrics =
+  let run verbosity listen port_file shard_strs shard_port_files users files max_conns
+      journal admin_port admin_port_file metrics =
     Log_setup.install ~level:verbosity ();
     let addrs =
       List.map parse_hostport shard_strs
@@ -966,10 +953,6 @@ let route_cmd =
             files;
             users;
             max_conns;
-            tick_timeout;
-            tail_ticks;
-            barrier_timeout;
-            barrier_retries;
             journal;
             admin_port;
             admin_port_file;
@@ -999,22 +982,6 @@ let route_cmd =
     let doc = "Seeded key-space size — must match the shard daemons." in
     Arg.(value & opt int 32 & info [ "files" ] ~docv:"N" ~doc)
   in
-  let tail_ticks_arg =
-    let doc = "All-drained rounds to run before a clean session end." in
-    Arg.(value & opt int 64 & info [ "tail-ticks" ] ~docv:"N" ~doc)
-  in
-  let tick_timeout_arg =
-    let doc = "Seconds before an unanswered Tick is re-sent." in
-    Arg.(value & opt float 0.5 & info [ "tick-timeout" ] ~docv:"SECONDS" ~doc)
-  in
-  let barrier_timeout_arg =
-    let doc = "Seconds before an unanswered Prepare is re-sent." in
-    Arg.(value & opt float 0.5 & info [ "barrier-timeout" ] ~docv:"SECONDS" ~doc)
-  in
-  let barrier_retries_arg =
-    let doc = "Prepare retries before the barrier-wedged alarm ends the session." in
-    Arg.(value & opt int 20 & info [ "barrier-retries" ] ~docv:"N" ~doc)
-  in
   let max_conns_arg =
     let doc = "Connection limit; excess connections are rejected busy." in
     Arg.(value & opt int 64 & info [ "max-conns" ] ~docv:"N" ~doc)
@@ -1038,14 +1005,12 @@ let route_cmd =
   Cmd.v (Cmd.info "route" ~doc)
     Term.(
       const run $ verbosity_arg $ listen_arg $ port_file_arg $ shard_arg
-      $ shard_port_file_arg $ users_arg $ files_arg $ tail_ticks_arg
-      $ tick_timeout_arg $ barrier_timeout_arg $ barrier_retries_arg
-      $ max_conns_arg $ journal_arg $ admin_arg $ admin_port_file_arg
-      $ metrics_arg)
+      $ shard_port_file_arg $ users_arg $ files_arg $ max_conns_arg $ journal_arg
+      $ admin_arg $ admin_port_file_arg $ metrics_arg)
 
 let serve_cluster_cmd =
   let run verbosity listen port_file shards users seed store_base journal_base
-      tail_ticks tick_timeout admin_port admin_port_file metrics =
+      admin_port admin_port_file metrics =
     Log_setup.install ~level:verbosity ();
     if shards < 1 then begin
       Printf.eprintf "error: --shards must be at least 1\n";
@@ -1068,8 +1033,6 @@ let serve_cluster_cmd =
             Net.Router.listen_port = listen;
             port_file;
             users;
-            tick_timeout;
-            tail_ticks;
             journal =
               Option.map (fun b -> Filename.concat b "router.jsonl") journal_base;
             admin_port;
@@ -1100,14 +1063,6 @@ let serve_cluster_cmd =
     in
     Arg.(value & opt (some string) None & info [ "journal-base" ] ~docv:"DIR" ~doc)
   in
-  let tail_ticks_arg =
-    let doc = "All-drained rounds to run before a clean session end." in
-    Arg.(value & opt int 64 & info [ "tail-ticks" ] ~docv:"N" ~doc)
-  in
-  let tick_timeout_arg =
-    let doc = "Seconds before an unanswered Tick is re-sent." in
-    Arg.(value & opt float 0.5 & info [ "tick-timeout" ] ~docv:"SECONDS" ~doc)
-  in
   let admin_arg =
     let doc = "Router admin endpoint port ($(b,0) picks an ephemeral port)." in
     Arg.(value & opt (some int) None & info [ "admin" ] ~docv:"PORT" ~doc)
@@ -1123,212 +1078,8 @@ let serve_cluster_cmd =
   Cmd.v (Cmd.info "serve-cluster" ~doc)
     Term.(
       const run $ verbosity_arg $ listen_arg $ port_file_arg $ shards_arg
-      $ users_arg $ seed_arg $ store_base_arg $ journal_base_arg $ tail_ticks_arg
-      $ tick_timeout_arg $ admin_arg $ admin_port_file_arg $ metrics_arg)
-
-let bench_net_cmd =
-  let bench_once ~label ~host ~port ~users ~conns ~ops ~files ~zipf_s ~write_ratio
-      ~seed =
-    match
-      Net.Client.bench ~host ~port ~users ~conns ~ops_per_conn:ops ~files ~zipf_s
-        ~write_ratio ~seed
-    with
-    | Error e ->
-        Printf.eprintf "error: bench %s: %s\n" label e;
-        exit 1
-    | Ok r ->
-        Printf.printf
-          "%-14s %3d conns: %6d ops in %6.2fs  %8.1f ops/s  p50 %6.3fms  p95 \
-           %6.3fms  p99 %6.3fms\n\
-           %!"
-          label r.Net.Client.b_conns r.Net.Client.b_ops r.Net.Client.b_seconds
-          r.Net.Client.b_throughput r.Net.Client.b_p50_ms r.Net.Client.b_p95_ms
-          r.Net.Client.b_p99_ms;
-        r
-  in
-  let result_json (r : Net.Client.bench_result) extra =
-    Printf.sprintf
-      "{ %s\"conns\": %d, \"ops\": %d, \"seconds\": %.3f, \
-       \"throughput_ops_s\": %.1f, \"latency_ms\": { \"mean\": %.3f, \"p50\": \
-       %.3f, \"p95\": %.3f, \"p99\": %.3f } }"
-      extra r.Net.Client.b_conns r.Net.Client.b_ops r.Net.Client.b_seconds
-      r.Net.Client.b_throughput r.Net.Client.b_mean_ms r.Net.Client.b_p50_ms
-      r.Net.Client.b_p95_ms r.Net.Client.b_p99_ms
-  in
-  (* One shard-count data point: a throwaway cluster (N shard daemons +
-     a routing process), benched and torn down. *)
-  let bench_cluster ~shards ~users ~conns ~ops ~files ~zipf_s ~write_ratio ~seed =
-    let dir = fresh_dir "tcvs-bench-cluster" in
-    match start_shards ~dir ~shards ~seed () with
-    | Error e ->
-        Printf.eprintf "error: cluster of %d: %s\n" shards e;
-        exit 1
-    | Ok (pids, ports) -> (
-        let rpf = Filename.concat dir "router.port" in
-        let rpid =
-          spawn_tcvs
-            ([
-               "route"; "--listen"; "0"; "--port-file"; rpf; "--users";
-               string_of_int users; "--files"; string_of_int files;
-             ]
-            @ List.concat_map
-                (fun p -> [ "--shard"; Printf.sprintf "127.0.0.1:%d" p ])
-                ports)
-        in
-        match wait_port_file rpf with
-        | Error e ->
-            reap_children (rpid :: pids);
-            Printf.eprintf "error: cluster of %d: %s\n" shards e;
-            exit 1
-        | Ok port ->
-            let r =
-              bench_once
-                ~label:(Printf.sprintf "router/%d" shards)
-                ~host:"127.0.0.1" ~port ~users ~conns ~ops ~files ~zipf_s
-                ~write_ratio ~seed
-            in
-            reap_children (rpid :: pids);
-            r)
-  in
-  let run verbosity connect users conns_str ops files zipf_s write_ratio seed
-      cluster_shards_str cluster_conns out =
-    Log_setup.install ~level:verbosity ();
-    let conns_list = String.split_on_char ',' conns_str |> List.filter_map int_of_string_opt in
-    let cluster_list =
-      if cluster_shards_str = "" then []
-      else
-        String.split_on_char ',' cluster_shards_str
-        |> List.filter_map int_of_string_opt
-    in
-    if connect = None && cluster_list = [] then begin
-      Printf.eprintf "error: need --connect, --cluster-shards, or both\n";
-      exit 2
-    end;
-    let results =
-      match connect with
-      | None -> []
-      | Some c -> (
-          match parse_hostport c with
-          | Error m ->
-              Printf.eprintf "error: %s\n" m;
-              exit 2
-          | Ok (host, port) ->
-              List.map
-                (fun conns ->
-                  bench_once ~label:"direct" ~host ~port ~users ~conns ~ops ~files
-                    ~zipf_s ~write_ratio ~seed)
-                conns_list)
-    in
-    let cluster =
-      if cluster_list = [] then []
-      else begin
-        (* the single-daemon yardstick the router sweep is read against *)
-        let dir = fresh_dir "tcvs-bench-single" in
-        let pf = Filename.concat dir "daemon.port" in
-        let pid =
-          spawn_tcvs
-            [ "serve"; "--protocol"; "none"; "--users"; string_of_int users;
-              "--listen"; "0"; "--port-file"; pf; "--seed"; seed ]
-        in
-        let single =
-          match wait_port_file pf with
-          | Error e ->
-              reap_children [ pid ];
-              Printf.eprintf "error: single-daemon baseline: %s\n" e;
-              exit 1
-          | Ok port ->
-              let r =
-                bench_once ~label:"single" ~host:"127.0.0.1" ~port ~users
-                  ~conns:cluster_conns ~ops ~files ~zipf_s ~write_ratio ~seed
-              in
-              reap_children [ pid ];
-              ("\"topology\": \"single\", \"shards\": 1, ", r)
-        in
-        single
-        :: List.map
-             (fun shards ->
-               ( Printf.sprintf "\"topology\": \"router\", \"shards\": %d, " shards,
-                 bench_cluster ~shards ~users ~conns:cluster_conns ~ops ~files
-                   ~zipf_s ~write_ratio ~seed ))
-             cluster_list
-      end
-    in
-    let buf = Buffer.create 1024 in
-    Printf.bprintf buf "{\n  \"experiment\": \"bench-net\",\n";
-    Printf.bprintf buf "  \"ops_per_conn\": %d,\n  \"files\": %d,\n" ops files;
-    Printf.bprintf buf "  \"zipf_s\": %.2f,\n  \"write_ratio\": %.2f,\n" zipf_s
-      write_ratio;
-    Printf.bprintf buf "  \"seed\": \"%s\",\n  \"results\": [\n" (String.escaped seed);
-    List.iteri
-      (fun i r ->
-        Printf.bprintf buf "    %s%s\n" (result_json r "")
-          (if i = List.length results - 1 then "" else ","))
-      results;
-    Printf.bprintf buf "  ],\n  \"cluster\": [\n";
-    List.iteri
-      (fun i (extra, r) ->
-        Printf.bprintf buf "    %s%s\n" (result_json r extra)
-          (if i = List.length cluster - 1 then "" else ","))
-      cluster;
-    Printf.bprintf buf "  ]\n}\n";
-    let oc = open_out out in
-    Buffer.output_buffer oc buf;
-    close_out oc;
-    Printf.printf "wrote %s\n" out
-  in
-  let conns_arg =
-    let doc = "Comma-separated concurrent-connection counts to sweep." in
-    Arg.(value & opt string "1,4,16" & info [ "conns" ] ~docv:"LIST" ~doc)
-  in
-  let ops_arg =
-    let doc = "Closed-loop operations per connection." in
-    Arg.(value & opt int 200 & info [ "ops" ] ~docv:"N" ~doc)
-  in
-  let files_arg =
-    let doc = "Key space size (must match the daemon's --files default of 32)." in
-    Arg.(value & opt int 32 & info [ "files" ] ~docv:"N" ~doc)
-  in
-  let zipf_arg =
-    let doc = "Zipf exponent for key popularity (0 = uniform)." in
-    Arg.(value & opt float 1.1 & info [ "zipf-s" ] ~docv:"S" ~doc)
-  in
-  let write_ratio_arg =
-    let doc = "Fraction of operations that are writes." in
-    Arg.(value & opt float 0.2 & info [ "write-ratio" ] ~docv:"P" ~doc)
-  in
-  let out_arg =
-    let doc = "Write the JSON results to $(docv)." in
-    Arg.(value & opt string "BENCH_net.json" & info [ "out" ] ~docv:"FILE" ~doc)
-  in
-  let bench_connect_arg =
-    let doc =
-      "Existing server to sweep $(b,--conns) against, as HOST:PORT or just \
-       PORT; omit to run only the $(b,--cluster-shards) sweep."
-    in
-    Arg.(value & opt (some string) None & info [ "connect" ] ~docv:"HOST:PORT" ~doc)
-  in
-  let cluster_shards_arg =
-    let doc =
-      "Comma-separated shard counts: for each, spawn that many shard daemons \
-       plus a router, bench through the router at $(b,--cluster-conns) \
-       connections, and record it against a spawned single-daemon baseline."
-    in
-    Arg.(value & opt string "" & info [ "cluster-shards" ] ~docv:"LIST" ~doc)
-  in
-  let cluster_conns_arg =
-    let doc = "Fixed client-connection count for the cluster sweep." in
-    Arg.(value & opt int 4 & info [ "cluster-conns" ] ~docv:"N" ~doc)
-  in
-  let doc =
-    "Closed-loop throughput/latency benchmark against a tcvs serve daemon \
-     (free-mode connections, Zipf-distributed keys), with an optional \
-     router-vs-single-daemon cluster sweep."
-  in
-  Cmd.v (Cmd.info "bench-net" ~doc)
-    Term.(
-      const run $ verbosity_arg $ bench_connect_arg $ users_arg $ conns_arg
-      $ ops_arg $ files_arg $ zipf_arg $ write_ratio_arg $ seed_arg
-      $ cluster_shards_arg $ cluster_conns_arg $ out_arg)
+      $ users_arg $ seed_arg $ store_base_arg $ journal_base_arg $ admin_arg
+      $ admin_port_file_arg $ metrics_arg)
 
 (* ---- telemetry plane: trace-join / stats / top ----------------------------- *)
 
@@ -1541,5 +1292,5 @@ let () =
           [
             simulate_cmd; matrix_cmd; workload_cmd; session_cmd; inspect_cmd;
             store_inspect_cmd; serve_cmd; client_cmd; proxy_cmd; route_cmd;
-            serve_cluster_cmd; bench_net_cmd; trace_join_cmd; stats_cmd; top_cmd;
+            serve_cluster_cmd; trace_join_cmd; stats_cmd; top_cmd;
           ]))

@@ -22,23 +22,8 @@ type t = {
 let writer_ttl = 5.0
 
 let listen ~port =
-  let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-  Unix.setsockopt fd Unix.SO_REUSEADDR true;
-  match Unix.bind fd (Unix.ADDR_INET (Unix.inet_addr_loopback, port)) with
-  | exception Unix.Unix_error (err, _, _) ->
-      Unix.close fd;
-      Error
-        (Printf.sprintf "cannot bind 127.0.0.1:%d: %s" port
-           (Unix.error_message err))
-  | () ->
-      Unix.listen fd 16;
-      Unix.set_nonblock fd;
-      let bound =
-        match Unix.getsockname fd with
-        | Unix.ADDR_INET (_, p) -> p
-        | Unix.ADDR_UNIX _ -> port
-      in
-      Ok ({ fd; writers = [] }, bound)
+  Sock.listen ~backlog:16 ~port ()
+  |> Result.map (fun (fd, bound) -> ({ fd; writers = [] }, bound))
 
 let fd t = t.fd
 let wfds t = List.map (fun w -> w.wfd) t.writers

@@ -23,12 +23,7 @@ type config = {
   script : Harness.scripted list;
   response_timeout : int option;
   sync_timeout : int option;
-  connect_timeout : float;
   max_reconnects : int;
-  reconnect_backoff : float;
-  retrans_ticks : int;
-  max_frame : int;
-  watchdog : float; (* seconds of lockstep silence before forcing a reconnect *)
   journal : string option; (* JSONL span journal for trace-join *)
 }
 
@@ -47,14 +42,18 @@ let default_config ~user ~port =
     script = [];
     response_timeout = Some 64;
     sync_timeout = None;
-    connect_timeout = 5.0;
     max_reconnects = 8;
-    reconnect_backoff = 0.25;
-    retrans_ticks = 4;
-    max_frame = Codec.default_max_frame;
-    watchdog = 10.0;
     journal = None;
   }
+
+(* Seconds per connect + handshake; base seconds of the reconnect
+   backoff (doubling per attempt); base retransmission backoff in
+   ticks; seconds of silence on an established lockstep link before it
+   is declared wedged and redialled. *)
+let dial_timeout = 5.0
+let redial_backoff = 0.25
+let retrans_base = 4
+let silence_limit = 10.0
 
 type verdict = {
   v_alarmed : bool;
@@ -64,64 +63,6 @@ type verdict = {
   v_rounds : int;
   v_reconnects : int;
 }
-
-(* ---- Connection plumbing --------------------------------------------- *)
-
-let connect_fd ~host ~port ~timeout =
-  let addr =
-    try Unix.inet_addr_of_string host
-    with Failure _ -> (
-      match Unix.getaddrinfo host "" [ Unix.AI_FAMILY Unix.PF_INET ] with
-      | { Unix.ai_addr = Unix.ADDR_INET (a, _); _ } :: _ -> a
-      | _ -> raise (Failure ("cannot resolve " ^ host)))
-  in
-  let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-  Unix.set_nonblock fd;
-  let finish_ok () = Unix.clear_nonblock fd; Ok fd in
-  match Unix.connect fd (Unix.ADDR_INET (addr, port)) with
-  | () -> finish_ok ()
-  | exception Unix.Unix_error (Unix.EINPROGRESS, _, _) -> (
-      match Unix.select [] [ fd ] [] timeout with
-      | _, [ _ ], _ -> (
-          match Unix.getsockopt_error fd with
-          | None -> finish_ok ()
-          | Some err ->
-              Unix.close fd;
-              Error (Unix.error_message err))
-      | _ ->
-          Unix.close fd;
-          Error "connect timed out")
-  | exception Unix.Unix_error (err, _, _) ->
-      Unix.close fd;
-      Error (Unix.error_message err)
-
-(* Block until the next frame (or [Ok None] on timeout/EOF). *)
-let await_frame conn ~timeout =
-  let deadline = Unix.gettimeofday () +. timeout in
-  let rec loop () =
-    match Conn.pop conn with
-    | Error e -> Error (Codec.error_to_string e)
-    | Ok (Some f) -> Ok (Some f)
-    | Ok None ->
-        if Conn.eof conn then Ok None
-        else
-          let left = deadline -. Unix.gettimeofday () in
-          if left <= 0. then Ok None
-          else begin
-            Conn.flush conn;
-            (match
-               Unix.select [ Conn.fd conn ]
-                 (if Conn.want_write conn then [ Conn.fd conn ] else [])
-                 [] (Float.min left 0.25)
-             with
-            | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
-            | r, w, _ ->
-                if w <> [] then Conn.flush conn;
-                if r <> [] then Conn.fill conn);
-            loop ()
-          end
-  in
-  loop ()
 
 (* ---- Lockstep session ------------------------------------------------ *)
 
@@ -191,13 +132,13 @@ let track_and_send s frame =
 let retransmit_due s ~tick =
   let cap =
     match s.cfg.response_timeout with
-    | Some rt -> max s.cfg.retrans_ticks (rt / 8)
-    | None -> s.cfg.retrans_ticks * (1 lsl 6)
+    | Some rt -> max retrans_base (rt / 8)
+    | None -> retrans_base * (1 lsl 6)
   in
   Hashtbl.iter
     (fun sq p ->
-      let backoff = min cap (s.cfg.retrans_ticks * (1 lsl min p.p_attempt 6)) in
-      let jitter = Crypto.Prng.int s.rng (s.cfg.retrans_ticks + 1) in
+      let backoff = min cap (retrans_base * (1 lsl min p.p_attempt 6)) in
+      let jitter = Crypto.Prng.int s.rng (retrans_base + 1) in
       if tick - p.p_last_sent >= backoff + jitter then begin
         p.p_last_sent <- tick;
         p.p_attempt <- p.p_attempt + 1;
@@ -314,7 +255,7 @@ let handshake s =
          h_round = s.last_stepped;
        });
   Conn.flush s.conn;
-  match await_frame s.conn ~timeout:s.cfg.connect_timeout with
+  match Sock.await_frame s.conn ~timeout:dial_timeout with
   | Error e -> Error ("handshake: " ^ e)
   | Ok None -> Error "handshake: no Welcome before timeout"
   | Ok (Some (Codec.Welcome w)) ->
@@ -355,16 +296,16 @@ let reconnect s =
         (Printf.sprintf "server unreachable after %d reconnect attempts" i)
     else begin
       let backoff =
-        (s.cfg.reconnect_backoff *. float_of_int (1 lsl min i 6))
+        (redial_backoff *. float_of_int (1 lsl min i 6))
         *. (0.5 +. Crypto.Prng.float s.rng)
       in
       if i > 0 then ignore (Unix.select [] [] [] backoff);
-      match connect_fd ~host:s.cfg.host ~port:s.cfg.port ~timeout:s.cfg.connect_timeout with
+      match Sock.connect_fd ~host:s.cfg.host ~port:s.cfg.port ~timeout:dial_timeout with
       | Error e ->
           Log.info (fun f -> f "reconnect %d failed: %s" i e);
           attempt (i + 1)
       | Ok fd -> (
-          s.conn <- Conn.create ~max_frame:s.cfg.max_frame fd;
+          s.conn <- Conn.create fd;
           s.reconnects <- s.reconnects + 1;
           Obs.incr c_reconnects;
           match handshake s with
@@ -465,10 +406,10 @@ let build_session cfg conn =
   }
 
 let run cfg =
-  match connect_fd ~host:cfg.host ~port:cfg.port ~timeout:cfg.connect_timeout with
+  match Sock.connect_fd ~host:cfg.host ~port:cfg.port ~timeout:dial_timeout with
   | Error e -> Error (Printf.sprintf "connect %s:%d: %s" cfg.host cfg.port e)
   | Ok fd -> (
-      let s = build_session cfg (Conn.create ~max_frame:cfg.max_frame fd) in
+      let s = build_session cfg (Conn.create fd) in
       let finish r =
         (match s.journal with Some j -> Obs.Journal.close j | None -> ());
         r
@@ -498,18 +439,18 @@ let run cfg =
                   }
             | None, Some e -> Conn.close s.conn; Error e
             | None, None ->
-                (* Dead-peer watchdog: the round clock guarantees a frame at
-                   least every tick_timeout while the daemon is alive, so
+                (* Dead-peer detection: the round clock guarantees a frame at
+                   least every half second while the daemon is alive, so
                    prolonged silence means the link (not the protocol) is
                    wedged — tear it down and let the reconnect path, which
                    the daemon answers with a fresh Tick, recover the round. *)
                 if
                   (not (Conn.eof s.conn))
-                  && Unix.gettimeofday () -. s.last_rx > s.cfg.watchdog
+                  && Unix.gettimeofday () -. s.last_rx > silence_limit
                 then begin
                   Log.warn (fun f ->
                       f "no frame for %.1fs — link wedged, reconnecting"
-                        s.cfg.watchdog);
+                        silence_limit);
                   Conn.close s.conn
                 end;
                 if Conn.eof s.conn then begin
@@ -546,190 +487,3 @@ let run cfg =
                 end
           in
           finish (loop ()))
-
-(* ---- Free-mode bench ------------------------------------------------- *)
-
-type bench_result = {
-  b_conns : int;
-  b_ops : int;
-  b_seconds : float;
-  b_throughput : float;
-  b_mean_ms : float;
-  b_p50_ms : float;
-  b_p95_ms : float;
-  b_p99_ms : float;
-}
-
-type bench_conn = {
-  bc_conn : Conn.t;
-  bc_user : int;
-  bc_rng : Crypto.Prng.t;
-  mutable bc_seq : int;
-  mutable bc_sent_at : float;
-  mutable bc_done : int;
-}
-
-let percentile sorted p =
-  let n = Array.length sorted in
-  if n = 0 then 0.
-  else sorted.(min (n - 1) (int_of_float (ceil (p *. float_of_int n)) - 1 |> max 0))
-
-let bench ~host ~port ~users ~conns ~ops_per_conn ~files ~zipf_s ~write_ratio
-    ~seed =
-  if conns > users then
-    Error (Printf.sprintf "conns (%d) must not exceed users (%d)" conns users)
-  else begin
-    let zipf = Workload.Zipf.create ~n:files ~s:zipf_s in
-    let root_rng = Crypto.Prng.create ~seed in
-    let next_op bc =
-      let k = Workload.Zipf.sample zipf bc.bc_rng in
-      let key = Harness.file_key k in
-      if Crypto.Prng.bernoulli bc.bc_rng ~p:write_ratio then
-        Mtree.Vo.Set (key, Printf.sprintf "bench:%d:%d" bc.bc_user bc.bc_seq)
-      else Mtree.Vo.Get key
-    in
-    let send_query bc =
-      bc.bc_seq <- bc.bc_seq + 1;
-      bc.bc_sent_at <- Unix.gettimeofday ();
-      Conn.send bc.bc_conn
-        (Codec.Request
-           {
-             seq = bc.bc_seq;
-             ctx = { Codec.x_round = 0; x_user = bc.bc_user; x_span = bc.bc_seq };
-             msg = Message.Query { op = next_op bc; piggyback = [] };
-           })
-    in
-    let connect_one u =
-      match connect_fd ~host ~port ~timeout:5.0 with
-      | Error e -> Error (Printf.sprintf "conn %d: %s" u e)
-      | Ok fd -> (
-          let conn = Conn.create fd in
-          Conn.send conn
-            (Codec.Hello
-               {
-                 Codec.h_version = Codec.protocol_version;
-                 h_role = Codec.Free;
-                 h_user = u;
-                 h_users = users;
-                 h_round = 0;
-               });
-          match await_frame conn ~timeout:5.0 with
-          | Ok (Some (Codec.Welcome _)) ->
-              Ok
-                {
-                  bc_conn = conn;
-                  bc_user = u;
-                  bc_rng =
-                    Crypto.Prng.split root_rng ~label:(Printf.sprintf "bench-%d" u);
-                  bc_seq = 0;
-                  bc_sent_at = 0.;
-                  bc_done = 0;
-                }
-          | Ok (Some (Codec.Error_frame { detail; _ })) ->
-              Error (Printf.sprintf "conn %d rejected: %s" u detail)
-          | Ok _ -> Error (Printf.sprintf "conn %d: no Welcome" u)
-          | Error e -> Error (Printf.sprintf "conn %d: %s" u e))
-    in
-    let rec connect_all u acc =
-      if u >= conns then Ok (List.rev acc)
-      else
-        match connect_one u with
-        | Error e ->
-            List.iter (fun bc -> Conn.close bc.bc_conn) acc;
-            Error e
-        | Ok bc -> connect_all (u + 1) (bc :: acc)
-    in
-    match connect_all 0 [] with
-    | Error e -> Error e
-    | Ok bcs ->
-        let latencies = ref [] in
-        let started = Unix.gettimeofday () in
-        List.iter (fun bc -> send_query bc; Conn.flush bc.bc_conn) bcs;
-        let finished bc = bc.bc_done >= ops_per_conn in
-        let failure = ref None in
-        while !failure = None && not (List.for_all finished bcs) do
-          let live = List.filter (fun bc -> not (finished bc)) bcs in
-          let rfds = List.map (fun bc -> Conn.fd bc.bc_conn) live in
-          let wfds =
-            List.filter_map
-              (fun bc ->
-                if Conn.want_write bc.bc_conn then Some (Conn.fd bc.bc_conn)
-                else None)
-              live
-          in
-          (match Unix.select rfds wfds [] 1.0 with
-          | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
-          | r, w, _ ->
-              List.iter
-                (fun bc ->
-                  if List.mem (Conn.fd bc.bc_conn) w then Conn.flush bc.bc_conn;
-                  if List.mem (Conn.fd bc.bc_conn) r then begin
-                    Conn.fill bc.bc_conn;
-                    let rec pump () =
-                      match Conn.pop bc.bc_conn with
-                      | Ok None -> ()
-                      | Ok (Some (Codec.Reply { seq; _ })) when seq = bc.bc_seq ->
-                          latencies :=
-                            (Unix.gettimeofday () -. bc.bc_sent_at) :: !latencies;
-                          bc.bc_done <- bc.bc_done + 1;
-                          if not (finished bc) then begin
-                            send_query bc;
-                            Conn.flush bc.bc_conn
-                          end;
-                          pump ()
-                      | Ok (Some (Codec.Error_frame { code; detail })) ->
-                          failure :=
-                            Some
-                              (Printf.sprintf "conn %d: server error (%s): %s"
-                                 bc.bc_user
-                                 (Codec.error_code_to_string code)
-                                 detail)
-                      | Ok (Some (Codec.Session_end _)) ->
-                          failure :=
-                            Some
-                              (Printf.sprintf "conn %d: session ended mid-bench"
-                                 bc.bc_user)
-                      | Ok (Some _) -> pump ()
-                      | Error e ->
-                          failure :=
-                            Some
-                              (Printf.sprintf "conn %d: %s" bc.bc_user
-                                 (Codec.error_to_string e))
-                    in
-                    pump ();
-                    if Conn.eof bc.bc_conn && not (finished bc) then
-                      failure :=
-                        Some (Printf.sprintf "conn %d: server closed" bc.bc_user)
-                  end)
-                live)
-        done;
-        List.iter
-          (fun bc ->
-            Conn.send bc.bc_conn Codec.Bye;
-            Conn.flush bc.bc_conn;
-            Conn.close bc.bc_conn)
-          bcs;
-        match !failure with
-        | Some e -> Error e
-        | None ->
-            let seconds = Unix.gettimeofday () -. started in
-            let lats = Array.of_list !latencies in
-            Array.sort compare lats;
-            let ops = Array.length lats in
-            let mean =
-              if ops = 0 then 0.
-              else Array.fold_left ( +. ) 0. lats /. float_of_int ops
-            in
-            Ok
-              {
-                b_conns = conns;
-                b_ops = ops;
-                b_seconds = seconds;
-                b_throughput =
-                  (if seconds > 0. then float_of_int ops /. seconds else 0.);
-                b_mean_ms = mean *. 1000.;
-                b_p50_ms = percentile lats 0.50 *. 1000.;
-                b_p95_ms = percentile lats 0.95 *. 1000.;
-                b_p99_ms = percentile lats 0.99 *. 1000.;
-              }
-  end

@@ -37,14 +37,10 @@ type config = {
           only its own entries *)
   response_timeout : int option;
   sync_timeout : int option;
-  connect_timeout : float;  (** seconds, per connect + handshake *)
   max_reconnects : int;
-  reconnect_backoff : float;  (** base seconds; doubles per attempt *)
-  retrans_ticks : int;  (** base retransmission backoff, in ticks *)
-  max_frame : int;
-  watchdog : float;
-      (** seconds of silence on an established lockstep link before the
-          client declares it wedged and reconnects *)
+      (** redials (5 s connect + handshake bound each, 0.25 s base
+          backoff doubling per attempt) before giving up; a lockstep
+          link silent for 10 s is declared wedged and redialled *)
   journal : string option;
       (** when set, span events (client.send / client.retransmit /
           client.reply) are appended to this JSONL file for
@@ -55,8 +51,7 @@ type config = {
 val default_config : user:int -> port:int -> config
 (** Loopback host, 4 users, protocol II (k=8), 32 files, branching 8,
     1 shard, empty script, 64-round response timeout, no sync timeout,
-    5 s connect timeout, 8 reconnects with 0.25 s base backoff, 4-tick
-    retransmission base. *)
+    8 reconnects. Retransmission backs off from a 4-tick base. *)
 
 type verdict = {
   v_alarmed : bool;  (** local alarm or session-wide alarm *)
@@ -71,34 +66,3 @@ val run : config -> (verdict, string) result
 (** Drive the session to its [Session_end]. [Error] is an environment
     failure (cannot connect, handshake rejected, reconnect budget
     exhausted) — never a detection verdict. *)
-
-(** {2 Free-mode benchmarking} *)
-
-type bench_result = {
-  b_conns : int;
-  b_ops : int;
-  b_seconds : float;
-  b_throughput : float;  (** ops/second, wall-clock *)
-  b_mean_ms : float;
-  b_p50_ms : float;
-  b_p95_ms : float;
-  b_p99_ms : float;
-}
-
-val bench :
-  host:string ->
-  port:int ->
-  users:int ->
-  conns:int ->
-  ops_per_conn:int ->
-  files:int ->
-  zipf_s:float ->
-  write_ratio:float ->
-  seed:string ->
-  (bench_result, string) result
-(** Closed-loop load: [conns] concurrent free-mode connections (user
-    ids [0..conns-1]; [conns <= users], the daemon's session size),
-    each keeping exactly one query in flight for [ops_per_conn]
-    operations. Keys are Zipf([zipf_s])-distributed over [files];
-    [write_ratio] of operations are writes. Latency is wall-clock,
-    request sent → reply parsed. *)

@@ -8,15 +8,9 @@ module Adversary = Tcvs.Adversary
 
 let obs_scope = Obs.Scope.v "net.daemon"
 let c_requests = Obs.counter ~scope:obs_scope "requests_executed"
-let c_dedup_hits = Obs.counter ~scope:obs_scope "dedup_hits"
-let c_lost_replies = Obs.counter ~scope:obs_scope "lost_replies"
-let c_relays = Obs.counter ~scope:obs_scope "publishes_relayed"
-let c_ticks = Obs.counter ~scope:obs_scope "ticks"
-let c_accepts = Obs.counter ~scope:obs_scope "connections_accepted"
 
-(* Scrape counts and round wall-clock latency are volatile: readable
-   live through the admin endpoint, never in the deterministic report. *)
-let c_admin_scrapes = Obs.counter ~scope:obs_scope ~volatile:true "admin_scrapes"
+(* Round wall-clock latency is volatile: readable live through the
+   admin endpoint, never in the deterministic report. *)
 let h_round_us = Obs.histogram ~scope:obs_scope ~volatile:true "round_us"
 
 type config = {
@@ -31,9 +25,6 @@ type config = {
   seed : string;
   adversary : Adversary.t;
   max_conns : int;
-  max_frame : int;
-  tick_timeout : float;
-  tail_ticks : int;
   checkpoint_every : int;
   durability : Store.durability;
   journal : string option; (* JSONL span journal path *)
@@ -61,9 +52,6 @@ let default_config =
     seed = "net-session";
     adversary = Adversary.Honest;
     max_conns = 64;
-    max_frame = Codec.default_max_frame;
-    tick_timeout = 0.5;
-    tail_ticks = 64;
     checkpoint_every = 64;
     (* Per_op keeps kill -9 at any instant loss-free for acknowledged
        requests — the at-most-once guarantee the smoke tests pin.
@@ -76,63 +64,17 @@ let default_config =
     shard_count = 1;
   }
 
-let stop_requested = ref false
-
-type session = {
-  conn : Conn.t;
-  peer : string;
-  mutable user : int; (* -1 before Hello *)
-  mutable role : Codec.role option;
-  mutable said_bye : bool;
-  mutable dedup_hits : int; (* per-connection, for the admin snapshot *)
-}
-
-type relay = { r_msg : Message.t; r_ctx : Codec.ctx; r_pending : (int, unit) Hashtbl.t }
-
 type state = {
   cfg : config;
+  fe : Front.t;
   engine : Message.t Sim.Engine.t;
   server : Server.t;
   store : Store.t option;
-  boot_id : string;
   outbox : (int * Message.t) Queue.t; (* server→user messages captured by stubs *)
-  mutable sessions : session list;
-  vseq : (int, int) Hashtbl.t; (* per-user highest injected request seq *)
-  reply_cache : (int, int * string) Hashtbl.t; (* user → (seq, encoded reply) *)
-  (* user → injected query (seq, trace ctx) awaiting reply; the ctx is
-     echoed verbatim on the Reply so the op keeps one span id end to end *)
-  outstanding : (int, int * Codec.ctx) Hashtbl.t;
-  relays : (int * int, relay) Hashtbl.t; (* (src, sseq) → broadcast relay state *)
-  u_done : int array; (* per-user last Tick_done round *)
-  u_drained : bool array;
-  u_alarmed : bool array;
-  mutable round : int;
-  mutable ticking : bool;
-  mutable tick_sent_at : float;
-  mutable drain_ticks : int;
   mutable free_pending : bool; (* a free-role query awaits execution *)
-  mutable session_over : bool;
-  mutable ended_at : float;
-  journal : Obs.Journal.t option;
 }
 
-let jot st ?user ?span ?dur_us ~ev detail =
-  match st.journal with
-  | Some j -> Obs.Journal.event j ?user ?span ?dur_us ~round:st.round ~ev detail
-  | None -> ()
-
-(* In shard mode the op's span belongs to the originating client, not
-   to the router's link seq: journal under the forwarded trace context
-   (ids and round) so `trace-join` threads client → router → shard
-   into one span in the client's round. *)
-let jot_fwd st ~user ~seq ~(ctx : Codec.ctx) ~ev detail =
-  match st.journal with
-  | None -> ()
-  | Some j ->
-      if st.cfg.shard_id <> None && ctx.Codec.x_user >= 0 then
-        Obs.Journal.event j ~user:ctx.Codec.x_user ~span:ctx.Codec.x_span
-          ~round:ctx.Codec.x_round ~ev detail
-      else Obs.Journal.event j ~user ~span:seq ~round:st.round ~ev detail
+let jot st = Front.jot st.fe
 
 let mode_of_protocol = function
   | Harness.Protocol_1 _ -> (`Signed, None)
@@ -140,56 +82,38 @@ let mode_of_protocol = function
   | Harness.Protocol_3 { epoch_len } -> (`Plain, Some epoch_len)
   | Harness.Token_baseline _ -> (`Token, None)
 
-let session_for_user st u =
-  List.find_opt (fun s -> s.user = u && not (Conn.eof s.conn)) st.sessions
+let generation st = match st.store with Some s -> Store.generation s | None -> 0
 
-let lockstep s = s.role = Some Codec.Lockstep
-
-let lockstep_joined st =
-  let joined = Array.make st.cfg.users false in
-  List.iter (fun s -> if lockstep s && s.user >= 0 then joined.(s.user) <- true) st.sessions;
-  Array.for_all Fun.id joined
-
-let has_role st role =
-  List.exists (fun s -> s.role = Some role) st.sessions
-
-let welcome st =
+let welcome st () =
   Codec.Welcome
     {
       w_version = Codec.protocol_version;
-      w_boot_id = st.boot_id;
-      w_generation = (match st.store with Some s -> Store.generation s | None -> 0);
+      w_boot_id = st.fe.Front.boot_id;
+      w_generation = generation st;
       w_ctr = Server.ops_performed st.server;
       w_users = st.cfg.users;
       w_shards = st.cfg.shards;
-      w_round = st.round;
+      w_round = st.fe.Front.round;
       w_root = Server.true_root st.server;
     }
-
-let reject sess code detail =
-  Conn.send sess.conn (Codec.Error_frame { code; detail });
-  Conn.flush sess.conn;
-  Conn.close sess.conn
 
 (* ---- Reply capture --------------------------------------------------- *)
 
 let[@tcvs.lint.root "event-loop"] drain_outbox st =
   while not (Queue.is_empty st.outbox) do
     let u, msg = Queue.pop st.outbox in
-    match Hashtbl.find_opt st.outstanding u with
-    | Some (seq, ctx) -> (
-        Hashtbl.remove st.outstanding u;
+    match Hashtbl.find_opt st.fe.Front.outstanding u with
+    | Some (seq, ctx) ->
         let payload = Codec.encode_message msg in
-        Hashtbl.replace st.reply_cache u (seq, payload);
+        Front.record_reply st.fe ~user:u ~seq payload;
         (match st.store with
         | Some s -> Store.log_reply s ~user:u ~seq ~payload
         | None -> ());
         Obs.incr c_requests;
         Log.debug (fun f -> f "u%d: reply for seq %d" u seq);
-        jot_fwd st ~user:u ~seq ~ctx ~ev:"daemon.reply" (Message.kind msg);
-        match session_for_user st u with
-        | Some sess -> Conn.send sess.conn (Codec.Reply { seq; ctx; msg })
-        | None -> () (* disconnected; the cached reply answers the re-request *))
+        Front.jot_fwd st.fe ~user:u ~seq ~ctx ~ev:"daemon.reply" (Message.kind msg);
+        (* disconnected: the cached reply answers the re-request *)
+        Front.send_to st.fe u (Codec.Reply { seq; ctx; msg })
     | None ->
         Log.warn (fun f -> f "response for u%d with no outstanding request" u)
   done
@@ -201,136 +125,47 @@ let[@tcvs.lint.root "event-loop"] drain_outbox st =
    deployments fail the handshake instead of serving the wrong keys.
    Unlike [Free], the dedup state survives a shard-link handshake:
    exactly-once must hold across router reconnects and shard crashes. *)
-let handle_shard_hello st sess (h : Codec.hello) ~my_shard =
+let handle_shard_hello st (sess : Front.session) (h : Codec.hello) ~my_shard =
   if h.Codec.h_user <> my_shard then
-    reject sess Codec.Bad_user
+    Front.reject sess Codec.Bad_user
       (Printf.sprintf "router expects shard %d, this daemon serves shard %d"
          h.Codec.h_user my_shard)
   else if h.Codec.h_users <> st.cfg.shard_count then
-    reject sess Codec.Bad_user
+    Front.reject sess Codec.Bad_user
       (Printf.sprintf "router expects %d shards, this daemon is 1 of %d"
          h.Codec.h_users st.cfg.shard_count)
-  else if session_for_user st 0 <> None then
-    reject sess Codec.Bad_user "a router is already connected"
+  else if Front.session_for_user st.fe 0 <> None then
+    Front.reject sess Codec.Bad_user "a router is already connected"
   else begin
     sess.user <- 0;
     sess.role <- Some Codec.Shard_link;
-    Conn.send sess.conn (welcome st);
+    Conn.send sess.conn (welcome st ());
     Log.info (fun f ->
         f "router linked shard %d (round %d) from %s" my_shard h.Codec.h_round
           sess.peer)
   end
 
 let handle_hello st sess (h : Codec.hello) =
-  if h.Codec.h_version <> Codec.protocol_version then
-    reject sess Codec.Version_mismatch
-      (Printf.sprintf "server speaks protocol %d, client sent %d"
-         Codec.protocol_version h.Codec.h_version)
-  else
+  if Front.version_ok sess h then
     match (h.Codec.h_role, st.cfg.shard_id) with
     | Codec.Shard_link, None ->
-        reject sess Codec.Bad_user "not a shard daemon (no --shard-id)"
+        Front.reject sess Codec.Bad_user "not a shard daemon (no --shard-id)"
     | Codec.Shard_link, Some my_shard -> handle_shard_hello st sess h ~my_shard
     | (Codec.Lockstep | Codec.Free), Some _ ->
-        reject sess Codec.Bad_user
+        Front.reject sess Codec.Bad_user
           "shard daemon accepts only shard-link connections (use the router)"
-    | ((Codec.Lockstep | Codec.Free) as role), None ->
-        if h.Codec.h_user < 0 || h.Codec.h_user >= st.cfg.users then
-          reject sess Codec.Bad_user
-            (Printf.sprintf "user %d out of range [0, %d)" h.Codec.h_user st.cfg.users)
-        else if h.Codec.h_users <> st.cfg.users then
-          reject sess Codec.Bad_user
-            (Printf.sprintf "client expects %d users, session has %d" h.Codec.h_users
-               st.cfg.users)
-        else if session_for_user st h.Codec.h_user <> None then
-          reject sess Codec.Bad_user
-            (Printf.sprintf "user %d is already connected" h.Codec.h_user)
-        else if
-          (* one daemon serves one kind of session at a time *)
-          has_role st (match role with Codec.Lockstep -> Codec.Free | _ -> Codec.Lockstep)
-        then reject sess Codec.Busy "daemon is serving a session of the other role"
-        else begin
-          sess.user <- h.Codec.h_user;
-          sess.role <- Some role;
-          (* free connections are independent workloads, not resumed sessions:
-             a fresh one restarts its seq space *)
-          if role = Codec.Free then begin
-            Hashtbl.remove st.vseq sess.user;
-            Hashtbl.remove st.reply_cache sess.user;
-            Hashtbl.remove st.outstanding sess.user
-          end;
-          if not st.ticking then st.round <- max st.round h.Codec.h_round;
-          Conn.send sess.conn (welcome st);
-          Log.info (fun f ->
-              f "u%d joined (%s, round %d) from %s" sess.user
-                (match role with Codec.Lockstep -> "lockstep" | _ -> "free")
-                h.Codec.h_round sess.peer);
-          (* a reconnect mid-round: let the client catch up immediately *)
-          if st.ticking && role = Codec.Lockstep then
-            Conn.send sess.conn (Codec.Tick { round = st.round })
-        end
+    | (Codec.Lockstep | Codec.Free), None -> Front.join st.fe sess h ~welcome:(welcome st)
 
-let handle_request st sess ~seq ~ctx ~msg =
+let handle_request st (sess : Front.session) ~seq ~ctx ~msg =
   let u = sess.user in
-  let last = Option.value ~default:(-1) (Hashtbl.find_opt st.vseq u) in
   match msg with
   | Message.Query _ ->
-      if
-        match Hashtbl.find_opt st.outstanding u with
-        | Some (s, _) -> s = seq
-        | None -> false
-      then () (* injected, reply still being computed — retransmission noise *)
-      else if seq <= last then begin
-        Obs.incr c_dedup_hits;
-        sess.dedup_hits <- sess.dedup_hits + 1;
-        jot_fwd st ~user:u ~seq ~ctx ~ev:"daemon.dedup" "duplicate query";
-        Log.debug (fun f -> f "u%d: duplicate query seq %d, resending reply" u seq);
-        match Hashtbl.find_opt st.reply_cache u with
-        | Some (s, payload) when s = seq -> (
-            match Codec.decode_message payload with
-            | Some m -> Conn.send sess.conn (Codec.Reply { seq; ctx; msg = m })
-            | None ->
-                Obs.incr c_lost_replies;
-                Conn.send sess.conn
-                  (Codec.Error_frame
-                     { code = Codec.Lost_reply; detail = "cached reply undecodable" }))
-        | _ ->
-            (* The at-most-once residue: the op's WAL record survived a
-               crash but the reply cache write did not. Never re-execute
-               — surface it loudly and let the client alarm. *)
-            Obs.incr c_lost_replies;
-            Conn.send sess.conn
-              (Codec.Error_frame
-                 {
-                   code = Codec.Lost_reply;
-                   detail =
-                     Printf.sprintf
-                       "request %d was executed before a crash but its reply was \
-                        lost"
-                       seq;
-                 })
-      end
-      else if Hashtbl.mem st.outstanding u then begin
-        Log.debug (fun f ->
-            f "u%d: query seq %d while seq %d outstanding" u seq
-              (match Hashtbl.find_opt st.outstanding u with
-              | Some (s, _) -> s
-              | None -> -1));
-        Conn.send sess.conn
-          (Codec.Error_frame
-             {
-               code = Codec.Protocol_violation;
-               detail = "a second query while one is outstanding";
-             })
-      end
-      else begin
-        Log.debug (fun f -> f "u%d: query seq %d injected (round %d)" u seq st.round);
-        jot_fwd st ~user:u ~seq ~ctx ~ev:"daemon.dispatch" (Message.kind msg);
-        Hashtbl.replace st.vseq u seq;
+      if Front.admit_query st.fe sess ~seq ~ctx then begin
+        Log.debug (fun f -> f "u%d: query seq %d injected (round %d)" u seq st.fe.round);
+        Front.jot_fwd st.fe ~user:u ~seq ~ctx ~ev:"daemon.dispatch" (Message.kind msg);
         (match st.store with
         | Some s -> Store.declare_origin s ~user:u ~seq
         | None -> ());
-        Hashtbl.replace st.outstanding u (seq, ctx);
         Sim.Engine.send st.engine ~src:(Sim.Id.User u) ~dst:Sim.Id.Server msg;
         (* free and shard-link requests execute on arrival — no round clock *)
         match sess.role with
@@ -340,9 +175,10 @@ let handle_request st sess ~seq ~ctx ~msg =
   | Message.Root_signature _ | Message.Token_take_turn _ ->
       (* At-least-once is safe here: the server ignores a signature it is
          not waiting for, so the ack can race a retransmission. *)
-      if seq > last then begin
+      let vseq = st.fe.Front.vseq in
+      if seq > Option.value ~default:(-1) (Hashtbl.find_opt vseq u) then begin
         jot st ~user:u ~span:seq ~ev:"daemon.dispatch" (Message.kind msg);
-        Hashtbl.replace st.vseq u seq;
+        Hashtbl.replace vseq u seq;
         Sim.Engine.send st.engine ~src:(Sim.Id.User u) ~dst:Sim.Id.Server msg
       end;
       Conn.send sess.conn (Codec.Ack { seq })
@@ -353,33 +189,6 @@ let handle_request st sess ~seq ~ctx ~msg =
              code = Codec.Protocol_violation;
              detail = "request carries a server-to-user message";
            })
-
-let deliver_to st v ~src ~sseq ~ctx msg =
-  match session_for_user st v with
-  | Some sv -> Conn.send sv.conn (Codec.Deliver { src; sseq; ctx; msg })
-  | None -> ()
-
-let handle_publish st sess ~seq ~ctx ~msg =
-  let u = sess.user in
-  match Hashtbl.find_opt st.relays (u, seq) with
-  | Some r ->
-      (* duplicate Publish: the publisher has not seen our Ack yet.
-         Re-deliver with the original ctx so the span id stays stable. *)
-      Hashtbl.iter
-        (fun v () -> deliver_to st v ~src:u ~sseq:seq ~ctx:r.r_ctx r.r_msg)
-        r.r_pending
-  | None ->
-      let pending = Hashtbl.create 8 in
-      for v = 0 to st.cfg.users - 1 do
-        if v <> u then Hashtbl.replace pending v ()
-      done;
-      if Hashtbl.length pending = 0 then Conn.send sess.conn (Codec.Ack { seq })
-      else begin
-        Obs.incr c_relays;
-        jot st ~user:u ~span:seq ~ev:"daemon.dispatch" ("publish " ^ Message.kind msg);
-        Hashtbl.replace st.relays (u, seq) { r_msg = msg; r_ctx = ctx; r_pending = pending };
-        Hashtbl.iter (fun v () -> deliver_to st v ~src:u ~sseq:seq ~ctx msg) pending
-      end
 
 (* Execute injected-but-unexecuted requests now. Free and shard-link
    requests normally execute from the main loop; a Prepare arriving in
@@ -399,11 +208,11 @@ let[@tcvs.lint.root "event-loop"] execute_pending st =
 (* Prepare phase of the cluster round barrier: flush so everything this
    round executed is durable, then vote with the shard's current root.
    Idempotent — a retransmitted Prepare re-reports the same root. *)
-let handle_prepare st sess ~round =
+let handle_prepare st (sess : Front.session) ~round =
   match (sess.role, st.cfg.shard_id) with
   | Some Codec.Shard_link, Some shard_id ->
       execute_pending st;
-      if round > st.round then st.round <- round;
+      if round > st.fe.round then st.fe.round <- round;
       (match st.store with Some s -> Store.flush s | None -> ());
       jot st ~ev:"shard.seal" (Printf.sprintf "prepare r%d" round);
       Conn.send sess.conn
@@ -411,97 +220,28 @@ let handle_prepare st sess ~round =
            {
              round;
              shard_id;
-             generation =
-               (match st.store with Some s -> Store.generation s | None -> 0);
+             generation = generation st;
              ctr = Server.ops_performed st.server;
              root = Server.true_root st.server;
            })
-  | _ -> reject sess Codec.Protocol_violation "prepare outside a shard link"
+  | _ -> Front.reject sess Codec.Protocol_violation "prepare outside a shard link"
 
-let handle_commit st sess ~round =
+let handle_commit st (sess : Front.session) ~round =
   match sess.role with
   | Some Codec.Shard_link ->
-      if round > st.round then st.round <- round;
+      if round > st.fe.round then st.fe.round <- round;
       jot st ~ev:"shard.commit" (Printf.sprintf "composed root published r%d" round)
-  | _ -> reject sess Codec.Protocol_violation "commit outside a shard link"
+  | _ -> Front.reject sess Codec.Protocol_violation "commit outside a shard link"
 
-let handle_deliver_ack st sess ~psrc ~sseq =
-  match Hashtbl.find_opt st.relays (psrc, sseq) with
-  | None -> ()
-  | Some r ->
-      Hashtbl.remove r.r_pending sess.user;
-      if Hashtbl.length r.r_pending = 0 then begin
-        Hashtbl.remove st.relays (psrc, sseq);
-        (* the Publish is only acknowledged once every recipient has
-           acknowledged its Deliver — end-to-end reliable broadcast *)
-        match session_for_user st psrc with
-        | Some sp -> Conn.send sp.conn (Codec.Ack { seq = sseq })
-        | None -> ()
-      end
-
-let[@tcvs.lint.root "event-loop"] handle_frame st sess frame =
+let[@tcvs.lint.root "event-loop"] handle_frame st (sess : Front.session) frame =
   match (sess.role, frame) with
   | None, Codec.Hello h -> handle_hello st sess h
-  | None, _ ->
-      reject sess Codec.Protocol_violation "first frame must be Hello"
-  | Some _, Codec.Hello _ ->
-      reject sess Codec.Protocol_violation "second Hello on a connection"
   | Some _, Codec.Request { seq; ctx; msg } -> handle_request st sess ~seq ~ctx ~msg
-  | Some _, Codec.Publish { seq; ctx; msg } -> handle_publish st sess ~seq ~ctx ~msg
-  | Some _, Codec.Deliver_ack { src = psrc; sseq } ->
-      handle_deliver_ack st sess ~psrc ~sseq
-  | Some _, Codec.Tick_done { round = r; drained; alarmed } ->
-      if sess.user >= 0 && r = st.round then begin
-        st.u_done.(sess.user) <- r;
-        st.u_drained.(sess.user) <- drained;
-        st.u_alarmed.(sess.user) <- alarmed
-      end
-      else
-        Log.debug (fun f ->
-            f "u%d: stale tick_done r=%d at round %d ignored" sess.user r
-              st.round)
-  | Some _, Codec.Bye -> sess.said_bye <- true
   | Some _, Codec.Prepare { round } -> handle_prepare st sess ~round
   | Some _, Codec.Commit { round; root = _ } -> handle_commit st sess ~round
-  | Some _, (Codec.Welcome _ | Codec.Reply _ | Codec.Deliver _ | Codec.Tick _
-            | Codec.Session_end _ | Codec.Shard_root _) ->
-      reject sess Codec.Protocol_violation "server-to-client frame from a client"
-  | Some _, (Codec.Ack _ | Codec.Error_frame _) -> ()
+  | _ -> Front.handle_frame st.fe sess frame
 
 (* ---- The round clock ------------------------------------------------- *)
-
-let[@tcvs.lint.root "event-loop"] begin_tick st =
-  st.round <- st.round + 1;
-  Obs.incr c_ticks;
-  st.tick_sent_at <- Unix.gettimeofday ();
-  (* retransmit undelivered broadcasts before announcing the round *)
-  Hashtbl.iter
-    (fun (psrc, sseq) r ->
-      Hashtbl.iter
-        (fun v () -> deliver_to st v ~src:psrc ~sseq ~ctx:r.r_ctx r.r_msg)
-        r.r_pending)
-    st.relays;
-  List.iter
-    (fun s ->
-      if lockstep s && s.user >= 0 then Conn.send s.conn (Codec.Tick { round = st.round }))
-    st.sessions
-
-let end_session st ~alarmed ~reason =
-  st.session_over <- true;
-  st.ended_at <- Unix.gettimeofday ();
-  Log.info (fun f -> f "session over at round %d: %s" st.round reason);
-  List.iter
-    (fun s ->
-      if s.user >= 0 then
-        Conn.send s.conn (Codec.Session_end { round = st.round; alarmed; reason }))
-    st.sessions
-
-let tick_complete st =
-  let ok = ref true in
-  for u = 0 to st.cfg.users - 1 do
-    if st.u_done.(u) < st.round then ok := false
-  done;
-  !ok
 
 let[@tcvs.lint.root "event-loop"] finish_round st =
   (* two steps: the first delivers this round's requests to the server
@@ -521,48 +261,20 @@ let[@tcvs.lint.root "event-loop"] finish_round st =
       jot st ~dur_us ~ev:"daemon.flush" "group-commit"
   | None -> ());
   Obs.observe h_round_us
-    (int_of_float ((Unix.gettimeofday () -. st.tick_sent_at) *. 1e6));
-  let server_alarmed = Sim.Engine.first_alarm st.engine <> None in
-  let any_alarm = server_alarmed || Array.exists Fun.id st.u_alarmed in
-  let daemon_idle =
-    Hashtbl.length st.outstanding = 0
-    && Hashtbl.length st.relays = 0
-    && Queue.is_empty st.outbox
+    (int_of_float ((Unix.gettimeofday () -. st.fe.tick_sent_at) *. 1e6));
+  let alarm =
+    if Sim.Engine.first_alarm st.engine <> None then Some "server-alarm" else None
   in
-  let all_drained = Array.for_all Fun.id st.u_drained && daemon_idle in
-  if any_alarm then
-    end_session st ~alarmed:true
-      ~reason:(if server_alarmed then "server-alarm" else "client-alarm")
-  else if all_drained then begin
-    st.drain_ticks <- st.drain_ticks + 1;
-    if st.drain_ticks >= st.cfg.tail_ticks then
-      end_session st ~alarmed:false ~reason:"drained"
-    else begin_tick st
-  end
-  else begin
-    st.drain_ticks <- 0;
-    begin_tick st
-  end
+  Front.close_round st.fe ~alarm ~idle:(Queue.is_empty st.outbox)
+
+(* Pre-select work of one loop turn. *)
+let step st =
+  Front.start_clock st.fe;
+  if st.fe.ticking then
+    if Front.tick_complete st.fe then finish_round st else Front.retick st.fe;
+  execute_pending st
 
 (* ---- Setup ----------------------------------------------------------- *)
-
-let make_boot_id () =
-  let raw =
-    Printf.sprintf "%f-%d" (Unix.gettimeofday ()) (Unix.getpid ())
-  in
-  let hex = Buffer.create 16 in
-  String.iteri
-    (fun i c -> if i < 8 then Buffer.add_string hex (Printf.sprintf "%02x" (Char.code c)))
-    (Crypto.Sha256.digest raw);
-  Buffer.contents hex
-
-let write_port_file path port =
-  let tmp = path ^ ".tmp" in
-  let oc = open_out tmp in
-  output_string oc (string_of_int port);
-  output_char oc '\n';
-  close_out oc;
-  Sys.rename tmp path
 
 (* The slice of the seeded key space a shard daemon owns: the same
    boundaries the router (and a single-daemon [--shards N] run)
@@ -653,50 +365,26 @@ let build_state cfg =
             on_activate = (fun ~round:_ -> ());
           }
       done;
-      let st =
-        {
-          cfg;
-          engine;
-          server;
-          store;
-          boot_id = make_boot_id ();
-          outbox;
-          sessions = [];
-          vseq = Hashtbl.create 16;
-          reply_cache = Hashtbl.create 16;
-          outstanding = Hashtbl.create 16;
-          relays = Hashtbl.create 64;
-          u_done = Array.make (max cfg.users 1) (-1);
-          u_drained = Array.make (max cfg.users 1) false;
-          u_alarmed = Array.make (max cfg.users 1) false;
-          round = 0;
-          ticking = false;
-          tick_sent_at = 0.;
-          drain_ticks = 0;
-          free_pending = false;
-          session_over = false;
-          ended_at = 0.;
-          journal =
-            (let proc =
-               match cfg.shard_id with
-               | Some i -> "shard" ^ string_of_int i
-               | None -> "daemon"
-             in
-             Option.map (fun p -> Obs.Journal.open_ ~proc p) cfg.journal);
-        }
+      let proc =
+        match cfg.shard_id with Some i -> "shard" ^ string_of_int i | None -> "daemon"
+      in
+      let fe =
+        Front.create ~src ~scope:obs_scope ~ev:"daemon" ~ev_dispatch:"daemon.dispatch"
+          ~fwd_ctx:(cfg.shard_id <> None) ~users:cfg.users ~max_conns:cfg.max_conns
+          (Option.map (fun p -> Obs.Journal.open_ ~proc p) cfg.journal)
       in
       (match resume_from with
       | None -> ()
       | Some (r : Store.recovered) ->
-          List.iter (fun (u, s) -> Hashtbl.replace st.vseq u s) r.Store.seqs;
+          List.iter (fun (u, s) -> Hashtbl.replace fe.vseq u s) r.Store.seqs;
           List.iter
-            (fun (u, s, payload) -> Hashtbl.replace st.reply_cache u (s, payload))
+            (fun (u, s, payload) -> Hashtbl.replace fe.reply_cache u (s, payload))
             r.Store.replies;
           Log.info (fun f ->
               f "resumed store: generation %d, ctr %d, %d user seqs"
                 (match store with Some s -> Store.generation s | None -> 0)
                 r.Store.ctr (List.length r.Store.seqs)));
-      Ok st
+      Ok { cfg; fe; engine; server; store; outbox; free_pending = false }
 
 (* ---- Admin endpoint --------------------------------------------------- *)
 
@@ -706,20 +394,21 @@ let build_state cfg =
    `tcvs_cli top` can both speak. *)
 
 let admin_snapshot st =
+  let fe = st.fe in
   let buf = Buffer.create 4096 in
   Printf.bprintf buf
     "{\n  \"schema\": \"tcvs-admin/1\",\n  \"round\": %d,\n  \"ticking\": %b,\n\
     \  \"sessions\": %d,\n  \"outstanding\": %d,\n  \"relays_pending\": %d,\n\
     \  \"connections\": ["
-    st.round st.ticking (List.length st.sessions)
-    (Hashtbl.length st.outstanding)
-    (Hashtbl.length st.relays);
+    fe.round fe.ticking (List.length fe.sessions)
+    (Hashtbl.length fe.outstanding)
+    (Hashtbl.length fe.relays);
   let joined =
-    List.filter (fun s -> s.user >= 0) st.sessions
-    |> List.sort (fun a b -> Int.compare a.user b.user)
+    List.filter (fun (s : Front.session) -> s.user >= 0) fe.sessions
+    |> List.sort (fun (a : Front.session) b -> Int.compare a.user b.user)
   in
   List.iteri
-    (fun i s ->
+    (fun i (s : Front.session) ->
       if i > 0 then Buffer.add_char buf ',';
       let io = Conn.io_stats s.conn in
       Printf.bprintf buf
@@ -733,7 +422,7 @@ let admin_snapshot st =
         | _ -> "lockstep")
         io.Conn.frames_in io.Conn.frames_out io.Conn.bytes_in io.Conn.bytes_out
         (Conn.pending_out s.conn) s.dedup_hits
-        (if Hashtbl.mem st.outstanding s.user then 1 else 0))
+        (if Hashtbl.mem fe.outstanding s.user then 1 else 0))
     joined;
   if joined <> [] then Buffer.add_string buf "\n  ";
   Buffer.add_string buf "],\n  \"registry\": ";
@@ -743,66 +432,7 @@ let admin_snapshot st =
 
 (* ---- Main loop ------------------------------------------------------- *)
 
-let[@tcvs.lint.root "event-loop"] prune_sessions st =
-  let dead, live =
-    List.partition (fun s -> Conn.eof s.conn || s.said_bye) st.sessions
-  in
-  List.iter
-    (fun s ->
-      if s.user >= 0 then Log.info (fun f -> f "u%d disconnected" s.user);
-      Conn.close s.conn)
-    dead;
-  st.sessions <- live
-
-let[@tcvs.lint.root "event-loop"] accept_pending st listen_fd =
-  let rec loop () =
-    match Unix.accept listen_fd with
-    | fd, addr ->
-        let peer =
-          match addr with
-          | Unix.ADDR_INET (a, p) -> Printf.sprintf "%s:%d" (Unix.string_of_inet_addr a) p
-          | Unix.ADDR_UNIX p -> p
-        in
-        let conn = Conn.create ~max_frame:st.cfg.max_frame fd in
-        let sess =
-          { conn; peer; user = -1; role = None; said_bye = false; dedup_hits = 0 }
-        in
-        if List.length st.sessions >= st.cfg.max_conns then
-          reject sess Codec.Busy
-            (Printf.sprintf "connection limit %d reached" st.cfg.max_conns)
-        else begin
-          Obs.incr c_accepts;
-          st.sessions <- sess :: st.sessions
-        end;
-        loop ()
-    | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _)
-      ->
-        ()
-  in
-  loop ()
-
-let[@tcvs.lint.root "event-loop"] read_session st sess =
-  Conn.fill sess.conn;
-  let rec pump () =
-    if not st.session_over then
-      match Conn.pop sess.conn with
-      | Ok None -> ()
-      | Ok (Some frame) ->
-          handle_frame st sess frame;
-          pump ()
-      | Error e ->
-          Log.warn (fun f ->
-              f "u%d: bad frame: %s — closing" sess.user (Codec.error_to_string e));
-          reject sess Codec.Protocol_violation (Codec.error_to_string e)
-  in
-  pump ()
-
 let run cfg =
-  stop_requested := false;
-  Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
-  let on_stop = Sys.Signal_handle (fun _ -> stop_requested := true) in
-  Sys.set_signal Sys.sigterm on_stop;
-  Sys.set_signal Sys.sigint on_stop;
   match
     (* shard mode: one engine user (the router) over a single internal
        shard; the cluster-wide partition lives in [initial_slice] *)
@@ -815,132 +445,18 @@ let run cfg =
   with
   | Error e -> Error e
   | Ok st -> (
-      let listen_fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-      Unix.setsockopt listen_fd Unix.SO_REUSEADDR true;
       match
-        Unix.bind listen_fd (Unix.ADDR_INET (Unix.inet_addr_loopback, cfg.listen_port))
+        Front.listen st.fe ~port:cfg.listen_port ~port_file:cfg.port_file
+          ~admin_port:cfg.admin_port ~admin_port_file:cfg.admin_port_file
       with
-      | exception Unix.Unix_error (err, _, _) ->
-          Unix.close listen_fd;
-          Error
-            (Printf.sprintf "cannot bind 127.0.0.1:%d: %s" cfg.listen_port
-               (Unix.error_message err))
-      | () ->
-          Unix.listen listen_fd 64;
-          Unix.set_nonblock listen_fd;
-          let port =
-            match Unix.getsockname listen_fd with
-            | Unix.ADDR_INET (_, p) -> p
-            | Unix.ADDR_UNIX _ -> cfg.listen_port
-          in
-          Option.iter (fun path -> write_port_file path port) cfg.port_file;
+      | Error e -> Error e
+      | Ok l ->
           Log.app (fun f ->
-              f "listening on 127.0.0.1:%d (boot %s, %d users, %s)" port st.boot_id
-                cfg.users
+              f "listening on 127.0.0.1:%d (boot %s, %d users, %s)" l.Front.port
+                st.fe.boot_id cfg.users
                 (Harness.protocol_name cfg.protocol));
-          let admin =
-            match cfg.admin_port with
-            | None -> None
-            | Some p -> (
-                match Admin.listen ~port:p with
-                | Error e ->
-                    Log.err (fun f -> f "admin: %s" e);
-                    None
-                | Ok (a, ap) ->
-                    Option.iter
-                      (fun path -> write_port_file path ap)
-                      cfg.admin_port_file;
-                    Log.app (fun f -> f "admin endpoint on 127.0.0.1:%d" ap);
-                    Some a)
-          in
-          let admin_scrape () =
-            Obs.incr c_admin_scrapes;
-            admin_snapshot st
-          in
-          let rec loop () =
-            if !stop_requested && not st.session_over then
-              end_session st ~alarmed:false ~reason:"sigterm-drain";
-            prune_sessions st;
-            (* session lifecycle *)
-            if st.session_over then begin
-              List.iter (fun s -> Conn.flush s.conn) st.sessions;
-              let flushed =
-                List.for_all (fun s -> Conn.pending_out s.conn = 0) st.sessions
-              in
-              if
-                flushed || st.sessions = []
-                || Unix.gettimeofday () -. st.ended_at > 2.0
-              then begin
-                List.iter (fun s -> Conn.close s.conn) st.sessions;
-                Unix.close listen_fd;
-                Option.iter Admin.close admin;
-                (match st.journal with Some j -> Obs.Journal.close j | None -> ());
-                (match st.store with Some s -> Store.close s | None -> ());
-                Ok ()
-              end
-              else select_and_continue ()
-            end
-            else begin
-              if (not st.ticking) && lockstep_joined st && st.cfg.users > 0
-                 && has_role st Codec.Lockstep
-              then begin
-                st.ticking <- true;
-                Log.info (fun f -> f "all %d users joined — starting round clock" st.cfg.users);
-                begin_tick st
-              end;
-              if st.ticking then begin
-                if tick_complete st then finish_round st
-                else if Unix.gettimeofday () -. st.tick_sent_at > cfg.tick_timeout
-                then begin
-                  (* a Tick or Tick_done was lost to a reconnect — re-announce *)
-                  st.tick_sent_at <- Unix.gettimeofday ();
-                  List.iter
-                    (fun s ->
-                      if lockstep s && s.user >= 0 && st.u_done.(s.user) < st.round
-                      then begin
-                        Log.debug (fun f ->
-                            f "re-tick round %d to u%d (done %d)" st.round
-                              s.user st.u_done.(s.user));
-                        Conn.send s.conn (Codec.Tick { round = st.round })
-                      end)
-                    st.sessions
-                end
-              end;
-              execute_pending st;
-              select_and_continue ()
-            end
-          and select_and_continue () =
-            let rfds = listen_fd :: List.map (fun s -> Conn.fd s.conn) st.sessions in
-            let rfds =
-              match admin with Some a -> Admin.fd a :: rfds | None -> rfds
-            in
-            let wfds =
-              List.filter_map
-                (fun s -> if Conn.want_write s.conn then Some (Conn.fd s.conn) else None)
-                st.sessions
-            in
-            let wfds =
-              match admin with Some a -> Admin.wfds a @ wfds | None -> wfds
-            in
-            let readable, writable, _ =
-              try Unix.select rfds wfds [] 0.05
-              with Unix.Unix_error (Unix.EINTR, _, _) -> ([], [], [])
-            in
-            if List.mem listen_fd readable then accept_pending st listen_fd;
-            (match admin with
-            | Some a ->
-                if List.mem (Admin.fd a) readable then
-                  Admin.accept_pending a ~snapshot:admin_scrape;
-                Admin.service a
-            | None -> ());
-            List.iter
-              (fun s -> if List.mem (Conn.fd s.conn) readable then read_session st s)
-              st.sessions;
-            List.iter
-              (fun s -> if List.mem (Conn.fd s.conn) writable then Conn.flush s.conn)
-              st.sessions;
-            (* opportunistic flush for freshly queued frames *)
-            List.iter (fun s -> Conn.flush s.conn) st.sessions;
-            loop ()
-          in
-          loop ())
+          Front.serve st.fe l ~handle:(handle_frame st)
+            ~snapshot:(fun () -> admin_snapshot st)
+            ~step:(fun () -> step st)
+            ~close:(fun () -> Option.iter Store.close st.store)
+            ())

@@ -1,6 +1,9 @@
 (** The Trusted-CVS server as a standalone TCP daemon.
 
-    One process, one [Unix.select] loop, no threads. The daemon embeds
+    One process, one [Unix.select] loop ({!Front.serve}), no threads.
+    The client-facing protocol — handshake, exactly-once dedup, relay,
+    round clock — is {!Front}'s; this module is the engine/store bridge
+    and the shard side of the cluster barrier. The daemon embeds
     the existing {!Tcvs.Server} agent in a private simulator engine and
     bridges it to the network: client [Request] frames are injected as
     engine messages, the engine is stepped, and captured server
@@ -54,11 +57,6 @@ type config = {
   seed : string;  (** must match the clients' — PKI + workload *)
   adversary : Tcvs.Adversary.t;
   max_conns : int;
-  max_frame : int;
-  tick_timeout : float;  (** seconds before a [Tick] is re-sent *)
-  tail_ticks : int;
-      (** extra all-drained rounds before a clean [Session_end] (time
-          for trailing syncs, mirroring the harness's tail) *)
   checkpoint_every : int;
   durability : Store.durability;
       (** WAL flush cadence. {!Store.Per_op} (the default) keeps
@@ -88,8 +86,7 @@ type config = {
 
 val default_config : config
 (** Port 0, no store, 1 shard, branching 8, 32 files, protocol II
-    (k=8), 4 users, honest adversary, 64 connections, 1 MiB frames,
-    0.5 s tick timeout, 64 tail ticks. *)
+    (k=8), 4 users, honest adversary, 64 connections. *)
 
 val run : config -> (unit, string) result
 (** Serve until the lockstep session ends, or until SIGTERM/SIGINT —

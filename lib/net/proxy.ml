@@ -25,7 +25,6 @@ type config = {
   dst_port : int;
   seed : string;
   faults : faults;
-  max_frame : int;
   journal : string option;
 }
 
@@ -37,7 +36,6 @@ let default_config ~dst_port =
     dst_port;
     seed = "proxy";
     faults = no_faults;
-    max_frame = Codec.default_max_frame;
     journal = None;
   }
 
@@ -155,50 +153,15 @@ let close_link link =
   Conn.close link.client.conn;
   Conn.close link.server.conn
 
-let write_port_file path port =
-  let tmp = path ^ ".tmp" in
-  let oc = open_out tmp in
-  output_string oc (string_of_int port);
-  output_char oc '\n';
-  close_out oc;
-  Sys.rename tmp path
-
 let run cfg =
-  stop_requested := false;
-  Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
-  let on_stop = Sys.Signal_handle (fun _ -> stop_requested := true) in
-  Sys.set_signal Sys.sigterm on_stop;
-  Sys.set_signal Sys.sigint on_stop;
-  let dst_addr =
-    try Ok (Unix.inet_addr_of_string cfg.dst_host)
-    with Failure _ -> (
-      match Unix.getaddrinfo cfg.dst_host "" [ Unix.AI_FAMILY Unix.PF_INET ] with
-      | { Unix.ai_addr = Unix.ADDR_INET (a, _); _ } :: _ -> Ok a
-      | _ -> Error ("cannot resolve " ^ cfg.dst_host))
-  in
-  match dst_addr with
+  Sock.trap_stop stop_requested;
+  match Sock.resolve cfg.dst_host with
   | Error e -> Error e
   | Ok dst_addr -> (
-      let listen_fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-      Unix.setsockopt listen_fd Unix.SO_REUSEADDR true;
-      match
-        Unix.bind listen_fd
-          (Unix.ADDR_INET (Unix.inet_addr_loopback, cfg.listen_port))
-      with
-      | exception Unix.Unix_error (err, _, _) ->
-          Unix.close listen_fd;
-          Error
-            (Printf.sprintf "cannot bind 127.0.0.1:%d: %s" cfg.listen_port
-               (Unix.error_message err))
-      | () ->
-          Unix.listen listen_fd 64;
-          Unix.set_nonblock listen_fd;
-          let port =
-            match Unix.getsockname listen_fd with
-            | Unix.ADDR_INET (_, p) -> p
-            | Unix.ADDR_UNIX _ -> cfg.listen_port
-          in
-          Option.iter (fun path -> write_port_file path port) cfg.port_file;
+      match Sock.listen ~port:cfg.listen_port () with
+      | Error e -> Error e
+      | Ok (listen_fd, port) ->
+          Option.iter (fun path -> Sock.write_port_file path port) cfg.port_file;
           Log.app (fun f ->
               f "proxying 127.0.0.1:%d -> %s:%d" port cfg.dst_host cfg.dst_port);
           let links = ref [] in
@@ -229,9 +192,9 @@ let run cfg =
                       links :=
                         {
                           client =
-                            { conn = Conn.create ~max_frame:cfg.max_frame cfd; held = [] };
+                            { conn = Conn.create cfd; held = [] };
                           server =
-                            { conn = Conn.create ~max_frame:cfg.max_frame sfd; held = [] };
+                            { conn = Conn.create sfd; held = [] };
                           rng =
                             Crypto.Prng.split rng
                               ~label:(Printf.sprintf "link-%d" !accepted);

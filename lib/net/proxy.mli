@@ -37,7 +37,6 @@ type config = {
   dst_port : int;
   seed : string;
   faults : faults;
-  max_frame : int;
   journal : string option;
       (** when set, per-op span events (proxy.to_server / proxy.to_client
           / proxy.drop / proxy.delay / proxy.duplicate) are appended to

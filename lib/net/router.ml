@@ -10,14 +10,17 @@ let obs_scope = Obs.Scope.v "net.router"
 let c_ops = Obs.counter ~scope:obs_scope "ops_routed"
 let c_subops = Obs.counter ~scope:obs_scope "subops_sent"
 let c_sub_retransmits = Obs.counter ~scope:obs_scope "subop_retransmits"
-let c_dedup_hits = Obs.counter ~scope:obs_scope "dedup_hits"
-let c_relays = Obs.counter ~scope:obs_scope "publishes_relayed"
-let c_ticks = Obs.counter ~scope:obs_scope "ticks"
 let c_barriers = Obs.counter ~scope:obs_scope "barriers_committed"
 let c_barrier_retries = Obs.counter ~scope:obs_scope "barrier_retries"
 let c_link_reconnects = Obs.counter ~scope:obs_scope "link_reconnects"
-let c_accepts = Obs.counter ~scope:obs_scope "connections_accepted"
-let c_admin_scrapes = Obs.counter ~scope:obs_scope ~volatile:true "admin_scrapes"
+
+(* Sub-request retransmit base, re-Prepare interval and the re-Prepares
+   before the wedge alarm; shard dial timeout and reconnect base. *)
+let subreq_retry = 0.25
+let reprepare_after = 0.5
+let max_reprepares = 20
+let link_timeout = 5.0
+let link_backoff = 0.1
 
 type config = {
   listen_port : int;
@@ -27,14 +30,6 @@ type config = {
   files : int;
   users : int;
   max_conns : int;
-  max_frame : int;
-  tick_timeout : float;
-  tail_ticks : int;
-  request_timeout : float; (* sub-request retransmit interval *)
-  barrier_timeout : float; (* re-Prepare interval *)
-  barrier_retries : int; (* re-Prepares before the wedge alarm *)
-  connect_timeout : float;
-  reconnect_backoff : float;
   journal : string option;
   admin_port : int option;
   admin_port_file : string option;
@@ -49,94 +44,12 @@ let default_config ~shard_addrs =
     files = 32;
     users = 4;
     max_conns = 64;
-    max_frame = Codec.default_max_frame;
-    tick_timeout = 0.5;
-    tail_ticks = 64;
-    request_timeout = 0.25;
-    barrier_timeout = 0.5;
-    barrier_retries = 20;
-    connect_timeout = 5.0;
-    reconnect_backoff = 0.1;
     journal = None;
     admin_port = None;
     admin_port_file = None;
   }
 
-let stop_requested = ref false
-
-(* ---- Connection plumbing (mirrors Client) ---------------------------- *)
-
-let connect_fd ~host ~port ~timeout =
-  match
-    try Ok (Unix.inet_addr_of_string host)
-    with Failure _ -> (
-      match Unix.getaddrinfo host "" [ Unix.AI_FAMILY Unix.PF_INET ] with
-      | { Unix.ai_addr = Unix.ADDR_INET (a, _); _ } :: _ -> Ok a
-      | _ -> Error ("cannot resolve " ^ host))
-  with
-  | Error e -> Error e
-  | Ok addr -> (
-      let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-      Unix.set_nonblock fd;
-      match Unix.connect fd (Unix.ADDR_INET (addr, port)) with
-      | () ->
-          Unix.clear_nonblock fd;
-          Ok fd
-      | exception Unix.Unix_error (Unix.EINPROGRESS, _, _) -> (
-          match Unix.select [] [ fd ] [] timeout with
-          | [], [], [] ->
-              Unix.close fd;
-              Error "connect timeout"
-          | _ -> (
-              match Unix.getsockopt_error fd with
-              | None ->
-                  Unix.clear_nonblock fd;
-                  Ok fd
-              | Some err ->
-                  Unix.close fd;
-                  Error (Unix.error_message err)))
-      | exception Unix.Unix_error (err, _, _) ->
-          Unix.close fd;
-          Error (Unix.error_message err))
-
-let await_frame conn ~timeout =
-  let deadline = Unix.gettimeofday () +. timeout in
-  let rec loop () =
-    match Conn.pop conn with
-    | Ok (Some frame) -> Ok (Some frame)
-    | Error e -> Error (Codec.error_to_string e)
-    | Ok None ->
-        if Conn.eof conn then Error "connection closed"
-        else if Unix.gettimeofday () > deadline then Ok None
-        else begin
-          Conn.flush conn;
-          let slice = min 0.25 (max 0.01 (deadline -. Unix.gettimeofday ())) in
-          (match
-             Unix.select [ Conn.fd conn ]
-               (if Conn.want_write conn then [ Conn.fd conn ] else [])
-               [] slice
-           with
-          | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
-          | r, w, _ ->
-              if w <> [] then Conn.flush conn;
-              if r <> [] then Conn.fill conn);
-          loop ()
-        end
-  in
-  loop ()
-
 (* ---- State ------------------------------------------------------------ *)
-
-type session = {
-  conn : Conn.t;
-  peer : string;
-  mutable user : int; (* -1 before Hello *)
-  mutable role : Codec.role option;
-  mutable said_bye : bool;
-  mutable dedup_hits : int;
-}
-
-type relay = { r_msg : Message.t; r_ctx : Codec.ctx; r_pending : (int, unit) Hashtbl.t }
 
 (* One client op moving through the cluster: fanned to its owning
    shards, composed back in strict dispatch order. *)
@@ -187,38 +100,20 @@ type state = {
   initial_roots : string array; (* each shard's expected fresh root *)
   serial_roots : string array; (* root chain, advanced at compose time *)
   links : link array;
-  boot_id : string;
-  mutable sessions : session list;
-  (* client-facing exactly-once state (in-memory: a router crash ends
-     the session loudly via the shards' persistent dedup, never via a
-     silent re-execution) *)
-  vseq : (int, int) Hashtbl.t;
-  reply_cache : (int, int * string) Hashtbl.t;
-  outstanding : (int, int * Codec.ctx) Hashtbl.t;
-  relays : (int * int, relay) Hashtbl.t;
+  (* client-facing state; its exactly-once tables are in-memory: a
+     router crash ends the session loudly via the shards' persistent
+     dedup, never via a silent re-execution *)
+  fe : Front.t;
   compose_q : rop Queue.t; (* global dispatch order *)
   held : (int * Codec.frame) Queue.t; (* lockstep replies awaiting Commit *)
   mutable g_ctr : int; (* composed ops — the cluster's global ctr *)
   mutable g_last_user : int;
-  u_done : int array;
-  u_drained : bool array;
-  u_alarmed : bool array;
-  mutable round : int;
-  mutable ticking : bool;
-  mutable tick_sent_at : float;
-  mutable drain_ticks : int;
   mutable dirty : bool; (* an op was composed since the last barrier *)
   mutable barrier : barrier;
   mutable alarms : string list; (* newest first *)
-  mutable session_over : bool;
-  mutable ended_at : float;
-  journal : Obs.Journal.t option;
 }
 
-let jot st ?user ?span ?dur_us ~ev detail =
-  match st.journal with
-  | Some j -> Obs.Journal.event j ?user ?span ?dur_us ~round:st.round ~ev detail
-  | None -> ()
+let jot st = Front.jot st.fe
 
 let alarm st reason =
   Log.err (fun f -> f "ALARM: %s" reason);
@@ -229,43 +124,24 @@ let composed_root st =
   if st.shard_count = 1 then st.serial_roots.(0)
   else Vo.compose_root st.boundaries st.serial_roots
 
-let session_for_user st u =
-  List.find_opt (fun s -> s.user = u && not (Conn.eof s.conn)) st.sessions
-
-let lockstep s = s.role = Some Codec.Lockstep
-
-let lockstep_joined st =
-  let joined = Array.make st.cfg.users false in
-  List.iter
-    (fun s -> if lockstep s && s.user >= 0 then joined.(s.user) <- true)
-    st.sessions;
-  Array.for_all Fun.id joined
-
-let has_role st role = List.exists (fun s -> s.role = Some role) st.sessions
-
 (* The composed generation: the sum over shard generations, so any
    shard's recovery bumps it and the clients' monotonicity check spans
    the whole cluster. *)
 let cluster_generation st =
   Array.fold_left (fun acc l -> acc + l.l_gen) 0 st.links
 
-let welcome st =
+let welcome st () =
   Codec.Welcome
     {
       w_version = Codec.protocol_version;
-      w_boot_id = st.boot_id;
+      w_boot_id = st.fe.boot_id;
       w_generation = cluster_generation st;
       w_ctr = st.g_ctr;
       w_users = st.cfg.users;
       w_shards = st.shard_count;
-      w_round = st.round;
+      w_round = st.fe.round;
       w_root = composed_root st;
     }
-
-let reject sess code detail =
-  Conn.send sess.conn (Codec.Error_frame { code; detail });
-  Conn.flush sess.conn;
-  Conn.close sess.conn
 
 (* ---- Shard links ------------------------------------------------------ *)
 
@@ -319,10 +195,10 @@ let link_handshake st l conn =
          h_role = Codec.Shard_link;
          h_user = l.l_id;
          h_users = st.shard_count;
-         h_round = st.round;
+         h_round = st.fe.round;
        });
   Conn.flush conn;
-  match await_frame conn ~timeout:st.cfg.connect_timeout with
+  match Sock.await_frame conn ~timeout:link_timeout with
   | Error e -> Error (`Transient e)
   | Ok None -> Error (`Transient "no Welcome before timeout")
   | Ok (Some (Codec.Welcome w)) -> (
@@ -349,13 +225,13 @@ let close_link l =
   l.l_conn <- None
 
 let connect_link st l ~now =
-  l.l_next_connect <- now +. (st.cfg.reconnect_backoff *. float_of_int (1 lsl min l.l_attempts 6));
-  match connect_fd ~host:l.l_host ~port:l.l_port ~timeout:st.cfg.connect_timeout with
+  l.l_next_connect <- now +. (link_backoff *. float_of_int (1 lsl min l.l_attempts 6));
+  match Sock.connect_fd ~host:l.l_host ~port:l.l_port ~timeout:link_timeout with
   | Error e ->
       Log.info (fun f -> f "shard %d connect failed: %s" l.l_id e);
       l.l_attempts <- l.l_attempts + 1
   | Ok fd -> (
-      let conn = Conn.create ~max_frame:st.cfg.max_frame fd in
+      let conn = Conn.create fd in
       match link_handshake st l conn with
       | Error (`Transient e) ->
           Conn.close conn;
@@ -401,9 +277,7 @@ let pump_links st =
       | Some conn -> (
           match l.l_inflight with
           | Some (rseq, rop) ->
-              let backoff =
-                st.cfg.request_timeout *. float_of_int (1 lsl min l.l_attempts 6)
-              in
+              let backoff = subreq_retry *. float_of_int (1 lsl min l.l_attempts 6) in
               if now -. l.l_sent_at >= backoff then begin
                 l.l_sent_at <- now;
                 l.l_attempts <- l.l_attempts + 1;
@@ -528,11 +402,6 @@ let compose st (rop : rop) =
              epoch_states = [];
            })
 
-let deliver_reply st rop frame =
-  match session_for_user st rop.o_user with
-  | Some sess -> Conn.send sess.conn frame
-  | None -> () (* disconnected; the cached reply answers the re-request *)
-
 (* Compose strictly in dispatch order: the head of [compose_q] may
    complete long after later single-shard ops on other links — they
    wait, so every composed VO extends one serial history. *)
@@ -544,11 +413,8 @@ let[@tcvs.lint.root "event-loop"] try_compose st =
         match compose st rop with
         | None -> () (* alarmed; session teardown happens in the main loop *)
         | Some msg ->
-            let payload = Codec.encode_message msg in
-            Hashtbl.replace st.reply_cache rop.o_user (rop.o_seq, payload);
-            (match Hashtbl.find_opt st.outstanding rop.o_user with
-            | Some (s, _) when s = rop.o_seq -> Hashtbl.remove st.outstanding rop.o_user
-            | _ -> ());
+            Front.record_reply st.fe ~user:rop.o_user ~seq:rop.o_seq
+              (Codec.encode_message msg);
             Obs.incr c_ops;
             jot st ~user:rop.o_user ~span:rop.o_seq ~ev:"router.reply"
               (Message.kind msg);
@@ -556,7 +422,7 @@ let[@tcvs.lint.root "event-loop"] try_compose st =
             (* two-phase: a lockstep reply only leaves after the round's
                composed root is committed; bench replies flow freely *)
             if rop.o_lockstep then Queue.add (rop.o_user, frame) st.held
-            else deliver_reply st rop frame;
+            else Front.send_to st.fe rop.o_user frame;
             loop ())
     | _ -> ()
   in
@@ -565,49 +431,13 @@ let[@tcvs.lint.root "event-loop"] try_compose st =
 (* ---- Client-facing frames --------------------------------------------- *)
 
 let handle_hello st sess (h : Codec.hello) =
-  if h.Codec.h_version <> Codec.protocol_version then
-    reject sess Codec.Version_mismatch
-      (Printf.sprintf "router speaks protocol %d, client sent %d"
-         Codec.protocol_version h.Codec.h_version)
-  else
+  if Front.version_ok sess h then
     match h.Codec.h_role with
     | Codec.Shard_link ->
-        reject sess Codec.Bad_user "a router does not accept shard links"
-    | (Codec.Lockstep | Codec.Free) as role ->
-        if h.Codec.h_user < 0 || h.Codec.h_user >= st.cfg.users then
-          reject sess Codec.Bad_user
-            (Printf.sprintf "user %d out of range [0, %d)" h.Codec.h_user
-               st.cfg.users)
-        else if h.Codec.h_users <> st.cfg.users then
-          reject sess Codec.Bad_user
-            (Printf.sprintf "client expects %d users, session has %d"
-               h.Codec.h_users st.cfg.users)
-        else if session_for_user st h.Codec.h_user <> None then
-          reject sess Codec.Bad_user
-            (Printf.sprintf "user %d is already connected" h.Codec.h_user)
-        else if
-          has_role st
-            (match role with Codec.Lockstep -> Codec.Free | _ -> Codec.Lockstep)
-        then reject sess Codec.Busy "router is serving a session of the other role"
-        else begin
-          sess.user <- h.Codec.h_user;
-          sess.role <- Some role;
-          if role = Codec.Free then begin
-            Hashtbl.remove st.vseq sess.user;
-            Hashtbl.remove st.reply_cache sess.user;
-            Hashtbl.remove st.outstanding sess.user
-          end;
-          if not st.ticking then st.round <- max st.round h.Codec.h_round;
-          Conn.send sess.conn (welcome st);
-          Log.info (fun f ->
-              f "u%d joined (%s, round %d) from %s" sess.user
-                (match role with Codec.Lockstep -> "lockstep" | _ -> "free")
-                h.Codec.h_round sess.peer);
-          if st.ticking && role = Codec.Lockstep then
-            Conn.send sess.conn (Codec.Tick { round = st.round })
-        end
+        Front.reject sess Codec.Bad_user "a router does not accept shard links"
+    | Codec.Lockstep | Codec.Free -> Front.join st.fe sess h ~welcome:(welcome st)
 
-let enqueue_op st sess ~seq ~ctx ~op ~piggyback =
+let enqueue_op st (sess : Front.session) ~seq ~ctx ~op ~piggyback =
   let touched = if st.shard_count = 1 then [ 0 ] else Vo.shards_for st.boundaries op in
   let rop =
     {
@@ -616,7 +446,7 @@ let enqueue_op st sess ~seq ~ctx ~op ~piggyback =
       o_ctx = ctx;
       o_op = op;
       o_piggyback = piggyback;
-      o_lockstep = lockstep sess;
+      o_lockstep = Front.lockstep sess;
       o_touched = touched;
       o_replies = [];
     }
@@ -624,48 +454,11 @@ let enqueue_op st sess ~seq ~ctx ~op ~piggyback =
   Queue.add rop st.compose_q;
   List.iter (fun i -> Queue.add rop st.links.(i).l_queue) touched
 
-let handle_request st sess ~seq ~ctx ~msg =
-  let u = sess.user in
-  let last = Option.value ~default:(-1) (Hashtbl.find_opt st.vseq u) in
+let handle_request st (sess : Front.session) ~seq ~ctx ~msg =
   match msg with
   | Message.Query { op; piggyback } ->
-      if
-        match Hashtbl.find_opt st.outstanding u with
-        | Some (s, _) -> s = seq
-        | None -> false
-      then () (* in the pipeline — retransmission noise *)
-      else if seq <= last then begin
-        Obs.incr c_dedup_hits;
-        sess.dedup_hits <- sess.dedup_hits + 1;
-        jot st ~user:u ~span:seq ~ev:"router.dedup" "duplicate query";
-        match Hashtbl.find_opt st.reply_cache u with
-        | Some (s, payload) when s = seq -> (
-            match Codec.decode_message payload with
-            | Some m -> Conn.send sess.conn (Codec.Reply { seq; ctx; msg = m })
-            | None ->
-                Conn.send sess.conn
-                  (Codec.Error_frame
-                     { code = Codec.Lost_reply; detail = "cached reply undecodable" }))
-        | _ ->
-            Conn.send sess.conn
-              (Codec.Error_frame
-                 {
-                   code = Codec.Lost_reply;
-                   detail =
-                     Printf.sprintf "request %d predates this router's memory" seq;
-                 })
-      end
-      else if Hashtbl.mem st.outstanding u then
-        Conn.send sess.conn
-          (Codec.Error_frame
-             {
-               code = Codec.Protocol_violation;
-               detail = "a second query while one is outstanding";
-             })
-      else begin
-        Log.debug (fun f -> f "u%d: query seq %d routed (round %d)" u seq st.round);
-        Hashtbl.replace st.vseq u seq;
-        Hashtbl.replace st.outstanding u (seq, ctx);
+      if Front.admit_query st.fe sess ~seq ~ctx then begin
+        Log.debug (fun f -> f "u%d: query seq %d routed (round %d)" sess.user seq st.fe.round);
         enqueue_op st sess ~seq ~ctx ~op ~piggyback
       end
   | m ->
@@ -680,66 +473,11 @@ let handle_request st sess ~seq ~ctx ~msg =
                  (Message.kind m);
            })
 
-let deliver_to st v ~src:dsrc ~sseq ~ctx msg =
-  match session_for_user st v with
-  | Some sv -> Conn.send sv.conn (Codec.Deliver { src = dsrc; sseq; ctx; msg })
-  | None -> ()
-
-let handle_publish st sess ~seq ~ctx ~msg =
-  let u = sess.user in
-  match Hashtbl.find_opt st.relays (u, seq) with
-  | Some r ->
-      Hashtbl.iter
-        (fun v () -> deliver_to st v ~src:u ~sseq:seq ~ctx:r.r_ctx r.r_msg)
-        r.r_pending
-  | None ->
-      let pending = Hashtbl.create 8 in
-      for v = 0 to st.cfg.users - 1 do
-        if v <> u then Hashtbl.replace pending v ()
-      done;
-      if Hashtbl.length pending = 0 then Conn.send sess.conn (Codec.Ack { seq })
-      else begin
-        Obs.incr c_relays;
-        jot st ~user:u ~span:seq ~ev:"router.route" ("publish " ^ Message.kind msg);
-        Hashtbl.replace st.relays (u, seq)
-          { r_msg = msg; r_ctx = ctx; r_pending = pending };
-        Hashtbl.iter (fun v () -> deliver_to st v ~src:u ~sseq:seq ~ctx msg) pending
-      end
-
-let handle_deliver_ack st sess ~psrc ~sseq =
-  match Hashtbl.find_opt st.relays (psrc, sseq) with
-  | None -> ()
-  | Some r ->
-      Hashtbl.remove r.r_pending sess.user;
-      if Hashtbl.length r.r_pending = 0 then begin
-        Hashtbl.remove st.relays (psrc, sseq);
-        match session_for_user st psrc with
-        | Some sp -> Conn.send sp.conn (Codec.Ack { seq = sseq })
-        | None -> ()
-      end
-
-let[@tcvs.lint.root "event-loop"] handle_client_frame st sess frame =
+let[@tcvs.lint.root "event-loop"] handle_client_frame st (sess : Front.session) frame =
   match (sess.role, frame) with
   | None, Codec.Hello h -> handle_hello st sess h
-  | None, _ -> reject sess Codec.Protocol_violation "first frame must be Hello"
-  | Some _, Codec.Hello _ ->
-      reject sess Codec.Protocol_violation "second Hello on a connection"
   | Some _, Codec.Request { seq; ctx; msg } -> handle_request st sess ~seq ~ctx ~msg
-  | Some _, Codec.Publish { seq; ctx; msg } -> handle_publish st sess ~seq ~ctx ~msg
-  | Some _, Codec.Deliver_ack { src = psrc; sseq } ->
-      handle_deliver_ack st sess ~psrc ~sseq
-  | Some _, Codec.Tick_done { round = r; drained; alarmed } ->
-      if sess.user >= 0 && r = st.round then begin
-        st.u_done.(sess.user) <- r;
-        st.u_drained.(sess.user) <- drained;
-        st.u_alarmed.(sess.user) <- alarmed
-      end
-  | Some _, Codec.Bye -> sess.said_bye <- true
-  | Some _, (Codec.Welcome _ | Codec.Reply _ | Codec.Deliver _ | Codec.Tick _
-            | Codec.Session_end _ | Codec.Shard_root _ | Codec.Prepare _
-            | Codec.Commit _) ->
-      reject sess Codec.Protocol_violation "not a client-to-router frame"
-  | Some _, (Codec.Ack _ | Codec.Error_frame _) -> ()
+  | _ -> Front.handle_frame st.fe sess frame
 
 (* ---- Shard-link frames ------------------------------------------------ *)
 
@@ -801,72 +539,15 @@ let[@tcvs.lint.root "event-loop"] handle_link_frame st l frame =
 
 (* ---- The round clock and the barrier ---------------------------------- *)
 
-let[@tcvs.lint.root "event-loop"] begin_tick st =
-  st.round <- st.round + 1;
-  Obs.incr c_ticks;
-  st.tick_sent_at <- Unix.gettimeofday ();
-  Hashtbl.iter
-    (fun (psrc, sseq) r ->
-      Hashtbl.iter
-        (fun v () -> deliver_to st v ~src:psrc ~sseq ~ctx:r.r_ctx r.r_msg)
-        r.r_pending)
-    st.relays;
-  List.iter
-    (fun s ->
-      if lockstep s && s.user >= 0 then
-        Conn.send s.conn (Codec.Tick { round = st.round }))
-    st.sessions
-
-let end_session st ~alarmed ~reason =
-  st.session_over <- true;
-  st.ended_at <- Unix.gettimeofday ();
-  Log.info (fun f -> f "session over at round %d: %s" st.round reason);
-  jot st ~ev:"router.end" reason;
-  List.iter
-    (fun s ->
-      if s.user >= 0 then
-        Conn.send s.conn (Codec.Session_end { round = st.round; alarmed; reason }))
-    st.sessions
-
-let tick_complete st =
-  let ok = ref true in
-  for u = 0 to st.cfg.users - 1 do
-    if st.u_done.(u) < st.round then ok := false
-  done;
-  !ok
-
 let release_held st =
-  Queue.iter
-    (fun (u, frame) ->
-      match session_for_user st u with
-      | Some sess -> Conn.send sess.conn frame
-      | None -> ())
-    st.held;
+  Queue.iter (fun (u, frame) -> Front.send_to st.fe u frame) st.held;
   Queue.clear st.held
 
-(* After the barrier (or a clean round): alarm, drain, or tick again —
-   the daemon's [finish_round] tail. *)
+(* After the barrier (or a clean round): alarm, drain, or tick again. *)
 let post_round st =
-  let any_alarm = st.alarms <> [] || Array.exists Fun.id st.u_alarmed in
-  let idle =
-    Hashtbl.length st.outstanding = 0
-    && Hashtbl.length st.relays = 0
-    && Queue.is_empty st.compose_q
-  in
-  let all_drained = Array.for_all Fun.id st.u_drained && idle in
-  if any_alarm then
-    end_session st ~alarmed:true
-      ~reason:(if st.alarms <> [] then "router-alarm" else "client-alarm")
-  else if all_drained then begin
-    st.drain_ticks <- st.drain_ticks + 1;
-    if st.drain_ticks >= st.cfg.tail_ticks then
-      end_session st ~alarmed:false ~reason:"drained"
-    else begin_tick st
-  end
-  else begin
-    st.drain_ticks <- 0;
-    begin_tick st
-  end
+  Front.close_round st.fe
+    ~alarm:(if st.alarms <> [] then Some "router-alarm" else None)
+    ~idle:(Queue.is_empty st.compose_q)
 
 let send_prepares st ~round ~missing_only votes =
   Array.iter
@@ -878,12 +559,12 @@ let send_prepares st ~round ~missing_only votes =
     st.links
 
 let start_seal st =
-  jot st ~ev:"router.seal" (Printf.sprintf "prepare r%d" st.round);
+  jot st ~ev:"router.seal" (Printf.sprintf "prepare r%d" st.fe.round);
   let b_votes = Array.make st.shard_count false in
   st.barrier <-
     Sealing
-      { b_round = st.round; b_votes; b_sent_at = Unix.gettimeofday (); b_attempts = 0 };
-  send_prepares st ~round:st.round ~missing_only:false b_votes
+      { b_round = st.fe.round; b_votes; b_sent_at = Unix.gettimeofday (); b_attempts = 0 };
+  send_prepares st ~round:st.fe.round ~missing_only:false b_votes
 
 let commit_barrier st b_round =
   let root = composed_root st in
@@ -901,35 +582,30 @@ let commit_barrier st b_round =
   release_held st;
   post_round st
 
+(* A barrier that cannot seal ends the session: its held replies never
+   leave, so no client acts on a root no shard vouched for. *)
+let abandon_barrier st reason =
+  st.barrier <- Idle;
+  Queue.clear st.held;
+  Front.end_session st.fe ~alarmed:true ~reason
+
 (* Drive the lockstep round machine: called from the main loop whenever
    state may have advanced. *)
-let[@tcvs.lint.root "event-loop"] drive_rounds st cfg =
-  if (not st.ticking) && lockstep_joined st && st.cfg.users > 0
-     && has_role st Codec.Lockstep
-  then begin
-    st.ticking <- true;
-    Log.info (fun f ->
-        f "all %d users joined — starting round clock over %d shards"
-          st.cfg.users st.shard_count);
-    begin_tick st
-  end;
-  if st.ticking then begin
+let[@tcvs.lint.root "event-loop"] drive_rounds st =
+  let fe = st.fe in
+  Front.start_clock fe;
+  if fe.ticking then begin
     match st.barrier with
     | Sealing b ->
         if Array.for_all Fun.id b.b_votes then commit_barrier st b.b_round
-        else if st.alarms <> [] then begin
+        else if st.alarms <> [] then
           (* a divergent vote is terminal — never publish a guessed root *)
-          st.barrier <- Idle;
-          Queue.clear st.held;
-          end_session st ~alarmed:true ~reason:"router-alarm"
-        end
-        else if Unix.gettimeofday () -. b.b_sent_at > cfg.barrier_timeout then begin
+          abandon_barrier st "router-alarm"
+        else if Unix.gettimeofday () -. b.b_sent_at > reprepare_after then begin
           b.b_attempts <- b.b_attempts + 1;
-          if b.b_attempts > cfg.barrier_retries then begin
-            st.barrier <- Idle;
-            Queue.clear st.held;
+          if b.b_attempts > max_reprepares then begin
             alarm st (Printf.sprintf "barrier-wedged: round %d never sealed" b.b_round);
-            end_session st ~alarmed:true ~reason:"barrier-wedged"
+            abandon_barrier st "barrier-wedged"
           end
           else begin
             Obs.incr c_barrier_retries;
@@ -938,7 +614,7 @@ let[@tcvs.lint.root "event-loop"] drive_rounds st cfg =
           end
         end
     | Idle ->
-        if tick_complete st then begin
+        if Front.tick_complete fe then begin
           (* round input is complete; wait for the shard pipeline to
              drain, then seal — or skip the barrier on a clean round *)
           let inflight =
@@ -946,39 +622,32 @@ let[@tcvs.lint.root "event-loop"] drive_rounds st cfg =
               st.links
           in
           if (not inflight) && Queue.is_empty st.compose_q then begin
-            if st.alarms <> [] then
-              end_session st ~alarmed:true ~reason:"router-alarm"
+            if st.alarms <> [] then Front.end_session fe ~alarmed:true ~reason:"router-alarm"
             else if st.dirty then start_seal st
             else post_round st
           end
         end
-        else if Unix.gettimeofday () -. st.tick_sent_at > cfg.tick_timeout then begin
-          st.tick_sent_at <- Unix.gettimeofday ();
-          List.iter
-            (fun s ->
-              if lockstep s && s.user >= 0 && st.u_done.(s.user) < st.round then
-                Conn.send s.conn (Codec.Tick { round = st.round }))
-            st.sessions
-        end
+        else Front.retick fe
   end
-  else if st.alarms <> [] && not st.session_over then
+  else if st.alarms <> [] && not fe.session_over then
     (* free-mode (bench) sessions have no barrier; an alarm ends them *)
-    end_session st ~alarmed:true ~reason:"router-alarm"
+    Front.end_session fe ~alarmed:true ~reason:"router-alarm"
 
 (* ---- Admin ------------------------------------------------------------ *)
 
 let admin_snapshot st =
+  let fe = st.fe in
   let buf = Buffer.create 4096 in
   Printf.bprintf buf
     "{\n  \"schema\": \"tcvs-router-admin/1\",\n  \"round\": %d,\n  \"ticking\": %b,\n\
     \  \"ctr\": %d,\n  \"root\": %S,\n  \"phase\": %S,\n  \"sessions\": %d,\n\
     \  \"outstanding\": %d,\n  \"compose_queue\": %d,\n  \"held_replies\": %d,\n\
     \  \"alarms\": %d,\n  \"shards\": ["
-    st.round st.ticking st.g_ctr
+    fe.round fe.ticking st.g_ctr
     (Crypto.Hex.encode (composed_root st))
     (match st.barrier with Idle -> "idle" | Sealing b -> Printf.sprintf "sealing-r%d" b.b_round)
-    (List.length st.sessions)
-    (Hashtbl.length st.outstanding)
+    (List.length fe.sessions)
+    (Hashtbl.length fe.outstanding)
     (Queue.length st.compose_q) (Queue.length st.held)
     (List.length st.alarms);
   Array.iteri
@@ -999,23 +668,6 @@ let admin_snapshot st =
   Buffer.contents buf
 
 (* ---- Setup and main loop ---------------------------------------------- *)
-
-let make_boot_id () =
-  let raw = Printf.sprintf "router-%f-%d" (Unix.gettimeofday ()) (Unix.getpid ()) in
-  let hex = Buffer.create 16 in
-  String.iteri
-    (fun i c ->
-      if i < 8 then Buffer.add_string hex (Printf.sprintf "%02x" (Char.code c)))
-    (Crypto.Sha256.digest raw);
-  Buffer.contents hex
-
-let write_port_file path port =
-  let tmp = path ^ ".tmp" in
-  let oc = open_out tmp in
-  output_string oc (string_of_int port);
-  output_char oc '\n';
-  close_out oc;
-  Sys.rename tmp path
 
 (* The same quantile partition every shard daemon and every single
    [--shards N] daemon computes from the seeded key list — agreement on
@@ -1064,95 +716,19 @@ let build_state cfg =
         initial_roots;
         serial_roots = Array.copy initial_roots;
         links;
-        boot_id = make_boot_id ();
-        sessions = [];
-        vseq = Hashtbl.create 16;
-        reply_cache = Hashtbl.create 16;
-        outstanding = Hashtbl.create 16;
-        relays = Hashtbl.create 64;
+        fe =
+          Front.create ~src ~scope:obs_scope ~ev:"router" ~ev_dispatch:"router.route"
+            ~users:cfg.users ~max_conns:cfg.max_conns
+            (Option.map (fun p -> Obs.Journal.open_ ~proc:"router" p) cfg.journal);
         compose_q = Queue.create ();
         held = Queue.create ();
         g_ctr = 0;
         g_last_user = -1;
-        u_done = Array.make (max cfg.users 1) (-1);
-        u_drained = Array.make (max cfg.users 1) false;
-        u_alarmed = Array.make (max cfg.users 1) false;
-        round = 0;
-        ticking = false;
-        tick_sent_at = 0.;
-        drain_ticks = 0;
         dirty = false;
         barrier = Idle;
         alarms = [];
-        session_over = false;
-        ended_at = 0.;
-        journal = Option.map (fun p -> Obs.Journal.open_ ~proc:"router" p) cfg.journal;
       }
   end
-
-let[@tcvs.lint.root "event-loop"] prune_sessions st =
-  let dead, live =
-    List.partition (fun s -> Conn.eof s.conn || s.said_bye) st.sessions
-  in
-  List.iter
-    (fun s ->
-      if s.user >= 0 then Log.info (fun f -> f "u%d disconnected" s.user);
-      Conn.close s.conn)
-    dead;
-  st.sessions <- live
-
-let[@tcvs.lint.root "event-loop"] accept_pending st listen_fd =
-  let rec loop () =
-    match Unix.accept listen_fd with
-    | fd, addr ->
-        let peer =
-          match addr with
-          | Unix.ADDR_INET (a, p) ->
-              Printf.sprintf "%s:%d" (Unix.string_of_inet_addr a) p
-          | Unix.ADDR_UNIX p -> p
-        in
-        if List.length st.sessions >= st.cfg.max_conns then begin
-          let c = Conn.create ~max_frame:st.cfg.max_frame fd in
-          Conn.send c (Codec.Error_frame { code = Codec.Busy; detail = "connection limit" });
-          Conn.flush c;
-          Conn.close c
-        end
-        else begin
-          Obs.incr c_accepts;
-          Unix.set_nonblock fd;
-          st.sessions <-
-            {
-              conn = Conn.create ~max_frame:st.cfg.max_frame fd;
-              peer;
-              user = -1;
-              role = None;
-              said_bye = false;
-              dedup_hits = 0;
-            }
-            :: st.sessions
-        end;
-        loop ()
-    | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _)
-      ->
-        ()
-  in
-  loop ()
-
-let[@tcvs.lint.root "event-loop"] read_session st sess =
-  Conn.fill sess.conn;
-  let rec pump () =
-    match Conn.pop sess.conn with
-    | Ok None -> ()
-    | Ok (Some frame) ->
-        handle_client_frame st sess frame;
-        pump ()
-    | Error e ->
-        Log.warn (fun f ->
-            f "u%d: undecodable frame (%s) — dropping" sess.user
-              (Codec.error_to_string e));
-        Conn.close sess.conn
-  in
-  pump ()
 
 let[@tcvs.lint.root "event-loop"] read_link st l =
   match l.l_conn with
@@ -1174,126 +750,33 @@ let[@tcvs.lint.root "event-loop"] read_link st l =
       pump ()
 
 let run cfg =
-  stop_requested := false;
-  Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
-  let on_stop = Sys.Signal_handle (fun _ -> stop_requested := true) in
-  Sys.set_signal Sys.sigterm on_stop;
-  Sys.set_signal Sys.sigint on_stop;
   match build_state cfg with
   | Error e -> Error e
   | Ok st -> (
-      let listen_fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-      Unix.setsockopt listen_fd Unix.SO_REUSEADDR true;
       match
-        Unix.bind listen_fd (Unix.ADDR_INET (Unix.inet_addr_loopback, cfg.listen_port))
+        Front.listen st.fe ~port:cfg.listen_port ~port_file:cfg.port_file
+          ~admin_port:cfg.admin_port ~admin_port_file:cfg.admin_port_file
       with
-      | exception Unix.Unix_error (err, _, _) ->
-          Unix.close listen_fd;
-          Error
-            (Printf.sprintf "cannot bind 127.0.0.1:%d: %s" cfg.listen_port
-               (Unix.error_message err))
-      | () ->
-          Unix.listen listen_fd 64;
-          Unix.set_nonblock listen_fd;
-          let port =
-            match Unix.getsockname listen_fd with
-            | Unix.ADDR_INET (_, p) -> p
-            | Unix.ADDR_UNIX _ -> cfg.listen_port
-          in
-          Option.iter (fun path -> write_port_file path port) cfg.port_file;
+      | Error e -> Error e
+      | Ok l ->
           Log.app (fun f ->
-              f "routing 127.0.0.1:%d over %d shards (boot %s, %d users)" port
-                st.shard_count st.boot_id cfg.users);
-          let admin =
-            match cfg.admin_port with
-            | None -> None
-            | Some p -> (
-                match Admin.listen ~port:p with
-                | Error e ->
-                    Log.err (fun f -> f "admin: %s" e);
-                    None
-                | Ok (a, ap) ->
-                    Option.iter (fun path -> write_port_file path ap) cfg.admin_port_file;
-                    Log.app (fun f -> f "admin endpoint on 127.0.0.1:%d" ap);
-                    Some a)
-          in
-          let admin_scrape () =
-            Obs.incr c_admin_scrapes;
-            admin_snapshot st
-          in
-          let close_all () =
-            List.iter (fun s -> Conn.close s.conn) st.sessions;
-            Array.iter close_link st.links;
-            Unix.close listen_fd;
-            Option.iter Admin.close admin;
-            match st.journal with Some j -> Obs.Journal.close j | None -> ()
-          in
-          let rec loop () =
-            if !stop_requested && not st.session_over then
-              end_session st ~alarmed:false ~reason:"sigterm-drain";
-            prune_sessions st;
-            if st.session_over then begin
-              List.iter (fun s -> Conn.flush s.conn) st.sessions;
-              let flushed =
-                List.for_all (fun s -> Conn.pending_out s.conn = 0) st.sessions
-              in
-              if
-                flushed || st.sessions = []
-                || Unix.gettimeofday () -. st.ended_at > 2.0
-              then begin
-                close_all ();
-                Ok ()
-              end
-              else select_and_continue ()
-            end
-            else begin
+              f "routing 127.0.0.1:%d over %d shards (boot %s, %d users)" l.Front.port
+                st.shard_count st.fe.boot_id cfg.users);
+          (* [step] links every shard on the first turn, before any
+             client Hello is read *)
+          Front.serve st.fe l ~handle:(handle_client_frame st)
+            ~snapshot:(fun () -> admin_snapshot st)
+            ~step:(fun () ->
               pump_links st;
               try_compose st;
-              drive_rounds st cfg;
-              select_and_continue ()
-            end
-          and select_and_continue () =
-            let rfds = listen_fd :: List.map (fun s -> Conn.fd s.conn) st.sessions in
-            let rfds =
-              Array.fold_left
-                (fun acc l ->
-                  match l.l_conn with Some c -> Conn.fd c :: acc | None -> acc)
-                rfds st.links
-            in
-            let rfds = match admin with Some a -> Admin.fd a :: rfds | None -> rfds in
-            let want_w conn acc = if Conn.want_write conn then Conn.fd conn :: acc else acc in
-            let wfds = List.fold_left (fun acc s -> want_w s.conn acc) [] st.sessions in
-            let wfds =
-              Array.fold_left
-                (fun acc l -> match l.l_conn with Some c -> want_w c acc | None -> acc)
-                wfds st.links
-            in
-            let wfds = match admin with Some a -> Admin.wfds a @ wfds | None -> wfds in
-            let readable, writable, _ =
-              try Unix.select rfds wfds [] 0.05
-              with Unix.Unix_error (Unix.EINTR, _, _) -> ([], [], [])
-            in
-            if List.mem listen_fd readable then accept_pending st listen_fd;
-            (match admin with
-            | Some a ->
-                if List.mem (Admin.fd a) readable then
-                  Admin.accept_pending a ~snapshot:admin_scrape;
-                Admin.service a
-            | None -> ());
-            List.iter
-              (fun s -> if List.mem (Conn.fd s.conn) readable then read_session st s)
-              st.sessions;
-            Array.iter
-              (fun l ->
-                match l.l_conn with
-                | Some c when List.mem (Conn.fd c) readable -> read_link st l
-                | _ -> ())
-              st.links;
-            ignore writable;
-            List.iter (fun s -> Conn.flush s.conn) st.sessions;
-            Array.iter
-              (fun l -> match l.l_conn with Some c -> Conn.flush c | None -> ())
-              st.links;
-            loop ()
-          in
-          loop ())
+              drive_rounds st)
+            ~links:(fun () -> List.filter_map (fun l -> l.l_conn) (Array.to_list st.links))
+            ~read_links:(fun readable ->
+              Array.iter
+                (fun l ->
+                  match l.l_conn with
+                  | Some c when List.mem (Conn.fd c) readable -> read_link st l
+                  | _ -> ())
+                st.links)
+            ~close:(fun () -> Array.iter close_link st.links)
+            ())

@@ -18,17 +18,20 @@
     vote from each (alarming if any vote's root leaves the serial
     chain or its store generation regresses), then publishes the
     composed root with {!Codec.Commit} and only then releases the
-    round's replies. A barrier that cannot complete within
-    [barrier_retries] re-prepares raises the typed [barrier-wedged]
-    alarm and ends the session — a stale composed root is never
-    served.
+    round's replies. A barrier that cannot complete within 20
+    re-prepares (0.5 s apart) raises the typed [barrier-wedged] alarm
+    and ends the session — a stale composed root is never served.
 
     Exactly-once spans both hops: the router keeps the client-facing
     dedup window in memory and rides each shard daemon's persistent
     dedup on the inner hop by re-sending in-flight sub-requests with
     their original sequence numbers across reconnects. Trace contexts
     are forwarded verbatim, so one span covers
-    client → router → shard in the joined timeline. *)
+    client → router → shard in the joined timeline.
+
+    The client-facing side — handshake, dedup, relay, round clock and
+    the select loop — is {!Front}, shared with {!Daemon}; this module
+    keeps the shard links, the composition and the barrier. *)
 
 type config = {
   listen_port : int;  (** 0 picks an ephemeral port *)
@@ -38,14 +41,6 @@ type config = {
   files : int;  (** seeded key count — must match the shard daemons *)
   users : int;
   max_conns : int;
-  max_frame : int;
-  tick_timeout : float;
-  tail_ticks : int;  (** drained rounds before a clean session end *)
-  request_timeout : float;  (** sub-request retransmit interval *)
-  barrier_timeout : float;  (** re-{!Codec.Prepare} interval *)
-  barrier_retries : int;  (** re-prepares before the wedge alarm *)
-  connect_timeout : float;
-  reconnect_backoff : float;
   journal : string option;  (** JSONL span journal path *)
   admin_port : int option;  (** read-only admin socket; [Some 0] = ephemeral *)
   admin_port_file : string option;

@@ -101,40 +101,7 @@ let test_compose_equivalence () =
 
 (* ---- forked-cluster plumbing ------------------------------------------ *)
 
-let fresh_dir () =
-  let dir = Filename.temp_file "tcvs-cluster-test" "" in
-  Sys.remove dir;
-  Unix.mkdir dir 0o755;
-  dir
-
-let wait_port_file path =
-  let deadline = Unix.gettimeofday () +. 10. in
-  let rec loop () =
-    if Sys.file_exists path then begin
-      let ic = open_in path in
-      let port = int_of_string (String.trim (input_line ic)) in
-      close_in ic;
-      port
-    end
-    else if Unix.gettimeofday () > deadline then
-      Alcotest.failf "no port file at %s" path
-    else begin
-      ignore (Unix.select [] [] [] 0.02);
-      loop ()
-    end
-  in
-  loop ()
-
-let fork_proc f =
-  match Unix.fork () with
-  | 0 ->
-      (try f () with _ -> ());
-      Unix._exit 0
-  | pid -> pid
-
-let kill_wait signal pid =
-  (try Unix.kill pid signal with Unix.Unix_error _ -> ());
-  ignore (try Unix.waitpid [] pid with Unix.Unix_error _ -> (0, Unix.WEXITED 0))
+open Live
 
 let shard_daemon ~dir ~i ~count ?(listen = 0) ?store () =
   fork_proc (fun () ->
@@ -174,30 +141,6 @@ let single_daemon ~dir ~shards =
              users = 1;
            }))
 
-let connect port =
-  let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-  Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
-  Conn.create fd
-
-let await_frame ?(timeout = 10.) conn =
-  let deadline = Unix.gettimeofday () +. timeout in
-  let rec loop () =
-    Conn.flush conn;
-    match Conn.pop conn with
-    | Ok (Some frame) -> Some frame
-    | Error e -> Alcotest.failf "undecodable frame: %s" (Codec.error_to_string e)
-    | Ok None ->
-        if Conn.eof conn then None
-        else if Unix.gettimeofday () > deadline then
-          Alcotest.fail "timed out waiting for a frame"
-        else begin
-          ignore (Unix.select [ Conn.fd conn ] [] [] 0.2);
-          Conn.fill conn;
-          loop ()
-        end
-  in
-  loop ()
-
 (* A free-mode session: Hello as user 0 of 1, then one Query per op,
    returning each reply message's encoded bytes. *)
 let free_hello conn =
@@ -210,7 +153,7 @@ let free_hello conn =
          h_users = 1;
          h_round = 0;
        });
-  match await_frame conn with
+  match next_frame conn with
   | Some (Codec.Welcome w) -> w
   | Some f -> Alcotest.failf "expected Welcome, got %s" (Codec.frame_kind f)
   | None -> Alcotest.fail "connection closed before Welcome"
@@ -224,7 +167,7 @@ let query conn ~seq op =
          msg = M.Query { op; piggyback = [] };
        });
   let rec await () =
-    match await_frame conn with
+    match next_frame conn with
     | Some (Codec.Reply { seq = rseq; msg; _ }) when rseq = seq -> Some msg
     | Some (Codec.Session_end { alarmed; reason; _ }) ->
         if alarmed then None
@@ -257,13 +200,13 @@ let test_cluster_byte_identity () =
   let s0 = shard_daemon ~dir ~i:0 ~count:2 () in
   let s1 = shard_daemon ~dir ~i:1 ~count:2 () in
   let single = single_daemon ~dir ~shards:2 in
-  let finally () = List.iter (kill_wait Sys.sigkill) [ s0; s1; single ] in
+  let finally () = List.iter kill_wait [ s0; s1; single ] in
   Fun.protect ~finally (fun () ->
       let p0 = wait_port_file (Filename.concat dir "shard0.port") in
       let p1 = wait_port_file (Filename.concat dir "shard1.port") in
       let r = router ~dir ~ports:[ p0; p1 ] in
       Fun.protect
-        ~finally:(fun () -> kill_wait Sys.sigkill r)
+        ~finally:(fun () -> kill_wait r)
         (fun () ->
           let rport = wait_port_file (Filename.concat dir "router.port") in
           let sport = wait_port_file (Filename.concat dir "single.port") in
@@ -296,13 +239,13 @@ let test_cluster_kill9 () =
   let store i = Filename.concat dir (Printf.sprintf "store%d" i) in
   let s0 = shard_daemon ~dir ~i:0 ~count:2 ~store:(store 0) () in
   let s1 = ref (shard_daemon ~dir ~i:1 ~count:2 ~store:(store 1) ()) in
-  let finally () = List.iter (kill_wait Sys.sigkill) [ s0; !s1 ] in
+  let finally () = List.iter kill_wait [ s0; !s1 ] in
   Fun.protect ~finally (fun () ->
       let p0 = wait_port_file (Filename.concat dir "shard0.port") in
       let p1 = wait_port_file (Filename.concat dir "shard1.port") in
       let r = router ~dir ~ports:[ p0; p1 ] in
       Fun.protect
-        ~finally:(fun () -> kill_wait Sys.sigkill r)
+        ~finally:(fun () -> kill_wait r)
         (fun () ->
           let rport = wait_port_file (Filename.concat dir "router.port") in
           let map =

@@ -1,9 +1,10 @@
 (* Tests for the network layer: codec round-trips for every frame and
    message constructor, strict-decode behaviour under truncation and
-   bit flips (seeded, so a failure is replayable), frame-size caps, and
-   a live loopback handshake against a forked daemon — wrong protocol
-   version must be rejected with a typed error frame, a correct Hello
-   must be welcomed. *)
+   bit flips (seeded, so a failure is replayable), frame-size caps; a
+   live conformance table of the client-facing front end, run against
+   a forked daemon and a forked 1-shard router (every rejection is a
+   typed error frame, a re-sent query gets the identical reply); and
+   the client's dial and handshake failures reported as errors. *)
 
 module Codec = Net.Codec
 module Conn = Net.Conn
@@ -270,108 +271,201 @@ let test_trailing_bytes_rejected () =
   let bytes = Codec.encode_frame Codec.Bye ^ "x" in
   expect_error "frame with trailing byte" (Codec.decode_frame bytes)
 
-(* ---- live handshake against a forked daemon --------------------------- *)
+(* ---- the client-facing front end, live ------------------------------- *)
 
-let wait_port_file path =
-  let deadline = Unix.gettimeofday () +. 10. in
-  let rec loop () =
-    if Sys.file_exists path then begin
-      let ic = open_in path in
-      let port = int_of_string (String.trim (input_line ic)) in
-      close_in ic;
-      port
-    end
-    else if Unix.gettimeofday () > deadline then
-      Alcotest.fail "daemon did not write its port file"
-    else begin
-      ignore (Unix.select [] [] [] 0.02);
-      loop ()
-    end
-  in
-  loop ()
+open Live
 
-let connect port =
-  let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-  Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
-  Conn.create fd
+let users = 4
 
-let await_frame conn =
-  let deadline = Unix.gettimeofday () +. 10. in
-  let rec loop () =
-    Conn.flush conn;
-    match Conn.pop conn with
-    | Ok (Some frame) -> frame
-    | Error e -> Alcotest.failf "undecodable frame: %s" (Codec.error_to_string e)
-    | Ok None ->
-        if Conn.eof conn then Alcotest.fail "daemon closed the connection"
-        else if Unix.gettimeofday () > deadline then
-          Alcotest.fail "timed out waiting for the daemon's reply"
-        else begin
-          ignore (Unix.select [ Conn.fd conn ] [] [] 0.2);
-          Conn.fill conn;
-          loop ()
-        end
-  in
-  loop ()
+let daemon_cfg port_file =
+  {
+    Net.Daemon.default_config with
+    port_file = Some port_file;
+    users;
+    protocol = Tcvs.Harness.Unverified;
+  }
 
 let with_daemon f =
-  let dir = Filename.temp_file "tcvs-net-test" "" in
-  Sys.remove dir;
-  Unix.mkdir dir 0o755;
-  let port_file = Filename.concat dir "port" in
-  match Unix.fork () with
-  | 0 ->
-      (* Child: serve until killed. Never return into alcotest. *)
-      (try
-         ignore
-           (Net.Daemon.run
-              {
-                Net.Daemon.default_config with
-                port_file = Some port_file;
-                users = 2;
-              })
-       with _ -> ());
-      Unix._exit 0
-  | pid ->
-      let finally () =
-        (try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ());
-        ignore (try Unix.waitpid [] pid with Unix.Unix_error _ -> (0, Unix.WEXITED 0))
+  let pf = Filename.concat (fresh_dir ()) "daemon.port" in
+  let pid = fork_proc (fun () -> Net.Daemon.run (daemon_cfg pf)) in
+  Fun.protect ~finally:(fun () -> kill_wait pid) (fun () -> f (wait_port_file pf))
+
+(* A router over one shard daemon: the same client-facing protocol,
+   answered through the cluster path. *)
+let with_router f =
+  let dir = fresh_dir () in
+  let spf = Filename.concat dir "shard.port" and rpf = Filename.concat dir "router.port" in
+  let shard =
+    fork_proc (fun () ->
+        Net.Daemon.run { (daemon_cfg spf) with shard_id = Some 0; shard_count = 1 })
+  in
+  Fun.protect
+    ~finally:(fun () -> kill_wait shard)
+    (fun () ->
+      let shard_addrs = [| ("127.0.0.1", wait_port_file spf) |] in
+      let router =
+        fork_proc (fun () ->
+            Net.Router.run
+              { (Net.Router.default_config ~shard_addrs) with port_file = Some rpf; users })
       in
-      Fun.protect ~finally (fun () -> f (wait_port_file port_file))
+      Fun.protect ~finally:(fun () -> kill_wait router) (fun () -> f (wait_port_file rpf)))
 
-let hello ?(version = Codec.protocol_version) ?(user = 0) ?(users = 2) () =
-  Codec.Hello { h_version = version; h_role = Free; h_user = user; h_users = users; h_round = 0 }
+let await_frame conn =
+  match next_frame conn with
+  | Some frame -> frame
+  | None -> Alcotest.fail "server closed the connection"
 
-let test_handshake () =
-  with_daemon (fun port ->
-      (* Wrong protocol version: typed rejection, not a hangup. *)
-      let c1 = connect port in
-      Conn.send c1 (hello ~version:(Codec.protocol_version + 1) ());
-      (match await_frame c1 with
-      | Codec.Error_frame { code = Codec.Version_mismatch; _ } -> ()
-      | f -> Alcotest.failf "expected version-mismatch error, got %s" (Codec.frame_kind f));
-      Conn.close c1;
-      (* Out-of-range user id. *)
-      let c2 = connect port in
-      Conn.send c2 (hello ~user:7 ());
-      (match await_frame c2 with
-      | Codec.Error_frame { code = Codec.Bad_user; _ } -> ()
-      | f -> Alcotest.failf "expected bad-user error, got %s" (Codec.frame_kind f));
-      Conn.close c2;
-      (* Correct Hello: Welcome carrying the daemon's version and shape. *)
-      let c3 = connect port in
-      Conn.send c3 (hello ());
-      (match await_frame c3 with
-      | Codec.Welcome w ->
-          Alcotest.(check int) "welcome version" Codec.protocol_version w.Codec.w_version;
-          Alcotest.(check int) "welcome users" 2 w.Codec.w_users;
-          Alcotest.(check int) "fresh store ctr" 0 w.Codec.w_ctr;
-          Alcotest.(check int) "root digest is raw 32 bytes" 32
-            (String.length w.Codec.w_root)
-      | f -> Alcotest.failf "expected Welcome, got %s" (Codec.frame_kind f));
-      Conn.send c3 Codec.Bye;
-      Conn.flush c3;
-      Conn.close c3)
+let hello ?(version = Codec.protocol_version) ?(role = Codec.Free) ?(user = 0)
+    ?(users = users) () =
+  Codec.Hello { h_version = version; h_role = role; h_user = user; h_users = users; h_round = 0 }
+
+let expect_error conn code =
+  match await_frame conn with
+  | Codec.Error_frame { code = c; _ } when c = code -> ()
+  | f ->
+      Alcotest.failf "expected a %s error, got %s" (Codec.error_code_to_string code)
+        (Codec.frame_kind f)
+
+let joined ?role ~user port =
+  let c = connect port in
+  Conn.send c (hello ?role ~user ());
+  (match await_frame c with
+  | Codec.Welcome w ->
+      Alcotest.(check int) "welcome version" Codec.protocol_version w.Codec.w_version;
+      Alcotest.(check int) "welcome users" users w.Codec.w_users;
+      Alcotest.(check int) "root digest is raw 32 bytes" 32 (String.length w.Codec.w_root)
+  | f -> Alcotest.failf "expected Welcome, got %s" (Codec.frame_kind f));
+  c
+
+(* One Hello rejected on a fresh connection. *)
+let rejected_hello port frame code =
+  let c = connect port in
+  Conn.send c frame;
+  expect_error c code;
+  Conn.close c
+
+let query ~user ~seq =
+  Codec.Request
+    {
+      seq;
+      ctx = { x_round = 0; x_user = user; x_span = seq };
+      msg = M.Query { op = Vo.Get (Tcvs.Harness.file_key 1); piggyback = [] };
+    }
+
+let await_reply conn =
+  match await_frame conn with
+  | Codec.Reply _ as r -> r
+  | f -> Alcotest.failf "expected a Reply, got %s" (Codec.frame_kind f)
+
+(* The front end's contract, one row per rule. Daemon and router must
+   answer every row the same way. Joined users are distinct per row
+   (user 1 stays connected for the Busy row), so no row waits on the
+   server noticing another row's close. *)
+let conformance port =
+  let rows =
+    [
+      ( "first frame not Hello",
+        fun () -> rejected_hello port (query ~user:0 ~seq:1) Codec.Protocol_violation );
+      ( "second Hello",
+        fun () ->
+          let c = joined ~user:0 port in
+          Conn.send c (hello ~user:0 ());
+          expect_error c Codec.Protocol_violation;
+          Conn.close c );
+      ( "version mismatch",
+        fun () ->
+          let h = hello ~version:(Codec.protocol_version + 1) () in
+          rejected_hello port h Codec.Version_mismatch );
+      ("user out of range", fun () -> rejected_hello port (hello ~user:7 ()) Codec.Bad_user);
+      ("session width mismatch", fun () -> rejected_hello port (hello ~users:3 ()) Codec.Bad_user);
+      ( "duplicate user, then a lockstep Hello beside a free session",
+        fun () ->
+          let c = joined ~user:1 port in
+          rejected_hello port (hello ~user:1 ()) Codec.Bad_user;
+          rejected_hello port (hello ~role:Codec.Lockstep ~user:2 ()) Codec.Busy;
+          Conn.close c );
+      ( "shard-link Hello",
+        fun () -> rejected_hello port (hello ~role:Codec.Shard_link ~users:1 ()) Codec.Bad_user );
+      ( "re-sent free query gets the identical reply",
+        fun () ->
+          let c = joined ~user:3 port in
+          Conn.send c (query ~user:3 ~seq:1);
+          let first = Codec.encode_frame (await_reply c) in
+          Conn.send c (query ~user:3 ~seq:1);
+          Alcotest.(check string) "byte-identical reply" first
+            (Codec.encode_frame (await_reply c));
+          Conn.close c );
+      ( "garbage bytes",
+        fun () ->
+          let fd = dial port in
+          let junk = "this is not a TCVN frame header" in
+          ignore (Unix.write_substring fd junk 0 (String.length junk));
+          let c = Conn.create fd in
+          expect_error c Codec.Protocol_violation;
+          (match next_frame c with
+          | None -> ()
+          | Some f -> Alcotest.failf "expected a close, got %s" (Codec.frame_kind f));
+          Conn.close c );
+    ]
+  in
+  List.iter
+    (fun (name, row) ->
+      try row ()
+      with e ->
+        Printf.eprintf "front-end row failed: %s\n%!" name;
+        raise e)
+    rows
+
+let test_handshake () = with_daemon conformance
+let test_router_front_end () = with_router conformance
+
+(* ---- client dial and handshake failures -------------------------------- *)
+
+let contains s ~sub =
+  let n = String.length sub in
+  let rec at i = i + n <= String.length s && (String.sub s i n = sub || at (i + 1)) in
+  at 0
+
+(* A NUL byte can never be a host name, so resolution fails without
+   any lookup leaving the process. *)
+let test_client_unresolvable () =
+  match
+    Net.Client.run { (Net.Client.default_config ~user:0 ~port:1) with host = "no\000such-host" }
+  with
+  | Error e ->
+      Alcotest.(check bool) ("names the host: " ^ e) true
+        (contains e ~sub:"cannot resolve")
+  | Ok _ -> Alcotest.fail "connected to an unresolvable host"
+
+(* A listener that accepts and closes: the handshake must say the peer
+   closed, not that no Welcome came before the timeout. *)
+let test_client_peer_closes () =
+  (* the Hello may race the close: a write to the dead peer must
+     surface as EPIPE, not kill the test runner *)
+  Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
+  let fd, port =
+    match Net.Sock.listen ~port:0 () with Ok x -> x | Error e -> Alcotest.fail e
+  in
+  let child =
+    match Unix.fork () with
+    | 0 ->
+        Unix.clear_nonblock fd;
+        (try
+           let c, _ = Unix.accept fd in
+           Unix.close c
+         with _ -> ());
+        Unix._exit 0
+    | pid -> pid
+  in
+  Unix.close fd;
+  Fun.protect
+    ~finally:(fun () -> kill_wait child)
+    (fun () ->
+      match Net.Client.run (Net.Client.default_config ~user:0 ~port) with
+      | Error e ->
+          Alcotest.(check bool) ("reports the close: " ^ e) true
+            (contains e ~sub:"connection closed")
+      | Ok _ -> Alcotest.fail "handshake succeeded against a closing peer")
 
 let suite =
   [
@@ -382,4 +476,7 @@ let suite =
     Alcotest.test_case "codec: oversized rejected" `Quick test_oversized_rejected;
     Alcotest.test_case "codec: trailing bytes rejected" `Quick test_trailing_bytes_rejected;
     Alcotest.test_case "handshake: version and user checks" `Quick test_handshake;
+    Alcotest.test_case "front end: same table against a router" `Quick test_router_front_end;
+    Alcotest.test_case "client: unresolvable host is an error" `Quick test_client_unresolvable;
+    Alcotest.test_case "client: peer closing mid-handshake" `Quick test_client_peer_closes;
   ]

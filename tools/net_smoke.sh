@@ -16,10 +16,7 @@
 #   3. Figure 1 over TCP: a forking server plus a proxy partition of
 #      the external broadcast channel — every client must raise a TRUE
 #      ALARM (exit 3).
-#   4. bench-net: closed-loop throughput/latency sweep over free-mode
-#      connections, plus the router-vs-single-daemon shard sweep
-#      (1/2/4 shards at a fixed client count), writing BENCH_net.json.
-#   5. Sharded cluster: 2 shard daemons behind individual fault
+#   4. Sharded cluster: 2 shard daemons behind individual fault
 #      proxies, a router composing their roots per round, and 2
 #      lockstep clients running the full protocol through it. One
 #      shard is kill -9'd mid-session and restarted from its store on
@@ -194,25 +191,7 @@ kill "$PROXY" 2>/dev/null || true
 wait "$PROXY" 2>/dev/null || true
 echo "-- all 4 clients alarmed: TRUE ALARM over real sockets --"
 
-echo "== 4. bench-net: closed-loop sweep into BENCH_net.json =="
-
-"$CLI" serve --store "$WORK/bench-store" --shards 4 --users 16 \
-  --seed "$SEED" --listen 0 --port-file "$WORK/bench.port" &
-DAEMON=$!
-PIDS+=("$DAEMON")
-DPORT=$(wait_port "$WORK/bench.port")
-
-"$CLI" bench-net --connect "127.0.0.1:$DPORT" --users 16 \
-  --conns 1,4,16 --ops 200 --seed "$SEED" \
-  --cluster-shards 1,2,4 --cluster-conns 4 --out BENCH_net.json
-
-kill "$DAEMON" 2>/dev/null || true
-wait "$DAEMON" 2>/dev/null || true
-
-grep -q '"throughput_ops_s"' BENCH_net.json
-grep -q '"topology": "router"' BENCH_net.json
-
-echo "== 5. sharded cluster: router + 2 shards, faults, kill -9 =="
+echo "== 4. sharded cluster: router + 2 shards, faults, kill -9 =="
 
 CDIR="$WORK/cluster"
 mkdir -p "$CDIR"
