@@ -1210,9 +1210,9 @@ let perf_store () =
         (tail, recover_ns, root_match))
       tails
   in
-  (* Recovery vs run length: incremental checkpoints + segment
-     compaction bound the replayed tail, so recovery cost should stay
-     flat as the run grows instead of scaling with total ops logged. *)
+  (* Recovery vs run length: checkpoints every 64 ops bound the
+     replayed tail, so recovery cost should stay flat as the run grows
+     instead of scaling with total ops logged. *)
   let run_lens = if smoke then [ 256 ] else [ 4096; 16384; 65536 ] in
   row "\n%-12s %-14s %-12s %s\n" "run ops" "recover" "generation" "root";
   let runlen_results =
@@ -1224,8 +1224,8 @@ let perf_store () =
         in
         let store =
           match
-            Store.create_or_open ~durability:(Store.Every_n 64)
-              ~segment_bytes:(1 lsl 16) ~dir ~branching:16 ~shards:4 ~initial ()
+            Store.create_or_open ~durability:(Store.Every_n 64) ~dir ~branching:16
+              ~shards:4 ~initial ()
           with
           | Ok (s, _) -> s
           | Error e -> failwith e

@@ -134,9 +134,8 @@ let adversary_arg =
      the hard variant wrecks the backup too and the server must halt \
      loudly rather than serve a half-initialized shard map), \
      checkpoint-crash:R (crash mid-checkpoint, next-generation snapshot \
-     leftovers unpublished), compact-crash:R, compact-crash-late:R (crash \
-     mid-compaction, before / after the atomic bases publish; all three \
-     are honest crashes that must recover byte-identically)."
+     leftovers unpublished; an honest crash that must recover \
+     byte-identically)."
   in
   Arg.(value & opt string "honest" & info [ "adversary"; "a" ] ~docv:"ADV" ~doc)
 
@@ -174,20 +173,6 @@ let durability_arg =
      tick), or $(b,every:N) (flush once N records are staged)."
   in
   Arg.(value & opt durability_conv Store.Per_op & info [ "durability" ] ~docv:"MODE" ~doc)
-
-let segment_bytes_arg =
-  let doc =
-    "Roll a WAL segment once it exceeds $(docv) bytes (default 1 MiB, min \
-     256). Small values exercise rotation and compaction in short runs."
-  in
-  Arg.(value & opt (some int) None & info [ "segment-bytes" ] ~docv:"BYTES" ~doc)
-
-let compact_after_arg =
-  let doc =
-    "Compact a stream's sealed WAL segments into its base snapshot once \
-     $(docv) of them have accumulated (default 2)."
-  in
-  Arg.(value & opt (some int) None & info [ "compact-after" ] ~docv:"N" ~doc)
 
 let sanitize_arg =
   let doc =
@@ -242,14 +227,6 @@ let parse_adversary ~users s =
       match int_of_string_opt r with
       | Some at_round -> Ok (Adversary.Checkpoint_crash { at_round })
       | None -> fail ())
-  | [ "compact-crash"; r ] -> (
-      match int_of_string_opt r with
-      | Some at_round -> Ok (Adversary.Compact_crash { at_round; published = false })
-      | None -> fail ())
-  | [ "compact-crash-late"; r ] -> (
-      match int_of_string_opt r with
-      | Some at_round -> Ok (Adversary.Compact_crash { at_round; published = true })
-      | None -> fail ())
   | _ -> fail ()
 
 let generated_workload ~users ~rounds ~seed =
@@ -292,7 +269,7 @@ let print_outcome protocol adversary (o : Harness.outcome) =
 
 let simulate_cmd =
   let run seed users rounds k epoch_len protocol_str adversary_str sanitize verbosity
-      metrics trace_file store_dir shards durability segment_bytes compact_after =
+      metrics trace_file store_dir shards durability =
     Log_setup.install ~level:verbosity ();
     if sanitize then Sanitize.set_enabled true;
     match
@@ -314,8 +291,6 @@ let simulate_cmd =
             store_dir;
             shards;
             store_durability = durability;
-            store_segment_bytes = segment_bytes;
-            store_compact_segments = compact_after;
           }
         in
         (match Harness.validate setup with
@@ -344,7 +319,7 @@ let simulate_cmd =
     Term.(
       const run $ seed_arg $ users_arg $ rounds_arg $ k_arg $ epoch_arg $ protocol_arg
       $ adversary_arg $ sanitize_arg $ verbosity_arg $ metrics_arg $ trace_arg
-      $ store_arg $ shards_arg $ durability_arg $ segment_bytes_arg $ compact_after_arg)
+      $ store_arg $ shards_arg $ durability_arg)
 
 (* ---- matrix -------------------------------------------------------------- *)
 
@@ -525,28 +500,16 @@ let store_inspect_cmd =
         List.iter
           (fun (s : Store.stream_info) ->
             Printf.printf
-              "stream %-8s: base %s asof %d (%s)%s first-seg %d segments %d\n"
-              s.Store.str_name s.Store.str_base_file s.Store.str_base_asof
+              "stream %-8s: base %s (%s), log %s: %d records, lsn %d..%d, %d \
+               bytes, %s\n"
+              s.Store.str_name s.Store.str_base_file
               (if s.Store.str_base_ok then "ok" else "BAD")
-              (if s.Store.str_compacted then " compacted" else "")
-              s.Store.str_first_seg
-              (List.length s.Store.str_segments);
+              s.Store.str_log_file s.Store.str_records s.Store.str_lsn_lo
+              s.Store.str_lsn_hi s.Store.str_log_bytes s.Store.str_log_status;
             if not s.Store.str_base_ok then incr bad;
-            List.iter
-              (fun (g : Store.segment_info) ->
-                Printf.printf
-                  "  segment %s: %d records, lsn %d..%d, %d bytes, %s, %s\n"
-                  g.Store.seg_file g.Store.seg_records g.Store.seg_lsn_lo
-                  g.Store.seg_lsn_hi g.Store.seg_bytes
-                  (if g.Store.seg_sealed then "sealed" else "active")
-                  g.Store.seg_status;
-                (* a torn tail is legal only on the active segment *)
-                if g.Store.seg_status <> "ok"
-                   && (g.Store.seg_sealed || g.Store.seg_status <> "torn tail")
-                then incr bad)
-              s.Store.str_segments)
+            (* a torn tail is a legal crash mid-append *)
+            match s.Store.str_log_status with "ok" | "torn tail" -> () | _ -> incr bad)
           info.Store.info_streams;
-        Printf.printf "live-segments : %d\n" info.Store.info_live_segments;
         (match info.Store.info_orphans with
         | [] -> Printf.printf "orphans       : none\n"
         | l ->
@@ -564,9 +527,9 @@ let store_inspect_cmd =
   in
   let doc =
     "Inspect a durable store directory without touching it: manifest, \
-     generation, per-stream base snapshots and WAL segments (record counts, \
-     LSN ranges, checksum status), orphaned crash leftovers. Exits 3 when \
-     any sealed segment or base snapshot is damaged."
+     generation, per-stream base snapshots and WAL logs (record counts, LSN \
+     ranges, checksum status), orphaned crash leftovers. Exits 3 when any \
+     base snapshot or log is damaged (a torn log tail is legal)."
   in
   Cmd.v (Cmd.info "store-inspect" ~doc) Term.(const run $ dir_arg)
 
@@ -617,8 +580,7 @@ let serve_cmd =
     | Ok protocol, Ok adversary -> (
         (match adversary with
         | ( Adversary.Crash _ | Adversary.Rollback_crash _
-          | Adversary.Torn_manifest _ | Adversary.Checkpoint_crash _
-          | Adversary.Compact_crash _ )
+          | Adversary.Torn_manifest _ | Adversary.Checkpoint_crash _ )
           when store_dir = None ->
             Printf.eprintf "error: %s\n"
               (Harness.setup_error_message (Harness.Store_required adversary));

@@ -11,7 +11,6 @@ type t =
   | Rollback_crash of { at_round : int }
   | Torn_manifest of { at_round : int; wreck : bool }
   | Checkpoint_crash of { at_round : int }
-  | Compact_crash of { at_round : int; published : bool }
 
 let name = function
   | Honest -> "honest"
@@ -31,10 +30,6 @@ let name = function
   | Torn_manifest { at_round; wreck } ->
       Printf.sprintf "torn-manifest%s@r%d" (if wreck then "-hard" else "") at_round
   | Checkpoint_crash { at_round } -> Printf.sprintf "checkpoint-crash@r%d" at_round
-  | Compact_crash { at_round; published } ->
-      Printf.sprintf "compact-crash%s@r%d"
-        (if published then "-late" else "")
-        at_round
 
 let pp fmt t = Format.pp_print_string fmt (name t)
 
@@ -47,12 +42,10 @@ let violation_op = function
   | Rollback_crash _ -> None (* round-indexed, see [violation_round] *)
   | Torn_manifest _ -> None (* round-indexed, see [violation_round] *)
   | Checkpoint_crash _ -> None (* honest: recovery ignores the leftovers *)
-  | Compact_crash _ -> None (* honest: compaction publish is atomic *)
 
 let violation_round = function
   | Rollback_crash { at_round } -> Some at_round
   | Torn_manifest { at_round; wreck } -> if wreck then Some at_round else None
   | Honest | Tamper_value _ | Drop_update _ | Fork _ | Rollback _ | Stall _
-  | Freeze_epoch _ | Bitrot _ | Crash _ | Checkpoint_crash _ | Compact_crash _
-    ->
+  | Freeze_epoch _ | Bitrot _ | Crash _ | Checkpoint_crash _ ->
       None

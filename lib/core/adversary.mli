@@ -85,15 +85,6 @@ type t =
           Recovery must land on the old generation, ignore the
           leftovers, and replay to a byte-identical state — every
           protocol stays quiet, like {!Crash}. Requires a store. *)
-  | Compact_crash of { at_round : int; published : bool }
-      (** An honest crash striking {e mid-compaction}. With
-          [published = false] the compaction snapshot was written but
-          the atomic bases rewrite never happened (an orphan file);
-          with [published = true] the new base is durable but the
-          folded segments were not yet deleted (stale segments).
-          Either way recovery must reach the same state a clean run
-          would — the compaction publish protocol is what makes both
-          windows safe. Requires a store. *)
 
 val name : t -> string
 val pp : Format.formatter -> t -> unit

@@ -39,10 +39,7 @@ type setup = {
   history_cap : int;
   store_dir : string option;
   shards : int option;
-  store_checkpoint_every : int;
   store_durability : Store.durability;
-  store_segment_bytes : int option;
-  store_compact_segments : int option;
 }
 
 let file_key i = Printf.sprintf "src/file_%04d.ml" i
@@ -66,10 +63,7 @@ let default_setup ~protocol ~users ~adversary =
     history_cap = Server.default_history_cap;
     store_dir = None;
     shards = None;
-    store_checkpoint_every = 64;
     store_durability = Store.Per_op;
-    store_segment_bytes = None;
-    store_compact_segments = None;
   }
 
 type outcome = {
@@ -134,7 +128,7 @@ let setup_error_message = function
 
 let adversary_requires_store = function
   | Adversary.Crash _ | Adversary.Rollback_crash _ | Adversary.Torn_manifest _
-  | Adversary.Checkpoint_crash _ | Adversary.Compact_crash _ ->
+  | Adversary.Checkpoint_crash _ ->
       true
   | Adversary.Honest | Adversary.Tamper_value _ | Adversary.Drop_update _
   | Adversary.Fork _ | Adversary.Rollback _ | Adversary.Stall _
@@ -210,11 +204,8 @@ let run_common setup ~script =
     | None -> (None, setup.initial)
     | Some dir -> (
         match
-          Store.create_or_open ~checkpoint_every:setup.store_checkpoint_every
-            ~durability:setup.store_durability
-            ?segment_bytes:setup.store_segment_bytes
-            ?compact_segments:setup.store_compact_segments
-            ~dir ~branching:setup.branching
+          Store.create_or_open ~durability:setup.store_durability ~dir
+            ~branching:setup.branching
             ~shards:(Option.value ~default:1 setup.shards)
             ~initial:setup.initial ()
         with

@@ -53,25 +53,17 @@ type setup = {
   shards : int option;
       (** key-range shards for the server database (default 1; implies
           the per-shard [server.s<i>.*] observability scopes) *)
-  store_checkpoint_every : int;
-      (** logged operations between automatic store checkpoints *)
   store_durability : Store.durability;
       (** group-commit flush cadence (default {!Store.Per_op} — the
           pinned-digest mode; [Per_round] defers all WAL flushing to
           the round-boundary group commit) *)
-  store_segment_bytes : int option;
-      (** WAL segment roll threshold ([None] = store default, 1 MiB);
-          set small to exercise rotation/compaction in short runs *)
-  store_compact_segments : int option;
-      (** sealed segments per stream before auto-compaction ([None] =
-          store default, 2) *)
 }
 
 val default_setup : protocol:protocol -> users:int -> adversary:Adversary.t -> setup
 (** HMAC-shared signatures (cheap, adequate for protocol-behaviour
     experiments), branching 8, 32 initial files, seed derived from the
     protocol and adversary names, 400 tail rounds, 64-round response
-    timeout, no store, one shard, checkpoint every 64 ops. *)
+    timeout, no store, one shard. *)
 
 val file_key : int -> string
 (** Database key for workload file index [i]. *)

@@ -114,8 +114,7 @@ let maybe_activate_fork t =
   | Adversary.Honest | Adversary.Tamper_value _ | Adversary.Drop_update _
   | Adversary.Rollback _ | Adversary.Stall _ | Adversary.Freeze_epoch _
   | Adversary.Bitrot _ | Adversary.Crash _ | Adversary.Rollback_crash _
-  | Adversary.Torn_manifest _ | Adversary.Checkpoint_crash _
-  | Adversary.Compact_crash _ ->
+  | Adversary.Torn_manifest _ | Adversary.Checkpoint_crash _ ->
       ()
 
 let branch_for t ~user =
@@ -198,8 +197,7 @@ let check_branch_history t b ~label =
     let monotone_expected =
       match t.config.adversary with
       | Adversary.Honest | Adversary.Bitrot _ | Adversary.Crash _
-      | Adversary.Torn_manifest _ | Adversary.Checkpoint_crash _
-      | Adversary.Compact_crash _ ->
+      | Adversary.Torn_manifest _ | Adversary.Checkpoint_crash _ ->
           true
       | Adversary.Tamper_value _ | Adversary.Drop_update _ | Adversary.Fork _
       | Adversary.Rollback _ | Adversary.Stall _ | Adversary.Freeze_epoch _
@@ -371,7 +369,7 @@ let execute_query t ~round ~user ~(op : Vo.op) ~piggyback =
   | Adversary.Fork _ | Adversary.Rollback _ | Adversary.Stall _
   | Adversary.Freeze_epoch _ | Adversary.Bitrot _ | Adversary.Crash _
   | Adversary.Rollback_crash _ | Adversary.Torn_manifest _
-  | Adversary.Checkpoint_crash _ | Adversary.Compact_crash _ ->
+  | Adversary.Checkpoint_crash _ ->
       push_history ~cap:t.config.history_cap branch pre;
       branch.db <- db';
       branch.ctr <- branch.ctr + 1;
@@ -484,12 +482,6 @@ let crash_recover t ~round =
                generation never published. Recovery must ignore them. *)
             Store.debug_partial_checkpoint store ~db:t.main.db;
             Store.recover store
-        | Adversary.Compact_crash { published; _ } ->
-            (* Die mid-compaction, before ([published = false]) or after
-               the atomic bases rewrite. Both windows must recover to
-               the state a clean run would reach. *)
-            Store.debug_partial_compact store ~publish:published;
-            Store.recover store
         | _ -> Store.recover store
       in
       (match result with
@@ -509,8 +501,7 @@ let maybe_crash t ~round =
   | ( Adversary.Crash { at_round }
     | Adversary.Rollback_crash { at_round }
     | Adversary.Torn_manifest { at_round; _ }
-    | Adversary.Checkpoint_crash { at_round }
-    | Adversary.Compact_crash { at_round; _ } )
+    | Adversary.Checkpoint_crash { at_round } )
     when round = at_round && not t.crashed ->
       t.crashed <- true;
       crash_recover t ~round

@@ -5,6 +5,49 @@ type op =
   | Remove of string
   | Range of string * string
 
+(* Tags are frozen: WAL op records and network frames both carry this
+   encoding. *)
+let encode_op w op =
+  match op with
+  | Get k ->
+      Wire.W.u8 w 0;
+      Wire.W.str w k
+  | Set (k, v) ->
+      Wire.W.u8 w 1;
+      Wire.W.str w k;
+      Wire.W.str w v
+  | Set_many entries ->
+      Wire.W.u8 w 2;
+      Wire.W.list w
+        (fun (k, v) ->
+          Wire.W.str w k;
+          Wire.W.str w v)
+        entries
+  | Remove k ->
+      Wire.W.u8 w 3;
+      Wire.W.str w k
+  | Range (lo, hi) ->
+      Wire.W.u8 w 4;
+      Wire.W.str w lo;
+      Wire.W.str w hi
+
+let decode_op r =
+  match Wire.R.u8 r with
+  | 0 -> Get (Wire.R.str r)
+  | 1 ->
+      let k = Wire.R.str r in
+      Set (k, Wire.R.str r)
+  | 2 ->
+      Set_many
+        (Wire.R.list r (fun r ->
+             let k = Wire.R.str r in
+             (k, Wire.R.str r)))
+  | 3 -> Remove (Wire.R.str r)
+  | 4 ->
+      let lo = Wire.R.str r in
+      Range (lo, Wire.R.str r)
+  | n -> failwith (Printf.sprintf "unknown op tag %d" n)
+
 type answer =
   | Value of string option
   | Updated

@@ -27,6 +27,16 @@ type op =
   | Remove of string
   | Range of string * string  (** inclusive bounds *)
 
+val encode_op : Wire.W.t -> op -> unit
+(** The one binary encoding of an {!op}: a u8 tag (0 [Get], 1 [Set],
+    2 [Set_many], 3 [Remove], 4 [Range]), then the length-framed keys
+    and values. Frozen: the store's WAL op records and the network
+    codec's frames both carry it. *)
+
+val decode_op : Wire.R.t -> op
+(** Inverse of {!encode_op}; fails on an unknown tag or a short read,
+    so run it under [Wire.decode]. *)
+
 type answer =
   | Value of string option  (** for [Get] *)
   | Updated  (** for [Set] / [Remove] *)

@@ -99,48 +99,8 @@ let error_code_to_string = function
 
 (* The simulator never serialises messages (it passes values), so this
    is the first real wire format for [Message.t]. Tags are frozen here;
-   any change bumps [protocol_version]. *)
-
-let encode_op w (op : Vo.op) =
-  match op with
-  | Vo.Get k ->
-      W.u8 w 0;
-      W.str w k
-  | Vo.Set (k, v) ->
-      W.u8 w 1;
-      W.str w k;
-      W.str w v
-  | Vo.Set_many entries ->
-      W.u8 w 2;
-      W.list w
-        (fun (k, v) ->
-          W.str w k;
-          W.str w v)
-        entries
-  | Vo.Remove k ->
-      W.u8 w 3;
-      W.str w k
-  | Vo.Range (lo, hi) ->
-      W.u8 w 4;
-      W.str w lo;
-      W.str w hi
-
-let decode_op r : Vo.op =
-  match R.u8 r with
-  | 0 -> Vo.Get (R.str r)
-  | 1 ->
-      let k = R.str r in
-      Vo.Set (k, R.str r)
-  | 2 ->
-      Vo.Set_many
-        (R.list r (fun r ->
-             let k = R.str r in
-             (k, R.str r)))
-  | 3 -> Vo.Remove (R.str r)
-  | 4 ->
-      let lo = R.str r in
-      Vo.Range (lo, R.str r)
-  | n -> failwith (Printf.sprintf "unknown op tag %d" n)
+   any change bumps [protocol_version]. Ops use {!Vo.encode_op}, the
+   encoding the store's WAL records share. *)
 
 let encode_answer w (a : Vo.answer) =
   match a with
@@ -244,7 +204,7 @@ let write_message w (m : Message.t) =
   match m with
   | Message.Query { op; piggyback } ->
       W.u8 w 0;
-      encode_op w op;
+      Vo.encode_op w op;
       W.list w (encode_piggyback w) piggyback
   | Message.Root_signature { signer; ctr; signature } ->
       W.u8 w 1;
@@ -253,7 +213,7 @@ let write_message w (m : Message.t) =
       W.str w signature
   | Message.Token_take_turn { op; record } ->
       W.u8 w 2;
-      encode_opt w (encode_op w) op;
+      encode_opt w (Vo.encode_op w) op;
       encode_token_record w record
   | Message.Response { answer; vo; ctr; last_user; root_sig; epoch; epoch_states }
     ->
@@ -309,14 +269,14 @@ let read_bool r =
 let read_message r : Message.t =
   match R.u8 r with
   | 0 ->
-      let op = decode_op r in
+      let op = Vo.decode_op r in
       Message.Query { op; piggyback = R.list r decode_piggyback }
   | 1 ->
       let signer = R.u16 r in
       let ctr = R.u32 r in
       Message.Root_signature { signer; ctr; signature = R.str r }
   | 2 ->
-      let op = decode_opt r decode_op in
+      let op = decode_opt r Vo.decode_op in
       Message.Token_take_turn { op; record = decode_token_record r }
   | 3 ->
       let answer = decode_answer r in

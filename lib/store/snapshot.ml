@@ -1,8 +1,7 @@
 let obs_scope = Obs.Scope.v "store.snapshot"
 
-(* Volatile: compaction (which writes snapshots) is triggered by flush
-   cadence, so the write count legitimately differs across durability
-   modes; it must not reach the deterministic report. *)
+(* Volatile, like the write timings: reported outside the
+   deterministic same-seed report. *)
 let c_writes = Obs.counter ~scope:obs_scope ~volatile:true "writes"
 let h_write_us = Obs.histogram ~scope:obs_scope ~volatile:true "write_us"
 

@@ -22,12 +22,6 @@ let c_recoveries = Obs.counter ~scope:obs_scope "recoveries"
 let c_stale_recoveries = Obs.counter ~scope:obs_scope "stale_recoveries"
 let c_resumes = Obs.counter ~scope:obs_scope "resumes"
 let c_manifest_repairs = Obs.counter ~scope:obs_scope "manifest_repairs"
-
-(* Segment rolls and compactions are triggered by flush cadence, so
-   their counts legitimately differ across durability modes: volatile,
-   like the wall-clock histograms. *)
-let c_rolls = Obs.counter ~scope:obs_scope ~volatile:true "segment_rolls"
-let c_compactions = Obs.counter ~scope:obs_scope ~volatile:true "compactions"
 let h_recover_us = Obs.histogram ~scope:obs_scope ~volatile:true "recover_us"
 let h_checkpoint_us = Obs.histogram ~scope:obs_scope ~volatile:true "checkpoint_us"
 
@@ -101,60 +95,21 @@ let durability_of_string s =
             (Printf.sprintf "%s: unknown durability (per-op | per-round | every:N)"
                s))
 
-(* A [base] is the snapshot a stream's live log is relative to: the
-   file, the highest LSN whose effects it folds in ([-1] for a fresh
-   store), and the scalar bookkeeping as of that point. The per-stream
-   bases live in the generation's [bases.<g>] control file, which is
-   what lets compaction advance one stream's base without rewriting
-   anything else. *)
-type base = {
-  b_file : string;  (* snapshot basename, relative to the store dir *)
-  b_asof : int;
-  b_ctr : int;
-  b_last_user : int;
-  b_sig : string option;
-}
-
-(* State stashed when a segment rolls, so a later compaction can fold
-   every sealed segment into a snapshot without replaying them: the
-   shard's tree (or the meta stream's lists) exactly as of the roll
-   point. Correct because every record after [se_asof] is still in
-   live segments and gets replayed on top. *)
-type seal = {
-  se_tree : T.t option;  (* [Some] for shard streams, [None] for meta *)
-  se_backups : backup list;
-  se_seqs : (int * int) list;
-  se_replies : (int * (int * string)) list;
-  se_asof : int;
-  se_ctr : int;
-  se_last_user : int;
-  se_sig : string option;
-}
-
-(* One rotated log: shard [i]'s op log, or the meta log. Live segments
-   are [st_first_seg .. st_seg]; everything below [st_first_seg] has
-   been folded into [st_base]. *)
-type stream = {
-  st_name : string;  (* "shard<i>" or "meta" *)
-  st_shard : int option;
-  mutable st_writer : Wal.writer;
-  mutable st_seg : int;  (* active segment index *)
-  mutable st_first_seg : int;  (* first live segment *)
-  mutable st_base : base;
-  mutable st_seal : seal option;
-}
-
+(* The store has one log per stream (shard [i]'s op log, or the meta
+   log) per generation. Arrays indexed by stream run shards first,
+   meta last. *)
 type t = {
   dir : string;
   map : Shard_map.t;
   fsync : bool;
   durability : durability;
   checkpoint_every : int;
-  segment_bytes : int;
-  compact_segments : int;  (* sealed segments that trigger auto-compaction *)
   mutable gen : int;
   mutable next_lsn : int;
-  mutable streams : stream array;  (* shards + 1 entries; meta last *)
+  mutable logs : Wal.writer array;  (* generation [gen]'s open logs *)
+  (* Per stream: the snapshot file its log is relative to, as named by
+     [bases.<gen>]. A clean shard's may come from an older generation. *)
+  mutable bases : string array;
   (* Mirror of the bookkeeping the meta log describes, so a checkpoint
      can serialise it without asking the server. *)
   mutable ctr : int;
@@ -170,15 +125,9 @@ type t = {
   (* Shards with ops logged since the last checkpoint — the ones whose
      snapshot an incremental checkpoint must rewrite. *)
   mutable dirty : bool array;
-  (* The database as of the last logged op: what a segment roll seals
-     for later compaction. *)
-  mutable last_db : Shard_db.t;
   mutable staged_since_flush : int;
-  (* Snapshot files the previous generation's bases still reference —
-     compaction must not delete those out from under recover_stale. *)
-  mutable prev_referenced : string list;
   mutable ops_since_checkpoint : int;
-  mutable opened_db : Shard_db.t;
+  opened_db : Shard_db.t;
   mutable closed : bool;
 }
 
@@ -189,7 +138,8 @@ let manifest_path dir = dir // "MANIFEST"
 let manifest_bak_path dir = dir // "MANIFEST.bak"
 let current_path dir = dir // "CURRENT"
 let bases_path dir g = dir // Printf.sprintf "bases.%d" g
-let seg_path dir name g s = dir // Printf.sprintf "%s.%d.%d.wal" name g s
+let log_path dir name g = dir // Printf.sprintf "%s.%d.wal" name g
+let snap_name name g = Printf.sprintf "%s.%d.snap" name g
 let stream_name ~shards i = if i = shards then "meta" else Printf.sprintf "shard%d" i
 
 let rec mkdir_p dir =
@@ -278,53 +228,12 @@ let debug_tear_manifest ~dir ~wreck_backup =
 
 (* ---- codecs --------------------------------------------------------- *)
 
-let encode_op w (op : Vo.op) =
-  match op with
-  | Vo.Get k ->
-      W.u8 w 0;
-      W.str w k
-  | Vo.Set (k, v) ->
-      W.u8 w 1;
-      W.str w k;
-      W.str w v
-  | Vo.Set_many entries ->
-      W.u8 w 2;
-      W.list w
-        (fun (k, v) ->
-          W.str w k;
-          W.str w v)
-        entries
-  | Vo.Remove k ->
-      W.u8 w 3;
-      W.str w k
-  | Vo.Range (lo, hi) ->
-      W.u8 w 4;
-      W.str w lo;
-      W.str w hi
-
-let decode_op r : Vo.op =
-  match R.u8 r with
-  | 0 -> Vo.Get (R.str r)
-  | 1 ->
-      let k = R.str r in
-      Vo.Set (k, R.str r)
-  | 2 ->
-      Vo.Set_many
-        (R.list r (fun r ->
-             let k = R.str r in
-             (k, R.str r)))
-  | 3 -> Vo.Remove (R.str r)
-  | 4 ->
-      let lo = R.str r in
-      Vo.Range (lo, R.str r)
-  | n -> failwith (Printf.sprintf "unknown op tag %d" n)
-
 (* [last_user] can be -1 (no user yet); shift by one for the unsigned
    wire field. [origin] is the (user, request seq) provenance of a
    network-submitted operation — [None] for in-process runs. *)
 let encode_op_record ~op ~ctr ~last_user ~origin =
   let w = W.create () in
-  encode_op w op;
+  Vo.encode_op w op;
   W.u32 w ctr;
   W.u32 w (last_user + 1);
   (match origin with
@@ -337,7 +246,7 @@ let encode_op_record ~op ~ctr ~last_user ~origin =
 
 let decode_op_record payload =
   Wire.decode payload (fun r ->
-      let op = decode_op r in
+      let op = Vo.decode_op r in
       let ctr = R.u32 r in
       let last_user = R.u32 r - 1 in
       let origin =
@@ -398,108 +307,73 @@ let decode_meta_record payload =
           `Reply (user, seq, R.str r)
       | n -> failwith (Printf.sprintf "unknown meta tag %d" n))
 
-(* Every segment file opens with a header record at LSN 0 naming the
-   stream, generation and segment index it belongs to — so replay can
-   never stitch a mis-rotated file into the wrong log. *)
-let seg_magic = "TCVSSEG1"
+(* Every log file opens with a header record at LSN 0 naming the
+   stream and generation it belongs to — so replay can never read a
+   misplaced file as the wrong log. *)
+let log_magic = "TCVSLOG1"
 
-let encode_seg_header ~name ~gen ~seg =
+let encode_log_header ~name ~gen =
   let w = W.create () in
-  W.str w seg_magic;
+  W.str w log_magic;
   W.str w name;
   W.u32 w gen;
-  W.u32 w seg;
   W.contents w
 
-let seg_header_matches ~name ~gen ~seg payload =
+let log_header_matches ~name ~gen payload =
   match
     Wire.decode payload (fun r ->
         let magic = R.str r in
         let n = R.str r in
-        let g = R.u32 r in
-        let s = R.u32 r in
-        (magic, n, g, s))
+        (magic, n, R.u32 r))
   with
-  | Some (magic, n, g, s) ->
-      String.equal magic seg_magic && String.equal n name && g = gen && s = seg
+  | Some (magic, n, g) ->
+      String.equal magic log_magic && String.equal n name && g = gen
   | None -> false
 
-(* The [bases.<g>] control file: one entry per stream (shards in
-   order, then meta) recording its base snapshot. Written atomically
-   via [Snapshot.write], so compaction publishes a new base with a
-   single rename. *)
+(* The [bases.<g>] control file names each stream's base snapshot
+   (shards in order, then meta). Its payload opens with the layout
+   magic, and every open reads a bases file first: a directory in the
+   earlier layout (segmented logs, whose bases payload opens with the
+   generation number) is refused instead of having its logs skipped. *)
+let bases_magic = "TCVSBAS2"
 
-let encode_bases ~gen entries =
+let encode_bases ~gen files =
   let w = W.create () in
+  W.raw w bases_magic;
   W.u32 w gen;
-  W.list w
-    (fun (b, first_seg) ->
-      W.str w b.b_file;
-      W.u32 w first_seg;
-      W.u64 w (b.b_asof + 1);
-      W.u32 w b.b_ctr;
-      W.u32 w (b.b_last_user + 1);
-      match b.b_sig with
-      | None -> W.u8 w 0
-      | Some s ->
-          W.u8 w 1;
-          W.str w s)
-    (Array.to_list entries);
+  W.list w (W.str w) (Array.to_list files);
   W.contents w
-
-let decode_bases payload =
-  match
-    Wire.decode payload (fun r ->
-        let gen = R.u32 r in
-        let entries =
-          R.list r (fun r ->
-              let file = R.str r in
-              let first_seg = R.u32 r in
-              let asof = R.u64 r - 1 in
-              let ctr = R.u32 r in
-              let last_user = R.u32 r - 1 in
-              let sg =
-                match R.u8 r with
-                | 0 -> None
-                | 1 -> Some (R.str r)
-                | n -> failwith (Printf.sprintf "bad sig tag %d" n)
-              in
-              ( { b_file = file; b_asof = asof; b_ctr = ctr;
-                  b_last_user = last_user; b_sig = sg },
-                first_seg ))
-        in
-        (gen, Array.of_list entries))
-  with
-  | Some v -> Ok v
-  | None -> Error "malformed bases record"
 
 let read_bases dir g ~count =
   let path = bases_path dir g in
   let* payload = Snapshot.read path in
-  let* bgen, entries =
-    Result.map_error (fun e -> path ^ ": " ^ e) (decode_bases payload)
-  in
-  if bgen <> g then
-    Error (Printf.sprintf "%s: generation mismatch (found %d)" path bgen)
-  else if Array.length entries <> count then
-    Error
-      (Printf.sprintf "%s: expected %d stream entries, found %d" path count
-         (Array.length entries))
-  else Ok entries
+  let n = String.length bases_magic in
+  if String.length payload < n
+     || not (String.equal (String.sub payload 0 n) bases_magic)
+  then Error (path ^ ": unsupported store layout (written by an older version?)")
+  else
+    match
+      Wire.decode payload (fun r ->
+          ignore (R.raw r n);
+          let gen = R.u32 r in
+          (gen, Array.of_list (R.list r R.str)))
+    with
+    | None -> Error (path ^ ": malformed bases record")
+    | Some (bgen, _) when bgen <> g ->
+        Error (Printf.sprintf "%s: generation mismatch (found %d)" path bgen)
+    | Some (_, files) when Array.length files <> count ->
+        Error
+          (Printf.sprintf "%s: expected %d stream entries, found %d" path count
+             (Array.length files))
+    | Some (_, files) -> Ok files
 
 (* Snapshot basenames referenced by [bases.<g>], or [] when the file is
-   absent/unreadable — used to decide what garbage collection and
-   compaction may delete. *)
-let bases_files dir g =
-  if g < 0 then []
-  else
-    match Snapshot.read (bases_path dir g) with
-    | Error _ -> []
-    | Ok payload -> (
-        match decode_bases payload with
-        | Ok (_, entries) ->
-            Array.to_list (Array.map (fun (b, _) -> b.b_file) entries)
-        | Error _ -> [])
+   absent/unreadable — what garbage collection must keep for the
+   retained previous generation. *)
+let bases_files dir g ~count =
+  match read_bases dir g ~count with
+  | Ok files -> Array.to_list files
+  | Error _ -> []
 
 let sort_backups backups =
   List.sort (fun a b -> compare (a.epoch, a.user) (b.epoch, b.user)) backups
@@ -656,216 +530,147 @@ let load_meta_snapshot_file path =
   | None -> Error (path ^ ": malformed meta snapshot")
   | Some m -> Ok m
 
-(* ---- segment lifecycle ---------------------------------------------- *)
+(* ---- logs ----------------------------------------------------------- *)
 
-(* Open a segment for append, writing (and flushing) the header record
-   if the file is empty — which also repairs the corner where a crash
+(* Open a log for append, writing (and flushing) the header record if
+   the file is empty — which also repairs the corner where a crash
    landed between file creation and the header flush. *)
-let open_segment dir ~fsync name gen seg =
-  let w = Wal.open_writer (seg_path dir name gen seg) in
+let open_log dir ~fsync name gen =
+  let w = Wal.open_writer (log_path dir name gen) in
   if Wal.size w = 0 then begin
-    Wal.stage ~count:false w ~lsn:0 ~payload:(encode_seg_header ~name ~gen ~seg);
+    Wal.stage ~count:false w ~lsn:0 ~payload:(encode_log_header ~name ~gen);
     ignore (Wal.flush ~fsync w)
   end;
   w
 
-(* Walk the contiguous live segments of one stream from [first_seg],
-   validating headers and decoding records. A torn tail is legal only
-   on the last (active) segment: sealed segments were flushed whole, so
-   damage there is silent corruption and fails hard. Returns events
-   (unordered), the active segment index, and the data-record count. *)
-let read_stream_events dir ~name ~gen ~first_seg ~decode =
-  let rec go s acc n =
-    let path = seg_path dir name gen s in
-    if not (Sys.file_exists path) then Ok (acc, max first_seg (s - 1), n)
-    else
-      let* { Wal.records; truncated } = Wal.read path in
-      let sealed = Sys.file_exists (seg_path dir name gen (s + 1)) in
-      if truncated && sealed then
-        Error (path ^ ": torn tail in a sealed segment (mid-log corruption)")
-      else
-        let* records =
-          match records with
-          | [] -> Ok []  (* crash between segment creation and header flush *)
-          | (_, header) :: rest ->
-              if seg_header_matches ~name ~gen ~seg:s header then Ok rest
-              else Error (path ^ ": bad segment header")
-        in
-        let rec decode_all records acc n =
-          match records with
-          | [] -> Ok (acc, n)
-          | (lsn, payload) :: rest -> (
-              match decode payload with
-              | None ->
-                  Error (Printf.sprintf "%s: malformed record at lsn %d" path lsn)
-              | Some ev -> decode_all rest ((lsn, ev) :: acc) (n + 1))
-        in
-        let* acc, n = decode_all records acc n in
-        go (s + 1) acc n
+let open_logs dir ~shards ~gen ~fsync =
+  Array.init (shards + 1) (fun i -> open_log dir ~fsync (stream_name ~shards i) gen)
+
+(* Read one stream's log, validating its header and decoding every
+   record. [Wal.read] truncates a torn tail and fails hard on mid-log
+   corruption. Returns [(lsn, event)] pairs, newest first. *)
+let read_log dir ~name ~gen ~decode =
+  let path = log_path dir name gen in
+  let* { Wal.records; _ } = Wal.read path in
+  let* records =
+    match records with
+    | [] -> Ok []  (* crash between log creation and header flush *)
+    | (_, header) :: rest ->
+        if log_header_matches ~name ~gen header then Ok rest
+        else Error (path ^ ": bad log header")
   in
-  go first_seg [] 0
+  let rec decode_all acc = function
+    | [] -> Ok acc
+    | (lsn, payload) :: rest -> (
+        match decode payload with
+        | None -> Error (Printf.sprintf "%s: malformed record at lsn %d" path lsn)
+        | Some ev -> decode_all ((lsn, ev) :: acc) rest)
+  in
+  decode_all [] records
 
 (* ---- generation replay ---------------------------------------------- *)
+
+(* Generation [g]'s snapshots: the bases file, the database its shard
+   snapshots compose, and the meta snapshot's bookkeeping. *)
+let load_snapshots dir ~map g =
+  let shards = Shard_map.shards map and branching = Shard_map.branching map in
+  let* bases = read_bases dir g ~count:(shards + 1) in
+  let rec load_trees i acc =
+    if i = shards then Ok (Array.of_list (List.rev acc))
+    else
+      let* tree = load_shard_snapshot_file (dir // bases.(i)) ~branching i in
+      load_trees (i + 1) (tree :: acc)
+  in
+  let* trees = load_trees 0 [] in
+  let* m = load_meta_snapshot_file (dir // bases.(shards)) in
+  Ok (bases, Shard_db.of_trees map trees, m)
 
 type loaded = {
   l_db : Shard_db.t;
   l_meta : meta;
   l_dirty : bool array;
-  l_entries : (base * int) array;  (* per stream: base, first live segment *)
-  l_active : int array;  (* per stream: active segment index *)
+  l_bases : string array;
 }
 
-(* Scalar bookkeeping comes from the newest base; records a compacted
-   base already folded in must not rewind it, so replay fences ctr /
-   last_user / root_sig behind the max base asof. Tree and keyed-map
-   effects apply unconditionally: folded segments are gone (excluded
-   by first_seg), and keyed replacement is idempotent in LSN order. *)
-let newest_base entries =
-  Array.fold_left
-    (fun (a, c, lu, sg) (b, _) ->
-      if b.b_asof > a then (b.b_asof, b.b_ctr, b.b_last_user, b.b_sig)
-      else (a, c, lu, sg))
-    (-1, 0, -1, None) entries
-
+(* Every record in generation [g]'s logs was written after [g]'s
+   checkpoint, so replay starts from the meta snapshot's bookkeeping
+   and applies all logs merged in LSN order. *)
 let load_generation dir ~map g =
-  let shards = Shard_map.shards map and branching = Shard_map.branching map in
-  let n_streams = shards + 1 in
-  let* entries = read_bases dir g ~count:n_streams in
-  let rec load_trees i acc =
-    if i = shards then Ok (Array.of_list (List.rev acc))
-    else
-      let b, _ = entries.(i) in
-      let* tree = load_shard_snapshot_file (dir // b.b_file) ~branching i in
-      load_trees (i + 1) (tree :: acc)
-  in
-  let* trees = load_trees 0 [] in
-  let mb, _ = entries.(shards) in
-  let* msnap = load_meta_snapshot_file (dir // mb.b_file) in
-  let guard, g_ctr, g_last, g_sig = newest_base entries in
+  let shards = Shard_map.shards map in
+  let* bases, db0, m0 = load_snapshots dir ~map g in
   let dirty = Array.make shards false in
-  let active = Array.make n_streams 0 in
   let decode_event i payload =
-    if i < shards then
-      match decode_op_record payload with
-      | None -> None
-      | Some r -> Some (`Op r)
+    if i < shards then Option.map (fun r -> `Op r) (decode_op_record payload)
     else decode_meta_record payload
   in
   let rec gather i acc =
-    if i = n_streams then Ok acc
+    if i > shards then Ok acc
     else
-      let name = stream_name ~shards i in
-      let first = snd entries.(i) in
-      let* evs, act, n =
-        read_stream_events dir ~name ~gen:g ~first_seg:first
-          ~decode:(decode_event i)
+      let* evs =
+        read_log dir ~name:(stream_name ~shards i) ~gen:g ~decode:(decode_event i)
       in
-      active.(i) <- act;
-      if i < shards && n > 0 then dirty.(i) <- true;
+      (match evs with _ :: _ when i < shards -> dirty.(i) <- true | _ -> ());
       gather (i + 1) (List.rev_append evs acc)
   in
   let* events = gather 0 [] in
   let events = List.sort (fun (a, _) (b, _) -> Int.compare a b) events in
-  let db0 = Shard_db.of_trees map trees in
-  let m0 =
-    {
-      m_ctr = g_ctr;
-      m_last_user = g_last;
-      m_root_sig = g_sig;
-      m_next_lsn = guard + 1;
-      m_backups = msnap.m_backups;
-      m_seqs = msnap.m_seqs;
-      m_replies = msnap.m_replies;
-    }
-  in
   let db, m =
     List.fold_left
       (fun (db, m) (lsn, ev) ->
         let m = { m with m_next_lsn = max m.m_next_lsn (lsn + 1) } in
         match ev with
-        | `Op (op, ctr', last_user', origin) ->
+        | `Op (op, ctr, last_user, origin) ->
             let db, _answer = Shard_db.apply db op in
             let seqs =
               match origin with None -> m.m_seqs | Some o -> bump_seq m.m_seqs o
             in
-            if lsn > guard then
-              ( db,
-                { m with m_ctr = ctr'; m_last_user = last_user';
-                  m_root_sig = None; m_seqs = seqs } )
-            else (db, { m with m_seqs = seqs })
-        | `Sig s -> if lsn > guard then (db, { m with m_root_sig = Some s }) else (db, m)
+            ( db,
+              { m with m_ctr = ctr; m_last_user = last_user; m_root_sig = None;
+                m_seqs = seqs } )
+        | `Sig s -> (db, { m with m_root_sig = Some s })
         | `Backup b -> (db, { m with m_backups = replace_backup m.m_backups b })
         | `Reply (user, seq, payload) ->
             (db, { m with m_replies = set_assoc user (seq, payload) m.m_replies }))
       (db0, m0) events
   in
-  Ok { l_db = db; l_meta = m; l_dirty = dirty; l_entries = entries; l_active = active }
-
-(* ---- stream construction -------------------------------------------- *)
-
-let make_streams dir ~shards ~gen ~fsync entries active =
-  Array.init (shards + 1) (fun i ->
-      let base, first = entries.(i) in
-      let name = stream_name ~shards i in
-      {
-        st_name = name;
-        st_shard = (if i < shards then Some i else None);
-        st_writer = open_segment dir ~fsync name gen active.(i);
-        st_seg = active.(i);
-        st_first_seg = first;
-        st_base = base;
-        st_seal = None;
-      })
-
-let base_entries t = Array.map (fun st -> (st.st_base, st.st_first_seg)) t.streams
-
-let write_bases_gen dir ~gen entries =
-  Snapshot.write (bases_path dir gen) ~payload:(encode_bases ~gen entries)
-
-let write_bases t = write_bases_gen t.dir ~gen:t.gen (base_entries t)
+  Ok { l_db = db; l_meta = m; l_dirty = dirty; l_bases = bases }
 
 (* ---- garbage collection --------------------------------------------- *)
 
-type gc_class = Gc_bases of int | Gc_snap of int | Gc_wal of int
+(* Store files by name: a generation's [bases.<g>] and
+   [<stream>.<g>.wal] live and die with it; a [<stream>.<g>.snap]
+   lives as long as some retained bases file names it. *)
+type store_file = Gen_file of int | Snap_file
 
 let classify_file f =
   match String.split_on_char '.' f with
-  | [ "bases"; g ] -> Option.map (fun g -> Gc_bases g) (int_of_string_opt g)
-  | _ :: g :: rest -> (
-      match (int_of_string_opt g, rest) with
-      | Some g, [ "snap" ] | Some g, [ _; "snap" ] -> Some (Gc_snap g)
-      | Some g, [ _; "wal" ] -> Some (Gc_wal g)
-      | _ -> None)
+  | [ "bases"; g ] | [ _; g; "wal" ] ->
+      Option.map (fun g -> Gen_file g) (int_of_string_opt g)
+  | [ _; g; "snap" ] -> Option.map (fun _ -> Snap_file) (int_of_string_opt g)
   | _ -> None
 
 (* Delete everything the current generation (in memory) and the
    previous generation's bases file (on disk) no longer reference:
    superseded bases files, unreferenced snapshots (including orphans a
-   crashed checkpoint or compaction left behind), segment files of
-   dead generations, and half-written .tmp files. Runs at checkpoint
-   and stale-recovery time, when both reference sets are known. *)
+   crashed checkpoint left behind), logs of dead generations, and
+   half-written .tmp files. Runs at checkpoint and stale-recovery
+   time, when both reference sets are known. *)
 let gc t ~prev =
-  let prev_refs = bases_files t.dir prev in
-  t.prev_referenced <- prev_refs;
   let referenced =
-    prev_refs @ Array.to_list (Array.map (fun st -> st.st_base.b_file) t.streams)
+    bases_files t.dir prev ~count:(Array.length t.bases) @ Array.to_list t.bases
   in
-  let files = Sys.readdir t.dir in
-  Array.sort String.compare files;
   Array.iter
     (fun f ->
-      match f with
-      | "MANIFEST" | "MANIFEST.bak" | "CURRENT" -> ()
-      | _ ->
-          if Filename.check_suffix f ".tmp" then remove_if_exists (t.dir // f)
-          else (
-            match classify_file f with
-            | Some (Gc_bases g) | Some (Gc_wal g) ->
-                if g <> t.gen && g <> prev then remove_if_exists (t.dir // f)
-            | Some (Gc_snap _) ->
-                if not (List.mem f referenced) then remove_if_exists (t.dir // f)
-            | None -> ()))
-    files
+      let dead =
+        Filename.check_suffix f ".tmp"
+        ||
+        match classify_file f with
+        | Some (Gen_file g) -> g <> t.gen && g <> prev
+        | Some Snap_file -> not (List.mem f referenced)
+        | None -> false
+      in
+      if dead then remove_if_exists (t.dir // f))
+    (Sys.readdir t.dir)
 
 (* ---- accessors ------------------------------------------------------ *)
 
@@ -880,182 +685,76 @@ let fresh_lsn t =
   t.next_lsn <- lsn + 1;
   lsn
 
-(* ---- group commit: flush, roll, compact ----------------------------- *)
+(* ---- group commit --------------------------------------------------- *)
 
-(* Seal the active segment and roll to the next one. Called only with
-   an empty staging buffer (right after a flush). The seal stashes the
-   state as of the roll point so compaction can fold every sealed
-   segment without replaying it. *)
-let roll_segment t st =
-  Wal.close_writer st.st_writer;
-  let se_tree =
-    match st.st_shard with
-    | Some i -> Some (Shard_db.trees t.last_db).(i)
-    | None -> None
-  in
-  st.st_seal <-
-    Some
-      {
-        se_tree;
-        se_backups = t.backups;
-        se_seqs = t.seqs;
-        se_replies = t.replies;
-        se_asof = t.next_lsn - 1;
-        se_ctr = t.ctr;
-        se_last_user = t.last_user;
-        se_sig = t.root_sig;
-      };
-  st.st_seg <- st.st_seg + 1;
-  st.st_writer <- open_segment t.dir ~fsync:t.fsync st.st_name t.gen st.st_seg;
-  Obs.incr c_rolls;
-  Log.debug (fun f -> f "%s: %s rolled to segment %d" t.dir st.st_name st.st_seg)
-
-(* Flush one stream's staged batch — one channel flush, at most one
-   fsync, however many records the batch holds — then roll if the
-   segment outgrew its budget. *)
-let flush_stream t st =
-  let records = Wal.staged_records st.st_writer in
+(* Flush one log's staged batch — one channel flush, at most one
+   fsync, however many records the batch holds. *)
+let flush_log t w =
+  let records = Wal.staged_records w in
   if records > 0 then begin
     Obs.observe h_batch_records records;
-    Obs.observe h_batch_bytes (Wal.staged_bytes st.st_writer);
-    ignore (Wal.flush ~fsync:t.fsync st.st_writer);
-    if Wal.size st.st_writer >= t.segment_bytes then roll_segment t st
+    Obs.observe h_batch_bytes (Wal.staged_bytes w);
+    ignore (Wal.flush ~fsync:t.fsync w)
   end
 
-let flush_streams t =
-  Array.iter (fun st -> flush_stream t st) t.streams;
+let flush_logs t =
+  Array.iter (flush_log t) t.logs;
   t.staged_since_flush <- 0
 
-(* Fold one stream's sealed segments into a compaction snapshot: write
-   the snapshot from the seal, publish it as the stream's new base
-   with one atomic [bases.<g>] rewrite, then delete the folded
-   segments. A crash before the publish leaves an orphan snapshot
-   (ignored, gc'd later); a crash after it leaves stale segments below
-   [first_seg] (ignored, gc'd later) — recovery is correct either way. *)
-let write_compaction_snapshot t st se =
-  let snap = Printf.sprintf "%s.%d.c%d.snap" st.st_name t.gen st.st_seg in
-  (match st.st_shard with
-  | Some i ->
-      let tree =
-        match se.se_tree with
-        | Some tree -> tree
-        | None -> invalid_arg "compaction seal without tree"
-      in
-      write_shard_snapshot_file (t.dir // snap) i tree
-  | None ->
-      write_meta_snapshot_file (t.dir // snap)
-        {
-          m_ctr = se.se_ctr;
-          m_last_user = se.se_last_user;
-          m_root_sig = se.se_sig;
-          m_next_lsn = se.se_asof + 1;
-          m_backups = se.se_backups;
-          m_seqs = se.se_seqs;
-          m_replies = se.se_replies;
-        });
-  snap
-
-let compact_stream t st =
-  match st.st_seal with
-  | None -> ()
-  | Some se ->
-      let snap = write_compaction_snapshot t st se in
-      let old_base = st.st_base and old_first = st.st_first_seg in
-      st.st_base <-
-        {
-          b_file = snap;
-          b_asof = se.se_asof;
-          b_ctr = se.se_ctr;
-          b_last_user = se.se_last_user;
-          b_sig = se.se_sig;
-        };
-      st.st_first_seg <- st.st_seg;
-      st.st_seal <- None;
-      write_bases t;
-      for s = old_first to st.st_seg - 1 do
-        remove_if_exists (seg_path t.dir st.st_name t.gen s)
-      done;
-      if not (List.mem old_base.b_file t.prev_referenced) then
-        remove_if_exists (t.dir // old_base.b_file);
-      Obs.incr c_compactions;
-      Log.debug (fun f ->
-          f "%s: %s compacted segments %d..%d into %s" t.dir st.st_name old_first
-            (st.st_seg - 1) snap)
-
-let auto_compact t =
-  Array.iter
-    (fun st ->
-      if st.st_seg - st.st_first_seg >= t.compact_segments then
-        compact_stream t st)
-    t.streams
-
-(* The group-commit point: flush every stream's staged batch (the
-   network daemon and the simulated server call this once per round),
-   then fold any stream whose sealed-segment count crossed the
-   compaction threshold. *)
+(* The group-commit point: the network daemon and the simulated server
+   call this once per round. *)
 let flush t =
   let t0 = now_us () in
-  flush_streams t;
-  auto_compact t;
+  flush_logs t;
   Obs.observe h_flush_us (now_us () - t0)
 
-let compact t =
-  flush_streams t;
-  Array.iter (fun st -> compact_stream t st) t.streams
-
 (* ---- checkpoint ----------------------------------------------------- *)
+
+let current_meta t =
+  {
+    m_ctr = t.ctr;
+    m_last_user = t.last_user;
+    m_root_sig = t.root_sig;
+    m_next_lsn = t.next_lsn;
+    m_backups = t.backups;
+    m_seqs = t.seqs;
+    m_replies = t.replies;
+  }
+
+(* Write generation [g]'s snapshots — shard [i]'s tree when [fresh i],
+   the bookkeeping [m] always — then publish them: the bases file,
+   then CURRENT. A shard that is not [fresh] keeps its base, whose
+   file may come from an older generation (the bases file carries the
+   reference across). *)
+let write_generation t ~g ~db ~m ~fresh =
+  let shards = Shard_map.shards t.map in
+  let trees = Shard_db.trees db in
+  for i = 0 to shards - 1 do
+    if fresh i then begin
+      let name = snap_name (stream_name ~shards i) g in
+      write_shard_snapshot_file (t.dir // name) i trees.(i);
+      t.bases.(i) <- name
+    end
+  done;
+  let meta_name = snap_name "meta" g in
+  write_meta_snapshot_file (t.dir // meta_name) m;
+  t.bases.(shards) <- meta_name;
+  Snapshot.write (bases_path t.dir g) ~payload:(encode_bases ~gen:g t.bases);
+  write_current t.dir g
 
 let checkpoint t ~db =
   let t0 = now_us () in
   let shards = Shard_map.shards t.map in
   (* Staged records must be on disk before the generation flips. *)
-  flush_streams t;
-  t.last_db <- db;
+  flush_logs t;
   let g' = t.gen + 1 in
-  let asof = t.next_lsn - 1 in
-  let trees = Shard_db.trees db in
   (* Incremental: only shards dirtied since the last checkpoint get a
-     fresh snapshot; a clean shard keeps its current base, whose file
-     may come from an older generation (the bases file carries the
-     reference across). *)
-  for i = 0 to shards - 1 do
-    if t.dirty.(i) then begin
-      let name = Printf.sprintf "shard%d.%d.snap" i g' in
-      write_shard_snapshot_file (t.dir // name) i trees.(i);
-      t.streams.(i).st_base <-
-        { b_file = name; b_asof = asof; b_ctr = t.ctr; b_last_user = t.last_user;
-          b_sig = t.root_sig }
-    end
-  done;
-  let meta_name = Printf.sprintf "meta.%d.snap" g' in
-  write_meta_snapshot_file (t.dir // meta_name)
-    {
-      m_ctr = t.ctr;
-      m_last_user = t.last_user;
-      m_root_sig = t.root_sig;
-      m_next_lsn = t.next_lsn;
-      m_backups = t.backups;
-      m_seqs = t.seqs;
-      m_replies = t.replies;
-    };
-  t.streams.(shards).st_base <-
-    { b_file = meta_name; b_asof = asof; b_ctr = t.ctr; b_last_user = t.last_user;
-      b_sig = t.root_sig };
-  Array.iter
-    (fun st ->
-      st.st_first_seg <- 0;
-      st.st_seal <- None)
-    t.streams;
-  write_bases_gen t.dir ~gen:g' (base_entries t);
-  write_current t.dir g';
-  Array.iter (fun st -> Wal.close_writer st.st_writer) t.streams;
+     fresh snapshot. *)
+  write_generation t ~g:g' ~db ~m:(current_meta t) ~fresh:(fun i -> t.dirty.(i));
+  Array.iter Wal.close_writer t.logs;
   let prev = t.gen in
   t.gen <- g';
-  Array.iter
-    (fun st ->
-      st.st_seg <- 0;
-      st.st_writer <- open_segment t.dir ~fsync:t.fsync st.st_name g' 0)
-    t.streams;
+  t.logs <- open_logs t.dir ~shards ~gen:g' ~fsync:t.fsync;
   gc t ~prev;
   Array.fill t.dirty 0 shards false;
   t.ops_since_checkpoint <- 0;
@@ -1094,15 +793,15 @@ let sub_records map (op : Vo.op) =
    behaviour), every:N flushes all streams once N records are staged,
    per-round leaves everything for the round-boundary {!flush}. *)
 let stage_record t idx ~payload =
-  let st = t.streams.(idx) in
-  Wal.stage st.st_writer ~lsn:(fresh_lsn t) ~payload;
+  let w = t.logs.(idx) in
+  Wal.stage w ~lsn:(fresh_lsn t) ~payload;
   t.staged_since_flush <- t.staged_since_flush + 1;
   match t.durability with
   | Per_op ->
-      flush_stream t st;
+      flush_log t w;
       t.staged_since_flush <- 0
   | Per_round -> ()
-  | Every_n n -> if t.staged_since_flush >= n then flush_streams t
+  | Every_n n -> if t.staged_since_flush >= n then flush_logs t
 
 let meta_index t = Shard_map.shards t.map
 
@@ -1110,7 +809,6 @@ let log_op t ~db ~op ~ctr ~last_user =
   t.ctr <- ctr;
   t.last_user <- last_user;
   t.root_sig <- None;
-  t.last_db <- db;
   (* A declared origin is consumed by the operation the daemon injected
      for that user; every fan-out sub-record repeats it (replay-time
      [bump_seq] is idempotent). *)
@@ -1179,39 +877,27 @@ let adopt_meta t m =
    what a real process death would have left on disk. *)
 let drop_staged_and_close t =
   Array.iter
-    (fun st ->
-      Wal.discard st.st_writer;
-      Wal.close_writer st.st_writer)
-    t.streams;
+    (fun w ->
+      Wal.discard w;
+      Wal.close_writer w)
+    t.logs;
   t.staged_since_flush <- 0
 
-let reopen_writers t =
-  Array.iter
-    (fun st ->
-      st.st_writer <- open_segment t.dir ~fsync:t.fsync st.st_name t.gen st.st_seg)
-    t.streams
+let reopen_logs t =
+  t.logs <-
+    open_logs t.dir ~shards:(Shard_map.shards t.map) ~gen:t.gen ~fsync:t.fsync
 
 let recover t =
   let t0 = now_us () in
   drop_staged_and_close t;
-  match load_generation t.dir ~map:t.map t.gen with
-  | Error _ as e ->
-      reopen_writers t;
-      e
+  let loaded = load_generation t.dir ~map:t.map t.gen in
+  reopen_logs t;
+  match loaded with
+  | Error _ as e -> e
   | Ok l ->
       adopt_meta t l.l_meta;
-      t.last_db <- l.l_db;
       t.dirty <- l.l_dirty;
-      Array.iteri
-        (fun i st ->
-          let base, first = l.l_entries.(i) in
-          st.st_base <- base;
-          st.st_first_seg <- first;
-          st.st_seg <- l.l_active.(i);
-          st.st_seal <- None;
-          st.st_writer <-
-            open_segment t.dir ~fsync:t.fsync st.st_name t.gen l.l_active.(i))
-        t.streams;
+      t.bases <- l.l_bases;
       Obs.incr c_recoveries;
       Obs.observe h_recover_us (now_us () - t0);
       Log.info (fun f ->
@@ -1225,60 +911,21 @@ let recover_stale t =
     if t.gen > 0 && Sys.file_exists (bases_path t.dir (t.gen - 1)) then t.gen - 1
     else t.gen
   in
-  let load () =
-    let* entries = read_bases t.dir stale ~count:(shards + 1) in
-    let branching = Shard_map.branching t.map in
-    let rec load_trees i acc =
-      if i = shards then Ok (Array.of_list (List.rev acc))
-      else
-        let b, _ = entries.(i) in
-        let* tree = load_shard_snapshot_file (t.dir // b.b_file) ~branching i in
-        load_trees (i + 1) (tree :: acc)
-    in
-    let* trees = load_trees 0 [] in
-    let mb, _ = entries.(shards) in
-    let* msnap = load_meta_snapshot_file (t.dir // mb.b_file) in
-    Ok (entries, trees, msnap)
-  in
-  match load () with
+  match load_snapshots t.dir ~map:t.map stale with
   | Error _ as e ->
-      reopen_writers t;
+      reopen_logs t;
       e
-  | Ok (entries, trees, msnap) ->
-      (* Adversarially present the stale bases as the whole history:
-         delete every live segment after them and flip CURRENT back. *)
-      Array.iteri
-        (fun i (_, first) ->
-          let name = stream_name ~shards i in
-          let rec wipe s =
-            let p = seg_path t.dir name stale s in
-            if Sys.file_exists p then begin
-              Sys.remove p;
-              wipe (s + 1)
-            end
-          in
-          wipe first)
-        entries;
-      let guard, g_ctr, g_last, g_sig = newest_base entries in
-      let m =
-        {
-          m_ctr = g_ctr;
-          m_last_user = g_last;
-          m_root_sig = g_sig;
-          m_next_lsn = guard + 1;
-          m_backups = msnap.m_backups;
-          m_seqs = msnap.m_seqs;
-          m_replies = msnap.m_replies;
-        }
-      in
+  | Ok (bases, db, m) ->
+      (* Adversarially present the stale snapshots as the whole
+         history: delete the logs after them and flip CURRENT back. *)
+      for i = 0 to shards do
+        remove_if_exists (log_path t.dir (stream_name ~shards i) stale)
+      done;
       write_current t.dir stale;
       t.gen <- stale;
-      t.streams <-
-        make_streams t.dir ~shards ~gen:stale ~fsync:t.fsync entries
-          (Array.map snd entries);
-      let db = Shard_db.of_trees t.map trees in
+      t.bases <- bases;
+      reopen_logs t;
       adopt_meta t m;
-      t.last_db <- db;
       t.dirty <- Array.make shards false;
       t.ops_since_checkpoint <- 0;
       gc t ~prev:(stale - 1);
@@ -1300,51 +947,43 @@ let fresh_meta ~next_lsn =
     m_replies = [];
   }
 
-(* Write generation [t.gen]'s snapshots and bases from scratch (store
-   creation and reopen re-baselining). *)
-let baseline t ~db ~m =
-  let shards = Shard_map.shards t.map in
-  let asof = m.m_next_lsn - 1 in
-  let trees = Shard_db.trees db in
-  for i = 0 to shards - 1 do
-    let name = Printf.sprintf "shard%d.%d.snap" i t.gen in
-    write_shard_snapshot_file (t.dir // name) i trees.(i);
-    t.streams.(i).st_base <-
-      { b_file = name; b_asof = asof; b_ctr = m.m_ctr; b_last_user = m.m_last_user;
-        b_sig = m.m_root_sig }
-  done;
-  let meta_name = Printf.sprintf "meta.%d.snap" t.gen in
-  write_meta_snapshot_file (t.dir // meta_name) m;
-  t.streams.(shards).st_base <-
-    { b_file = meta_name; b_asof = asof; b_ctr = m.m_ctr;
-      b_last_user = m.m_last_user; b_sig = m.m_root_sig };
-  write_bases t;
-  write_current t.dir t.gen
-
-let dummy_base = { b_file = ""; b_asof = -1; b_ctr = 0; b_last_user = -1; b_sig = None }
-
-let fresh_streams dir ~shards ~gen ~fsync =
-  make_streams dir ~shards ~gen ~fsync
-    (Array.make (shards + 1) (dummy_base, 0))
-    (Array.make (shards + 1) 0)
-
-let validate_config ~checkpoint_every ~segment_bytes ~compact_segments ~durability
-    =
+let validate_config ~checkpoint_every ~durability =
   if checkpoint_every < 1 then Error "checkpoint_every must be >= 1"
-  else if segment_bytes < 256 then Error "segment_bytes must be >= 256"
-  else if compact_segments < 1 then Error "compact_segments must be >= 1"
   else
     match durability with
     | Every_n n when n < 1 -> Error "every:N durability needs N >= 1"
     | Per_op | Per_round | Every_n _ -> Ok ()
 
+(* A store logging to generation [gen] with bookkeeping [m], its logs
+   open. *)
+let make ~dir ~map ~fsync ~durability ~checkpoint_every ~gen ~db ~bases ~dirty m =
+  {
+    dir;
+    map;
+    fsync;
+    durability;
+    checkpoint_every;
+    gen;
+    next_lsn = m.m_next_lsn;
+    logs = open_logs dir ~shards:(Shard_map.shards map) ~gen ~fsync;
+    bases;
+    ctr = m.m_ctr;
+    last_user = m.m_last_user;
+    root_sig = m.m_root_sig;
+    backups = m.m_backups;
+    seqs = m.m_seqs;
+    replies = m.m_replies;
+    origins = [];
+    dirty;
+    staged_since_flush = 0;
+    ops_since_checkpoint = 0;
+    opened_db = db;
+    closed = false;
+  }
+
 let create_or_open ?(fsync = false) ?(durability = Per_op)
-    ?(checkpoint_every = 64) ?(segment_bytes = 1 lsl 20) ?(compact_segments = 2)
-    ~dir ~branching ~shards ~initial () =
-  let* () =
-    validate_config ~checkpoint_every ~segment_bytes ~compact_segments
-      ~durability
-  in
+    ?(checkpoint_every = 64) ~dir ~branching ~shards ~initial () =
+  let* () = validate_config ~checkpoint_every ~durability in
   mkdir_p dir;
   if not (Sys.is_directory dir) then Error (dir ^ ": not a directory")
   else if not (manifest_exists dir) then begin
@@ -1353,34 +992,10 @@ let create_or_open ?(fsync = false) ?(durability = Per_op)
     write_manifest dir ~payload:(Shard_map.encode map);
     let m = fresh_meta ~next_lsn:0 in
     let t =
-      {
-        dir;
-        map;
-        fsync;
-        durability;
-        checkpoint_every;
-        segment_bytes;
-        compact_segments;
-        gen = 0;
-        next_lsn = 0;
-        streams = fresh_streams dir ~shards ~gen:0 ~fsync;
-        ctr = 0;
-        last_user = -1;
-        root_sig = None;
-        backups = [];
-        seqs = [];
-        replies = [];
-        origins = [];
-        dirty = Array.make shards false;
-        last_db = db;
-        staged_since_flush = 0;
-        prev_referenced = [];
-        ops_since_checkpoint = 0;
-        opened_db = db;
-        closed = false;
-      }
+      make ~dir ~map ~fsync ~durability ~checkpoint_every ~gen:0 ~db
+        ~bases:(Array.make (shards + 1) "") ~dirty:(Array.make shards false) m
     in
-    baseline t ~db ~m;
+    write_generation t ~g:0 ~db ~m ~fresh:(fun _ -> true);
     Log.info (fun f -> f "%s: fresh store, %d shard(s)" dir shards);
     Ok (t, `Fresh)
   end
@@ -1395,34 +1010,10 @@ let create_or_open ?(fsync = false) ?(durability = Per_op)
     let g' = g + 1 in
     let m' = fresh_meta ~next_lsn:l.l_meta.m_next_lsn in
     let t =
-      {
-        dir;
-        map;
-        fsync;
-        durability;
-        checkpoint_every;
-        segment_bytes;
-        compact_segments;
-        gen = g';
-        next_lsn = l.l_meta.m_next_lsn;
-        streams = fresh_streams dir ~shards ~gen:g' ~fsync;
-        ctr = 0;
-        last_user = -1;
-        root_sig = None;
-        backups = [];
-        seqs = [];
-        replies = [];
-        origins = [];
-        dirty = Array.make shards false;
-        last_db = l.l_db;
-        staged_since_flush = 0;
-        prev_referenced = [];
-        ops_since_checkpoint = 0;
-        opened_db = l.l_db;
-        closed = false;
-      }
+      make ~dir ~map ~fsync ~durability ~checkpoint_every ~gen:g' ~db:l.l_db
+        ~bases:(Array.make (shards + 1) "") ~dirty:(Array.make shards false) m'
     in
-    baseline t ~db:l.l_db ~m:m';
+    write_generation t ~g:g' ~db:l.l_db ~m:m' ~fresh:(fun _ -> true);
     (* The previous generations are dead: a reopen is a fresh session,
        not a restart, so there is nothing to roll back to. *)
     gc t ~prev:(-1);
@@ -1436,47 +1027,18 @@ let create_or_open ?(fsync = false) ?(durability = Per_op)
    generation, same counter, same pending session bookkeeping — not a
    re-baselined fresh run (that is what makes an honest `kill -9` +
    restart invisible to the protocol layer, and a rollback visible). *)
-let resume ?(fsync = false) ?(durability = Per_op) ?(checkpoint_every = 64)
-    ?(segment_bytes = 1 lsl 20) ?(compact_segments = 2) ~dir () =
-  let* () =
-    validate_config ~checkpoint_every ~segment_bytes ~compact_segments
-      ~durability
-  in
+let resume ?(fsync = false) ?(durability = Per_op) ?(checkpoint_every = 64) ~dir () =
+  let* () = validate_config ~checkpoint_every ~durability in
   if not (Sys.file_exists dir && Sys.is_directory dir) then
     Error (dir ^ ": no store to resume")
   else if not (manifest_exists dir) then Error (dir ^ ": no MANIFEST")
   else
     let* map = read_manifest dir in
-    let shards = Shard_map.shards map in
     let* g = read_current dir in
     let* l = load_generation dir ~map g in
     let t =
-      {
-        dir;
-        map;
-        fsync;
-        durability;
-        checkpoint_every;
-        segment_bytes;
-        compact_segments;
-        gen = g;
-        next_lsn = l.l_meta.m_next_lsn;
-        streams = make_streams dir ~shards ~gen:g ~fsync l.l_entries l.l_active;
-        ctr = l.l_meta.m_ctr;
-        last_user = l.l_meta.m_last_user;
-        root_sig = l.l_meta.m_root_sig;
-        backups = l.l_meta.m_backups;
-        seqs = l.l_meta.m_seqs;
-        replies = l.l_meta.m_replies;
-        origins = [];
-        dirty = l.l_dirty;
-        last_db = l.l_db;
-        staged_since_flush = 0;
-        prev_referenced = bases_files dir (g - 1);
-        ops_since_checkpoint = 0;
-        opened_db = l.l_db;
-        closed = false;
-      }
+      make ~dir ~map ~fsync ~durability ~checkpoint_every ~gen:g ~db:l.l_db
+        ~bases:l.l_bases ~dirty:l.l_dirty l.l_meta
     in
     Obs.incr c_resumes;
     Log.info (fun f ->
@@ -1504,7 +1066,7 @@ let recover_reload t =
    bases/CURRENT publish the new generation. Recovery must land on the
    old generation and ignore the aliens. *)
 let debug_partial_checkpoint t ~db =
-  flush_streams t;
+  flush_logs t;
   let g' = t.gen + 1 in
   let trees = Shard_db.trees db in
   write_shard_snapshot_file (t.dir // Printf.sprintf "shard0.%d.snap" g') 0
@@ -1514,63 +1076,18 @@ let debug_partial_checkpoint t ~db =
   output_string oc "TCVSSNP1\x00\x00half-written";
   close_out oc
 
-(* Simulate a process death mid-compaction. With [~publish:false] the
-   compaction snapshot exists but bases was never rewritten: an orphan
-   replay ignores. With [~publish:true] the new base is durable but
-   the folded segments were not yet deleted: recovery must start from
-   the compacted base and skip the stale segments. When nothing is
-   sealed yet, the crash only leaves a half-written temp file. *)
-let debug_partial_compact t ~publish =
-  flush_streams t;
-  let sealed =
-    Array.to_list t.streams
-    |> List.filter_map (fun st ->
-           match st.st_seal with Some se -> Some (st, se) | None -> None)
-  in
-  match sealed with
-  | [] ->
-      let tmp = t.dir // Printf.sprintf "meta.%d.c0.snap.tmp" t.gen in
-      let oc = open_out_bin tmp in
-      output_string oc "TCVSSNP1half";
-      close_out oc
-  | (st, se) :: _ ->
-      let snap = write_compaction_snapshot t st se in
-      if publish then begin
-        st.st_base <-
-          {
-            b_file = snap;
-            b_asof = se.se_asof;
-            b_ctr = se.se_ctr;
-            b_last_user = se.se_last_user;
-            b_sig = se.se_sig;
-          };
-        st.st_first_seg <- st.st_seg;
-        st.st_seal <- None;
-        write_bases t
-        (* ...and die before deleting the folded segments. *)
-      end
-
 (* ---- read-only inspection (tcvs_cli store-inspect) ------------------ *)
-
-type segment_info = {
-  seg_file : string;
-  seg_index : int;
-  seg_bytes : int;
-  seg_records : int;  (* data records, excluding the header *)
-  seg_lsn_lo : int;  (* -1 when the segment holds no data records *)
-  seg_lsn_hi : int;
-  seg_sealed : bool;
-  seg_status : string;  (* "ok" | "torn tail" | error text *)
-}
 
 type stream_info = {
   str_name : string;
   str_base_file : string;
-  str_base_asof : int;
   str_base_ok : bool;
-  str_compacted : bool;  (* first live segment > 0 *)
-  str_first_seg : int;
-  str_segments : segment_info list;
+  str_log_file : string;
+  str_log_bytes : int;
+  str_records : int;  (* data records, excluding the header *)
+  str_lsn_lo : int;  (* -1 when the log holds no data records *)
+  str_lsn_hi : int;
+  str_log_status : string;  (* "ok" | "torn tail" | error text *)
 }
 
 type info = {
@@ -1579,13 +1096,12 @@ type info = {
   info_branching : int;
   info_generation : int;
   info_manifest : string;
-  info_next_lsn : int;  (* 1 + highest LSN seen across bases and segments *)
+  info_next_lsn : int;
   info_streams : stream_info list;
-  info_live_segments : int;
   info_orphans : string list;
 }
 
-(* Strictly read-only: manifest reads skip the repair path, and segment
+(* Strictly read-only: manifest reads skip the repair path, and log
    reads use [~repair:false] so a torn tail is reported, not truncated. *)
 let inspect ~dir =
   if not (Sys.file_exists dir && Sys.is_directory dir) then
@@ -1612,85 +1128,75 @@ let inspect ~dir =
     in
     let shards = Shard_map.shards map in
     let* g = read_current dir in
-    let* entries = read_bases dir g ~count:(shards + 1) in
-    let accounted = ref [ "MANIFEST"; "MANIFEST.bak"; "CURRENT"; Printf.sprintf "bases.%d" g ] in
-    let account f = accounted := f :: !accounted in
+    let* bases = read_bases dir g ~count:(shards + 1) in
     let max_lsn = ref (-1) in
     let streams =
       List.init (shards + 1) (fun i ->
-          let base, first = entries.(i) in
           let name = stream_name ~shards i in
-          account base.b_file;
-          if base.b_asof > !max_lsn then max_lsn := base.b_asof;
           let base_ok =
             if i < shards then
               Result.is_ok
-                (load_shard_snapshot_file (dir // base.b_file)
+                (load_shard_snapshot_file (dir // bases.(i))
                    ~branching:(Shard_map.branching map) i)
-            else Result.is_ok (load_meta_snapshot_file (dir // base.b_file))
+            else
+              match load_meta_snapshot_file (dir // bases.(i)) with
+              | Ok m ->
+                  max_lsn := max !max_lsn (m.m_next_lsn - 1);
+                  true
+              | Error _ -> false
           in
-          let rec segs s acc =
-            let path = seg_path dir name g s in
-            if not (Sys.file_exists path) then List.rev acc
-            else begin
-              let file = Filename.basename path in
-              account file;
-              let bytes = (Unix.stat path).Unix.st_size in
-              let sealed = Sys.file_exists (seg_path dir name g (s + 1)) in
-              let info =
-                match Wal.read ~repair:false path with
-                | Error e ->
-                    { seg_file = file; seg_index = s; seg_bytes = bytes;
-                      seg_records = 0; seg_lsn_lo = -1; seg_lsn_hi = -1;
-                      seg_sealed = sealed; seg_status = e }
-                | Ok { Wal.records; truncated } ->
-                    let data, status =
-                      match records with
-                      | [] -> ([], if truncated then "torn tail" else "ok")
-                      | (_, header) :: rest ->
-                          if seg_header_matches ~name ~gen:g ~seg:s header then
-                            (rest, if truncated then "torn tail" else "ok")
-                          else (rest, "bad segment header")
-                    in
-                    let lo, hi, n =
-                      List.fold_left
-                        (fun (lo, hi, n) (lsn, _) ->
-                          ((if lo = -1 then lsn else min lo lsn), max hi lsn, n + 1))
-                        (-1, -1, 0) data
-                    in
-                    if hi > !max_lsn then max_lsn := hi;
-                    { seg_file = file; seg_index = s; seg_bytes = bytes;
-                      seg_records = n; seg_lsn_lo = lo; seg_lsn_hi = hi;
-                      seg_sealed = sealed; seg_status = status }
-              in
-              segs (s + 1) (info :: acc)
-            end
+          let path = log_path dir name g in
+          let records, status =
+            match Wal.read ~repair:false path with
+            | Error e -> ([], e)
+            | Ok { Wal.records = []; truncated } ->
+                ([], if truncated then "torn tail" else "ok")
+            | Ok { Wal.records = (_, header) :: rest; truncated } ->
+                ( rest,
+                  if not (log_header_matches ~name ~gen:g header) then
+                    "bad log header"
+                  else if truncated then "torn tail"
+                  else "ok" )
           in
+          let lo, hi, n =
+            List.fold_left
+              (fun (lo, hi, n) (lsn, _) ->
+                ((if lo = -1 then lsn else min lo lsn), max hi lsn, n + 1))
+              (-1, -1, 0) records
+          in
+          max_lsn := max !max_lsn hi;
           {
             str_name = name;
-            str_base_file = base.b_file;
-            str_base_asof = base.b_asof;
+            str_base_file = bases.(i);
             str_base_ok = base_ok;
-            str_compacted = first > 0;
-            str_first_seg = first;
-            str_segments = segs first [];
+            str_log_file = Filename.basename path;
+            str_log_bytes =
+              (if Sys.file_exists path then (Unix.stat path).Unix.st_size else 0);
+            str_records = n;
+            str_lsn_lo = lo;
+            str_lsn_hi = hi;
+            str_log_status = status;
           })
     in
     (* Previous-generation files are retained on purpose (stale
        recovery rolls back to them); anything else unaccounted is an
-       orphan: crash leftovers, stale folded segments, dead bases. *)
+       orphan: crash leftovers, dead bases. *)
+    let accounted =
+      [ "MANIFEST"; "MANIFEST.bak"; "CURRENT"; Printf.sprintf "bases.%d" g ]
+      @ List.concat_map (fun s -> [ s.str_base_file; s.str_log_file ]) streams
+    in
     let prev = g - 1 in
-    let prev_refs = bases_files dir prev in
+    let prev_refs = bases_files dir prev ~count:(shards + 1) in
     let files = Sys.readdir dir in
     Array.sort String.compare files;
     let orphans =
       Array.to_list files
       |> List.filter (fun f ->
-             (not (List.mem f !accounted))
+             (not (List.mem f accounted))
              &&
              match classify_file f with
-             | Some (Gc_bases g1) | Some (Gc_wal g1) -> g1 <> prev
-             | Some (Gc_snap _) -> not (List.mem f prev_refs)
+             | Some (Gen_file g1) -> g1 <> prev
+             | Some Snap_file -> not (List.mem f prev_refs)
              | None -> true)
     in
     Ok
@@ -1702,13 +1208,11 @@ let inspect ~dir =
         info_manifest = manifest_status;
         info_next_lsn = !max_lsn + 1;
         info_streams = streams;
-        info_live_segments =
-          List.fold_left (fun n si -> n + List.length si.str_segments) 0 streams;
         info_orphans = orphans;
       }
 
 let close t =
   if not t.closed then begin
     t.closed <- true;
-    Array.iter (fun st -> Wal.close_writer st.st_writer) t.streams
+    Array.iter Wal.close_writer t.logs
   end

@@ -1,5 +1,5 @@
-(** The durable store: group-committed, segment-rotated WALs +
-    snapshots + generations, per shard.
+(** The durable store: group-committed WALs + snapshots +
+    generations, per shard.
 
     Directory layout (one store per directory):
 
@@ -8,19 +8,14 @@
     MANIFEST.bak          byte-identical backup, written first — a torn
                           MANIFEST is repaired from it on open
     CURRENT               ASCII generation number (tmp+rename updates)
-    bases.<g>             generation g's control file: one entry per
-                          stream (shards, then meta) naming its base
-                          snapshot, the first live segment, and the
-                          bookkeeping as of the base (atomic rewrite —
-                          how compaction publishes)
+    bases.<g>             generation g's control file: the layout magic,
+                          then one base snapshot name per stream
+                          (shards, then meta)
     shard<i>.<g>.snap     shard i's tree at the start of generation g
-    shard<i>.<g>.c<s>.snap  compaction snapshot: shard i folded up to
-                          the start of segment s
-    shard<i>.<g>.<s>.wal  segment s of shard i's op log (checksummed
-                          header record names stream/gen/segment)
+    shard<i>.<g>.wal      shard i's op log since generation g began
+                          (checksummed header record names stream/gen)
     meta.<g>.snap         bookkeeping at the start of generation g
-    meta.<g>.c<s>.snap    compacted bookkeeping
-    meta.<g>.<s>.wal      segment s of the bookkeeping log
+    meta.<g>.wal          the bookkeeping log
     v}
 
     {b Write path (group commit).} Every server mutation is encoded
@@ -34,30 +29,24 @@
     carry a store-wide monotone LSN, so recovery can merge all logs
     back into one replay order.
 
-    {b Rotation and compaction.} A log flush that grows the active
-    segment past [segment_bytes] seals it and rolls to the next
-    segment, stashing the stream's state as of the roll point. Once a
-    stream holds [compact_segments] sealed segments, {!flush}
-    compacts them: the stash becomes a compaction snapshot, published
-    as the stream's new base by one atomic [bases.<g>] rewrite, and
-    the folded segments are deleted — bounding recovery to one
-    snapshot plus the live segments, however long the run. A crash
-    before the publish leaves an ignored orphan; after it, ignored
-    stale segments (both garbage-collected at the next checkpoint).
+    {b Checkpoints} bound the logs: every [checkpoint_every] logged
+    ops the store starts a new generation — fresh snapshots, new empty
+    logs — so recovery replays fewer than [checkpoint_every] ops
+    however long the run. Checkpoints are incremental: only shards
+    with ops logged since the last checkpoint get a fresh snapshot;
+    clean shards carry their base forward through the new
+    generation's bases file. Exactly one previous generation is
+    retained (the one {!recover_stale} rolls back to); garbage
+    collection at each checkpoint deletes everything else.
 
-    {b Checkpoints} are incremental: only shards with ops logged since
-    the last checkpoint get a fresh snapshot; clean shards carry their
-    base forward through the new generation's bases file. Exactly one
-    previous generation is retained (the one {!recover_stale} rolls
-    back to).
-
-    Recovery = per-stream bases + live-segment replay in LSN order,
-    with shard trees rebuilt by [Merkle_btree.of_sorted_array] — bulk
-    load is node-for-node identical to incremental insertion, so
-    recovered root digests are byte-identical to the pre-crash roots
-    (pinned by tests). Torn tails are legal only on active segments
-    (truncated with a logged warning); a torn sealed segment or
-    mid-log corruption is a hard error (see {!Wal}). *)
+    Recovery = the generation's snapshots + its logs replayed in LSN
+    order. Shard snapshots store the exact node structure and are
+    loaded with [Merkle_btree.of_root] (a B⁺-tree's shape depends on
+    its insertion history, so a bulk load of the same bindings could
+    differ), so recovered root digests are byte-identical to the
+    pre-crash roots (pinned by tests). A torn log tail is truncated
+    with a logged warning; mid-log corruption is a hard error (see
+    {!Wal}). A directory in an older layout is refused on open. *)
 
 module Shard_map = Shard_map
 module Shard_db = Shard_db
@@ -112,8 +101,6 @@ val create_or_open :
   ?fsync:bool ->
   ?durability:durability ->
   ?checkpoint_every:int ->
-  ?segment_bytes:int ->
-  ?compact_segments:int ->
   dir:string ->
   branching:int ->
   shards:int ->
@@ -128,10 +115,8 @@ val create_or_open :
     data outlives a run, session bookkeeping does not. [fsync]
     (default false) syncs at every flush point; [durability] (default
     {!Per_op}) sets the flush cadence; [checkpoint_every] (default 64)
-    is the number of logged operations between automatic checkpoints;
-    [segment_bytes] (default 1 MiB, min 256) is the roll threshold;
-    [compact_segments] (default 2) is the sealed-segment count that
-    triggers auto-compaction at the next {!flush}. *)
+    is the number of logged operations between automatic checkpoints.
+    A directory in an older layout is an error. *)
 
 val manifest_exists : string -> bool
 (** Whether [dir] holds a MANIFEST (or its backup) — i.e. whether
@@ -141,8 +126,6 @@ val resume :
   ?fsync:bool ->
   ?durability:durability ->
   ?checkpoint_every:int ->
-  ?segment_bytes:int ->
-  ?compact_segments:int ->
   dir:string ->
   unit ->
   (t * recovered, string) result
@@ -168,9 +151,9 @@ val log_op :
   t -> db:Shard_db.t -> op:Mtree.Vo.op -> ctr:int -> last_user:int -> unit
 (** Log one executed operation ([ctr]/[last_user] are the
     post-operation values; reads are logged too — they advance the
-    counter). [db] is the post-operation database: it feeds the
-    segment-roll stash, and the checkpoint this append triggers when
-    it crosses the [checkpoint_every] threshold. *)
+    counter). [db] is the post-operation database: what the
+    checkpoint this append triggers, when it crosses the
+    [checkpoint_every] threshold, snapshots. *)
 
 val log_root_sig : t -> string -> unit
 val log_backup : t -> backup -> unit
@@ -195,16 +178,10 @@ val cached_reply : t -> user:int -> (int * string) option
 
 val flush : t -> unit
 (** The group-commit point: write every stream's staged batch (one
-    channel flush + at most one fsync per dirty stream), roll segments
-    that outgrew [segment_bytes], then compact streams whose
-    sealed-segment count reached [compact_segments]. The simulated
+    channel flush + at most one fsync per dirty stream). The simulated
     server calls this at every round boundary and the network daemon
     at the end of every tick round — under [Per_round] durability this
     is the only flush point. A no-op when nothing is staged. *)
-
-val compact : t -> unit
-(** Flush, then force-compact every stream that has sealed segments,
-    regardless of the [compact_segments] threshold. *)
 
 val checkpoint : t -> db:Shard_db.t -> unit
 (** Force a checkpoint of [db] plus the current bookkeeping mirror.
@@ -215,7 +192,7 @@ val checkpoint : t -> db:Shard_db.t -> unit
 val recover : t -> (recovered, string) result
 (** Honest crash recovery: staged-but-unflushed records are discarded
     (a crash would have lost them), then the current generation is
-    replayed — per-stream bases + live segments merged in LSN order.
+    replayed — its snapshots + its logs merged in LSN order.
     The store keeps logging to the same generation afterwards. *)
 
 val recover_reload : t -> (recovered, string) result
@@ -238,18 +215,8 @@ val debug_partial_checkpoint : t -> db:Shard_db.t -> unit
     subsequent {!recover} must land on the old generation and ignore
     the leftovers (the [checkpoint-crash] adversary). *)
 
-val debug_partial_compact : t -> publish:bool -> unit
-(** Test/adversary hook: die mid-compaction. [~publish:false] crashes
-    after writing the compaction snapshot but before the bases
-    rewrite (an orphan); [~publish:true] crashes after the atomic
-    publish but before deleting the folded segments (stale segments
-    below the new first live segment). Either way a subsequent
-    {!recover} must reach the same state a clean run would (the
-    [compact-crash] adversaries). When no stream has sealed segments,
-    only a half-written .tmp is left behind. *)
-
 val recover_stale : t -> (recovered, string) result
-(** Adversarial recovery: load the {e previous} generation's bases
+(** Adversarial recovery: load the {e previous} generation's snapshots
     (generation 0's initial state when no checkpoint has happened yet),
     discard every log record after them, and rewind the store's own
     logging state to match — the [rollback-crash] adversary. The
@@ -258,25 +225,16 @@ val recover_stale : t -> (recovered, string) result
 
 (** {2 Read-only inspection} — the [tcvs_cli store-inspect] backend. *)
 
-type segment_info = {
-  seg_file : string;
-  seg_index : int;
-  seg_bytes : int;
-  seg_records : int;  (** data records, excluding the header *)
-  seg_lsn_lo : int;  (** -1 when the segment holds no data records *)
-  seg_lsn_hi : int;
-  seg_sealed : bool;  (** a later segment exists *)
-  seg_status : string;  (** ["ok"] | ["torn tail"] | error text *)
-}
-
 type stream_info = {
   str_name : string;
   str_base_file : string;
-  str_base_asof : int;
   str_base_ok : bool;  (** base snapshot reads back valid *)
-  str_compacted : bool;  (** first live segment > 0 *)
-  str_first_seg : int;
-  str_segments : segment_info list;
+  str_log_file : string;
+  str_log_bytes : int;
+  str_records : int;  (** data records, excluding the header *)
+  str_lsn_lo : int;  (** -1 when the log holds no data records *)
+  str_lsn_hi : int;
+  str_log_status : string;  (** ["ok"] | ["torn tail"] | error text *)
 }
 
 type info = {
@@ -285,19 +243,19 @@ type info = {
   info_branching : int;
   info_generation : int;
   info_manifest : string;
-  info_next_lsn : int;  (** 1 + highest LSN seen across bases and segments *)
+  info_next_lsn : int;
+      (** 1 + highest LSN the meta snapshot or any log accounts for *)
   info_streams : stream_info list;
-  info_live_segments : int;
   info_orphans : string list;
       (** files belonging to neither the live nor the retained previous
-          generation: crash leftovers, stale folded segments *)
+          generation: crash leftovers *)
 }
 
 val inspect : dir:string -> (info, string) result
 (** Dump a store directory without mutating it: manifest state,
-    generation, per-stream bases and live segments (record counts, LSN
+    generation, per-stream base snapshots and logs (record counts, LSN
     ranges, checksum status), and orphaned files. Reads manifests
-    without repairing and segments with [Wal.read ~repair:false]. *)
+    without repairing and logs with [Wal.read ~repair:false]. *)
 
 val close : t -> unit
 (** Flush staged records (graceful shutdown, all durability modes) and

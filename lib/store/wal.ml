@@ -13,8 +13,8 @@ let h_fsync_us = Obs.histogram ~scope:obs_scope ~volatile:true "fsync_us"
 let now_us () = int_of_float (Unix.gettimeofday () *. 1e6)
 
 (* A writer stages encoded frames in [buf]; nothing reaches the OS
-   until {!flush}. [written] tracks bytes already on disk so the store
-   can make segment-roll decisions without stat(2) calls. *)
+   until {!flush}. [written] tracks bytes already on disk, so {!size}
+   needs no stat(2) call. *)
 type writer = {
   path : string;
   oc : out_channel;
@@ -41,10 +41,8 @@ let u64_bytes v =
   Wire.W.u64 w v;
   Wire.W.contents w
 
-(* [count:false] is for segment-header records: they are framing, not
-   data, and their number depends on the flush cadence — counting them
-   would let the durability mode leak into the deterministic
-   [store.wal.appends] counter. *)
+(* [count:false] is for log-header records: they are framing, not
+   data, so they stay out of the [store.wal.appends] counter. *)
 let stage ?(count = true) w ~lsn ~payload =
   let t0 = now_us () in
   let lsn_bytes = u64_bytes lsn in
@@ -171,7 +169,3 @@ let read ?(repair = true) path =
     in
     go 0
   end
-
-let reset path =
-  let oc = open_out_gen [ Open_creat; Open_trunc; Open_binary ] 0o644 path in
-  close_out oc

@@ -7,8 +7,8 @@
 
     where the checksum is the first 4 bytes of [SHA-256(lsn || payload)].
     The payload is opaque at this layer; {!Store} owns the payload
-    codecs (including the segment-header records that turn a sequence
-    of these files into a rotated log). LSNs are assigned by the caller
+    codecs (including the header record that names each log's stream
+    and generation). LSNs are assigned by the caller
     and must be monotonically increasing per run so multi-file logs
     (one per shard plus a meta log) can be merged into a single replay
     order.
@@ -38,8 +38,7 @@ val stage : ?count:bool -> writer -> lsn:int -> payload:string -> unit
 (** Encode one record into the staging buffer; nothing reaches the OS
     until {!flush}. Records the [store.wal.appends] counter and the
     volatile [store.wal.append_us] histogram unless [~count:false]
-    (used for segment-header records, whose number depends on the
-    flush cadence and must not perturb the deterministic counter). *)
+    (used for log-header records, which are framing, not data). *)
 
 val flush : ?fsync:bool -> writer -> int
 (** Write the staged batch (one [output_string] + channel flush), then
@@ -57,8 +56,8 @@ val staged_records : writer -> int
 val staged_bytes : writer -> int
 
 val size : writer -> int
-(** Bytes the file will hold once staged data is flushed — what the
-    store's segment-roll decision reads. *)
+(** Bytes the file will hold once staged data is flushed — zero for a
+    new log, which the store then opens with its header record. *)
 
 val append : ?fsync:bool -> writer -> lsn:int -> payload:string -> unit
 (** [stage] + [flush] in one call: the per-op durability path, and
@@ -79,8 +78,3 @@ val read : ?repair:bool -> string -> (read_result, string) result
     corruption. With [repair] (the default) a torn tail is truncated
     in place; [~repair:false] only reports it, leaving the file
     untouched — the read-only mode [store-inspect] uses. *)
-
-val reset : string -> unit
-(** Truncate the file to empty (creating it if absent) — used when a
-    checkpoint starts a fresh generation, and by the stale-recovery
-    path that adversarially discards a log tail. *)

@@ -602,6 +602,29 @@ let prop_random_sequences =
               model_ok && a = answer && o = old_root && n = T.root_digest !tree)
         ops)
 
+(* The op encoding is shared by WAL records on disk and network
+   frames, so its tags and field order are frozen: one pinned encoding
+   per tag, decoding back to the same op. *)
+let test_op_codec_pinned () =
+  List.iter
+    (fun (op, hex) ->
+      let w = Wire.W.create () in
+      Vo.encode_op w op;
+      Alcotest.(check string) (hex ^ ": encoding frozen") hex
+        (Crypto.Hex.encode (Wire.W.contents w));
+      Alcotest.(check bool) (hex ^ ": decodes back") true
+        (Wire.decode (Crypto.Hex.decode hex) Vo.decode_op = Some op))
+    [
+      (Vo.Get "k", "00000000016b");
+      (Vo.Set ("k", "v"), "01000000016b0000000176");
+      ( Vo.Set_many [ ("a", "1"); ("b", "2") ],
+        "02000000020000000161000000013100000001620000000132" );
+      (Vo.Remove "k", "03000000016b");
+      (Vo.Range ("a", "z"), "040000000161000000017a");
+    ];
+  Alcotest.(check bool) "unknown tag rejected" true
+    (Wire.decode "\x05" Vo.decode_op = None)
+
 let suite =
   let quick name f = Alcotest.test_case name `Quick f in
   [
@@ -619,6 +642,7 @@ let suite =
     quick "model: high churn small keyspace" test_model_churn;
     quick "vo: replay random ops" test_vo_replay_random_ops;
     quick "vo: wire roundtrip" test_vo_wire_roundtrip;
+    quick "vo: op codec pinned" test_op_codec_pinned;
     quick "vo: decode garbage" test_vo_decode_garbage;
     quick "vo: pruned and small" test_vo_is_pruned;
     quick "vo: O(log n) growth" test_vo_size_logarithmic;

@@ -27,6 +27,11 @@ let fresh_dir name =
   rm_rf dir;
   dir
 
+let contains s sub =
+  let n = String.length s and m = String.length sub in
+  let rec go i = i + m <= n && (String.equal (String.sub s i m) sub || go (i + 1)) in
+  go 0
+
 (* ---- WAL ------------------------------------------------------------- *)
 
 let wal_path dir = Filename.concat dir "test.wal"
@@ -237,9 +242,8 @@ let test_store_crash_recovery_root () =
   Alcotest.(check int) "counter recovered" (List.length ops_script) r.Store.ctr;
   Alcotest.(check int) "last user recovered" ((List.length ops_script - 1) mod 3)
     r.Store.last_user;
-  (* Recovery = snapshot + replay must also equal a from-scratch bulk
-     load of the final contents (of_sorted_array is node-for-node the
-     incremental tree). *)
+  (* For this script a from-scratch bulk load of the final contents
+     also lands on the same root. *)
   let rebuilt =
     Store.Shard_db.of_map (Store.shard_map store) (Store.Shard_db.to_alist db)
   in
@@ -281,7 +285,7 @@ let test_store_recovery_torn_tail () =
   Store.close store;
   (* A crash mid-append leaves a partial frame on some shard's log;
      recovery (via reopen) must shrug it off. *)
-  let target = Filename.concat dir "shard0.0.0.wal" in
+  let target = Filename.concat dir "shard0.0.wal" in
   let oc = open_out_gen [ Open_append; Open_binary ] 0o644 target in
   output_string oc "\x00\x00\x01";
   close_out oc;
@@ -431,7 +435,7 @@ let test_store_staged_tail_lost_on_crash () =
   Store.close store;
   rm_rf dir
 
-(* ---- segment rotation + compaction ----------------------------------- *)
+(* ---- long logs and bounded directories ------------------------------ *)
 
 let bulk_ops n =
   List.init n (fun i ->
@@ -439,18 +443,20 @@ let bulk_ops n =
         ( Printf.sprintf "bulk/key_%03d.ml" i,
           String.make 80 (Char.chr (65 + (i mod 26))) ))
 
-let test_store_rotation_compaction_equivalence () =
-  let dir = fresh_dir "rotate" in
+(* With checkpoints held off, the whole run stays in one log per
+   stream: recovery and a cold reopen replay all of it, byte for byte. *)
+let test_store_long_log_recovers () =
+  let dir = fresh_dir "long-log" in
   let initial = initial_files 20 in
   let store =
     expect_fresh
-      (Store.create_or_open ~segment_bytes:256 ~compact_segments:2
-         ~checkpoint_every:1000 ~dir ~branching:8 ~shards:2 ~initial ())
+      (Store.create_or_open ~checkpoint_every:1000 ~dir ~branching:8 ~shards:2
+         ~initial ())
   in
   let db = apply_logged store (Store.db store) (bulk_ops 40) in
   Store.flush store;
   let r = expect_recovered (Store.recover store) in
-  Alcotest.(check string) "recovery across rolls + compaction is byte-identical"
+  Alcotest.(check string) "recovery of a 40-op log is byte-identical"
     (Crypto.Hex.encode (Store.Shard_db.root_digest db))
     (Crypto.Hex.encode (Store.Shard_db.root_digest r.Store.db));
   Alcotest.(check int) "counter intact" 40 r.Store.ctr;
@@ -459,27 +465,14 @@ let test_store_rotation_compaction_equivalence () =
   | Error e -> Alcotest.failf "inspect failed: %s" e
   | Ok info ->
       Alcotest.(check int) "no checkpoint happened" 0 info.Store.info_generation;
-      (* A first live segment past index 0 proves earlier segments both
-         existed (rotation) and were folded away (compaction). *)
-      Alcotest.(check bool) "rotation sealed and retired segments" true
-        (List.exists (fun s -> s.Store.str_first_seg > 0) info.Store.info_streams);
-      Alcotest.(check bool) "at least one stream was compacted" true
-        (List.exists (fun s -> s.Store.str_compacted) info.Store.info_streams);
-      List.iter
-        (fun (s : Store.stream_info) ->
-          Alcotest.(check bool) (s.Store.str_name ^ ": base reads back") true
-            s.Store.str_base_ok;
-          List.iter
-            (fun (g : Store.segment_info) ->
-              Alcotest.(check string) (g.Store.seg_file ^ ": clean") "ok"
-                g.Store.seg_status)
-            s.Store.str_segments)
-        info.Store.info_streams);
-  (* Cold reopen replays base + live segments only — same bytes. *)
+      Alcotest.(check int) "every op is in the shard logs" 40
+        (List.fold_left
+           (fun n (s : Store.stream_info) ->
+             if String.equal s.Store.str_name "meta" then n else n + s.Store.str_records)
+           0 info.Store.info_streams));
   let store2 =
     expect_reopened
-      (Store.create_or_open ~segment_bytes:256 ~compact_segments:2 ~dir ~branching:8
-         ~shards:2 ~initial ())
+      (Store.create_or_open ~dir ~branching:8 ~shards:2 ~initial ())
   in
   Alcotest.(check string) "cold reopen agrees"
     (Crypto.Hex.encode (Store.Shard_db.root_digest db))
@@ -487,7 +480,128 @@ let test_store_rotation_compaction_equivalence () =
   Store.close store2;
   rm_rf dir
 
-(* ---- crash windows: mid-checkpoint, mid-compaction ------------------- *)
+(* The snapshot names a [bases.<g>] file lists, decoded independently
+   of the store: layout magic, generation, one name per stream. *)
+let bases_snapshots dir g =
+  match Store.Snapshot.read (Filename.concat dir (Printf.sprintf "bases.%d" g)) with
+  | Error e -> Alcotest.fail e
+  | Ok payload -> (
+      match
+        Wire.decode payload (fun r ->
+            Alcotest.(check string) "bases magic" "TCVSBAS2" (Wire.R.raw r 8);
+            Alcotest.(check int) "bases generation" g (Wire.R.u32 r);
+            Wire.R.list r Wire.R.str)
+      with
+      | Some files -> files
+      | None -> Alcotest.failf "bases.%d: malformed" g)
+
+(* Checkpoints alone bound the store: after many generations the
+   directory holds the control files, the current and previous
+   generations' bases files and logs, the snapshots those bases name —
+   and nothing else. *)
+let test_store_checkpoints_bound_directory () =
+  let dir = fresh_dir "bounded" in
+  let initial = initial_files 20 in
+  let every = 8 and shards = 4 in
+  let store =
+    expect_fresh
+      (Store.create_or_open ~checkpoint_every:every ~dir ~branching:8 ~shards
+         ~initial ())
+  in
+  let n = (10 * every) + 5 in
+  let ops =
+    List.init n (fun i ->
+        Vo.Set (Printf.sprintf "src/file_%02d.ml" (i mod 20), Printf.sprintf "v%d" i))
+  in
+  let db = apply_logged store (Store.db store) ops in
+  Store.close store;
+  let g = n / every in
+  let streams =
+    List.init (shards + 1) (fun i ->
+        if i = shards then "meta" else Printf.sprintf "shard%d" i)
+  in
+  let generation_files g =
+    (Printf.sprintf "bases.%d" g
+    :: List.map (fun s -> Printf.sprintf "%s.%d.wal" s g) streams)
+    @ bases_snapshots dir g
+  in
+  Alcotest.(check (list string)) "only the live and the retained generation remain"
+    (List.sort_uniq String.compare
+       ([ "MANIFEST"; "MANIFEST.bak"; "CURRENT" ]
+       @ generation_files g @ generation_files (g - 1)))
+    (List.sort String.compare (Array.to_list (Sys.readdir dir)));
+  (match Store.inspect ~dir with
+  | Error e -> Alcotest.failf "inspect failed: %s" e
+  | Ok info ->
+      Alcotest.(check int) "one generation per checkpoint" g info.Store.info_generation;
+      Alcotest.(check (list string)) "no orphans" [] info.Store.info_orphans;
+      let replayed =
+        List.fold_left
+          (fun n (s : Store.stream_info) ->
+            if String.equal s.Store.str_name "meta" then n else n + s.Store.str_records)
+          0 info.Store.info_streams
+      in
+      Alcotest.(check int) "recovery replays only the ops since the checkpoint"
+        (n mod every) replayed;
+      Alcotest.(check bool) "fewer than checkpoint_every" true (replayed < every));
+  let store2, r =
+    match Store.resume ~checkpoint_every:every ~dir () with
+    | Ok x -> x
+    | Error e -> Alcotest.failf "resume failed: %s" e
+  in
+  Alcotest.(check string) "recovered root byte-identical"
+    (Crypto.Hex.encode (Store.Shard_db.root_digest db))
+    (Crypto.Hex.encode (Store.Shard_db.root_digest r.Store.db));
+  Alcotest.(check int) "counter intact" n r.Store.ctr;
+  Store.close store2;
+  rm_rf dir
+
+(* A directory in the earlier layout (segmented logs named
+   <stream>.<g>.<segment>.wal, a bases payload that opens with the
+   generation number) must fail to open — never be misread with its
+   logs silently skipped. *)
+let test_store_older_layout_refused () =
+  let dir = fresh_dir "old-layout" in
+  let initial = initial_files 20 in
+  let store =
+    expect_fresh (Store.create_or_open ~dir ~branching:8 ~shards:2 ~initial ())
+  in
+  ignore (apply_logged store (Store.db store) ops_script);
+  Store.close store;
+  (* Rewrite generation 0 as the earlier layout stored it: per stream,
+     base snapshot, first live segment, asof + 1, ctr, last user + 1,
+     no signature. *)
+  let w = Wire.W.create () in
+  Wire.W.u32 w 0;
+  Wire.W.list w
+    (fun file ->
+      Wire.W.str w file;
+      Wire.W.u32 w 0;
+      Wire.W.u64 w 0;
+      Wire.W.u32 w 0;
+      Wire.W.u32 w 0;
+      Wire.W.u8 w 0)
+    [ "shard0.0.snap"; "shard1.0.snap"; "meta.0.snap" ];
+  Store.Snapshot.write (Filename.concat dir "bases.0") ~payload:(Wire.W.contents w);
+  List.iter
+    (fun s ->
+      Sys.rename
+        (Filename.concat dir (s ^ ".0.wal"))
+        (Filename.concat dir (s ^ ".0.0.wal")))
+    [ "shard0"; "shard1"; "meta" ];
+  let refused what = function
+    | Ok _ -> Alcotest.failf "%s opened an older-layout store" what
+    | Error e ->
+        Alcotest.(check bool) (what ^ " names the layout: " ^ e) true
+          (contains e "unsupported store layout")
+  in
+  refused "create_or_open"
+    (Store.create_or_open ~dir ~branching:8 ~shards:2 ~initial ());
+  refused "resume" (Store.resume ~dir ());
+  refused "inspect" (Store.inspect ~dir);
+  rm_rf dir
+
+(* ---- crash window: mid-checkpoint ------------------------------------ *)
 
 let test_store_partial_checkpoint_ignored () =
   let dir = fresh_dir "partial-ckpt" in
@@ -521,39 +635,6 @@ let test_store_partial_checkpoint_ignored () =
     (Crypto.Hex.encode (Store.Shard_db.root_digest (Store.db store2)));
   Store.close store2;
   rm_rf dir
-
-let test_store_partial_compact_recovers () =
-  List.iter
-    (fun publish ->
-      let label = if publish then "published" else "unpublished" in
-      let dir = fresh_dir ("partial-compact-" ^ label) in
-      let initial = initial_files 20 in
-      (* Roll often but never auto-compact, so sealed segments are
-         guaranteed to exist when the crash strikes. *)
-      let store =
-        expect_fresh
-          (Store.create_or_open ~segment_bytes:256 ~compact_segments:100
-             ~checkpoint_every:1000 ~dir ~branching:8 ~shards:2 ~initial ())
-      in
-      let db = apply_logged store (Store.db store) (bulk_ops 40) in
-      Store.debug_partial_compact store ~publish;
-      let r = expect_recovered (Store.recover store) in
-      Alcotest.(check string) (label ^ ": recovery byte-identical")
-        (Crypto.Hex.encode (Store.Shard_db.root_digest db))
-        (Crypto.Hex.encode (Store.Shard_db.root_digest r.Store.db));
-      Alcotest.(check int) (label ^ ": counter intact") 40 r.Store.ctr;
-      (* The store stays serviceable: log, flush, recover again. *)
-      let db', _ = Store.Shard_db.apply r.Store.db (Vo.Set ("post/compact.ml", "P1")) in
-      Store.log_op store ~db:db' ~op:(Vo.Set ("post/compact.ml", "P1")) ~ctr:41
-        ~last_user:0;
-      Store.flush store;
-      let r2 = expect_recovered (Store.recover store) in
-      Alcotest.(check string) (label ^ ": post-recovery writes durable")
-        (Crypto.Hex.encode (Store.Shard_db.root_digest db'))
-        (Crypto.Hex.encode (Store.Shard_db.root_digest r2.Store.db));
-      Store.close store;
-      rm_rf dir)
-    [ false; true ]
 
 (* ---- incremental checkpoints ----------------------------------------- *)
 
@@ -629,12 +710,8 @@ let test_store_inspect_layout () =
       List.iter
         (fun (s : Store.stream_info) ->
           Alcotest.(check bool) (s.Store.str_name ^ ": base ok") true s.Store.str_base_ok;
-          Alcotest.(check bool) (s.Store.str_name ^ ": not compacted") false
-            s.Store.str_compacted;
-          List.iter
-            (fun (g : Store.segment_info) ->
-              Alcotest.(check string) (g.Store.seg_file ^ ": ok") "ok" g.Store.seg_status)
-            s.Store.str_segments)
+          Alcotest.(check string) (s.Store.str_log_file ^ ": ok") "ok"
+            s.Store.str_log_status)
         info.Store.info_streams;
       rm_rf dir
 
@@ -810,8 +887,8 @@ let protocols k =
     Harness.Protocol_4 { announce_every = 4 };
   ]
 
-let run_with_store ?shards ?(durability = Store.Per_op) ?segment_bytes
-    ?compact_segments ~dir protocol adversary events =
+let run_with_store ?shards ?(durability = Store.Per_op) ~dir protocol adversary
+    events =
   rm_rf dir;
   let setup =
     {
@@ -819,8 +896,6 @@ let run_with_store ?shards ?(durability = Store.Per_op) ?segment_bytes
       Harness.store_dir = Some dir;
       shards;
       store_durability = durability;
-      store_segment_bytes = segment_bytes;
-      store_compact_segments = compact_segments;
     }
   in
   Harness.run setup ~events
@@ -909,7 +984,7 @@ let test_harness_torn_manifest_wreck_halts () =
       rm_rf dir)
     (protocols 8)
 
-(* ---- harness: crashes inside checkpoint / compaction windows ---------- *)
+(* ---- harness: a crash inside the checkpoint window -------------------- *)
 
 let test_harness_checkpoint_crash_transparent () =
   let events = workload "ckpt-crash" in
@@ -933,38 +1008,6 @@ let test_harness_checkpoint_crash_transparent () =
       rm_rf dir)
     (protocols 8)
 
-let test_harness_compact_crash_transparent () =
-  List.iter
-    (fun published ->
-      let events =
-        workload (if published then "compact-crash-late" else "compact-crash")
-      in
-      List.iter
-        (fun protocol ->
-          let dir = fresh_dir "harness-compact-crash" in
-          (* Small segments + a high compaction threshold keep sealed
-             segments around, so the crash lands in a real compaction
-             window, not an empty one. *)
-          let o =
-            run_with_store ~shards:4 ~segment_bytes:256 ~compact_segments:4 ~dir
-              protocol
-              (Adversary.Compact_crash { at_round = 40; published })
-              events
-          in
-          Alcotest.(check int)
-            (Harness.protocol_name protocol ^ ": no alarms")
-            0 (List.length o.Harness.alarms);
-          Alcotest.(check bool) "oracle consistent" false
-            o.Harness.oracle.Sim.Oracle.deviated;
-          Alcotest.(check int) "no transaction lost to the crash"
-            o.Harness.issued_transactions o.Harness.completed_transactions;
-          (match Harness.classify o with
-          | `Clean -> ()
-          | _ -> Alcotest.fail "mid-compaction crash must classify clean");
-          rm_rf dir)
-        (protocols 8))
-    [ false; true ]
-
 (* ---- harness: storeless crash adversaries are refused ----------------- *)
 
 let test_harness_storeless_crash_refused () =
@@ -982,12 +1025,7 @@ let test_harness_storeless_crash_refused () =
           (* The message must tell the operator what to do, not just
              what went wrong. *)
           let msg = Harness.setup_error_message (Harness.Store_required a) in
-          Alcotest.(check bool) "mentions --store" true
-            (let rec has i =
-               i + 7 <= String.length msg
-               && (String.equal (String.sub msg i 7) "--store" || has (i + 1))
-             in
-             has 0)
+          Alcotest.(check bool) "mentions --store" true (contains msg "--store")
       | Error (Harness.Store_failed _) -> Alcotest.fail "wrong error"
       | Ok () -> Alcotest.fail "storeless crash adversary accepted");
       match
@@ -1001,7 +1039,6 @@ let test_harness_storeless_crash_refused () =
       Adversary.Rollback_crash { at_round = 10 };
       Adversary.Torn_manifest { at_round = 10; wreck = true };
       Adversary.Checkpoint_crash { at_round = 10 };
-      Adversary.Compact_crash { at_round = 10; published = false };
     ]
 
 (* ---- harness: shard-count invariance --------------------------------- *)
@@ -1038,14 +1075,12 @@ let test_per_shard_scopes_in_report () =
   let p2 = Harness.Protocol_2 { k = 8; tag_mode = `Tagged; check_gctr = true; sync_trigger = `Per_user } in
   let _o = run_sharded ~shards:4 p2 Adversary.Honest events in
   let report = Obs.Report.to_json () in
-  let contains needle =
-    let nh = String.length report and nn = String.length needle in
-    let rec go i = i + nn <= nh && (String.sub report i nn = needle || go (i + 1)) in
-    go 0
-  in
-  Alcotest.(check bool) "meta records the shard count" true (contains "\"shards\": \"4\"");
-  Alcotest.(check bool) "per-shard scope present" true (contains "\"server.s0.ops_routed\"");
-  Alcotest.(check bool) "aggregate present" true (contains "\"server.ops_routed\"")
+  Alcotest.(check bool) "meta records the shard count" true
+    (contains report "\"shards\": \"4\"");
+  Alcotest.(check bool) "per-shard scope present" true
+    (contains report "\"server.s0.ops_routed\"");
+  Alcotest.(check bool) "aggregate present" true
+    (contains report "\"server.ops_routed\"")
 
 let test_store_reports_deterministic () =
   let events = workload "store-determinism" in
@@ -1061,7 +1096,7 @@ let test_store_reports_deterministic () =
 
 (* Group commit batches fsyncs, not observable behaviour: the same
    seeded run must emit byte-identical reports whatever the durability
-   mode (segment-header records are excluded from [store.wal.appends]
+   mode (log-header records are excluded from [store.wal.appends]
    precisely to keep this true). *)
 let test_reports_deterministic_across_durability () =
   let events = workload "durability-determinism" in
@@ -1112,12 +1147,13 @@ let suite =
       test_store_durability_modes_equivalent;
     Alcotest.test_case "store: staged tail lost on crash" `Quick
       test_store_staged_tail_lost_on_crash;
-    Alcotest.test_case "store: rotation + compaction equivalence" `Quick
-      test_store_rotation_compaction_equivalence;
+    Alcotest.test_case "store: long log recovers" `Quick test_store_long_log_recovers;
+    Alcotest.test_case "store: checkpoints bound the directory" `Quick
+      test_store_checkpoints_bound_directory;
+    Alcotest.test_case "store: older layout refused" `Quick
+      test_store_older_layout_refused;
     Alcotest.test_case "store: partial checkpoint ignored" `Quick
       test_store_partial_checkpoint_ignored;
-    Alcotest.test_case "store: partial compaction recovers" `Quick
-      test_store_partial_compact_recovers;
     Alcotest.test_case "store: incremental checkpoint" `Quick
       test_store_incremental_checkpoint;
     Alcotest.test_case "store: inspect reports layout" `Quick test_store_inspect_layout;
@@ -1135,8 +1171,6 @@ let suite =
     Alcotest.test_case "harness: per-shard scopes" `Slow test_per_shard_scopes_in_report;
     Alcotest.test_case "harness: checkpoint-crash transparent" `Slow
       test_harness_checkpoint_crash_transparent;
-    Alcotest.test_case "harness: compact-crash transparent" `Slow
-      test_harness_compact_crash_transparent;
     Alcotest.test_case "harness: store reports deterministic" `Slow
       test_store_reports_deterministic;
     Alcotest.test_case "harness: reports deterministic across durability" `Slow
