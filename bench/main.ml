@@ -45,6 +45,26 @@ let pp_ns ns =
   else if ns >= 1e3 then Printf.sprintf "%8.2f µs" (ns /. 1e3)
   else Printf.sprintf "%8.0f ns" ns
 
+(* Best-of-three CPU time for macro operations (bulk builds) where
+   Bechamel's OLS needs more iterations than a multi-second build
+   allows. *)
+let time_best f =
+  let best = ref infinity in
+  for _ = 1 to 3 do
+    let t0 = Sys.time () in
+    ignore (Sys.opaque_identity (f ()));
+    let ns = (Sys.time () -. t0) *. 1e9 in
+    if ns < !best then best := ns
+  done;
+  !best
+
+(* Exact SHA-256 invocations of one call, from the crypto layer's own
+   counter: the work the ns/op numbers are made of. *)
+let digests_of f =
+  let before = Obs.value "crypto.sha256.digests" in
+  ignore (Sys.opaque_identity (f ()));
+  Obs.value "crypto.sha256.digests" - before
+
 (* ---- common workload helpers ------------------------------------------ *)
 
 let workload ?(users = 4) ?(rounds = 600) seed =
@@ -126,27 +146,42 @@ let fig2_merkle_path () =
 
 let mtree_ops () =
   header "mtree-ops: Merkle B+-tree operation cost vs |D| (branching 16)";
+  row "%-10s %-12s %-12s %-12s %-12s %-12s %-12s %-12s\n" "|D|" "get" "set" "remove"
+    "vo-generate" "vo-replay" "set-many/key" "bulk-load";
+  let digests =
+    List.map
+      (fun log2_n ->
+        let n = 1 lsl log2_n in
+        let bindings = List.init n (fun i -> (Printf.sprintf "k%06d" i, String.make 16 'v')) in
+        let db = T.of_alist ~branching:16 bindings in
+        let key = Printf.sprintf "k%06d" (n / 2) in
+        let op = Vo.Set (key, "new") in
+        let vo = Vo.generate db op in
+        let get () = T.find db key in
+        let set () = T.set db ~key ~value:"new" in
+        let remove () = T.remove db key in
+        let vo_generate () = Vo.generate db op in
+        let vo_replay () = Vo.apply vo op in
+        let batch = List.init 16 (fun i -> (Printf.sprintf "k%06d" (i * (n / 16)), "new")) in
+        let ns name f = pp_ns (measure_ns name (fun () -> ignore (f ()))) in
+        row "%-10d %s %s %s %s %s %s %s\n" n (ns "get" get) (ns "set" set) (ns "remove" remove)
+          (ns "vogen" vo_generate) (ns "voreplay" vo_replay)
+          (pp_ns (measure_ns "set-many" (fun () -> ignore (T.set_many db batch)) /. 16.))
+          (pp_ns (time_best (fun () -> T.of_alist ~branching:16 bindings)));
+        ( n,
+          [
+            digests_of get; digests_of set; digests_of remove; digests_of vo_generate;
+            digests_of vo_replay;
+          ] ))
+      [ 8; 12; 16; 18 ]
+  in
+  row "\nSHA-256 digests per op (crypto.sha256.digests)\n";
   row "%-10s %-12s %-12s %-12s %-12s %-12s\n" "|D|" "get" "set" "remove" "vo-generate"
     "vo-replay";
   List.iter
-    (fun log2_n ->
-      let n = 1 lsl log2_n in
-      let db =
-        T.of_alist ~branching:16
-          (List.init n (fun i -> (Printf.sprintf "k%06d" i, String.make 16 'v')))
-      in
-      let key = Printf.sprintf "k%06d" (n / 2) in
-      let get_ns = measure_ns "get" (fun () -> ignore (T.find db key)) in
-      let set_ns = measure_ns "set" (fun () -> ignore (T.set db ~key ~value:"new")) in
-      let rm_ns = measure_ns "remove" (fun () -> ignore (T.remove db key)) in
-      let vo = Vo.generate db (Vo.Set (key, "new")) in
-      let vog_ns =
-        measure_ns "vogen" (fun () -> ignore (Vo.generate db (Vo.Set (key, "new"))))
-      in
-      let vor_ns = measure_ns "voreplay" (fun () -> ignore (Vo.apply vo (Vo.Set (key, "new")))) in
-      row "%-10d %s %s %s %s %s\n" n (pp_ns get_ns) (pp_ns set_ns) (pp_ns rm_ns) (pp_ns vog_ns)
-        (pp_ns vor_ns))
-    [ 8; 12; 16; 18 ]
+    (fun (n, counts) ->
+      row "%-10d%s\n" n (String.concat "" (List.map (Printf.sprintf " %-12d") counts)))
+    digests
 
 (* ======================================================================= *)
 (* PKI assumption: signature scheme costs                                  *)
@@ -873,150 +908,6 @@ let proto_compare () =
   row "\nwrote %s\n" path
 
 (* ======================================================================= *)
-(* perf-mtree: tracked Merkle hot-path baseline (writes BENCH_mtree.json)  *)
-(* ======================================================================= *)
-
-(* Wall-clock best-of-[runs] for macro operations (bulk builds) where
-   Bechamel's OLS needs more iterations than a multi-second build
-   allows. *)
-let time_best ?(runs = 3) f =
-  let best = ref infinity in
-  for _ = 1 to runs do
-    let t0 = Sys.time () in
-    ignore (Sys.opaque_identity (f ()));
-    let ns = (Sys.time () -. t0) *. 1e9 in
-    if ns < !best then best := ns
-  done;
-  !best
-
-let perf_mtree () =
-  header "perf-mtree: Merkle hot-path ns/op (tracked baseline, BENCH_mtree.json)";
-  let smoke = !smoke_mode in
-  let sizes = if smoke then [ 1024 ] else [ 1024; 16384; 131072 ] in
-  let quota = if smoke then 0.02 else 0.25 in
-  let branching = 16 and value_bytes = 1024 in
-  let results =
-    List.map
-      (fun n ->
-        let bindings =
-          List.init n (fun i -> (Printf.sprintf "k%06d" i, String.make value_bytes 'v'))
-        in
-        let db = T.of_alist ~branching bindings in
-        let bdb = Baseline.of_alist ~branching bindings in
-        let roots_match = T.root_digest db = Baseline.root_digest bdb in
-        if not roots_match then
-          row "!! root digest MISMATCH vs seed implementation at n=%d\n" n;
-        let key = Printf.sprintf "k%06d" (n / 2) in
-        let fresh_value = String.make value_bytes 'n' in
-        let m name f = measure_ns ~quota name f in
-        let get_ns = m "get" (fun () -> ignore (T.find db key)) in
-        let set_ns = m "set" (fun () -> ignore (T.set db ~key ~value:fresh_value)) in
-        let remove_ns = m "remove" (fun () -> ignore (T.remove db key)) in
-        let vo = Vo.generate db (Vo.Set (key, fresh_value)) in
-        let vog_ns =
-          m "vo-gen" (fun () -> ignore (Vo.generate db (Vo.Set (key, fresh_value))))
-        in
-        let vor_ns =
-          m "vo-replay" (fun () -> ignore (Vo.apply vo (Vo.Set (key, fresh_value))))
-        in
-        let batch =
-          List.init 16 (fun i ->
-              (Printf.sprintf "k%06d" (i * (max 1 (n / 16))), fresh_value))
-        in
-        let setmany_ns = m "set-many" (fun () -> ignore (T.set_many db batch)) /. 16. in
-        (* Exact hash-invocation counts per operation, from the crypto
-           layer's own counter — the work the ns/op numbers are made of. *)
-        let hashes_of f =
-          let before = Obs.value "crypto.sha256.digests" in
-          ignore (Sys.opaque_identity (f ()));
-          Obs.value "crypto.sha256.digests" - before
-        in
-        let hashes =
-          [
-            ("get", hashes_of (fun () -> T.find db key));
-            ("set", hashes_of (fun () -> T.set db ~key ~value:fresh_value));
-            ("remove", hashes_of (fun () -> T.remove db key));
-            ("vo_generate", hashes_of (fun () -> Vo.generate db (Vo.Set (key, fresh_value))));
-            ("vo_replay", hashes_of (fun () -> Vo.apply vo (Vo.Set (key, fresh_value))));
-          ]
-        in
-        let base_get_ns = m "base-get" (fun () -> ignore (Baseline.find bdb key)) in
-        let base_set_ns =
-          m "base-set" (fun () -> ignore (Baseline.set bdb ~key ~value:fresh_value))
-        in
-        let runs = if smoke then 1 else 3 in
-        let bulk_ns = time_best ~runs (fun () -> T.of_alist ~branching bindings) in
-        let base_bulk_ns = time_best ~runs (fun () -> Baseline.of_alist ~branching bindings) in
-        row "n=%-8d get %s  set %s (seed %s, %4.1fx)  remove %s\n" n (pp_ns get_ns)
-          (pp_ns set_ns) (pp_ns base_set_ns) (base_set_ns /. set_ns) (pp_ns remove_ns);
-        row "           vo-gen %s  vo-replay %s  set_many/key %s\n" (pp_ns vog_ns)
-          (pp_ns vor_ns) (pp_ns setmany_ns);
-        row "           bulk-load %s (seed %s, %4.1fx)  roots %s\n" (pp_ns bulk_ns)
-          (pp_ns base_bulk_ns) (base_bulk_ns /. bulk_ns)
-          (if roots_match then "identical" else "MISMATCH");
-        row "           sha256/op:%s\n"
-          (String.concat ""
-             (List.map (fun (k, c) -> Printf.sprintf "  %s %d" k c) hashes));
-        ( n,
-          [
-            ("get", get_ns); ("set", set_ns); ("remove", remove_ns);
-            ("vo_generate", vog_ns); ("vo_replay", vor_ns);
-            ("set_many_per_key", setmany_ns);
-          ],
-          hashes,
-          [ ("get", base_get_ns); ("set", base_set_ns) ],
-          (bulk_ns, base_bulk_ns),
-          roots_match ))
-      sizes
-  in
-  (* Machine-readable trajectory for later PRs to beat. *)
-  let buf = Buffer.create 4096 in
-  let fld k v = Printf.bprintf buf "      \"%s\": %.1f" k v in
-  Printf.bprintf buf "{\n  \"experiment\": \"perf-mtree\",\n";
-  Printf.bprintf buf "  \"branching\": %d,\n  \"value_bytes\": %d,\n" branching value_bytes;
-  Printf.bprintf buf "  \"quota_s\": %g,\n  \"smoke\": %b,\n  \"results\": [\n" quota smoke;
-  List.iteri
-    (fun i (n, opt, hashes, base, (bulk_ns, base_bulk_ns), roots_match) ->
-      Printf.bprintf buf "    {\n      \"n\": %d,\n" n;
-      Printf.bprintf buf "      \"optimized_ns_per_op\": {\n";
-      List.iteri
-        (fun j (k, v) ->
-          Printf.bprintf buf "  ";
-          fld k v;
-          Printf.bprintf buf (if j < List.length opt - 1 then ",\n" else "\n"))
-        opt;
-      Printf.bprintf buf "      },\n      \"sha256_digests_per_op\": {\n";
-      List.iteri
-        (fun j (k, c) ->
-          Printf.bprintf buf "        \"%s\": %d%s\n" k c
-            (if j < List.length hashes - 1 then "," else ""))
-        hashes;
-      Printf.bprintf buf "      },\n      \"seed_baseline_ns_per_op\": {\n";
-      List.iteri
-        (fun j (k, v) ->
-          Printf.bprintf buf "  ";
-          fld k v;
-          Printf.bprintf buf (if j < List.length base - 1 then ",\n" else "\n"))
-        base;
-      Printf.bprintf buf "      },\n";
-      fld "bulk_load_ns" bulk_ns;
-      Printf.bprintf buf ",\n";
-      fld "seed_bulk_load_ns" base_bulk_ns;
-      Printf.bprintf buf ",\n";
-      fld "set_speedup" (List.assoc "set" base /. List.assoc "set" opt);
-      Printf.bprintf buf ",\n";
-      fld "bulk_load_speedup" (base_bulk_ns /. bulk_ns);
-      Printf.bprintf buf ",\n      \"root_digest_match\": %b\n    }%s\n" roots_match
-        (if i < List.length results - 1 then "," else ""))
-    results;
-  Printf.bprintf buf "  ]\n}\n";
-  let path = "BENCH_mtree.json" in
-  let oc = open_out path in
-  output_string oc (Buffer.contents buf);
-  close_out oc;
-  row "\nwrote %s\n" path
-
-(* ======================================================================= *)
 (* perf-store: durable store cost baseline (writes BENCH_store.json)       *)
 (* ======================================================================= *)
 
@@ -1317,25 +1208,10 @@ let perf_store () =
 (* perf-obs: telemetry hot-path baseline (writes BENCH_obs.json)           *)
 (* ======================================================================= *)
 
-(* The domain-safe registry rework moved every metric bump from a plain
-   mutable field to a per-domain cell array reached through
-   domain-local storage. These numbers pin what that indirection costs
-   on the paths protocol code hits per message (counter bump, histogram
-   observe) against the pre-rework representation — an inline mutable
-   record, measured here as the "plain" baseline — plus the per-op
-   costs the telemetry plane added on top: trace emission on and off,
+(* What telemetry costs on the paths protocol code hits per message
+   (counter bump, histogram observe), plus trace emission on and off,
    get-or-create registry lookups, and a journal span event (one
    formatted line plus an eagerly flushed write). *)
-
-type plain_counter = { mutable pc_count : int }
-
-type plain_hist = {
-  mutable ph_count : int;
-  mutable ph_sum : int;
-  mutable ph_min : int;
-  mutable ph_max : int;
-  ph_buckets : int array;
-}
 
 let perf_obs () =
   header "perf-obs: telemetry hot paths ns/op (tracked baseline, BENCH_obs.json)";
@@ -1346,32 +1222,11 @@ let perf_obs () =
   let h = Obs.histogram ~scope "observe" in
   let m name f = measure_ns ~quota name f in
   let incr_ns = m "counter-incr" (fun () -> Obs.incr c) in
-  let pc = { pc_count = 0 } in
-  let plain_incr_ns =
-    m "plain-incr" (fun () -> pc.pc_count <- pc.pc_count + 1)
-  in
   let observe_ns =
     let v = ref 0 in
     m "histogram-observe" (fun () ->
         v := (!v + 257) land 0xffff;
         Obs.observe h !v)
-  in
-  let plain_observe_ns =
-    let ph =
-      { ph_count = 0; ph_sum = 0; ph_min = max_int; ph_max = min_int;
-        ph_buckets = Array.make 63 0 }
-    in
-    let v = ref 0 in
-    m "plain-observe" (fun () ->
-        v := (!v + 257) land 0xffff;
-        let x = !v in
-        ph.ph_count <- ph.ph_count + 1;
-        ph.ph_sum <- ph.ph_sum + x;
-        if x < ph.ph_min then ph.ph_min <- x;
-        if x > ph.ph_max then ph.ph_max <- x;
-        let rec bits acc n = if n = 0 then acc else bits (acc + 1) (n lsr 1) in
-        let i = if x <= 0 then 0 else min 62 (bits 0 x) in
-        ph.ph_buckets.(i) <- ph.ph_buckets.(i) + 1)
   in
   let lookup_ns =
     m "get-or-create" (fun () -> ignore (Obs.counter ~scope "bump"))
@@ -1397,10 +1252,8 @@ let perf_obs () =
     ns
   in
   Obs.reset ();
-  row "counter-incr      %s   (plain mutable %s, %4.1fx)\n" (pp_ns incr_ns)
-    (pp_ns plain_incr_ns) (incr_ns /. plain_incr_ns);
-  row "histogram-observe %s   (plain mutable %s, %4.1fx)\n" (pp_ns observe_ns)
-    (pp_ns plain_observe_ns) (observe_ns /. plain_observe_ns);
+  row "counter-incr      %s\n" (pp_ns incr_ns);
+  row "histogram-observe %s\n" (pp_ns observe_ns);
   row "get-or-create     %s\n" (pp_ns lookup_ns);
   row "trace-emit        %s off  %s on\n" (pp_ns trace_off_ns) (pp_ns trace_on_ns);
   row "journal-event     %s   (formatted line + eager write)\n" (pp_ns journal_ns);
@@ -1411,9 +1264,7 @@ let perf_obs () =
   let fields =
     [
       ("counter_incr", incr_ns);
-      ("plain_mutable_incr", plain_incr_ns);
       ("histogram_observe", observe_ns);
-      ("plain_mutable_observe", plain_observe_ns);
       ("counter_get_or_create", lookup_ns);
       ("trace_emit_off", trace_off_ns);
       ("trace_emit_on", trace_on_ns);
@@ -1425,11 +1276,6 @@ let perf_obs () =
       Printf.bprintf buf "    \"%s\": %.1f%s\n" k v
         (if i < List.length fields - 1 then "," else ""))
     fields;
-  Printf.bprintf buf "  },\n  \"overhead\": {\n";
-  Printf.bprintf buf "    \"counter_incr_vs_plain\": %.2f,\n"
-    (incr_ns /. plain_incr_ns);
-  Printf.bprintf buf "    \"histogram_observe_vs_plain\": %.2f\n"
-    (observe_ns /. plain_observe_ns);
   Printf.bprintf buf "  }\n}\n";
   let path = "BENCH_obs.json" in
   let oc = open_out path in
@@ -1464,7 +1310,6 @@ let experiments =
     ("ext-batch", "extension: atomic multi-key commits", ext_batch);
     ("ext-global-k", "extension: global-k sync trigger", ext_global_k);
     ("proto-compare", "four-protocol comparison sweep (BENCH_protocols.json)", proto_compare);
-    ("perf-mtree", "Merkle hot-path tracked baseline (BENCH_mtree.json)", perf_mtree);
     ("perf-store", "durable store tracked baseline (BENCH_store.json)", perf_store);
     ("perf-obs", "telemetry hot-path tracked baseline (BENCH_obs.json)", perf_obs);
   ]

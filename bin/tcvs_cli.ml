@@ -450,6 +450,14 @@ let session_cmd =
 
 let inspect_cmd =
   let run items branching =
+    if items < 0 then begin
+      Printf.eprintf "error: --items must be at least 0\n";
+      exit 2
+    end;
+    if branching < 4 then begin
+      Printf.eprintf "error: --branching must be at least 4\n";
+      exit 2
+    end;
     let db =
       Mtree.Merkle_btree.of_alist ~branching
         (List.init items (fun i -> (Printf.sprintf "key%06d" i, Printf.sprintf "value-%d" i)))

@@ -7,45 +7,29 @@ module Scope = struct
   let name s = s
 end
 
-(* ---- Per-domain registries ------------------------------------------ *)
+(* ---- Registry ------------------------------------------------------- *)
 
-(* Metric handles are slots: a counter or histogram registration hands
-   out an immutable id, and every domain that touches the metric owns a
-   private cell array indexed by that id, reached through one
-   [Domain.DLS.get]. The hot path (incr/observe) therefore never takes
-   a lock and never contends on a shared cache line; readers merge the
-   per-domain cells at query/report time. Domain states are appended to
-   a global list when a domain first touches a metric and are never
-   removed, so counts survive the domain's death and the merge order is
-   the (deterministic, for sequentially spawned domains) registration
-   order. Registration is lock-free (CAS on an immutable registry
-   snapshot) because [Engine.record_kind] can reach it from the serving
-   event loop on the first message of a kind; only [meta] writes and
-   [reset] take the one global mutex, and both are quiescent-point
-   operations. *)
+(* One plain mutable cell per metric: a handle is the cell itself, so
+   incr/observe write a field and never look anything up. The registry
+   is one name -> slot list, searched only by get-or-create and the
+   queries. All of it is plain module state: every process that links
+   this library runs it on one domain, and the domain-safety lint rule
+   flags this module the day two domain-spawn sites reach it. *)
 
 type counter = {
-  c_id : int;
-  c_name : string;
   (* Volatile counters track physical-I/O event counts (flushes,
-     fsyncs, segment rolls) that legitimately vary across durability
-     modes; they are queryable but never rendered into the report. *)
+     fsyncs) that legitimately vary across durability modes; they are
+     queryable but never rendered into the report. *)
   c_volatile : bool;
-  (* Flipped by the first [record_max]: the per-domain cells then hold
-     one shared quantity reported by every agent, so the merge takes
-     the max instead of the sum. *)
-  mutable c_max_merge : bool;
+  mutable c_value : int;
 }
 
 (* 63 power-of-two buckets cover every OCaml int; bucket [i] counts
    values v with 2^(i-1) <= v < 2^i (v <= 0 lands in bucket 0). *)
 let bucket_count = 63
 
-type histogram = { h_id : int; h_name : string; h_volatile : bool }
-
-(* One domain's view of one histogram; also the shape of a merged
-   snapshot. *)
-type hcell = {
+type histogram = {
+  h_volatile : bool;
   mutable count : int;
   mutable sum : int;
   mutable min_v : int;
@@ -53,87 +37,13 @@ type hcell = {
   buckets : int array;
 }
 
-let fresh_hcell () =
-  { count = 0; sum = 0; min_v = max_int; max_v = min_int; buckets = Array.make bucket_count 0 }
-
 type gauge = { mutable g : float; mutable g_set : bool }
-
-(* Gauges and meta are set-only and rare (end-of-run derived values),
-   so they stay global under the mutex: last write wins across domains
-   by mutex ordering. *)
 type slot = Scounter of counter | Shist of histogram | Sgauge of gauge
 
-type trace_event = { at : int; dur : int; scope : string; name : string; detail : string }
-
-type dstate = {
-  mutable ctrs : int array; (* indexed by c_id *)
-  mutable hists : hcell array; (* indexed by h_id *)
-  mutable tbuf : trace_event list; (* newest first *)
-  mutable tcount : int;
-}
-
-let mu = Mutex.create ()
-
-(* Immutable snapshot behind an Atomic, updated by CAS: registering a
-   metric never parks the caller behind another domain, so the serving
-   event loop may register lazily (first message of a kind) without
-   violating select-loop purity. *)
-type registry = {
-  r_slots : (string * slot) list; (* newest registration first *)
-  r_cnext : int;
-  r_hnext : int;
-}
-
-let registry : registry Atomic.t =
-  Atomic.make { r_slots = []; r_cnext = 0; r_hnext = 0 }
-
-let find_slot name = List.assoc_opt name (Atomic.get registry).r_slots
-(* Registration order. Lock-free (CAS append) so that the one-time DLS
-   initialisation a hot-path [incr] can trigger never touches the
-   mutex: the serving event loop stays select-driven even when it is
-   the first toucher of a metric on its domain. *)
-let domains : dstate list Atomic.t = Atomic.make []
+let slots : (string * slot) list ref = ref [] (* newest registration first *)
 let meta : (string, string) Hashtbl.t = Hashtbl.create 16
-let tracing_on = Atomic.make false
-
-let with_lock f =
-  Mutex.lock mu;
-  match f () with
-  | v ->
-      Mutex.unlock mu;
-      v
-  | exception e ->
-      Mutex.unlock mu;
-      raise e
-
-let dls_key =
-  Domain.DLS.new_key (fun () ->
-      let st = { ctrs = [||]; hists = [||]; tbuf = []; tcount = 0 } in
-      let rec register () =
-        let cur = Atomic.get domains in
-        if not (Atomic.compare_and_set domains cur (cur @ [ st ])) then
-          register ()
-      in
-      register ();
-      st)
-
-let dstate () = Domain.DLS.get dls_key
-
-let ensure_ctr st id =
-  let n = Array.length st.ctrs in
-  if id >= n then begin
-    let fresh = Array.make (max 8 (max (id + 1) (2 * n))) 0 in
-    Array.blit st.ctrs 0 fresh 0 n;
-    st.ctrs <- fresh
-  end
-
-let ensure_hist st id =
-  let n = Array.length st.hists in
-  if id >= n then begin
-    let m = max 8 (max (id + 1) (2 * n)) in
-    let fresh = Array.init m (fun i -> if i < n then st.hists.(i) else fresh_hcell ()) in
-    st.hists <- fresh
-  end
+let tracing_on = ref false
+let find_slot name = List.assoc_opt name !slots
 
 let full_name scope name =
   match scope with None | Some "" -> name | Some s -> s ^ "." ^ name
@@ -148,55 +58,39 @@ let mismatch name existing wanted =
     (Printf.sprintf "Obs: %S is registered as a %s, not a %s" name
        (kind_name existing) wanted)
 
-let rec counter ?scope ?(volatile = false) name =
+let register full slot = slots := (full, slot) :: !slots
+
+let counter ?scope ?(volatile = false) name =
   let full = full_name scope name in
-  let r = Atomic.get registry in
-  match List.assoc_opt full r.r_slots with
+  match find_slot full with
   | Some (Scounter c) -> c
   | Some s -> mismatch full s "counter"
   | None ->
-      let c =
-        { c_id = r.r_cnext; c_name = full; c_volatile = volatile; c_max_merge = false }
-      in
-      let r' =
-        { r with r_slots = (full, Scounter c) :: r.r_slots; r_cnext = r.r_cnext + 1 }
-      in
-      if Atomic.compare_and_set registry r r' then c
-      else counter ?scope ~volatile name
+      let c = { c_volatile = volatile; c_value = 0 } in
+      register full (Scounter c);
+      c
 
-let incr ?(by = 1) c =
-  let st = dstate () in
-  ensure_ctr st c.c_id;
-  st.ctrs.(c.c_id) <- st.ctrs.(c.c_id) + by
+let incr ?(by = 1) c = c.c_value <- c.c_value + by
+let record_max c v = if v > c.c_value then c.c_value <- v
 
-let record_max c v =
-  if not c.c_max_merge then c.c_max_merge <- true;
-  let st = dstate () in
-  ensure_ctr st c.c_id;
-  if v > st.ctrs.(c.c_id) then st.ctrs.(c.c_id) <- v
-
-(* Sum (or max, for record_max counters) across every domain that ever
-   touched the cell. *)
-let counter_value c =
-  List.fold_left
-    (fun acc st ->
-      let v = if c.c_id < Array.length st.ctrs then st.ctrs.(c.c_id) else 0 in
-      if c.c_max_merge then max acc v else acc + v)
-    0 (Atomic.get domains)
-
-let rec histogram ?scope ?(volatile = false) name =
+let histogram ?scope ?(volatile = false) name =
   let full = full_name scope name in
-  let r = Atomic.get registry in
-  match List.assoc_opt full r.r_slots with
+  match find_slot full with
   | Some (Shist h) -> h
   | Some s -> mismatch full s "histogram"
   | None ->
-      let h = { h_id = r.r_hnext; h_name = full; h_volatile = volatile } in
-      let r' =
-        { r with r_slots = (full, Shist h) :: r.r_slots; r_hnext = r.r_hnext + 1 }
+      let h =
+        {
+          h_volatile = volatile;
+          count = 0;
+          sum = 0;
+          min_v = max_int;
+          max_v = min_int;
+          buckets = Array.make bucket_count 0;
+        }
       in
-      if Atomic.compare_and_set registry r r' then h
-      else histogram ?scope ~volatile name
+      register full (Shist h);
+      h
 
 let bucket_of v =
   if v <= 0 then 0
@@ -207,61 +101,29 @@ let bucket_of v =
   end
 
 let observe h v =
-  let st = dstate () in
-  ensure_hist st h.h_id;
-  let c = st.hists.(h.h_id) in
-  c.count <- c.count + 1;
-  c.sum <- c.sum + v;
-  if v < c.min_v then c.min_v <- v;
-  if v > c.max_v then c.max_v <- v;
+  h.count <- h.count + 1;
+  h.sum <- h.sum + v;
+  if v < h.min_v then h.min_v <- v;
+  if v > h.max_v then h.max_v <- v;
   let i = bucket_of v in
-  c.buckets.(i) <- c.buckets.(i) + 1
+  h.buckets.(i) <- h.buckets.(i) + 1
 
-(* Bucket-wise commutative merge: cells from different domains can be
-   folded in any order and give the same snapshot. *)
-let merged_hist h =
-  let out = fresh_hcell () in
-  List.iter
-    (fun st ->
-      if h.h_id < Array.length st.hists then begin
-        let c = st.hists.(h.h_id) in
-        if c.count > 0 then begin
-          out.count <- out.count + c.count;
-          out.sum <- out.sum + c.sum;
-          if c.min_v < out.min_v then out.min_v <- c.min_v;
-          if c.max_v > out.max_v then out.max_v <- c.max_v;
-          for i = 0 to bucket_count - 1 do
-            out.buckets.(i) <- out.buckets.(i) + c.buckets.(i)
-          done
-        end
-      end)
-    (Atomic.get domains);
-  out
-
-let histogram_count h = (merged_hist h).count
-let histogram_sum h = (merged_hist h).sum
-
-let rec set_gauge ?scope name v =
+let set_gauge ?scope name v =
   let full = full_name scope name in
-  let r = Atomic.get registry in
-  match List.assoc_opt full r.r_slots with
+  match find_slot full with
   | Some (Sgauge g) ->
       g.g <- v;
       g.g_set <- true
   | Some s -> mismatch full s "gauge"
-  | None ->
-      let r' =
-        { r with r_slots = (full, Sgauge { g = v; g_set = true }) :: r.r_slots }
-      in
-      if not (Atomic.compare_and_set registry r r') then set_gauge ?scope name v
+  | None -> register full (Sgauge { g = v; g_set = true })
 
-let set_meta key v = with_lock (fun () -> Hashtbl.replace meta key v)
+let set_meta key v = Hashtbl.replace meta key v
 
 (* ---- Queries -------------------------------------------------------- *)
 
 let value name =
   match find_slot name with
-  | Some (Scounter c) -> counter_value c
+  | Some (Scounter c) -> c.c_value
   | _ -> 0
 
 let gauge_value name =
@@ -271,79 +133,44 @@ let gauge_value name =
 
 let stats name =
   match find_slot name with
-  | Some (Shist h) ->
-      let m = merged_hist h in
-      if m.count > 0 then Some (m.count, m.sum, m.min_v, m.max_v) else None
+  | Some (Shist h) when h.count > 0 -> Some (h.count, h.sum, h.min_v, h.max_v)
   | _ -> None
-
-let counters_with_prefix prefix =
-  List.filter_map
-    (fun (name, s) ->
-      match s with
-      | Scounter c when String.starts_with ~prefix name ->
-          let v = counter_value c in
-          if v <> 0 then Some (name, v) else None
-      | _ -> None)
-    (Atomic.get registry).r_slots
-  |> List.sort (fun (a, _) (b, _) -> String.compare a b)
 
 (* ---- Trace ---------------------------------------------------------- *)
 
-let set_tracing b = Atomic.set tracing_on b
-let tracing () = Atomic.get tracing_on
+let set_tracing b = tracing_on := b
+let tracing () = !tracing_on
 
 module Trace = struct
-  type event = trace_event = {
-    at : int;
-    dur : int;
-    scope : string;
-    name : string;
-    detail : string;
-  }
+  type event = { at : int; dur : int; scope : string; name : string; detail : string }
+
+  let buf : event list ref = ref [] (* newest first *)
 
   let emit ?(scope = Scope.root) ?(dur = 0) ~at ~name detail =
-    if Atomic.get tracing_on then begin
-      let st = dstate () in
-      st.tbuf <- { at; dur; scope = Scope.name scope; name; detail } :: st.tbuf;
-      st.tcount <- st.tcount + 1
-    end
+    if !tracing_on then buf := { at; dur; scope = Scope.name scope; name; detail } :: !buf
 
-  (* Emission order within a domain; domains concatenated in
-     registration order. *)
-  let events () = List.concat_map (fun st -> List.rev st.tbuf) (Atomic.get domains)
-  let count () = List.fold_left (fun acc st -> acc + st.tcount) 0 (Atomic.get domains)
+  let events () = List.rev !buf
 end
 
 (* ---- Reset ---------------------------------------------------------- *)
 
-(* Zeroing every cell commutes, so visit order cannot matter. Callers
-   reset at quiescent points (between runs), never while another domain
-   is mid-increment. *)
 let reset () =
-  with_lock (fun () ->
-      List.iter
-        (fun st ->
-          Array.fill st.ctrs 0 (Array.length st.ctrs) 0;
-          Array.iter
-            (fun c ->
-              c.count <- 0;
-              c.sum <- 0;
-              c.min_v <- max_int;
-              c.max_v <- min_int;
-              Array.fill c.buckets 0 bucket_count 0)
-            st.hists;
-          st.tbuf <- [];
-          st.tcount <- 0)
-        (Atomic.get domains);
-      List.iter
-        (fun (_, s) ->
-          match s with
-          | Sgauge g ->
-              g.g <- 0.;
-              g.g_set <- false
-          | _ -> ())
-        (Atomic.get registry).r_slots;
-      Hashtbl.reset meta)
+  List.iter
+    (fun (_, s) ->
+      match s with
+      | Scounter c -> c.c_value <- 0
+      | Shist h ->
+          h.count <- 0;
+          h.sum <- 0;
+          h.min_v <- max_int;
+          h.max_v <- min_int;
+          Array.fill h.buckets 0 bucket_count 0
+      | Sgauge g ->
+          g.g <- 0.;
+          g.g_set <- false)
+    !slots;
+  Trace.buf := [];
+  Hashtbl.reset meta
 
 (* ---- JSON escaping (shared by Report and Journal) -------------------- *)
 
@@ -372,10 +199,7 @@ module Report = struct
     escape buf name;
     Buffer.add_string buf "\": "
 
-  let sorted_slots () =
-    List.sort
-      (fun (a, _) (b, _) -> String.compare a b)
-      (Atomic.get registry).r_slots
+  let sorted_slots () = List.sort (fun (a, _) (b, _) -> String.compare a b) !slots
 
   (* Fixed float format: enough precision for per-op ratios, still
      byte-stable for equal inputs. *)
@@ -395,7 +219,7 @@ module Report = struct
       Buffer.add_char buf '}'
     end
 
-  let histogram_json buf (m : hcell) =
+  let histogram_json buf (m : histogram) =
     Buffer.add_string buf
       (Printf.sprintf "{ \"count\": %d, \"sum\": %d, \"min\": %d, \"max\": %d, \"buckets\": ["
          m.count m.sum m.min_v m.max_v);
@@ -432,9 +256,8 @@ module Report = struct
       List.filter_map
         (fun (n, s) ->
           match s with
-          | Scounter c when volatile || not c.c_volatile ->
-              let v = counter_value c in
-              if v <> 0 then Some (n, v) else None
+          | Scounter c when (volatile || not c.c_volatile) && c.c_value <> 0 ->
+              Some (n, c.c_value)
           | _ -> None)
         metrics
     in
@@ -447,9 +270,7 @@ module Report = struct
       List.filter_map
         (fun (n, s) ->
           match s with
-          | Shist h when volatile || not h.h_volatile ->
-              let m = merged_hist h in
-              if m.count > 0 then Some (n, m) else None
+          | Shist h when (volatile || not h.h_volatile) && h.count > 0 -> Some (n, h)
           | _ -> None)
         metrics
     in
@@ -476,7 +297,7 @@ module Report = struct
     obj buf ~indent:"  " histograms (fun (n, m) ->
         key buf "    " n;
         histogram_json buf m);
-    if Atomic.get tracing_on then begin
+    if !tracing_on then begin
       Buffer.add_string buf ",\n  \"trace\": [";
       List.iteri
         (fun i line ->

@@ -7,18 +7,14 @@
     where those numbers live, instead of being recomputed ad hoc inside
     each experiment. Every layer (SHA-256, the Merkle tree, the
     protocols, the simulator) registers metrics against one global
-    slot table; a harness run calls {!reset}, drives the system, then
+    registry; a harness run calls {!reset}, drives the system, then
     serialises the registry with {!Report.to_json}.
 
-    Metrics are domain-safe: a handle is a slot id, and each OCaml 5
-    domain owns a private cell array reached through domain-local
-    storage, so the increment hot path never locks and never contends.
-    Queries and reports merge the per-domain cells (counters sum,
-    histograms fold bucket-wise, gauges are last-write-wins under the
-    registration mutex, traces concatenate in domain-registration
-    order); a domain's cells outlive the domain, so nothing is lost
-    when workers exit. Registration and {!reset} take one global mutex
-    and are quiescent-point operations.
+    Each metric is one plain mutable cell, and its handle is that cell,
+    so an increment writes one field. The registry is plain module
+    state with no lock: every process that links this library runs it
+    on a single domain. The [domain-safety] lint rule flags this module
+    as soon as two domain-spawn sites reach it.
 
     Determinism is the design constraint: metrics hold only counts and
     round-clock values (never wall-clock time), metric names are
@@ -44,48 +40,41 @@ end
 
 type counter
 (** A monotonically growing integer, cheap enough for hash-function hot
-    paths: incrementing writes one slot of the calling domain's private
-    cell array — no lock, no shared cache line. *)
+    paths: incrementing writes one mutable field. *)
 
 type histogram
 (** Distribution summary: count, sum, min, max and power-of-two
-    buckets. Values are dimensionless integers (bytes, rounds, ops).
-    Per-domain cells merge commutatively at query time. *)
+    buckets. Values are dimensionless integers (bytes, rounds, ops). *)
 
 val counter : ?scope:Scope.t -> ?volatile:bool -> string -> counter
-(** Get-or-create the counter [scope.name] in the global slot table.
+(** Get-or-create the counter [scope.name] in the global registry.
     Handles stay valid across {!reset} (which only zeroes values).
     With [~volatile:true], the counter tracks physical-I/O event counts
-    (flushes, fsyncs, segment rolls) that legitimately differ across
-    store durability modes: it stays readable through {!counter_value}
-    and {!value}, but {!Report.to_json} omits it so same-seed reports
-    are byte-identical whatever the flush cadence.
+    (flushes, fsyncs) that legitimately differ across store durability
+    modes: it stays readable through {!value}, but {!Report.to_json}
+    omits it so same-seed reports are byte-identical whatever the flush
+    cadence.
     @raise Invalid_argument if the name is registered as another kind. *)
 
 val incr : ?by:int -> counter -> unit
 val record_max : counter -> int -> unit
 (** Raise the counter to [v] if [v] is larger — for values that every
     agent reports but that describe one shared quantity (e.g. completed
-    sync sessions). A counter touched by [record_max] merges across
-    domains by max rather than sum. *)
-
-val counter_value : counter -> int
-(** Merged across domains: sum, or max for {!record_max} counters. *)
+    sync sessions). *)
 
 val histogram : ?scope:Scope.t -> ?volatile:bool -> string -> histogram
-(** With [~volatile:true], the histogram is registered as wall-clock
-    data: it can be read back through {!stats}/{!histogram_count} (the
-    store benchmark does), but {!Report.to_json} omits it, so real I/O
-    latencies never perturb the byte-identical same-seed reports. *)
+(** Get-or-create, like {!counter}. With [~volatile:true], the
+    histogram is registered as wall-clock data: it can be read back
+    through {!stats} (the store benchmark does), but {!Report.to_json}
+    omits it, so real I/O latencies never perturb the byte-identical
+    same-seed reports.
+    @raise Invalid_argument if the name is registered as another kind. *)
 
 val observe : histogram -> int -> unit
-val histogram_count : histogram -> int
-val histogram_sum : histogram -> int
 
 val set_gauge : ?scope:Scope.t -> string -> float -> unit
 (** Set a derived floating-point metric (e.g. messages per operation).
-    Gauges are set-only; the last write wins (across domains, by mutex
-    ordering). *)
+    Gauges are set-only; the last write wins. *)
 
 val set_meta : string -> string -> unit
 (** Attach run metadata (protocol name, adversary, seed) to the report. *)
@@ -93,17 +82,13 @@ val set_meta : string -> string -> unit
 (** {2 Registry queries} — how experiments read their headline numbers. *)
 
 val value : string -> int
-(** Counter value by full dotted name, merged across domains; [0] when
-    absent. *)
+(** Counter value by full dotted name; [0] when absent. *)
 
 val gauge_value : string -> float option
 
 val stats : string -> (int * int * int * int) option
-(** Histogram [(count, sum, min, max)] by full name, merged across
-    domains; [None] when absent or empty. *)
-
-val counters_with_prefix : string -> (string * int) list
-(** Nonzero counters whose full name starts with [prefix], sorted. *)
+(** Histogram [(count, sum, min, max)] by full name; [None] when absent
+    or empty. *)
 
 (** {2 Trace events} *)
 
@@ -126,23 +111,17 @@ module Trace : sig
 
   val emit : ?scope:Scope.t -> ?dur:int -> at:int -> name:string -> string -> unit
   (** [emit ~at ~name detail] records a point event ([dur = 0]) or a
-      span into the calling domain's buffer. No-op unless
-      {!set_tracing}[ true] was called. *)
+      span. No-op unless {!set_tracing}[ true] was called. *)
 
   val events : unit -> event list
-  (** Emission order within each domain; domains concatenated in
-      registration order (deterministic when domains are spawned
-      sequentially). *)
-
-  val count : unit -> int
+  (** In emission order. *)
 end
 
 val reset : unit -> unit
-(** Zero every registered metric in every domain, clear metadata and
-    trace events. Registrations (and outstanding handles) survive; the
-    tracing flag is preserved. Called by the harness at the start of
-    every run so reports are run-scoped. Quiescent-point operation: do
-    not race it against increments from other domains. *)
+(** Zero every registered metric, clear metadata and trace events.
+    Registrations (and outstanding handles) survive; the tracing flag
+    is preserved. Called by the harness at the start of every run so
+    reports are run-scoped. *)
 
 (** {2 Run reports} *)
 

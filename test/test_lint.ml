@@ -484,6 +484,31 @@ let test_domain_safety_suppressed () =
          let w1 () = Domain.spawn (fun () -> State.bump ())" );
     ]
 
+let test_domain_safety_trips_on_obs () =
+  (* Obs keeps its registry as plain module state because no process
+     spawns a domain. This is the tripwire that keeps that sound: the
+     real lib/obs/obs.ml, reached from two spawn sites, gets every piece
+     of its registry state flagged. *)
+  let obs = In_channel.with_open_bin "../lib/obs/obs.ml" In_channel.input_all in
+  let findings =
+    analyze
+      [
+        ("lib/obs/obs.ml", obs);
+        ( "lib/core/workers.ml",
+          "let c = Obs.counter \"work\"\n\
+           let w0 () = Domain.spawn (fun () -> Obs.incr c)\n\
+           let w1 () = Domain.spawn (fun () -> Obs.incr c)" );
+      ]
+  in
+  Alcotest.(check (list string))
+    "Obs's registry state, charged to its bindings"
+    [ "Obs.Trace.buf"; "Obs.meta"; "Obs.slots"; "Obs.tracing_on" ]
+    (List.filter_map
+       (fun (f : D.finding) ->
+         if f.D.rule_id = "domain-safety" then Some f.D.symbol else None)
+       findings
+    |> List.sort_uniq String.compare)
+
 (* ---- deep tier: baseline and JSON -------------------------------------- *)
 
 let test_baseline_round_trip () =
@@ -649,6 +674,8 @@ let suite =
     Alcotest.test_case "domain-safety: single domain ok" `Quick
       test_domain_safety_single_domain_ok;
     Alcotest.test_case "domain-safety: suppressed" `Quick test_domain_safety_suppressed;
+    Alcotest.test_case "domain-safety: trips on the real Obs" `Quick
+      test_domain_safety_trips_on_obs;
     Alcotest.test_case "baseline: round trip + line drift" `Quick test_baseline_round_trip;
     Alcotest.test_case "json report: schema stability" `Quick test_json_schema_stability;
     Alcotest.test_case "repo deep baseline holds" `Quick test_repo_deep_baseline_holds;

@@ -487,7 +487,15 @@ let test_seed_root_fixtures () =
     T.of_alist ~branching:5 (List.init 37 (fun i -> (key i, Printf.sprintf "val%d" i)))
   in
   Alcotest.(check string) "branching 5, 37 keys"
-    "d635c078a264eccd89a3aa804642e57b17758897fff993002dab2a55801799c2" (root t3)
+    "d635c078a264eccd89a3aa804642e57b17758897fff993002dab2a55801799c2" (root t3);
+  (* A deeper tree (depth 5) of 1 KiB file contents, captured from the
+     seed's insertion-built tree. *)
+  let t4 =
+    T.of_alist ~branching:16
+      (List.init 16384 (fun i -> (Printf.sprintf "k%06d" i, String.make 1024 'v')))
+  in
+  Alcotest.(check string) "branching 16, 16384 keys, 1 KiB values"
+    "dc6813cb67996c3ff32692bb2c7418ddb110e8b2f4f5526d2c769c33d050e2ee" (root t4)
 
 let seed_vo_fixture_tree () =
   T.of_alist ~branching:4 (List.init 64 (fun i -> (key i, string_of_int i)))

@@ -396,12 +396,11 @@ let net_io =
 let fsync_confinement_id = "fsync-confinement"
 
 (* Durability barriers are the group-commit scheduler's to place: one
-   fsync per dirty stream per flush, sequenced against segment rolls,
-   compaction publishes and checkpoint renames. An fsync anywhere else
-   — including lib/net and lib/obs, which net-io sanctions for other
-   Unix calls — either lies about durability (syncing a fd the store
-   still has staged records for) or silently doubles the write-path
-   cost the BENCH_store numbers pin. *)
+   fsync per dirty stream per flush, sequenced against checkpoint
+   renames. An fsync anywhere else — including lib/net and lib/obs,
+   which net-io sanctions for other Unix calls — either lies about
+   durability (syncing a fd the store still has staged records for) or
+   silently doubles the write-path cost the BENCH_store numbers pin. *)
 let fsync_confinement_scope =
   net_io_scope @ [ "lib/net"; "lib/obs" ]
 
