@@ -2,8 +2,8 @@
    router: accepting a connection sends one JSON snapshot and closes.
    Unlike the first version (which looped on a blocking write inside
    the event loop), every admin client socket is nonblocking and
-   partially-written snapshots are carried across select rounds — a
-   slow or stalled scraper can never stall the serving loop. *)
+   partially-written snapshots are carried across loop turns — a slow
+   or stalled scraper can never stall the serving loop. *)
 
 type writer = {
   wfd : Unix.file_descr;
@@ -22,16 +22,13 @@ type t = {
 let writer_ttl = 5.0
 
 let listen ~port =
-  Sock.listen ~backlog:16 ~port ()
+  Loop.listen ~backlog:16 ~port ()
   |> Result.map (fun (fd, bound) -> ({ fd; writers = [] }, bound))
 
-let fd t = t.fd
-let wfds t = List.map (fun w -> w.wfd) t.writers
-
 (* Deep-lint justification: admin client sockets are nonblocking, so
-   this write returns EAGAIN instead of stalling the select loop; a
-   short write leaves the tail for the next writable round. Returns
-   [true] when the writer is finished (drained or dead). *)
+   this write returns EAGAIN instead of stalling the loop; a short
+   write leaves the tail for the next writable turn. Returns [true]
+   when the writer is finished (drained or dead). *)
 let[@tcvs.lint.allow "event-loop-purity"] push w =
   let len = String.length w.w_buf in
   let rec go () =
@@ -51,7 +48,14 @@ let[@tcvs.lint.allow "event-loop-purity"] push w =
 
 let drop w = try Unix.close w.wfd with Unix.Unix_error _ -> ()
 
-let[@tcvs.lint.root "event-loop"] service t =
+let accept t ~snapshot cfd _ =
+  Unix.set_nonblock cfd;
+  let w = { wfd = cfd; w_buf = snapshot (); w_off = 0; w_opened = Unix.gettimeofday () } in
+  if push w then drop w else t.writers <- w :: t.writers
+
+let watch t ~snapshot = Loop.Listener (t.fd, accept t ~snapshot)
+
+let service t =
   let now = Unix.gettimeofday () in
   t.writers <-
     List.filter
@@ -62,22 +66,6 @@ let[@tcvs.lint.root "event-loop"] service t =
         end
         else true)
       t.writers
-
-let[@tcvs.lint.root "event-loop"] accept_pending t ~snapshot =
-  let rec loop () =
-    match Unix.accept t.fd with
-    | cfd, _ ->
-        Unix.set_nonblock cfd;
-        let w =
-          { wfd = cfd; w_buf = snapshot (); w_off = 0; w_opened = Unix.gettimeofday () }
-        in
-        if push w then drop w else t.writers <- w :: t.writers;
-        loop ()
-    | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _)
-      ->
-        ()
-  in
-  loop ()
 
 let close t =
   List.iter drop t.writers;

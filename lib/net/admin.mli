@@ -1,8 +1,8 @@
 (** Scrape-on-connect admin endpoint, shared by {!Daemon} and
     {!Router}: accept → one JSON snapshot → close, with all client
     sockets nonblocking so a slow scraper can never stall the serving
-    select loop. Partially-written snapshots are carried as pending
-    writers across rounds and reaped after a few seconds. *)
+    loop. Partially-written snapshots are carried as pending writers
+    across turns and reaped after a few seconds. *)
 
 type t
 
@@ -10,20 +10,12 @@ val listen : port:int -> (t * int, string) result
 (** Bind and listen on loopback ([port = 0] picks an ephemeral port);
     returns the endpoint and the bound port. *)
 
-val fd : t -> Unix.file_descr
-(** The listening socket — add to the select read set. *)
-
-val wfds : t -> Unix.file_descr list
-(** Sockets with undrained snapshot bytes — add to the select write
-    set. *)
-
-val accept_pending : t -> snapshot:(unit -> string) -> unit
-(** Accept every pending scrape; [snapshot] is rendered once per
-    accepted connection and written as far as the socket allows
-    immediately. *)
+val watch : t -> snapshot:(unit -> string) -> Loop.watch
+(** The listener: each accepted scrape renders [snapshot] once and
+    writes as far as the socket allows at once. *)
 
 val service : t -> unit
 (** Push pending bytes on every writer (nonblocking); drops finished,
-    dead and expired writers. Call once per select round. *)
+    dead and expired writers. Call once per turn. *)
 
 val close : t -> unit

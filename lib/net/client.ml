@@ -66,6 +66,14 @@ type verdict = {
 
 (* ---- Lockstep session ------------------------------------------------ *)
 
+(* A dial returns at once and the Welcome arrives as a frame, due
+   [dial_timeout] after the dial; a lost link is redialled at a
+   jittered backoff time, counting attempts per outage. *)
+type link =
+  | Joining of int * float (* redial attempt, Welcome due by *)
+  | Up
+  | Redial of int * float (* attempt, dial at *)
+
 type pending = {
   p_frame : Codec.frame;
   mutable p_last_sent : int; (* tick *)
@@ -83,7 +91,9 @@ type session = {
   seen : (int * int, unit) Hashtbl.t; (* delivered (src, sseq) *)
   rng : Crypto.Prng.t; (* retransmission jitter *)
   initial_root : string; (* M(D₀), common knowledge *)
+  addr : Unix.inet_addr; (* [cfg.host], resolved once *)
   mutable conn : Conn.t;
+  mutable link : link;
   mutable seq : int;
   mutable last_stepped : int;
   mutable generation : int;
@@ -244,84 +254,160 @@ let handle_frame s frame =
   | Codec.Commit _ ->
       s.fatal <- Some ("unexpected frame: " ^ Codec.frame_kind frame)
 
-let handshake s =
+let send_hello s =
   Conn.send s.conn
-    (Codec.Hello
-       {
-         Codec.h_version = Codec.protocol_version;
-         h_role = Codec.Lockstep;
-         h_user = s.cfg.user;
-         h_users = s.cfg.users;
-         h_round = s.last_stepped;
-       });
-  Conn.flush s.conn;
-  match Sock.await_frame s.conn ~timeout:dial_timeout with
-  | Error e -> Error ("handshake: " ^ e)
-  | Ok None -> Error "handshake: no Welcome before timeout"
-  | Ok (Some (Codec.Welcome w)) ->
-      if s.boot_id = "" then begin
-        (* first contact: M(D₀) is common knowledge — a fresh store
-           that doesn't serve it is not our session *)
-        if w.Codec.w_ctr = 0 && w.Codec.w_root <> s.initial_root then
-          local_alarm s "handshake: server's initial root is not M(D0)"
-      end
-      else begin
-        if w.Codec.w_generation < s.generation then
-          local_alarm s
-            (Printf.sprintf
-               "handshake: store generation regressed %d -> %d across restart"
-               s.generation w.Codec.w_generation);
-        if w.Codec.w_boot_id <> s.boot_id then
-          Log.info (fun f ->
-              f "server restarted (boot %s -> %s), revalidated" s.boot_id
-                w.Codec.w_boot_id)
-      end;
-      s.generation <- max s.generation w.Codec.w_generation;
-      s.boot_id <- w.Codec.w_boot_id;
-      (* a restarted daemon has lost its relay/outstanding state: offer
-         everything unacknowledged again, immediately *)
-      Hashtbl.iter (fun _ p -> Conn.send s.conn p.p_frame) s.unacked;
-      Ok ()
-  | Ok (Some (Codec.Error_frame { code; detail })) ->
-      Error
+    (Codec.hello ~role:Codec.Lockstep ~user:s.cfg.user ~users:s.cfg.users ~round:s.last_stepped)
+
+let connect_error s e = Printf.sprintf "connect %s:%d: %s" s.cfg.host s.cfg.port e
+
+(* Redial attempt [i] of this outage, within the reconnect budget: at
+   once for the first, after a jittered backoff for the rest. *)
+let schedule_redial s i =
+  if i > s.cfg.max_reconnects then
+    s.fatal <- Some (Printf.sprintf "server unreachable after %d reconnect attempts" i)
+  else begin
+    let backoff =
+      (redial_backoff *. float_of_int (1 lsl min i 6)) *. (0.5 +. Crypto.Prng.float s.rng)
+    in
+    s.link <- Redial (i, Unix.gettimeofday () +. if i > 0 then backoff else 0.)
+  end
+
+(* A dial or handshake that ended without a Welcome: an environment
+   failure on first contact, the next attempt on a redial. *)
+let join_failed s i why =
+  Conn.close s.conn;
+  if s.boot_id = "" then s.fatal <- Some why
+  else begin
+    Log.info (fun f -> f "reconnect %d failed: %s" i why);
+    schedule_redial s (i + 1)
+  end
+
+let handle_welcome s i (w : Codec.welcome) =
+  let first_contact = s.boot_id = "" in
+  if first_contact then begin
+    (* M(D₀) is common knowledge — a fresh store that doesn't serve it
+       is not our session *)
+    if w.Codec.w_ctr = 0 && w.Codec.w_root <> s.initial_root then
+      local_alarm s "handshake: server's initial root is not M(D0)"
+  end
+  else begin
+    if w.Codec.w_generation < s.generation then
+      local_alarm s
+        (Printf.sprintf
+           "handshake: store generation regressed %d -> %d across restart"
+           s.generation w.Codec.w_generation);
+    if w.Codec.w_boot_id <> s.boot_id then
+      Log.info (fun f ->
+          f "server restarted (boot %s -> %s), revalidated" s.boot_id
+            w.Codec.w_boot_id)
+  end;
+  s.generation <- max s.generation w.Codec.w_generation;
+  s.boot_id <- w.Codec.w_boot_id;
+  (* a restarted daemon has lost its relay/outstanding state: offer
+     everything unacknowledged again, immediately *)
+  Hashtbl.iter (fun _ p -> Conn.send s.conn p.p_frame) s.unacked;
+  s.link <- Up;
+  if not first_contact then jot s ~ev:"client.reconnect" (Printf.sprintf "attempt %d" i)
+
+(* Link supervision before each turn: dead-peer detection on an
+   established link, the Welcome deadline on a joining one, the redial
+   time of a lost one. *)
+let check_link s =
+  let now = Unix.gettimeofday () in
+  match s.link with
+  | Up when Conn.eof s.conn || now -. s.last_rx > silence_limit ->
+      (* Dead-peer detection: the round clock guarantees a frame at
+         least every half second while the daemon is alive, so
+         prolonged silence means the link (not the protocol) is wedged
+         — tear it down and let the redial, which the daemon answers
+         with a fresh Tick, recover the round. *)
+      if not (Conn.eof s.conn) then
+        Log.warn (fun f -> f "no frame for %.1fs — link wedged, reconnecting" silence_limit);
+      Conn.close s.conn;
+      schedule_redial s 0
+  | Joining (i, due) when Conn.eof s.conn || now > due ->
+      join_failed s i
+        (match Conn.dial_error s.conn with
+        | Some e -> connect_error s e
+        | None when Conn.eof s.conn -> "handshake: connection closed"
+        | None -> "handshake: no Welcome before timeout")
+  | Redial (i, at) when now >= at -> (
+      match Loop.dial s.addr s.cfg.port with
+      | Error e -> join_failed s i (connect_error s e)
+      | Ok conn ->
+          s.conn <- conn;
+          s.reconnects <- s.reconnects + 1;
+          Obs.incr c_reconnects;
+          send_hello s;
+          s.link <- Joining (i, now +. dial_timeout))
+  | Up | Joining _ | Redial _ -> ()
+
+let on_frame s frame =
+  s.last_rx <- Unix.gettimeofday ();
+  match (s.link, frame) with
+  | Up, _ -> handle_frame s frame
+  | Joining (i, _), Codec.Welcome w -> handle_welcome s i w
+  | Joining (i, _), Codec.Error_frame { code; detail } ->
+      join_failed s i
         (Printf.sprintf "handshake rejected (%s): %s"
            (Codec.error_code_to_string code)
            detail)
-  | Ok (Some f) -> Error ("handshake: unexpected " ^ Codec.frame_kind f)
+  | Joining (i, _), f -> join_failed s i ("handshake: unexpected " ^ Codec.frame_kind f)
+  | Redial _, _ -> ()
 
-let reconnect s =
-  let rec attempt i =
-    if i > s.cfg.max_reconnects then
-      Error
-        (Printf.sprintf "server unreachable after %d reconnect attempts" i)
-    else begin
-      let backoff =
-        (redial_backoff *. float_of_int (1 lsl min i 6))
-        *. (0.5 +. Crypto.Prng.float s.rng)
-      in
-      if i > 0 then ignore (Unix.select [] [] [] backoff);
-      match Sock.connect_fd ~host:s.cfg.host ~port:s.cfg.port ~timeout:dial_timeout with
-      | Error e ->
-          Log.info (fun f -> f "reconnect %d failed: %s" i e);
-          attempt (i + 1)
-      | Ok fd -> (
-          s.conn <- Conn.create fd;
-          s.reconnects <- s.reconnects + 1;
-          Obs.incr c_reconnects;
-          match handshake s with
-          | Ok () ->
-              s.last_rx <- Unix.gettimeofday ();
-              jot s ~ev:"client.reconnect" (Printf.sprintf "attempt %d" i);
-              Ok ()
-          | Error e ->
-              Conn.close s.conn;
-              Log.info (fun f -> f "rehandshake %d failed: %s" i e);
-              attempt (i + 1))
-    end
+(* The event-loop root: the client's frame handlers and its link
+   supervision run between two selects of its one loop, which waits
+   at most until the next redial. Nothing is dispatched once the
+   session has ended or failed. *)
+let[@tcvs.lint.root "event-loop"] drive s =
+  let live () = s.finished = None && s.fatal = None in
+  let rec loop () =
+    if live () then check_link s;
+    match (s.finished, s.fatal) with
+    | Some (session_alarmed, reason, round), _ ->
+        Conn.send s.conn Codec.Bye;
+        Conn.flush s.conn;
+        Conn.close s.conn;
+        let local =
+          List.map
+            (fun (a : Sim.Engine.alarm_record) -> (a.at_round, a.reason))
+            (Sim.Engine.alarms s.engine)
+        in
+        Ok
+          {
+            v_alarmed = session_alarmed || local <> [];
+            v_local_alarms = local;
+            v_session_alarmed = session_alarmed;
+            v_session_reason = reason;
+            v_rounds = round;
+            v_reconnects = s.reconnects;
+          }
+    | None, Some e ->
+        Conn.close s.conn;
+        Error e
+    | None, None ->
+        let timeout =
+          match s.link with
+          | Redial (_, at) -> Float.min 0.25 (Float.max 0. (at -. Unix.gettimeofday ()))
+          | Up | Joining _ -> 0.25
+        in
+        Loop.turn ~timeout
+          [
+            Loop.Frames
+              ( s.conn,
+                (fun frame -> if live () then on_frame s frame),
+                fun e ->
+                  let e = Codec.error_to_string e in
+                  match s.link with
+                  | _ when not (live ()) -> ()
+                  | Joining (i, _) -> join_failed s i ("handshake: " ^ e)
+                  | Up | Redial _ -> s.fatal <- Some ("bad frame from server: " ^ e) );
+          ];
+        loop ()
   in
-  attempt 0
+  loop ()
 
-let build_session cfg conn =
+let build_session cfg addr conn =
   let setup =
     {
       (Harness.default_setup ~protocol:cfg.protocol ~users:cfg.users
@@ -389,7 +475,9 @@ let build_session cfg conn =
     seen = Hashtbl.create 64;
     rng = Crypto.Prng.split rng ~label:(Printf.sprintf "net-client-%d" cfg.user);
     initial_root;
+    addr;
     conn;
+    link = Joining (0, Unix.gettimeofday () +. dial_timeout);
     seq = 0;
     last_stepped = 0;
     generation = 0;
@@ -406,84 +494,14 @@ let build_session cfg conn =
   }
 
 let run cfg =
-  match Sock.connect_fd ~host:cfg.host ~port:cfg.port ~timeout:dial_timeout with
+  match
+    Result.bind (Loop.resolve cfg.host) (fun addr ->
+        Result.map (fun conn -> (addr, conn)) (Loop.dial addr cfg.port))
+  with
   | Error e -> Error (Printf.sprintf "connect %s:%d: %s" cfg.host cfg.port e)
-  | Ok fd -> (
-      let s = build_session cfg (Conn.create fd) in
-      let finish r =
-        (match s.journal with Some j -> Obs.Journal.close j | None -> ());
-        r
-      in
-      match handshake s with
-      | Error e -> Conn.close s.conn; finish (Error e)
-      | Ok () ->
-          let rec loop () =
-            match (s.finished, s.fatal) with
-            | Some (session_alarmed, reason, round), _ ->
-                Conn.send s.conn Codec.Bye;
-                Conn.flush s.conn;
-                Conn.close s.conn;
-                let local =
-                  List.map
-                    (fun (a : Sim.Engine.alarm_record) -> (a.at_round, a.reason))
-                    (Sim.Engine.alarms s.engine)
-                in
-                Ok
-                  {
-                    v_alarmed = session_alarmed || local <> [];
-                    v_local_alarms = local;
-                    v_session_alarmed = session_alarmed;
-                    v_session_reason = reason;
-                    v_rounds = round;
-                    v_reconnects = s.reconnects;
-                  }
-            | None, Some e -> Conn.close s.conn; Error e
-            | None, None ->
-                (* Dead-peer detection: the round clock guarantees a frame at
-                   least every half second while the daemon is alive, so
-                   prolonged silence means the link (not the protocol) is
-                   wedged — tear it down and let the reconnect path, which
-                   the daemon answers with a fresh Tick, recover the round. *)
-                if
-                  (not (Conn.eof s.conn))
-                  && Unix.gettimeofday () -. s.last_rx > silence_limit
-                then begin
-                  Log.warn (fun f ->
-                      f "no frame for %.1fs — link wedged, reconnecting"
-                        silence_limit);
-                  Conn.close s.conn
-                end;
-                if Conn.eof s.conn then begin
-                  Conn.close s.conn;
-                  match reconnect s with
-                  | Error e -> Error e
-                  | Ok () -> loop ()
-                end
-                else begin
-                  (match
-                     Unix.select [ Conn.fd s.conn ]
-                       (if Conn.want_write s.conn then [ Conn.fd s.conn ] else [])
-                       [] 0.25
-                   with
-                  | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
-                  | r, w, _ ->
-                      if r <> [] then Conn.fill s.conn;
-                      if w <> [] then Conn.flush s.conn);
-                  let rec pump () =
-                    if s.finished = None && s.fatal = None then
-                      match Conn.pop s.conn with
-                      | Ok None -> ()
-                      | Ok (Some frame) ->
-                          s.last_rx <- Unix.gettimeofday ();
-                          handle_frame s frame;
-                          pump ()
-                      | Error e ->
-                          s.fatal <-
-                            Some ("bad frame from server: " ^ Codec.error_to_string e)
-                  in
-                  pump ();
-                  Conn.flush s.conn;
-                  loop ()
-                end
-          in
-          finish (loop ()))
+  | Ok (addr, conn) ->
+      let s = build_session cfg addr conn in
+      send_hello s;
+      let r = drive s in
+      Option.iter Obs.Journal.close s.journal;
+      r

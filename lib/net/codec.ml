@@ -86,8 +86,6 @@ let error_to_string = function
   | Bad_checksum -> "checksum mismatch"
   | Malformed what -> "malformed " ^ what
 
-let pp_error fmt e = Format.pp_print_string fmt (error_to_string e)
-
 let error_code_to_string = function
   | Version_mismatch -> "version-mismatch"
   | Bad_user -> "bad-user"
@@ -516,6 +514,10 @@ let ctx_of_frame = function
   | Error_frame _ | Bye | Prepare _ | Shard_root _ | Commit _ ->
       None
 
+let hello ~role ~user ~users ~round =
+  Hello
+    { h_version = protocol_version; h_role = role; h_user = user; h_users = users; h_round = round }
+
 let frame_kind = function
   | Hello _ -> "hello"
   | Welcome _ -> "welcome"
@@ -533,54 +535,6 @@ let frame_kind = function
   | Prepare _ -> "prepare"
   | Shard_root _ -> "shard_root"
   | Commit _ -> "commit"
-
-let pp_frame fmt (f : frame) =
-  match f with
-  | Hello h ->
-      Format.fprintf fmt "hello(v%d, u%d/%d, %s, r%d)" h.h_version h.h_user h.h_users
-        (match h.h_role with
-        | Lockstep -> "lockstep"
-        | Free -> "free"
-        | Shard_link -> "shard-link")
-        h.h_round
-  | Welcome m ->
-      Format.fprintf fmt "welcome(v%d, gen %d, ctr %d, %d user(s), %d shard(s))"
-        m.w_version m.w_generation m.w_ctr m.w_users m.w_shards
-  | Request { seq; ctx; msg } ->
-      Format.fprintf fmt "request#%d[u%d#%d@r%d] %a" seq ctx.x_user ctx.x_span
-        ctx.x_round Message.pp msg
-  | Publish { seq; ctx; msg } ->
-      Format.fprintf fmt "publish#%d[u%d#%d@r%d] %a" seq ctx.x_user ctx.x_span
-        ctx.x_round Message.pp msg
-  | Ack { seq } -> Format.fprintf fmt "ack#%d" seq
-  | Reply { seq; ctx; msg } ->
-      Format.fprintf fmt "reply#%d[u%d#%d@r%d] %a" seq ctx.x_user ctx.x_span ctx.x_round
-        Message.pp msg
-  | Deliver { src; sseq; ctx; msg } ->
-      Format.fprintf fmt "deliver(u%d#%d)[u%d#%d@r%d] %a" src sseq ctx.x_user ctx.x_span
-        ctx.x_round Message.pp msg
-  | Deliver_ack { src; sseq } -> Format.fprintf fmt "deliver-ack(u%d#%d)" src sseq
-  | Tick { round } -> Format.fprintf fmt "tick(r%d)" round
-  | Tick_done { round; drained; alarmed } ->
-      Format.fprintf fmt "tick-done(r%d%s%s)" round
-        (if drained then ", drained" else "")
-        (if alarmed then ", alarmed" else "")
-  | Session_end { round; alarmed; reason } ->
-      Format.fprintf fmt "session-end(r%d, %s%s)" round
-        (if alarmed then "alarmed" else "clean")
-        (if reason = "" then "" else ": " ^ reason)
-  | Error_frame { code; detail } ->
-      Format.fprintf fmt "error(%s%s)"
-        (error_code_to_string code)
-        (if detail = "" then "" else ": " ^ detail)
-  | Bye -> Format.pp_print_string fmt "bye"
-  | Prepare { round } -> Format.fprintf fmt "prepare(r%d)" round
-  | Shard_root { round; shard_id; generation; ctr; root } ->
-      Format.fprintf fmt "shard-root(r%d, shard %d, gen %d, ctr %d, %s)" round
-        shard_id generation ctr
-        (Crypto.Hex.encode root)
-  | Commit { round; root } ->
-      Format.fprintf fmt "commit(r%d, %s)" round (Crypto.Hex.encode root)
 
 let checksum body = String.sub (Crypto.Sha256.digest body) 0 4
 

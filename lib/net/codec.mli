@@ -110,11 +110,11 @@ type error =
   | Bad_checksum
   | Malformed of string
 
-val pp_error : Format.formatter -> error -> unit
 val error_to_string : error -> string
 val error_code_to_string : error_code -> string
-val pp_frame : Format.formatter -> frame -> unit
-(** One-line human summary (payload messages via {!Tcvs.Message.pp}). *)
+
+val hello : role:role -> user:int -> users:int -> round:int -> frame
+(** The [Hello] a dialler sends first, at {!protocol_version}. *)
 
 val frame_kind : frame -> string
 

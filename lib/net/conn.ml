@@ -20,13 +20,15 @@ type t = {
   mutable rbuf : string; (* received, not yet parsed *)
   mutable wbuf : string; (* encoded, not yet written *)
   mutable at_eof : bool;
+  mutable connecting : bool; (* a dial whose TCP handshake is pending *)
+  mutable dial_error : string option;
   mutable frames_in : int;
   mutable frames_out : int;
   mutable bytes_in : int;
   mutable bytes_out : int;
 }
 
-let create ?(max_frame = Codec.default_max_frame) sock =
+let create ?(max_frame = Codec.default_max_frame) ?(connecting = false) sock =
   Unix.set_nonblock sock;
   {
     sock;
@@ -34,6 +36,8 @@ let create ?(max_frame = Codec.default_max_frame) sock =
     rbuf = "";
     wbuf = "";
     at_eof = false;
+    connecting;
+    dial_error = None;
     frames_in = 0;
     frames_out = 0;
     bytes_in = 0;
@@ -50,15 +54,30 @@ let io_stats t =
 
 let fd t = t.sock
 let eof t = t.at_eof
+let dial_error t = t.dial_error
+
+(* A dialled socket does no I/O until its TCP handshake ends, so no
+   read consumes SO_ERROR first: it says why a dial failed, and a peer
+   name says it succeeded. *)
+let settle t =
+  if t.connecting && not t.at_eof then
+    match Unix.getsockopt_error t.sock with
+    | Some err ->
+        t.dial_error <- Some (Unix.error_message err);
+        t.at_eof <- true
+    | None ->
+        t.connecting <-
+          (match Unix.getpeername t.sock with _ -> false | exception Unix.Unix_error _ -> true)
 
 (* Single-threaded process: one scratch buffer serves every connection. *)
 let scratch = Bytes.create 65536
 
 (* Deep-lint justification: [create] puts every socket in nonblocking
    mode, so this Unix.read returns EAGAIN instead of stalling the
-   select loop. *)
+   loop. *)
 let[@tcvs.lint.allow "event-loop-purity"] fill t =
-  if not t.at_eof then
+  settle t;
+  if not (t.at_eof || t.connecting) then
     let rec loop () =
       match Unix.read t.sock scratch 0 (Bytes.length scratch) with
       | 0 -> t.at_eof <- true
@@ -109,8 +128,9 @@ let send t frame =
 (* Deep-lint justification: nonblocking socket (see [fill]); a short
    write leaves the tail in wbuf for the next writable round. *)
 let[@tcvs.lint.allow "event-loop-purity"] flush t =
+  settle t;
   let len = String.length t.wbuf in
-  if len > 0 && not t.at_eof then
+  if len > 0 && not (t.at_eof || t.connecting) then
     match Unix.write_substring t.sock t.wbuf 0 len with
     | n ->
         t.bytes_out <- t.bytes_out + n;
@@ -124,8 +144,10 @@ let[@tcvs.lint.allow "event-loop-purity"] flush t =
 let want_write t = String.length t.wbuf > 0 && not t.at_eof
 let pending_out t = String.length t.wbuf
 (* Marking eof here is load-bearing: a closed connection must never be
-   offered to select again (EBADF), and the select loops prune on
-   {!eof}. *)
+   offered to select again (EBADF), and the loop skips it on {!eof}.
+   Dropping the unparsed input ends the read burst of a handler that
+   closes its own connection. *)
 let close t =
   t.at_eof <- true;
+  t.rbuf <- "";
   try Unix.close t.sock with Unix.Unix_error _ -> ()

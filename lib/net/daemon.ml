@@ -99,7 +99,7 @@ let welcome st () =
 
 (* ---- Reply capture --------------------------------------------------- *)
 
-let[@tcvs.lint.root "event-loop"] drain_outbox st =
+let drain_outbox st =
   while not (Queue.is_empty st.outbox) do
     let u, msg = Queue.pop st.outbox in
     match Hashtbl.find_opt st.fe.Front.outstanding u with
@@ -194,7 +194,7 @@ let handle_request st (sess : Front.session) ~seq ~ctx ~msg =
    requests normally execute from the main loop; a Prepare arriving in
    the same read burst as a (duplicate) request must never seal a round
    with work still staged. *)
-let[@tcvs.lint.root "event-loop"] execute_pending st =
+let execute_pending st =
   if st.free_pending then begin
     st.free_pending <- false;
     Sim.Engine.step st.engine;
@@ -233,7 +233,7 @@ let handle_commit st (sess : Front.session) ~round =
       jot st ~ev:"shard.commit" (Printf.sprintf "composed root published r%d" round)
   | _ -> Front.reject sess Codec.Protocol_violation "commit outside a shard link"
 
-let[@tcvs.lint.root "event-loop"] handle_frame st (sess : Front.session) frame =
+let handle_frame st (sess : Front.session) frame =
   match (sess.role, frame) with
   | None, Codec.Hello h -> handle_hello st sess h
   | Some _, Codec.Request { seq; ctx; msg } -> handle_request st sess ~seq ~ctx ~msg
@@ -243,7 +243,7 @@ let[@tcvs.lint.root "event-loop"] handle_frame st (sess : Front.session) frame =
 
 (* ---- The round clock ------------------------------------------------- *)
 
-let[@tcvs.lint.root "event-loop"] finish_round st =
+let finish_round st =
   (* two steps: the first delivers this round's requests to the server
      (which executes and sends), the second delivers its responses to
      the capture stubs *)
@@ -267,7 +267,7 @@ let[@tcvs.lint.root "event-loop"] finish_round st =
   in
   Front.close_round st.fe ~alarm ~idle:(Queue.is_empty st.outbox)
 
-(* Pre-select work of one loop turn. *)
+(* The daemon's work before each turn of the loop. *)
 let step st =
   Front.start_clock st.fe;
   if st.fe.ticking then
@@ -390,7 +390,7 @@ let build_state cfg =
 
 (* Scrape-on-connect: accepting a connection on the admin socket sends
    one JSON snapshot and closes. No request parsing, no admin state in
-   the select loop — the simplest protocol a `watch`-style client and
+   the loop — the simplest protocol a `watch`-style client and
    `tcvs_cli top` can both speak. *)
 
 let admin_snapshot st =
@@ -432,6 +432,13 @@ let admin_snapshot st =
 
 (* ---- Main loop ------------------------------------------------------- *)
 
+let[@tcvs.lint.root "event-loop"] serve st l =
+  Front.serve st.fe l ~handle:(handle_frame st)
+    ~snapshot:(fun () -> admin_snapshot st)
+    ~step:(fun () -> step st)
+    ~close:(fun () -> Option.iter Store.close st.store)
+    ()
+
 let run cfg =
   match
     (* shard mode: one engine user (the router) over a single internal
@@ -455,8 +462,4 @@ let run cfg =
               f "listening on 127.0.0.1:%d (boot %s, %d users, %s)" l.Front.port
                 st.fe.boot_id cfg.users
                 (Harness.protocol_name cfg.protocol));
-          Front.serve st.fe l ~handle:(handle_frame st)
-            ~snapshot:(fun () -> admin_snapshot st)
-            ~step:(fun () -> step st)
-            ~close:(fun () -> Option.iter Store.close st.store)
-            ())
+          serve st l)

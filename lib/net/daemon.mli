@@ -1,6 +1,7 @@
 (** The Trusted-CVS server as a standalone TCP daemon.
 
-    One process, one [Unix.select] loop ({!Front.serve}), no threads.
+    One process, one event loop ({!Front.serve} over {!Loop.turn}), no
+    threads; {!run}'s handlers all run between two of its selects.
     The client-facing protocol — handshake, exactly-once dedup, relay,
     round clock — is {!Front}'s; this module is the engine/store bridge
     and the shard side of the cluster barrier. The daemon embeds

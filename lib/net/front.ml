@@ -289,7 +289,7 @@ let handle_deliver_ack t sess ~psrc ~sseq =
 (* Every frame a process does not handle itself: the pre-Hello and
    second-Hello violations, the relay, the round clock's Tick_done, Bye,
    and a violation for anything a client has no business sending. *)
-let[@tcvs.lint.root "event-loop"] handle_frame t sess frame =
+let handle_frame t sess frame =
   match (sess.role, frame) with
   | None, _ -> reject sess Codec.Protocol_violation "first frame must be Hello"
   | Some _, Codec.Hello _ -> reject sess Codec.Protocol_violation "second Hello on a connection"
@@ -312,7 +312,7 @@ let[@tcvs.lint.root "event-loop"] handle_frame t sess frame =
 
 (* ---- The round clock --------------------------------------------------- *)
 
-let[@tcvs.lint.root "event-loop"] begin_tick t =
+let begin_tick t =
   t.round <- t.round + 1;
   Obs.incr t.m.m_ticks;
   t.tick_sent_at <- Unix.gettimeofday ();
@@ -390,10 +390,10 @@ type listener = { lfd : Unix.file_descr; port : int; admin : Admin.t option }
 let stop_requested = ref false
 
 let listen t ~port ~port_file ~admin_port ~admin_port_file =
-  Sock.trap_stop stop_requested;
-  Sock.listen ~port ()
+  Loop.trap_stop stop_requested;
+  Loop.listen ~port ()
   |> Result.map (fun (lfd, port) ->
-         Option.iter (fun path -> Sock.write_port_file path port) port_file;
+         Option.iter (fun path -> Loop.write_port_file path port) port_file;
          let admin =
            Option.bind admin_port (fun p ->
                match Admin.listen ~port:p with
@@ -401,13 +401,13 @@ let listen t ~port ~port_file ~admin_port ~admin_port_file =
                    Logs.err ~src:t.src (fun f -> f "admin: %s" e);
                    None
                | Ok (a, ap) ->
-                   Option.iter (fun path -> Sock.write_port_file path ap) admin_port_file;
+                   Option.iter (fun path -> Loop.write_port_file path ap) admin_port_file;
                    Logs.app ~src:t.src (fun f -> f "admin endpoint on 127.0.0.1:%d" ap);
                    Some a)
          in
          { lfd; port; admin })
 
-let[@tcvs.lint.root "event-loop"] prune_sessions t =
+let prune_sessions t =
   let dead, live = List.partition (fun s -> Conn.eof s.conn || s.said_bye) t.sessions in
   List.iter
     (fun s ->
@@ -416,48 +416,36 @@ let[@tcvs.lint.root "event-loop"] prune_sessions t =
     dead;
   t.sessions <- live
 
-let[@tcvs.lint.root "event-loop"] accept_pending t lfd =
-  let rec loop () =
-    match Unix.accept lfd with
-    | fd, addr ->
-        let peer =
-          match addr with
-          | Unix.ADDR_INET (a, p) -> Printf.sprintf "%s:%d" (Unix.string_of_inet_addr a) p
-          | Unix.ADDR_UNIX p -> p
-        in
-        let sess =
-          { conn = Conn.create fd; peer; user = -1; role = None; said_bye = false; dedup_hits = 0 }
-        in
-        if List.length t.sessions >= t.max_conns then
-          reject sess Codec.Busy (Printf.sprintf "connection limit %d reached" t.max_conns)
-        else begin
-          Obs.incr t.m.m_accepts;
-          t.sessions <- sess :: t.sessions
-        end;
-        loop ()
-    | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _) -> ()
+let accept t fd addr =
+  let peer =
+    match addr with
+    | Unix.ADDR_INET (a, p) -> Printf.sprintf "%s:%d" (Unix.string_of_inet_addr a) p
+    | Unix.ADDR_UNIX p -> p
   in
-  loop ()
+  let sess =
+    { conn = Conn.create fd; peer; user = -1; role = None; said_bye = false; dedup_hits = 0 }
+  in
+  if List.length t.sessions >= t.max_conns then
+    reject sess Codec.Busy (Printf.sprintf "connection limit %d reached" t.max_conns)
+  else begin
+    Obs.incr t.m.m_accepts;
+    t.sessions <- sess :: t.sessions
+  end
 
 (* An undecodable frame is answered with a typed violation before the
    close; nothing is dispatched once the session is over. *)
-let[@tcvs.lint.root "event-loop"] read_session t sess ~handle =
-  Conn.fill sess.conn;
-  let rec pump () =
-    if not t.session_over then
-      match Conn.pop sess.conn with
-      | Ok None -> ()
-      | Ok (Some frame) ->
-          handle sess frame;
-          pump ()
-      | Error e ->
+let session_watch t ~handle sess =
+  Loop.Frames
+    ( sess.conn,
+      (fun frame -> if not t.session_over then handle sess frame),
+      fun e ->
+        if not t.session_over then begin
           Logs.warn ~src:t.src (fun f ->
               f "u%d: bad frame: %s — closing" sess.user (Codec.error_to_string e));
           reject sess Codec.Protocol_violation (Codec.error_to_string e)
-  in
-  pump ()
+        end )
 
-let serve t l ~handle ~snapshot ~step ?(links = fun () -> []) ?(read_links = ignore) ~close () =
+let serve t l ~handle ~snapshot ~step ?(links = fun () -> []) ~close () =
   let scrape () =
     Obs.incr t.m.m_scrapes;
     snapshot ()
@@ -466,52 +454,24 @@ let serve t l ~handle ~snapshot ~step ?(links = fun () -> []) ?(read_links = ign
     if !stop_requested && not t.session_over then
       end_session t ~alarmed:false ~reason:"sigterm-drain";
     prune_sessions t;
-    if t.session_over then begin
-      List.iter (fun s -> Conn.flush s.conn) t.sessions;
-      let flushed = List.for_all (fun s -> Conn.pending_out s.conn = 0) t.sessions in
-      if flushed || t.sessions = [] || Unix.gettimeofday () -. t.ended_at > 2.0 then begin
-        List.iter (fun s -> Conn.close s.conn) t.sessions;
-        Unix.close l.lfd;
-        Option.iter Admin.close l.admin;
-        Option.iter Obs.Journal.close t.journal;
-        close ();
-        Ok ()
-      end
-      else turn ()
+    let flushed () = List.for_all (fun s -> Conn.pending_out s.conn = 0) t.sessions in
+    if t.session_over && (flushed () || Unix.gettimeofday () -. t.ended_at > 2.0) then begin
+      List.iter (fun s -> Conn.close s.conn) t.sessions;
+      Unix.close l.lfd;
+      Option.iter Admin.close l.admin;
+      Option.iter Obs.Journal.close t.journal;
+      close ();
+      Ok ()
     end
     else begin
-      step ();
-      turn ()
+      if not t.session_over then step ();
+      let admin = Option.to_list (Option.map (Admin.watch ~snapshot:scrape) l.admin) in
+      Loop.turn ~timeout:0.05
+        ((Loop.Listener (l.lfd, accept t) :: admin)
+        @ List.map (session_watch t ~handle) t.sessions
+        @ links ());
+      Option.iter Admin.service l.admin;
+      loop ()
     end
-  and turn () =
-    let extra = links () in
-    let want_w c acc = if Conn.want_write c then Conn.fd c :: acc else acc in
-    let rfds = l.lfd :: List.map (fun s -> Conn.fd s.conn) t.sessions in
-    let rfds = List.fold_left (fun acc c -> Conn.fd c :: acc) rfds extra in
-    let wfds = List.fold_left (fun acc s -> want_w s.conn acc) [] t.sessions in
-    let wfds = List.fold_left (fun acc c -> want_w c acc) wfds extra in
-    let rfds, wfds =
-      match l.admin with
-      | Some a -> (Admin.fd a :: rfds, Admin.wfds a @ wfds)
-      | None -> (rfds, wfds)
-    in
-    let readable, _, _ =
-      try Unix.select rfds wfds [] 0.05 with Unix.Unix_error (Unix.EINTR, _, _) -> ([], [], [])
-    in
-    if List.mem l.lfd readable then accept_pending t l.lfd;
-    (match l.admin with
-    | Some a ->
-        if List.mem (Admin.fd a) readable then Admin.accept_pending a ~snapshot:scrape;
-        Admin.service a
-    | None -> ());
-    List.iter
-      (fun s -> if List.mem (Conn.fd s.conn) readable then read_session t s ~handle)
-      t.sessions;
-    read_links readable;
-    (* one flush pass covers both the writable sockets and the frames
-       this turn queued *)
-    List.iter (fun s -> Conn.flush s.conn) t.sessions;
-    List.iter Conn.flush (links ());
-    loop ()
   in
   loop ()

@@ -138,16 +138,14 @@ val serve :
   handle:(session -> Codec.frame -> unit) ->
   snapshot:(unit -> string) ->
   step:(unit -> unit) ->
-  ?links:(unit -> Conn.t list) ->
-  ?read_links:(Unix.file_descr list -> unit) ->
+  ?links:(unit -> Loop.watch list) ->
   close:(unit -> unit) ->
   unit ->
   (unit, string) result
-(** The select loop, until the session ends (or a signal drains it).
-    Each turn: [step] (the process's pre-select work), [Unix.select]
-    with a 0.05 s timeout over the listener, sessions, [links] and the
-    admin endpoint, then accept, admin scrapes ([snapshot]), session
-    frames ([handle]), [read_links] on the readable fds, and a flush of
-    sessions and links. Once the session is over the loop flushes what
+(** Serve until the session ends (or a signal drains it). Each pass:
+    [step] (the process's own pre-turn work), then one {!Loop.turn} of
+    at most 0.05 s over the listener, the admin endpoint (scrapes
+    render [snapshot]), the sessions (frames go to [handle]) and the
+    process's [links]. Once the session is over the loop flushes what
     is queued (for at most 2 s), closes sessions, listener, admin and
     journal, then calls [close]. *)

@@ -133,133 +133,84 @@ let relay cfg jnl link ~dst frame =
 
 let stop_requested = ref false
 
-let pump cfg jnl link ~from ~dst =
-  Conn.fill from.conn;
-  let rec loop () =
-    match Conn.pop from.conn with
-    | Ok None -> true
-    | Ok (Some frame) ->
-        relay cfg jnl link ~dst frame;
-        loop ()
-    | Error e ->
-        Log.warn (fun f ->
-            f "u%d: undecodable frame (%s) — dropping the link" link.user
-              (Codec.error_to_string e));
-        false
-  in
-  loop ()
-
 let close_link link =
   Conn.close link.client.conn;
   Conn.close link.server.conn
 
+(* Either leg dead with nothing left to hand the other (both dead after
+   an undecodable frame). An upstream that never connected says why. *)
+let finished link =
+  let c = link.client.conn and s = link.server.conn in
+  let dead = Conn.eof c && (Conn.eof s || Conn.pending_out s = 0) in
+  let dead = dead || (Conn.eof s && Conn.pending_out c = 0) in
+  if dead then begin
+    Conn.dial_error s
+    |> Option.iter (fun e -> Log.warn (fun f -> f "upstream connect failed: %s" e));
+    close_link link
+  end;
+  dead
+
+let[@tcvs.lint.root "event-loop"] serve cfg jnl listen_fd dst_addr =
+  let links = ref [] in
+  let accepted = ref 0 in
+  let rng = Crypto.Prng.create ~seed:cfg.seed in
+  let accept cfd _ =
+    match Loop.dial dst_addr cfg.dst_port with
+    | Error e ->
+        Log.warn (fun f -> f "upstream connect failed: %s" e);
+        Unix.close cfd
+    | Ok server ->
+        incr accepted;
+        links :=
+          {
+            client = { conn = Conn.create cfd; held = [] };
+            server = { conn = server; held = [] };
+            rng = Crypto.Prng.split rng ~label:(Printf.sprintf "link-%d" !accepted);
+            user = -1;
+            round = 0;
+          }
+          :: !links
+  in
+  let leg link ~from ~dst =
+    Loop.Frames
+      ( from.conn,
+        relay cfg jnl link ~dst,
+        fun e ->
+          Log.warn (fun f ->
+              f "u%d: undecodable frame (%s) — dropping the link" link.user
+                (Codec.error_to_string e));
+          close_link link )
+  in
+  let rec loop () =
+    if !stop_requested then begin
+      List.iter close_link !links;
+      Unix.close listen_fd;
+      Option.iter Obs.Journal.close jnl;
+      Ok ()
+    end
+    else begin
+      Loop.turn ~timeout:0.1
+        (Loop.Listener (listen_fd, accept)
+        :: List.concat_map
+             (fun l -> [ leg l ~from:l.client ~dst:l.server; leg l ~from:l.server ~dst:l.client ])
+             !links);
+      links := List.filter (fun l -> not (finished l)) !links;
+      loop ()
+    end
+  in
+  loop ()
+
 let run cfg =
-  Sock.trap_stop stop_requested;
-  match Sock.resolve cfg.dst_host with
+  Loop.trap_stop stop_requested;
+  match Loop.resolve cfg.dst_host with
   | Error e -> Error e
   | Ok dst_addr -> (
-      match Sock.listen ~port:cfg.listen_port () with
+      match Loop.listen ~port:cfg.listen_port () with
       | Error e -> Error e
       | Ok (listen_fd, port) ->
-          Option.iter (fun path -> Sock.write_port_file path port) cfg.port_file;
+          Option.iter (fun path -> Loop.write_port_file path port) cfg.port_file;
           Log.app (fun f ->
               f "proxying 127.0.0.1:%d -> %s:%d" port cfg.dst_host cfg.dst_port);
-          let links = ref [] in
-          let accepted = ref 0 in
-          let rng = Crypto.Prng.create ~seed:cfg.seed in
-          let jnl =
-            Option.map (fun p -> Obs.Journal.open_ ~proc:"proxy" p) cfg.journal
-          in
-          let accept_pending () =
-            let rec loop () =
-              match Unix.accept listen_fd with
-              | cfd, _ -> (
-                  match
-                    Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 |> fun sfd ->
-                    (try
-                       Unix.connect sfd (Unix.ADDR_INET (dst_addr, cfg.dst_port));
-                       Ok sfd
-                     with Unix.Unix_error (err, _, _) ->
-                       Unix.close sfd;
-                       Error (Unix.error_message err))
-                  with
-                  | Error e ->
-                      Log.warn (fun f -> f "upstream connect failed: %s" e);
-                      Unix.close cfd;
-                      loop ()
-                  | Ok sfd ->
-                      incr accepted;
-                      links :=
-                        {
-                          client =
-                            { conn = Conn.create cfd; held = [] };
-                          server =
-                            { conn = Conn.create sfd; held = [] };
-                          rng =
-                            Crypto.Prng.split rng
-                              ~label:(Printf.sprintf "link-%d" !accepted);
-                          user = -1;
-                          round = 0;
-                        }
-                        :: !links;
-                      loop ())
-              | exception
-                  Unix.Unix_error
-                    ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _) ->
-                  ()
-            in
-            loop ()
-          in
-          let rec loop () =
-            if !stop_requested then begin
-              List.iter close_link !links;
-              Unix.close listen_fd;
-              (match jnl with Some j -> Obs.Journal.close j | None -> ());
-              Ok ()
-            end
-            else begin
-              let legs l = [ l.client; l.server ] in
-              let rfds =
-                listen_fd
-                :: List.concat_map (fun l -> List.map (fun g -> Conn.fd g.conn) (legs l)) !links
-              in
-              let wfds =
-                List.concat_map
-                  (fun l ->
-                    List.filter_map
-                      (fun g -> if Conn.want_write g.conn then Some (Conn.fd g.conn) else None)
-                      (legs l))
-                  !links
-              in
-              (match Unix.select rfds wfds [] 0.1 with
-              | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
-              | readable, writable, _ ->
-                  if List.mem listen_fd readable then accept_pending ();
-                  links :=
-                    List.filter
-                      (fun l ->
-                        let ok =
-                          (if List.mem (Conn.fd l.client.conn) readable then
-                             pump cfg jnl l ~from:l.client ~dst:l.server
-                           else true)
-                          && (if List.mem (Conn.fd l.server.conn) readable then
-                                pump cfg jnl l ~from:l.server ~dst:l.client
-                              else true)
-                        in
-                        List.iter
-                          (fun g ->
-                            if List.mem (Conn.fd g.conn) writable then Conn.flush g.conn)
-                          (legs l);
-                        List.iter (fun g -> Conn.flush g.conn) (legs l);
-                        let dead =
-                          (not ok)
-                          || (Conn.eof l.client.conn && Conn.pending_out l.server.conn = 0)
-                          || (Conn.eof l.server.conn && Conn.pending_out l.client.conn = 0)
-                        in
-                        if dead then close_link l;
-                        not dead)
-                      !links);
-              loop ()
-            end
-          in
-          loop ())
+          serve cfg
+            (Option.map (fun p -> Obs.Journal.open_ ~proc:"proxy" p) cfg.journal)
+            listen_fd dst_addr)

@@ -48,5 +48,6 @@ val default_config : dst_port:int -> config
 
 val run : config -> (unit, string) result
 (** Relay until SIGTERM/SIGINT. Each accepted client connection gets
-    its own upstream connection to the daemon; either side closing
-    tears down the pair. *)
+    its own upstream connection to the daemon, dialled without
+    blocking (frames wait in its buffer until it connects); either side
+    closing tears down the pair. *)

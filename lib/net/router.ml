@@ -15,7 +15,8 @@ let c_barrier_retries = Obs.counter ~scope:obs_scope "barrier_retries"
 let c_link_reconnects = Obs.counter ~scope:obs_scope "link_reconnects"
 
 (* Sub-request retransmit base, re-Prepare interval and the re-Prepares
-   before the wedge alarm; shard dial timeout and reconnect base. *)
+   before the wedge alarm; seconds from a dial to the shard's Welcome,
+   and the reconnect base. *)
 let subreq_retry = 0.25
 let reprepare_after = 0.5
 let max_reprepares = 20
@@ -64,6 +65,12 @@ type rop = {
   mutable o_replies : (int * Message.t) list; (* shard id → Response *)
 }
 
+(* Dialled without blocking, the Welcome arrives as a link frame. *)
+type link_state =
+  | Down
+  | Joining of Conn.t * float (* Hello sent; the Welcome is due by then *)
+  | Up of Conn.t
+
 (* The link to one shard daemon: a FIFO of sub-requests with exactly one
    in flight (the shard enforces a single outstanding query per link),
    retransmitted on loss and re-sent verbatim across reconnects — the
@@ -71,9 +78,10 @@ type rop = {
 type link = {
   l_id : int;
   l_host : string;
+  l_addr : Unix.inet_addr; (* [l_host], resolved once at setup *)
   l_port : int;
   l_queue : rop Queue.t;
-  mutable l_conn : Conn.t option;
+  mutable l_state : link_state;
   mutable l_boot : string; (* "" before first contact *)
   mutable l_gen : int;
   mutable l_rseq : int; (* last sub-request seq assigned on this link *)
@@ -184,97 +192,78 @@ let link_welcome_check st l (w : Codec.welcome) =
     end
   end
 
-(* A handshake failure is [`Transient] (retry with backoff: the shard
-   is down or slow) or [`Fatal] (the stores disagree about history —
-   retrying cannot help, so the cluster alarms). *)
-let link_handshake st l conn =
-  Conn.send conn
-    (Codec.Hello
-       {
-         Codec.h_version = Codec.protocol_version;
-         h_role = Codec.Shard_link;
-         h_user = l.l_id;
-         h_users = st.shard_count;
-         h_round = st.fe.round;
-       });
-  Conn.flush conn;
-  match Sock.await_frame conn ~timeout:link_timeout with
-  | Error e -> Error (`Transient e)
-  | Ok None -> Error (`Transient "no Welcome before timeout")
-  | Ok (Some (Codec.Welcome w)) -> (
-      match link_welcome_check st l w with
-      | Error e -> Error (`Fatal e)
-      | Ok () ->
-          l.l_boot <- w.Codec.w_boot_id;
-          l.l_gen <- max l.l_gen w.Codec.w_generation;
-          Ok ())
-  | Ok (Some (Codec.Error_frame { code; detail })) ->
-      Error
-        (`Fatal
-          (Printf.sprintf "rejected (%s): %s" (Codec.error_code_to_string code)
-             detail))
-  | Ok (Some f) -> Error (`Transient ("unexpected " ^ Codec.frame_kind f))
-
 let sub_request st l (rseq, rop) =
   let sub_op = Vo.sub_op_for st.boundaries l.l_id rop.o_op in
   Codec.Request
     { seq = rseq; ctx = rop.o_ctx; msg = Message.Query { op = sub_op; piggyback = rop.o_piggyback } }
 
+let link_conn l = match l.l_state with Down -> None | Joining (c, _) | Up c -> Some c
+
 let close_link l =
-  (match l.l_conn with Some c -> Conn.close c | None -> ());
-  l.l_conn <- None
+  Option.iter Conn.close (link_conn l);
+  l.l_state <- Down
+
+(* A failed join is retried with backoff (the shard is down or slow),
+   unless the stores disagree about history: retrying cannot help then,
+   so the cluster alarms. *)
+let join_failed st l ~fatal why =
+  close_link l;
+  l.l_attempts <- l.l_attempts + 1;
+  if fatal then alarm st (Printf.sprintf "shard %d handshake: %s" l.l_id why)
+  else Log.info (fun f -> f "shard %d %s" l.l_id why)
 
 let connect_link st l ~now =
   l.l_next_connect <- now +. (link_backoff *. float_of_int (1 lsl min l.l_attempts 6));
-  match Sock.connect_fd ~host:l.l_host ~port:l.l_port ~timeout:link_timeout with
-  | Error e ->
-      Log.info (fun f -> f "shard %d connect failed: %s" l.l_id e);
-      l.l_attempts <- l.l_attempts + 1
-  | Ok fd -> (
-      let conn = Conn.create fd in
-      match link_handshake st l conn with
-      | Error (`Transient e) ->
-          Conn.close conn;
-          l.l_attempts <- l.l_attempts + 1;
-          Log.info (fun f -> f "shard %d handshake failed: %s" l.l_id e)
-      | Error (`Fatal e) ->
-          Conn.close conn;
-          l.l_attempts <- l.l_attempts + 1;
-          alarm st (Printf.sprintf "shard %d handshake: %s" l.l_id e)
-      | Ok () ->
-          l.l_conn <- Some conn;
-          l.l_attempts <- 0;
-          if l.l_reconnects > 0 then Obs.incr c_link_reconnects;
-          l.l_reconnects <- l.l_reconnects + 1;
-          Log.info (fun f -> f "shard %d linked (%s:%d)" l.l_id l.l_host l.l_port);
-          jot st ~ev:"router.link" (Printf.sprintf "shard %d up" l.l_id);
-          (* Re-offer whatever the last socket may have swallowed: the
-             in-flight sub-request (same rseq — the shard's dedup keeps
-             it exactly-once) and, mid-barrier, this shard's Prepare. *)
-          (match l.l_inflight with
-          | Some (rseq, rop) ->
-              l.l_sent_at <- Unix.gettimeofday ();
-              Conn.send conn (sub_request st l (rseq, rop))
-          | None -> ());
-          (match st.barrier with
-          | Sealing b when not b.b_votes.(l.l_id) ->
-              Conn.send conn (Codec.Prepare { round = b.b_round })
-          | _ -> ()))
+  match Loop.dial l.l_addr l.l_port with
+  | Error e -> join_failed st l ~fatal:false ("connect failed: " ^ e)
+  | Ok conn ->
+      Conn.send conn
+        (Codec.hello ~role:Codec.Shard_link ~user:l.l_id ~users:st.shard_count ~round:st.fe.round);
+      l.l_state <- Joining (conn, now +. link_timeout)
+
+let link_up st l conn (w : Codec.welcome) =
+  l.l_boot <- w.Codec.w_boot_id;
+  l.l_gen <- max l.l_gen w.Codec.w_generation;
+  l.l_state <- Up conn;
+  l.l_attempts <- 0;
+  if l.l_reconnects > 0 then Obs.incr c_link_reconnects;
+  l.l_reconnects <- l.l_reconnects + 1;
+  Log.info (fun f -> f "shard %d linked (%s:%d)" l.l_id l.l_host l.l_port);
+  jot st ~ev:"router.link" (Printf.sprintf "shard %d up" l.l_id);
+  (* Re-offer whatever the last socket may have swallowed: the
+     in-flight sub-request (same rseq — the shard's dedup keeps it
+     exactly-once) and, mid-barrier, this shard's Prepare. *)
+  (match l.l_inflight with
+  | Some (rseq, rop) ->
+      l.l_sent_at <- Unix.gettimeofday ();
+      Conn.send conn (sub_request st l (rseq, rop))
+  | None -> ());
+  match st.barrier with
+  | Sealing b when not b.b_votes.(l.l_id) -> Conn.send conn (Codec.Prepare { round = b.b_round })
+  | _ -> ()
 
 (* Send the head of each idle link's queue; retransmit a stale
-   in-flight sub-request; reconnect links whose socket died. *)
+   in-flight sub-request; redial links whose socket died or whose
+   Welcome is overdue. *)
 let pump_links st =
   let now = Unix.gettimeofday () in
   Array.iter
     (fun l ->
-      (match l.l_conn with
-      | Some c when Conn.eof c ->
+      (match l.l_state with
+      | Up c when Conn.eof c ->
           Log.info (fun f -> f "shard %d link lost" l.l_id);
           close_link l
+      | Joining (c, due) when Conn.eof c || now > due ->
+          join_failed st l ~fatal:false
+            (match Conn.dial_error c with
+            | Some e -> "connect failed: " ^ e
+            | None when Conn.eof c -> "handshake failed: connection closed"
+            | None -> "handshake failed: no Welcome before timeout")
       | _ -> ());
-      match l.l_conn with
-      | None -> if now >= l.l_next_connect then connect_link st l ~now
-      | Some conn -> (
+      match l.l_state with
+      | Down -> if now >= l.l_next_connect then connect_link st l ~now
+      | Joining _ -> ()
+      | Up conn -> (
           match l.l_inflight with
           | Some (rseq, rop) ->
               let backoff = subreq_retry *. float_of_int (1 lsl min l.l_attempts 6) in
@@ -405,7 +394,7 @@ let compose st (rop : rop) =
 (* Compose strictly in dispatch order: the head of [compose_q] may
    complete long after later single-shard ops on other links — they
    wait, so every composed VO extends one serial history. *)
-let[@tcvs.lint.root "event-loop"] try_compose st =
+let try_compose st =
   let rec loop () =
     match Queue.peek_opt st.compose_q with
     | Some rop when List.length rop.o_replies = List.length rop.o_touched -> (
@@ -473,7 +462,7 @@ let handle_request st (sess : Front.session) ~seq ~ctx ~msg =
                  (Message.kind m);
            })
 
-let[@tcvs.lint.root "event-loop"] handle_client_frame st (sess : Front.session) frame =
+let handle_client_frame st (sess : Front.session) frame =
   match (sess.role, frame) with
   | None, Codec.Hello h -> handle_hello st sess h
   | Some _, Codec.Request { seq; ctx; msg } -> handle_request st sess ~seq ~ctx ~msg
@@ -506,9 +495,19 @@ let handle_shard_root st l ~round ~shard_id ~generation ~ctr ~root =
             f "shard %d: stale shard_root r%d ignored" l.l_id round)
   end
 
-let[@tcvs.lint.root "event-loop"] handle_link_frame st l frame =
-  match frame with
-  | Codec.Reply { seq; msg; _ } -> (
+(* The first frame on a joining link must be the shard's Welcome. *)
+let handle_link_frame st l frame =
+  match (l.l_state, frame) with
+  | Joining (conn, _), Codec.Welcome w -> (
+      match link_welcome_check st l w with
+      | Error e -> join_failed st l ~fatal:true e
+      | Ok () -> link_up st l conn w)
+  | Joining _, Codec.Error_frame { code; detail } ->
+      join_failed st l ~fatal:true
+        (Printf.sprintf "rejected (%s): %s" (Codec.error_code_to_string code) detail)
+  | Joining _, f ->
+      join_failed st l ~fatal:false ("handshake failed: unexpected " ^ Codec.frame_kind f)
+  | _, Codec.Reply { seq; msg; _ } -> (
       match l.l_inflight with
       | Some (rseq, rop) when rseq = seq ->
           l.l_inflight <- None;
@@ -516,23 +515,23 @@ let[@tcvs.lint.root "event-loop"] handle_link_frame st l frame =
           ignore (Queue.pop l.l_queue);
           rop.o_replies <- rop.o_replies @ [ (l.l_id, msg) ]
       | _ -> Log.debug (fun f -> f "shard %d: stale reply seq %d" l.l_id seq))
-  | Codec.Shard_root { round; shard_id; generation; ctr; root } ->
+  | _, Codec.Shard_root { round; shard_id; generation; ctr; root } ->
       handle_shard_root st l ~round ~shard_id ~generation ~ctr ~root
-  | Codec.Error_frame { code = Codec.Lost_reply; detail } ->
+  | _, Codec.Error_frame { code = Codec.Lost_reply; detail } ->
       (* an op was executed on the shard but its effect is unknowable —
          composing any further root would be a guess *)
       alarm st (Printf.sprintf "shard %d lost a reply across a crash: %s" l.l_id detail)
-  | Codec.Error_frame { code; detail } ->
+  | _, Codec.Error_frame { code; detail } ->
       alarm st
         (Printf.sprintf "shard %d error (%s): %s" l.l_id
            (Codec.error_code_to_string code) detail)
-  | Codec.Session_end _ | Codec.Bye ->
+  | _, (Codec.Session_end _ | Codec.Bye) ->
       Log.info (fun f -> f "shard %d ended the link" l.l_id);
       close_link l
-  | Codec.Ack _ -> ()
-  | Codec.Hello _ | Codec.Welcome _ | Codec.Request _ | Codec.Publish _
-  | Codec.Deliver _ | Codec.Deliver_ack _ | Codec.Tick _ | Codec.Tick_done _
-  | Codec.Prepare _ | Codec.Commit _ ->
+  | _, Codec.Ack _ -> ()
+  | _, (Codec.Hello _ | Codec.Welcome _ | Codec.Request _ | Codec.Publish _
+        | Codec.Deliver _ | Codec.Deliver_ack _ | Codec.Tick _ | Codec.Tick_done _
+        | Codec.Prepare _ | Codec.Commit _) ->
       alarm st
         (Printf.sprintf "shard %d sent an unexpected %s" l.l_id
            (Codec.frame_kind frame))
@@ -553,9 +552,9 @@ let send_prepares st ~round ~missing_only votes =
   Array.iter
     (fun l ->
       if (not missing_only) || not votes.(l.l_id) then
-        match l.l_conn with
-        | Some conn -> Conn.send conn (Codec.Prepare { round })
-        | None -> () (* offered on reconnect *))
+        match l.l_state with
+        | Up conn -> Conn.send conn (Codec.Prepare { round })
+        | Down | Joining _ -> () (* offered on link-up *))
     st.links
 
 let start_seal st =
@@ -573,9 +572,9 @@ let commit_barrier st b_round =
     (Printf.sprintf "r%d root %s" b_round (Crypto.Hex.encode root));
   Array.iter
     (fun l ->
-      match l.l_conn with
-      | Some conn -> Conn.send conn (Codec.Commit { round = b_round; root })
-      | None -> ())
+      match l.l_state with
+      | Up conn -> Conn.send conn (Codec.Commit { round = b_round; root })
+      | Down | Joining _ -> ())
     st.links;
   st.barrier <- Idle;
   st.dirty <- false;
@@ -591,7 +590,7 @@ let abandon_barrier st reason =
 
 (* Drive the lockstep round machine: called from the main loop whenever
    state may have advanced. *)
-let[@tcvs.lint.root "event-loop"] drive_rounds st =
+let drive_rounds st =
   let fe = st.fe in
   Front.start_clock fe;
   if fe.ticking then begin
@@ -657,7 +656,9 @@ let admin_snapshot st =
         "\n    { \"shard\": %d, \"addr\": \"%s:%d\", \"connected\": %b, \
          \"generation\": %d, \"rseq\": %d, \"queued\": %d, \"inflight\": %b, \
          \"root\": %S }"
-        l.l_id l.l_host l.l_port (l.l_conn <> None) l.l_gen l.l_rseq
+        l.l_id l.l_host l.l_port
+        (match l.l_state with Up _ -> true | Down | Joining _ -> false)
+        l.l_gen l.l_rseq
         (Queue.length l.l_queue) (l.l_inflight <> None)
         (Crypto.Hex.encode st.serial_roots.(i)))
     st.links;
@@ -674,80 +675,90 @@ let admin_snapshot st =
    the boundaries is what makes the composed root byte-identical. *)
 let build_state cfg =
   let shard_count = Array.length cfg.shard_addrs in
+  let addrs = Array.map (fun (host, _) -> Loop.resolve host) cfg.shard_addrs in
   if shard_count < 1 then Error "router needs at least one shard address"
-  else begin
-    let initial = Harness.initial_files cfg.files in
-    let map =
-      Store.Shard_map.create ~branching:cfg.branching ~shards:shard_count
-        ~keys:(List.map fst initial)
-    in
-    let boundaries = Store.Shard_map.boundaries map in
-    let initial_roots =
-      Array.init shard_count (fun i ->
-          let slice = List.filter (fun (k, _) -> Store.Shard_map.route map k = i) initial in
-          Store.Shard_db.root_digest
-            (Store.Shard_db.create ~branching:cfg.branching ~shards:1 slice))
-    in
-    let links =
-      Array.mapi
-        (fun i (host, port) ->
-          {
-            l_id = i;
-            l_host = host;
-            l_port = port;
-            l_queue = Queue.create ();
-            l_conn = None;
-            l_boot = "";
-            l_gen = 0;
-            l_rseq = 0;
-            l_inflight = None;
-            l_sent_at = 0.;
-            l_attempts = 0;
-            l_next_connect = 0.;
-            l_reconnects = 0;
-          })
-        cfg.shard_addrs
-    in
-    Ok
-      {
-        cfg;
-        shard_count;
-        boundaries;
-        initial_roots;
-        serial_roots = Array.copy initial_roots;
-        links;
-        fe =
-          Front.create ~src ~scope:obs_scope ~ev:"router" ~ev_dispatch:"router.route"
-            ~users:cfg.users ~max_conns:cfg.max_conns
-            (Option.map (fun p -> Obs.Journal.open_ ~proc:"router" p) cfg.journal);
-        compose_q = Queue.create ();
-        held = Queue.create ();
-        g_ctr = 0;
-        g_last_user = -1;
-        dirty = false;
-        barrier = Idle;
-        alarms = [];
-      }
-  end
-
-let[@tcvs.lint.root "event-loop"] read_link st l =
-  match l.l_conn with
-  | None -> ()
-  | Some conn ->
-      Conn.fill conn;
-      let rec pump () =
-        match Conn.pop conn with
-        | Ok None -> ()
-        | Ok (Some frame) ->
-            handle_link_frame st l frame;
-            if l.l_conn <> None then pump ()
-        | Error e ->
-            Log.warn (fun f ->
-                f "shard %d: undecodable frame (%s) — dropping the link" l.l_id
-                  (Codec.error_to_string e));
-            close_link l
+  else
+    match Array.find_map (function Error e -> Some e | Ok _ -> None) addrs with
+    | Some e -> Error e
+    | None ->
+      let initial = Harness.initial_files cfg.files in
+      let map =
+        Store.Shard_map.create ~branching:cfg.branching ~shards:shard_count
+          ~keys:(List.map fst initial)
       in
-      pump ()
+      let boundaries = Store.Shard_map.boundaries map in
+      let initial_roots =
+        Array.init shard_count (fun i ->
+            let slice = List.filter (fun (k, _) -> Store.Shard_map.route map k = i) initial in
+            Store.Shard_db.root_digest
+              (Store.Shard_db.create ~branching:cfg.branching ~shards:1 slice))
+      in
+      let links =
+        Array.mapi
+          (fun i (host, port) ->
+            {
+              l_id = i;
+              l_host = host;
+              l_addr = Result.get_ok addrs.(i);
+              l_port = port;
+              l_queue = Queue.create ();
+              l_state = Down;
+              l_boot = "";
+              l_gen = 0;
+              l_rseq = 0;
+              l_inflight = None;
+              l_sent_at = 0.;
+              l_attempts = 0;
+              l_next_connect = 0.;
+              l_reconnects = 0;
+            })
+          cfg.shard_addrs
+      in
+      Ok
+        {
+          cfg;
+          shard_count;
+          boundaries;
+          initial_roots;
+          serial_roots = Array.copy initial_roots;
+          links;
+          fe =
+            Front.create ~src ~scope:obs_scope ~ev:"router" ~ev_dispatch:"router.route"
+              ~users:cfg.users ~max_conns:cfg.max_conns
+              (Option.map (fun p -> Obs.Journal.open_ ~proc:"router" p) cfg.journal);
+          compose_q = Queue.create ();
+          held = Queue.create ();
+          g_ctr = 0;
+          g_last_user = -1;
+          dirty = false;
+          barrier = Idle;
+          alarms = [];
+        }
+
+let link_watch st l conn =
+  Loop.Frames
+    ( conn,
+      handle_link_frame st l,
+      fun e ->
+        Log.warn (fun f ->
+            f "shard %d: undecodable frame (%s) — dropping the link" l.l_id
+              (Codec.error_to_string e));
+        close_link l )
+
+(* [step] dials every shard before the first turn reads a client
+   Hello, but a client's Welcome never waits for a shard's. *)
+let[@tcvs.lint.root "event-loop"] serve st l =
+  Front.serve st.fe l ~handle:(handle_client_frame st)
+    ~snapshot:(fun () -> admin_snapshot st)
+    ~step:(fun () ->
+      pump_links st;
+      try_compose st;
+      drive_rounds st)
+    ~links:(fun () ->
+      Array.to_list st.links
+      |> List.filter_map (fun l -> Option.map (link_watch st l) (link_conn l)))
+    ~close:(fun () -> Array.iter close_link st.links)
+    ()
 
 let run cfg =
   match build_state cfg with
@@ -762,21 +773,4 @@ let run cfg =
           Log.app (fun f ->
               f "routing 127.0.0.1:%d over %d shards (boot %s, %d users)" l.Front.port
                 st.shard_count st.fe.boot_id cfg.users);
-          (* [step] links every shard on the first turn, before any
-             client Hello is read *)
-          Front.serve st.fe l ~handle:(handle_client_frame st)
-            ~snapshot:(fun () -> admin_snapshot st)
-            ~step:(fun () ->
-              pump_links st;
-              try_compose st;
-              drive_rounds st)
-            ~links:(fun () -> List.filter_map (fun l -> l.l_conn) (Array.to_list st.links))
-            ~read_links:(fun readable ->
-              Array.iter
-                (fun l ->
-                  match l.l_conn with
-                  | Some c when List.mem (Conn.fd c) readable -> read_link st l
-                  | _ -> ())
-                st.links)
-            ~close:(fun () -> Array.iter close_link st.links)
-            ())
+          serve st l)

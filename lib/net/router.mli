@@ -30,8 +30,9 @@
     client → router → shard in the joined timeline.
 
     The client-facing side — handshake, dedup, relay, round clock and
-    the select loop — is {!Front}, shared with {!Daemon}; this module
-    keeps the shard links, the composition and the barrier. *)
+    the serving loop — is {!Front}, shared with {!Daemon}; this module
+    keeps the composition, the barrier and the shard links: watches of
+    the same {!Loop.turn}, whose Welcome is a link frame due in 5 s. *)
 
 type config = {
   listen_port : int;  (** 0 picks an ephemeral port *)
@@ -51,6 +52,6 @@ val default_config : shard_addrs:(string * int) array -> config
 val run : config -> (unit, string) result
 (** Serve until the session drains, an alarm fires, or SIGTERM/SIGINT
     requests a drain. Returns [Error _] only for setup failures
-    (binding the listen socket, an empty shard list); everything after
-    setup is reported through the journal, the logs and the session's
-    end-of-round alarms. *)
+    (binding the listen socket, an empty shard list, an unresolvable
+    shard host); everything after setup is reported through the
+    journal, the logs and the session's end-of-round alarms. *)

@@ -294,6 +294,33 @@ let test_cluster_kill9 () =
             ];
           Conn.close conn))
 
+(* A shard that completes the TCP handshake (the kernel does, from the
+   listen backlog) but never sends its Welcome. The router's loop must
+   not wait on it: a client's Welcome comes at once. *)
+let test_silent_shard () =
+  let dir = fresh_dir () in
+  let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+  Fun.protect
+    ~finally:(fun () -> Unix.close fd)
+    (fun () ->
+      Unix.bind fd (Unix.ADDR_INET (Unix.inet_addr_loopback, 0));
+      Unix.listen fd 8;
+      let port =
+        match Unix.getsockname fd with Unix.ADDR_INET (_, p) -> p | Unix.ADDR_UNIX _ -> 0
+      in
+      let r = router ~dir ~ports:[ port ] in
+      Fun.protect
+        ~finally:(fun () -> kill_wait r)
+        (fun () ->
+          let conn = connect (wait_port_file (Filename.concat dir "router.port")) in
+          let t0 = Unix.gettimeofday () in
+          ignore (free_hello conn);
+          let took = Unix.gettimeofday () -. t0 in
+          Conn.close conn;
+          Alcotest.(check bool)
+            (Printf.sprintf "Welcome after %.2f s, within 1 s" took)
+            true (took < 1.0)))
+
 let suite =
   [
     Alcotest.test_case "compose: 1-shard parts equal the 2-shard db" `Quick
@@ -302,4 +329,6 @@ let suite =
       `Quick test_cluster_byte_identity;
     Alcotest.test_case "cluster: kill -9 one shard, never a stale root" `Quick
       test_cluster_kill9;
+    Alcotest.test_case "cluster: a silent shard does not stall the router" `Quick
+      test_silent_shard;
   ]

@@ -567,15 +567,11 @@ let test_json_schema_stability () =
 
 (* ---- deep tier: the repo's own roots hold ------------------------------ *)
 
-let test_repo_deep_baseline_holds () =
-  (* Build the real graph over ../lib (see test_repo_is_clean for the
-     layout caveat) and check every current deep finding is either
-     fixed, justified in-source, or pinned in the committed baseline. *)
-  if not (Sys.file_exists "../lib" && Sys.is_directory "../lib") then ()
+(* The real graph over ../lib (see test_repo_is_clean for the layout
+   caveat), or [None] where the tree is not there. *)
+let repo_graph () =
+  if not (Sys.file_exists "../lib" && Sys.is_directory "../lib") then None
   else begin
-    let config =
-      match C.load "../.tcvs-lint" with Ok c -> c | Error m -> Alcotest.failf "%s" m
-    in
     let read path =
       let ic = open_in_bin path in
       let n = in_channel_length ic in
@@ -610,19 +606,58 @@ let test_repo_deep_baseline_holds () =
                in
                find tokens)
     in
-    let graph = G.build_from_sources ~libraries sources in
-    let findings = D.analyze ~config graph in
-    let baseline =
-      match D.load_baseline "../.tcvs-lint-baseline" with
-      | Ok keys -> keys
-      | Error m -> Alcotest.failf "%s" m
-    in
-    let fresh, _, stale = D.apply_baseline ~baseline findings in
-    Alcotest.(check (list string))
-      "no non-baselined deep findings in lib/" []
-      (List.map D.to_string fresh);
-    Alcotest.(check (list string)) "no stale baseline keys" [] stale
+    Some (G.build_from_sources ~libraries sources)
   end
+
+let test_repo_deep_baseline_holds () =
+  (* Every current deep finding is either fixed, justified in-source, or
+     pinned in the committed baseline. *)
+  match repo_graph () with
+  | None -> ()
+  | Some graph ->
+      let config =
+        match C.load "../.tcvs-lint" with Ok c -> c | Error m -> Alcotest.failf "%s" m
+      in
+      let findings = D.analyze ~config graph in
+      let baseline =
+        match D.load_baseline "../.tcvs-lint-baseline" with
+        | Ok keys -> keys
+        | Error m -> Alcotest.failf "%s" m
+      in
+      let fresh, _, stale = D.apply_baseline ~baseline findings in
+      Alcotest.(check (list string))
+        "no non-baselined deep findings in lib/" []
+        (List.map D.to_string fresh);
+      Alcotest.(check (list string)) "no stale baseline keys" [] stale
+
+let test_repo_event_loop_roots () =
+  (* One root per process, on the definition that hands the loop its
+     callbacks: every handler the process runs between two selects
+     must be reached from it. *)
+  match repo_graph () with
+  | None -> ()
+  | Some graph ->
+      Alcotest.(check (list string))
+        "one event-loop root per process"
+        [ "Client.drive"; "Daemon.serve"; "Proxy.serve"; "Router.serve" ]
+        (List.map (fun (d : G.def) -> d.G.d_id) (G.defs_with_root graph "event-loop"));
+      List.iter
+        (fun (root, handlers) ->
+          let reached = G.reachable graph ~roots:[ root ] in
+          List.iter
+            (fun h ->
+              Alcotest.(check bool) (Printf.sprintf "%s reaches %s" root h) true
+                (Hashtbl.mem reached h))
+            handlers)
+        [
+          ("Daemon.serve", [ "Front.handle_frame"; "Daemon.execute_pending"; "Admin.service" ]);
+          ( "Router.serve",
+            [
+              "Front.handle_frame"; "Router.pump_links"; "Router.handle_link_frame"; "Admin.service";
+            ] );
+          ("Proxy.serve", [ "Proxy.relay" ]);
+          ("Client.drive", [ "Client.handle_tick" ]);
+        ]
 
 let suite =
   [
@@ -679,4 +714,5 @@ let suite =
     Alcotest.test_case "baseline: round trip + line drift" `Quick test_baseline_round_trip;
     Alcotest.test_case "json report: schema stability" `Quick test_json_schema_stability;
     Alcotest.test_case "repo deep baseline holds" `Quick test_repo_deep_baseline_holds;
+    Alcotest.test_case "event-loop roots cover every process" `Quick test_repo_event_loop_roots;
   ]

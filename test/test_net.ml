@@ -437,6 +437,23 @@ let test_client_unresolvable () =
         (contains e ~sub:"cannot resolve")
   | Ok _ -> Alcotest.fail "connected to an unresolvable host"
 
+(* A port nobody listens on (bound, then closed): the first dial must
+   name the address and the kernel's reason, not a handshake close. *)
+let test_client_refused () =
+  let port =
+    match Net.Loop.listen ~port:0 () with
+    | Ok (fd, port) ->
+        Unix.close fd;
+        port
+    | Error e -> Alcotest.fail e
+  in
+  match Net.Client.run (Net.Client.default_config ~user:0 ~port) with
+  | Error e ->
+      let errno = Unix.error_message Unix.ECONNREFUSED in
+      let want = Printf.sprintf "connect 127.0.0.1:%d: %s" port errno in
+      Alcotest.(check bool) ("names the address and the errno: " ^ e) true (contains e ~sub:want)
+  | Ok _ -> Alcotest.fail "connected to a closed port"
+
 (* A listener that accepts and closes: the handshake must say the peer
    closed, not that no Welcome came before the timeout. *)
 let test_client_peer_closes () =
@@ -444,7 +461,7 @@ let test_client_peer_closes () =
      surface as EPIPE, not kill the test runner *)
   Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
   let fd, port =
-    match Net.Sock.listen ~port:0 () with Ok x -> x | Error e -> Alcotest.fail e
+    match Net.Loop.listen ~port:0 () with Ok x -> x | Error e -> Alcotest.fail e
   in
   let child =
     match Unix.fork () with
@@ -478,5 +495,6 @@ let suite =
     Alcotest.test_case "handshake: version and user checks" `Quick test_handshake;
     Alcotest.test_case "front end: same table against a router" `Quick test_router_front_end;
     Alcotest.test_case "client: unresolvable host is an error" `Quick test_client_unresolvable;
+    Alcotest.test_case "client: refused dial names the address" `Quick test_client_refused;
     Alcotest.test_case "client: peer closing mid-handshake" `Quick test_client_peer_closes;
   ]

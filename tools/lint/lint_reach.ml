@@ -4,8 +4,9 @@
    the build.
 
    Roots are declared in the source itself with
-   [@tcvs.lint.root "<tag>"] on the entry-point bindings — the daemon's
-   select-tick handlers carry "event-loop", the VO replay and Merkle
+   [@tcvs.lint.root "<tag>"] on the entry-point bindings — each
+   process's event-loop root (the def that hands [Loop.turn] its
+   callbacks) carries "event-loop", the VO replay and Merkle
    digest-verification entry points carry "hot-path" — so the analyses
    follow the code when entry points move, and fixtures can define
    their own roots. Domain-spawn sites need no annotation: any def that
@@ -65,7 +66,8 @@ let rules =
     ( event_loop_purity_id,
       "no blocking primitive (Unix.sleep, blocking read/write, fsync outside the \
        store's flush paths, Mutex.lock, channel I/O) reachable from a def marked \
-       [@tcvs.lint.root \"event-loop\"] — the daemon's select-tick handlers" );
+       [@tcvs.lint.root \"event-loop\"] — one per process, on the def that hands the \
+       loop its callbacks; the loop's own select is the one allowed wait" );
     ( hot_path_alloc_id,
       "no closure / ref / list-cons / string-concat allocation reachable from a def \
        marked [@tcvs.lint.root \"hot-path\"] — VO replay and Merkle digest \
@@ -93,7 +95,7 @@ let always_blocking =
     ("Condition.wait", "parks the event loop");
     ("Unix.waitpid", "blocks until a child exits");
     ("Unix.system", "blocks for a whole subprocess");
-    ("Unix.select", "nested select inside a tick handler stalls the round clock");
+    ("Unix.select", "a nested select inside a loop handler stalls the round clock");
   ]
 
 (* File/socket I/O: blocking unless the fd is nonblocking, which the
