@@ -411,8 +411,7 @@ let session_cmd =
         let trace = Sim.Trace.create () in
         let server =
           Server.create
-            { Server.mode = `Plain; epoch_len = None; branching = 8; adversary;
-              history_cap = Server.default_history_cap }
+            { Server.mode = `Plain; epoch_len = None; branching = 8; adversary }
             ~engine ~initial:[] ~initial_root_sig:None
         in
         let config =
@@ -717,9 +716,9 @@ let client_cmd =
   in
   let sync_timeout_arg =
     let doc =
-      "Protocol II: alarm when a sync session stays unresolved for $(docv) \
-       rounds (partial synchrony on the external channel; required to detect \
-       a partitioned broadcast network)."
+      "Protocols I and II: alarm when a sync session stays unresolved for \
+       $(docv) rounds (partial synchrony on the external channel; required to \
+       detect a partitioned broadcast network)."
     in
     Arg.(value & opt (some int) None & info [ "sync-timeout" ] ~docv:"ROUNDS" ~doc)
   in

@@ -22,8 +22,7 @@ let () =
   let initial = [] in
   let server =
     Server.create
-      { Server.mode = `Plain; epoch_len = None; branching = 8;
-        adversary = Adversary.Honest; history_cap = Server.default_history_cap }
+      { Server.mode = `Plain; epoch_len = None; branching = 8; adversary = Adversary.Honest }
       ~engine ~initial ~initial_root_sig:None
   in
   let config =

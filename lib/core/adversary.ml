@@ -31,8 +31,6 @@ let name = function
       Printf.sprintf "torn-manifest%s@r%d" (if wreck then "-hard" else "") at_round
   | Checkpoint_crash { at_round } -> Printf.sprintf "checkpoint-crash@r%d" at_round
 
-let pp fmt t = Format.pp_print_string fmt (name t)
-
 let violation_op = function
   | Honest -> None
   | Tamper_value { at_op } | Drop_update { at_op } | Rollback { at_op; _ } -> Some at_op

@@ -87,7 +87,6 @@ type t =
           protocol stays quiet, like {!Crash}. Requires a store. *)
 
 val name : t -> string
-val pp : Format.formatter -> t -> unit
 
 val violation_op : t -> int option
 (** The operation index at which the violation first occurs, [None]

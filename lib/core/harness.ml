@@ -36,7 +36,6 @@ type setup = {
   tail_rounds : int;
   response_timeout : int option;
   sync_timeout : int option;
-  history_cap : int;
   store_dir : string option;
   shards : int option;
   store_durability : Store.durability;
@@ -60,7 +59,6 @@ let default_setup ~protocol ~users ~adversary =
     tail_rounds = 400;
     response_timeout = Some 64;
     sync_timeout = None;
-    history_cap = Server.default_history_cap;
     store_dir = None;
     shards = None;
     store_durability = Store.Per_op;
@@ -146,12 +144,18 @@ let oracle_scope = Obs.Scope.v "oracle"
 (* ---- User construction ---------------------------------------------- *)
 
 let build_user setup ~initial_root ~engine ~trace ~keyring ~signers ~user =
+  let synced sync base =
+    Sync_session.set_timeout sync ~rounds:setup.sync_timeout;
+    base
+  in
   match setup.protocol with
   | Protocol_1 { k } ->
-      Protocol1.base
-        (Protocol1.create
-           { Protocol1.n = setup.users; k; initial_root; elected_signer = 0 }
-           ~user ~engine ~trace ~keyring ~signer:signers.(user))
+      let p1 =
+        Protocol1.create
+          { Protocol1.n = setup.users; k; initial_root; elected_signer = 0 }
+          ~user ~engine ~trace ~keyring ~signer:signers.(user)
+      in
+      synced (Protocol1.sync p1) (Protocol1.base p1)
   | Protocol_2 { k; tag_mode; check_gctr; sync_trigger } ->
       let p2 =
         Protocol2.create
@@ -159,8 +163,7 @@ let build_user setup ~initial_root ~engine ~trace ~keyring ~signers ~user =
             sync_trigger }
           ~user ~engine ~trace
       in
-      Protocol2.set_sync_timeout p2 ~rounds:setup.sync_timeout;
-      Protocol2.base p2
+      synced (Protocol2.sync p2) (Protocol2.base p2)
   | Protocol_3 { epoch_len } ->
       Protocol3.base
         (Protocol3.create
@@ -182,6 +185,25 @@ let build_user setup ~initial_root ~engine ~trace ~keyring ~signers ~user =
            { Token_user.n = setup.users; slot_len; initial_root }
            ~user ~engine ~trace ~keyring ~signer:signers.(user))
   | Unverified -> Plain_user.base (Plain_user.create ~user ~engine ~trace)
+
+let create_server ?store ?shards ?resume_from protocol ~branching ~adversary ~elected_signer
+    ~initial_root ~engine ~initial =
+  let mode, epoch_len =
+    match protocol with
+    | Protocol_1 _ -> (`Signed, None)
+    | Protocol_2 _ | Protocol_4 _ | Unverified -> (`Plain, None)
+    | Protocol_3 { epoch_len } -> (`Plain, Some epoch_len)
+    | Token_baseline _ -> (`Token, None)
+  in
+  let initial_root_sig =
+    match protocol with
+    | Protocol_1 _ ->
+        Some (Protocol1.initial_signature ~signer:(elected_signer ()) ~root:(initial_root ()))
+    | Protocol_2 _ | Protocol_3 _ | Protocol_4 _ | Token_baseline _ | Unverified -> None
+  in
+  Server.create ?store ?shards ?resume_from
+    { Server.mode; epoch_len; branching; adversary }
+    ~engine ~initial ~initial_root_sig
 
 let run_common setup ~script =
   (match validate setup with Ok () -> () | Error e -> raise (Setup_error e));
@@ -233,28 +255,12 @@ let run_common setup ~script =
      over the sorted shard roots) — the digest every protocol user
      treats as M(D₀). *)
   let initial_root = Store.Shard_db.root_digest initial_db in
-  let mode, epoch_len =
-    match setup.protocol with
-    | Protocol_1 _ -> (`Signed, None)
-    | Protocol_2 _ | Protocol_4 _ | Unverified -> (`Plain, None)
-    | Protocol_3 { epoch_len } -> (`Plain, Some epoch_len)
-    | Token_baseline _ -> (`Token, None)
-  in
-  let initial_root_sig =
-    match setup.protocol with
-    | Protocol_1 _ -> Some (Protocol1.initial_signature ~signer:signers.(0) ~root:initial_root)
-    | _ -> None
-  in
   let server =
-    Server.create ?store ?shards:setup.shards
-      {
-        Server.mode;
-        epoch_len;
-        branching = setup.branching;
-        adversary = setup.adversary;
-        history_cap = setup.history_cap;
-      }
-      ~engine ~initial ~initial_root_sig
+    create_server ?store ?shards:setup.shards setup.protocol ~branching:setup.branching
+      ~adversary:setup.adversary
+      ~elected_signer:(fun () -> signers.(0))
+      ~initial_root:(fun () -> initial_root)
+      ~engine ~initial
   in
   let bases =
     Array.init setup.users (fun user ->

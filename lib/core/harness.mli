@@ -40,12 +40,9 @@ type setup = {
           gets no response within this many rounds (the paper's
           b*-bounded transaction time made checkable); [None] disables *)
   sync_timeout : int option;
-      (** Protocol II only: alarm when a sync session stays unresolved
-          this many rounds ({!Protocol2.set_sync_timeout}); [None]
-          (the default) is the bare paper protocol *)
-  history_cap : int;
-      (** server-side bound on retained per-branch rollback snapshots
-          (see {!Server.config}) *)
+      (** Protocols I and II: alarm when a sync session stays
+          unresolved this many rounds ({!Sync_session.set_timeout});
+          [None] (the default) is the bare paper protocol *)
   store_dir : string option;
       (** when set, run the server on a durable {!Store} rooted here
           (created on first use, recovered on reopen); required by the
@@ -137,6 +134,26 @@ val build_user :
 (** Construct one protocol user exactly as {!run} would — exported so
     a remote client process ({!Net}) can host the same agent over a
     local engine. *)
+
+val create_server :
+  ?store:Store.t ->
+  ?shards:int ->
+  ?resume_from:Store.recovered ->
+  protocol ->
+  branching:int ->
+  adversary:Adversary.t ->
+  elected_signer:(unit -> Pki.Signer.t) ->
+  initial_root:(unit -> string) ->
+  engine:Message.t Sim.Engine.t ->
+  initial:(string * string) list ->
+  Server.t
+(** The server [protocol] runs against, built as {!run} builds it —
+    exported so the network daemon sets up the same server. Protocol I
+    gets the [`Signed] mode and the elected user's signature over
+    [h(M(D₀) ‖ 0)]; only then are [elected_signer] and [initial_root]
+    called. Protocol III gets its epoch length, the token baseline the
+    [`Token] mode, every other protocol [`Plain]. The optional
+    arguments are {!Server.create}'s. *)
 
 val run_script : setup -> script:scripted list -> outcome
 (** Like {!run} but with explicit database operations instead of

@@ -34,10 +34,10 @@ type t =
       epoch_states : (int * epoch_backup list) list;
     }
   | Token_state of { record : token_record option; vo : Mtree.Vo.t }
-  | Sync_begin of { initiator : int }
-  | Sync_count of { reporter : int; lctr : int }
-  | Sync_registers of { reporter : int; sigma : string; last : string option; gctr : int }
-  | Sync_verdict of { reporter : int; success : bool }
+  | Sync_begin of { session : int; initiator : int }
+  | Sync_count of { session : int; reporter : int; lctr : int }
+  | Sync_registers of { session : int; reporter : int; registers : State_tag.registers }
+  | Sync_verdict of { session : int; reporter : int; success : bool }
   | Shard_witness of { reporter : int; entries : (int * int * string) list }
 
 let kind = function
@@ -86,11 +86,14 @@ let pp fmt = function
         (match record with
         | None -> "initial"
         | Some r -> Printf.sprintf "u%d ctr=%d" r.token_user r.token_ctr)
-  | Sync_begin { initiator } -> Format.fprintf fmt "sync-begin(u%d)" initiator
-  | Sync_count { reporter; lctr } -> Format.fprintf fmt "sync-count(u%d, lctr=%d)" reporter lctr
-  | Sync_registers { reporter; _ } -> Format.fprintf fmt "sync-registers(u%d)" reporter
-  | Sync_verdict { reporter; success } ->
-      Format.fprintf fmt "sync-verdict(u%d, %b)" reporter success
+  | Sync_begin { session; initiator } ->
+      Format.fprintf fmt "sync-begin(s%d, u%d)" session initiator
+  | Sync_count { session; reporter; lctr } ->
+      Format.fprintf fmt "sync-count(s%d, u%d, lctr=%d)" session reporter lctr
+  | Sync_registers { session; reporter; _ } ->
+      Format.fprintf fmt "sync-registers(s%d, u%d)" session reporter
+  | Sync_verdict { session; reporter; success } ->
+      Format.fprintf fmt "sync-verdict(s%d, u%d, %b)" session reporter success
   | Shard_witness { reporter; entries } ->
       Format.fprintf fmt "shard-witness(u%d, %d entries)" reporter (List.length entries)
 
@@ -140,8 +143,9 @@ let encoded_size = function
           0 epoch_states
   | Token_state { record; vo } ->
       1 + (match record with None -> 1 | Some r -> token_record_size r) + Mtree.Vo.size_bytes vo
-  | Sync_begin _ -> 9
-  | Sync_count _ -> 17
-  | Sync_registers { last; _ } -> 1 + 8 + 32 + (match last with None -> 1 | Some _ -> 33) + 8
-  | Sync_verdict _ -> 10
+  | Sync_begin _ -> 17
+  | Sync_count _ -> 25
+  | Sync_registers { registers = { last; _ }; _ } ->
+      1 + 8 + 8 + 32 + (match last with None -> 1 | Some _ -> 33) + 8
+  | Sync_verdict _ -> 18
   | Shard_witness { entries; _ } -> 1 + 8 + ((8 + 8 + 32) * List.length entries)

@@ -55,12 +55,13 @@ type t =
     }
   | Token_state of { record : token_record option; vo : Mtree.Vo.t }
       (** Baseline: latest log record (None before the first turn). *)
-  (* user -> user, broadcast (external channel) *)
-  | Sync_begin of { initiator : int }
-  | Sync_count of { reporter : int; lctr : int }  (** Protocol I *)
-  | Sync_registers of { reporter : int; sigma : string; last : string option; gctr : int }
-      (** Protocol II ([last = None] if the user never operated). *)
-  | Sync_verdict of { reporter : int; success : bool }
+  (* user -> user, broadcast (external channel). [session] numbers the
+     sync session a message belongs to ({!Sync_session}). *)
+  | Sync_begin of { session : int; initiator : int }
+  | Sync_count of { session : int; reporter : int; lctr : int }  (** Protocol I *)
+  | Sync_registers of { session : int; reporter : int; registers : State_tag.registers }
+      (** Protocol II *)
+  | Sync_verdict of { session : int; reporter : int; success : bool }
   | Shard_witness of { reporter : int; entries : (int * int * string) list }
       (** Protocol IV: wait-free witness announcements over the
           external channel — [(shard, position, root)] triples, where

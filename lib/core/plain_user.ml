@@ -14,8 +14,8 @@ let create ~user ~engine ~trace =
                transition for the ground-truth oracle; an unverified
                user acts on none of it. *)
             let roots =
-              match Mtree.Vo.apply vo op with
-              | Ok (_, old_root, new_root) -> Some (old_root, new_root)
+              match User_base.replay vo op with
+              | Ok { old_root; new_root; _ } -> Some (old_root, new_root)
               | Error _ -> None
             in
             User_base.complete t.base ~round ~answer ?roots ())

@@ -7,14 +7,6 @@ type config = {
   elected_signer : int;
 }
 
-let obs_scope = Obs.Scope.v "protocol1"
-
-(* Per-user session counts track the same shared sessions, so the
-   shared counter is a record_max, not an increment (see Protocol II). *)
-let c_syncs_completed = Obs.counter ~scope:obs_scope "syncs_completed"
-let c_sync_failures = Obs.counter ~scope:obs_scope "sync_failures"
-let h_sync_rounds = Obs.histogram ~scope:obs_scope "sync_rounds"
-
 type t = {
   config : config;
   base : User_base.t;
@@ -22,9 +14,6 @@ type t = {
   signer : Pki.Signer.t;
   mutable lctr : int;
   mutable gctr : int;
-  mutable ops_since_sync : int;
-  mutable syncs_completed : int;
-  mutable last_good_total : int; (* Σ lctr confirmed by the last sync *)
   sync : int Sync_session.t; (* reports carry lctr *)
 }
 
@@ -32,149 +21,75 @@ let initial_signature ~signer ~root =
   Pki.Signer.sign signer (State_tag.root_sig_message ~root ~ctr:0)
 
 let base t = t.base
-let lctr t = t.lctr
-let gctr t = t.gctr
-let syncs_completed t = t.syncs_completed
-
+let sync t = t.sync
 let me t = User_base.user t.base
-
-let broadcast t msg = Sim.Engine.broadcast (User_base.engine t.base) ~src:(Sim.Id.User (me t)) msg
-
-let fail t ~round reason = User_base.terminate t.base ~round ~reason
-
-(* Evaluate my check once all lctr reports are in, then broadcast the
-   verdict; resolve once all verdicts are in. *)
-let advance_sync t ~round =
-  if Sync_session.active t.sync then begin
-    if Sync_session.reports_complete t.sync && not (Sync_session.verdict_sent t.sync) then begin
-      let total =
-        List.fold_left (fun acc (_, c) -> acc + c) 0 (Sync_session.reports t.sync)
-      in
-      let success = t.gctr = total in
-      Sync_session.mark_verdict_sent t.sync;
-      Sync_session.record_verdict t.sync ~from_:(me t) success;
-      broadcast t (Message.Sync_verdict { reporter = me t; success })
-    end;
-    match Sync_session.resolution t.sync with
-    | `Pending -> ()
-    | `Failed ->
-        Obs.incr c_sync_failures;
-        fail t ~round
-          (Printf.sprintf
-             "protocol-1 sync failed: no user's gctr matches the total (fault after operation %d, the last synced prefix)"
-             t.last_good_total)
-    | `Ok ->
-        let total =
-          List.fold_left (fun acc (_, c) -> acc + c) 0 (Sync_session.reports t.sync)
-        in
-        t.last_good_total <- total;
-        (match Sync_session.started_round t.sync with
-        | Some started -> Obs.observe h_sync_rounds (round - started)
-        | None -> ());
-        Sync_session.reset t.sync;
-        t.ops_since_sync <- 0;
-        t.syncs_completed <- t.syncs_completed + 1;
-        Obs.record_max c_syncs_completed t.syncs_completed
-  end
-
-let report_if_needed t =
-  if
-    Sync_session.active t.sync
-    && (not (Sync_session.reported t.sync))
-    && User_base.in_flight_op t.base = None
-  then begin
-    Sync_session.record_report t.sync ~from_:(me t) t.lctr;
-    broadcast t (Message.Sync_count { reporter = me t; lctr = t.lctr })
-  end
-
-let start_sync t ~round =
-  if not (Sync_session.active t.sync) then begin
-    Sync_session.activate ~round t.sync;
-    broadcast t (Message.Sync_begin { initiator = me t })
-  end
 
 let handle_response t ~round ~(answer : Vo.answer) ~vo ~ctr ~last_user ~root_sig =
   match User_base.in_flight_op t.base with
   | None -> () (* stray response *)
   | Some op -> (
-      match Vo.apply vo op with
-      | Error e -> fail t ~round (Format.asprintf "bad verification object: %a" Vo.pp_error e)
-      | Ok (replayed, old_root, new_root) ->
-          if not (Sim.Oracle.answers_equal replayed answer) then
-            fail t ~round "answer does not match verification object replay"
+      match User_base.verify t.base ~round ~answer vo op with
+      | None -> ()
+      | Some { old_root; new_root; _ } ->
+          let signer_id = if last_user < 0 then t.config.elected_signer else last_user in
+          let message = State_tag.root_sig_message ~root:old_root ~ctr in
+          let legitimate =
+            match root_sig with
+            | None -> false
+            | Some signature -> Pki.Keyring.verify t.keyring signer_id message ~signature
+          in
+          if not legitimate then
+            User_base.terminate t.base ~round
+              ~reason:"illegitimate root signature (server cannot prove its state)"
           else begin
-            let signer_id = if last_user < 0 then t.config.elected_signer else last_user in
-            let message = State_tag.root_sig_message ~root:old_root ~ctr in
-            let legitimate =
-              match root_sig with
-              | None -> false
-              | Some signature -> Pki.Keyring.verify t.keyring signer_id message ~signature
-            in
-            if not legitimate then
-              fail t ~round "illegitimate root signature (server cannot prove its state)"
-            else begin
-              t.lctr <- t.lctr + 1;
-              t.gctr <- ctr + 1;
-              t.ops_since_sync <- t.ops_since_sync + 1;
-              let new_message = State_tag.root_sig_message ~root:new_root ~ctr:(ctr + 1) in
-              Sim.Engine.send (User_base.engine t.base) ~src:(Sim.Id.User (me t))
-                ~dst:Sim.Id.Server
-                (Message.Root_signature
-                   {
-                     signer = me t;
-                     ctr = ctr + 1;
-                     signature = Pki.Signer.sign t.signer new_message;
-                   });
-              User_base.complete t.base ~round ~answer ~roots:(old_root, new_root) ();
-              if t.ops_since_sync >= t.config.k then start_sync t ~round
-            end
+            t.lctr <- t.lctr + 1;
+            t.gctr <- ctr + 1;
+            let new_message = State_tag.root_sig_message ~root:new_root ~ctr:(ctr + 1) in
+            Sim.Engine.send (User_base.engine t.base) ~src:(Sim.Id.User (me t))
+              ~dst:Sim.Id.Server
+              (Message.Root_signature
+                 {
+                   signer = me t;
+                   ctr = ctr + 1;
+                   signature = Pki.Signer.sign t.signer new_message;
+                 });
+            User_base.complete t.base ~round ~answer ~roots:(old_root, new_root) ();
+            Sync_session.op_completed t.sync ~round ~gctr:t.gctr
           end)
 
+let total reports = List.fold_left (fun acc (_, lctr) -> acc + lctr) 0 reports
+
 let create config ~user ~engine ~trace ~keyring ~signer =
+  let base = User_base.create ~user ~engine ~trace in
   let t =
     {
       config;
-      base = User_base.create ~user ~engine ~trace;
+      base;
       keyring;
       signer;
       lctr = 0;
       gctr = 0;
-      ops_since_sync = 0;
-      syncs_completed = 0;
-      last_good_total = 0;
-      sync = Sync_session.create ~n:config.n ~me:user;
+      sync =
+        Sync_session.create base ~n:config.n ~k:config.k ~trigger:`Per_user
+          ~scope:(Obs.Scope.v "protocol1") ~name:"protocol-1";
     }
   in
-  let on_message ~round ~src msg =
-    if not (User_base.terminated t.base) then begin
-      match (src, msg) with
-      | Sim.Id.Server, Message.Response { answer; vo; ctr; last_user; root_sig; _ } ->
-          handle_response t ~round ~answer ~vo ~ctr ~last_user ~root_sig;
-          report_if_needed t;
-          advance_sync t ~round
-      | Sim.Id.User _, Message.Sync_begin _ ->
-          Sync_session.activate ~round t.sync;
-          report_if_needed t;
-          advance_sync t ~round
-      | Sim.Id.User _, Message.Sync_count { reporter; lctr } ->
-          Sync_session.activate ~round t.sync;
-          Sync_session.record_report t.sync ~from_:reporter lctr;
-          report_if_needed t;
-          advance_sync t ~round
-      | Sim.Id.User _, Message.Sync_verdict { reporter; success } ->
-          Sync_session.record_verdict t.sync ~from_:reporter success;
-          advance_sync t ~round
-      | _, _ -> ()
-    end
-  in
-  let on_activate ~round =
-    if not (User_base.terminated t.base) then begin
-      User_base.check_timeout t.base ~round;
-      report_if_needed t;
-      if not (Sync_session.active t.sync) then
-        ignore (User_base.issue t.base ~round ~piggyback:[])
-      else User_base.note_blocked t.base ~round
-    end
-  in
-  Sim.Engine.register engine (Sim.Id.User user) { on_message; on_activate };
+  Sync_session.register t.sync
+    {
+      Sync_session.report = (fun () -> t.lctr);
+      message = (fun ~session lctr -> Message.Sync_count { session; reporter = user; lctr });
+      read =
+        (function
+        | Message.Sync_count { session; reporter; lctr } -> Some (session, reporter, lctr)
+        | _ -> None);
+      (* user i reports success iff gctrᵢ = Σ lctrₖ *)
+      success = (fun reports -> t.gctr = total reports);
+      confirmed = total;
+      failure = "no user's gctr matches the total";
+      on_server =
+        (fun ~round -> function
+          | Message.Response { answer; vo; ctr; last_user; root_sig; _ } ->
+              handle_response t ~round ~answer ~vo ~ctr ~last_user ~root_sig
+          | _ -> ());
+    };
   t

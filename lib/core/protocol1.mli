@@ -36,9 +36,9 @@ val create :
 (** Registers the agent with the engine under [User user]. *)
 
 val base : t -> User_base.t
-val lctr : t -> int
-val gctr : t -> int
-val syncs_completed : t -> int
+
+val sync : t -> int Sync_session.t
+(** The user's sync driver; reports carry [lctrᵢ]. *)
 
 val initial_signature : signer:Pki.Signer.t -> root:string -> string
 (** The elected user's signature over [h(M(D₀) ‖ 0)] that initialises

@@ -12,50 +12,21 @@ type config = {
 let default_config ~n ~k ~initial_root =
   { n; k; initial_root; tag_mode = `Tagged; check_gctr = true; sync_trigger = `Per_user }
 
-type registers = { sigma : string; last : string option; gctr : int }
-
-let obs_scope = Obs.Scope.v "protocol2"
-
-(* Every user observes every session resolve, so the shared counters
-   use record_max over per-user session counts rather than increments
-   (an increment per user would report n× the number of sessions). *)
-let c_syncs_completed = Obs.counter ~scope:obs_scope "syncs_completed"
-let c_sync_failures = Obs.counter ~scope:obs_scope "sync_failures"
-let h_sync_rounds = Obs.histogram ~scope:obs_scope "sync_rounds"
-
 type t = {
   config : config;
   base : User_base.t;
-  mutable regs : registers;
-  mutable ops_since_sync : int;
-  mutable syncs_completed : int;
-  mutable last_good_gctr : int; (* highest gctr confirmed by a sync *)
-  sync : registers Sync_session.t;
-  c_my_syncs : Obs.counter;
+  mutable regs : State_tag.registers;
+  sync : State_tag.registers Sync_session.t;
   (* Every transition contribution ⟨old_tag ⊕ new_tag⟩ ever folded into
      σ, newest first. σ must always equal the XOR-fold of this ledger —
      the algebra Lemma 4.1 rests on — which is what the sanitizer
      recomputes from scratch to catch a silently corrupted register. *)
   mutable tag_ledger : string list;
-  mutable sync_timeout : int option;
-  (* Partial synchrony on the external channel: a sync session that
-     stays unresolved this many rounds means the broadcast channel is
-     partitioned or a peer is withholding its report — either way the
-     consistency guarantee is gone, so terminate. None (the default)
-     is the bare paper protocol. *)
 }
 
 let base t = t.base
-let sigma t = t.regs.sigma
-let last t = t.regs.last
-let gctr t = t.regs.gctr
-let syncs_completed t = t.syncs_completed
+let sync t = t.sync
 let me t = User_base.user t.base
-let set_sync_timeout t ~rounds = t.sync_timeout <- rounds
-
-let broadcast t msg =
-  Sim.Engine.broadcast (User_base.engine t.base) ~src:(Sim.Id.User (me t)) msg
-
 let fail t ~round reason = User_base.terminate t.base ~round ~reason
 
 let state_tag t ~root ~ctr ~user =
@@ -88,165 +59,71 @@ let sanitize_registers t ~round =
 
 (* The check of the synchronisation step: some user's ⟨init ⊕ last⟩
    must equal the XOR of everyone's σ. *)
-let evaluate_check t =
-  let all = Sync_session.reports t.sync in
-  let x = List.fold_left (fun acc (_, r) -> State_tag.xor acc r.sigma) State_tag.zero all in
+let evaluate_check t reports =
+  let x =
+    List.fold_left
+      (fun acc (_, (r : State_tag.registers)) -> State_tag.xor acc r.sigma)
+      State_tag.zero reports
+  in
   match t.regs.last with
   | None -> false
   | Some last ->
       Crypto.Ctime.equal (State_tag.xor (State_tag.initial ~root:t.config.initial_root) last) x
 
-let advance_sync t ~round =
-  if Sync_session.active t.sync then begin
-    if Sync_session.reports_complete t.sync && not (Sync_session.verdict_sent t.sync) then begin
-      let success = evaluate_check t in
-      Sync_session.mark_verdict_sent t.sync;
-      Sync_session.record_verdict t.sync ~from_:(me t) success;
-      broadcast t (Message.Sync_verdict { reporter = me t; success })
-    end;
-    match Sync_session.resolution t.sync with
-    | `Pending -> ()
-    | `Failed ->
-        Obs.incr c_sync_failures;
-        (* Fault localisation (the paper's future direction (1)): the
-           previous successful sync certified the prefix up to the
-           highest confirmed counter, so the fault lies in the window
-           after it. *)
-        fail t ~round
-          (Printf.sprintf
-             "protocol-2 sync failed: XOR registers do not form a single path (fault after operation %d, the last synced prefix)"
-             t.last_good_gctr)
-    | `Ok ->
-        let confirmed =
-          List.fold_left (fun acc (_, r) -> max acc r.gctr) 0 (Sync_session.reports t.sync)
-        in
-        t.last_good_gctr <- max t.last_good_gctr confirmed;
-        (match Sync_session.started_round t.sync with
-        | Some started ->
-            Obs.observe h_sync_rounds (round - started);
-            if Obs.tracing () then
-              Obs.Trace.emit ~scope:obs_scope ~dur:(round - started) ~at:round ~name:"sync"
-                (Printf.sprintf "u%d session resolved ok (gctr=%d)" (me t) confirmed)
-        | None -> ());
-        Sync_session.reset t.sync;
-        t.ops_since_sync <- 0;
-        t.syncs_completed <- t.syncs_completed + 1;
-        Obs.incr t.c_my_syncs;
-        Obs.record_max c_syncs_completed t.syncs_completed
-  end
-
-let report_if_needed t =
-  if
-    Sync_session.active t.sync
-    && (not (Sync_session.reported t.sync))
-    && User_base.in_flight_op t.base = None
-  then begin
-    Sync_session.record_report t.sync ~from_:(me t) t.regs;
-    broadcast t
-      (Message.Sync_registers
-         { reporter = me t; sigma = t.regs.sigma; last = t.regs.last; gctr = t.regs.gctr })
-  end
-
-let start_sync t ~round =
-  if not (Sync_session.active t.sync) then begin
-    Sync_session.activate ~round t.sync;
-    broadcast t (Message.Sync_begin { initiator = me t })
-  end
-
 let handle_response t ~round ~(answer : Vo.answer) ~vo ~ctr ~last_user =
   match User_base.in_flight_op t.base with
   | None -> ()
   | Some op -> (
-      match Vo.apply vo op with
-      | Error e -> fail t ~round (Format.asprintf "bad verification object: %a" Vo.pp_error e)
-      | Ok (replayed, old_root, new_root) ->
-          if not (Sim.Oracle.answers_equal replayed answer) then
-            fail t ~round "answer does not match verification object replay"
-          else if t.config.check_gctr && ctr < t.regs.gctr then
+      match User_base.verify t.base ~round ~answer vo op with
+      | None -> ()
+      | Some { old_root; new_root; _ } ->
+          if t.config.check_gctr && ctr < t.regs.gctr then
             fail t ~round
               (Printf.sprintf "counter went backwards (ctr=%d < gctr=%d)" ctr t.regs.gctr)
           else begin
-            let old_tag =
-              if ctr = 0 then State_tag.initial ~root:old_root
-              else state_tag t ~root:old_root ~ctr ~user:last_user
+            let regs =
+              State_tag.fold ~tag:(state_tag t) t.regs ~old_root ~new_root ~ctr ~last_user
+                ~user:(me t)
             in
-            let new_tag = state_tag t ~root:new_root ~ctr:(ctr + 1) ~user:(me t) in
-            let contribution = State_tag.xor old_tag new_tag in
-            t.regs <-
-              {
-                sigma = State_tag.xor t.regs.sigma contribution;
-                last = Some new_tag;
-                gctr = ctr + 1;
-              };
-            t.tag_ledger <- contribution :: t.tag_ledger;
+            (* σ' ⊕ σ is the contribution ⟨old_tag ⊕ new_tag⟩ the fold added *)
+            t.tag_ledger <- State_tag.xor t.regs.sigma regs.sigma :: t.tag_ledger;
+            t.regs <- regs;
             sanitize_registers t ~round;
-            t.ops_since_sync <- t.ops_since_sync + 1;
             User_base.complete t.base ~round ~answer ~roots:(old_root, new_root) ();
-            let due =
-              match t.config.sync_trigger with
-              | `Per_user -> t.ops_since_sync >= t.config.k
-              | `Global ->
-                  (* ctr + 1 operations exist globally; sync when k have
-                     accumulated past the last certified prefix. *)
-                  ctr + 1 - t.last_good_gctr >= t.config.k
-            in
-            if due then start_sync t ~round
+            Sync_session.op_completed t.sync ~round ~gctr:regs.gctr
           end)
 
 let create config ~user ~engine ~trace =
+  let base = User_base.create ~user ~engine ~trace in
   let t =
     {
       config;
-      base = User_base.create ~user ~engine ~trace;
-      regs = { sigma = State_tag.zero; last = None; gctr = 0 };
-      ops_since_sync = 0;
-      syncs_completed = 0;
-      last_good_gctr = 0;
-      sync = Sync_session.create ~n:config.n ~me:user;
-      c_my_syncs = Obs.counter ~scope:Obs.Scope.(obs_scope / Printf.sprintf "u%d" user) "syncs";
+      base;
+      regs = State_tag.no_registers;
+      sync =
+        Sync_session.create base ~n:config.n ~k:config.k ~trigger:config.sync_trigger
+          ~scope:(Obs.Scope.v "protocol2") ~name:"protocol-2";
       tag_ledger = [];
-      sync_timeout = None;
     }
   in
-  let on_message ~round ~src msg =
-    if not (User_base.terminated t.base) then begin
-      match (src, msg) with
-      | Sim.Id.Server, Message.Response { answer; vo; ctr; last_user; _ } ->
-          handle_response t ~round ~answer ~vo ~ctr ~last_user;
-          report_if_needed t;
-          advance_sync t ~round
-      | Sim.Id.User _, Message.Sync_begin _ ->
-          Sync_session.activate ~round t.sync;
-          report_if_needed t;
-          advance_sync t ~round
-      | Sim.Id.User _, Message.Sync_registers { reporter; sigma; last; gctr } ->
-          Sync_session.activate ~round t.sync;
-          Sync_session.record_report t.sync ~from_:reporter { sigma; last; gctr };
-          report_if_needed t;
-          advance_sync t ~round
-      | Sim.Id.User _, Message.Sync_verdict { reporter; success } ->
-          Sync_session.record_verdict t.sync ~from_:reporter success;
-          advance_sync t ~round
-      | _, _ -> ()
-    end
-  in
-  let on_activate ~round =
-    if not (User_base.terminated t.base) then begin
-      User_base.check_timeout t.base ~round;
-      (match (t.sync_timeout, Sync_session.started_round t.sync) with
-      | Some limit, Some started
-        when Sync_session.active t.sync && round - started > limit ->
-          fail t ~round
-            (Printf.sprintf
-               "protocol-2 sync stuck for %d rounds — external broadcast \
-                channel partitioned or a peer is withholding its report"
-               (round - started))
-      | _ -> ());
-      report_if_needed t;
-      if not (Sync_session.active t.sync) then
-        ignore (User_base.issue t.base ~round ~piggyback:[])
-      else User_base.note_blocked t.base ~round
-    end
-  in
-  Sim.Engine.register engine (Sim.Id.User user) { on_message; on_activate };
+  Sync_session.register t.sync
+    {
+      Sync_session.report = (fun () -> t.regs);
+      message =
+        (fun ~session registers -> Message.Sync_registers { session; reporter = user; registers });
+      read =
+        (function
+        | Message.Sync_registers { session; reporter; registers } ->
+            Some (session, reporter, registers)
+        | _ -> None);
+      success = evaluate_check t;
+      confirmed =
+        List.fold_left (fun acc (_, (r : State_tag.registers)) -> max acc r.gctr) 0;
+      failure = "XOR registers do not form a single path";
+      on_server =
+        (fun ~round -> function
+          | Message.Response { answer; vo; ctr; last_user; _ } ->
+              handle_response t ~round ~answer ~vo ~ctr ~last_user
+          | _ -> ());
+    };
   t

@@ -53,17 +53,8 @@ val create :
 
 val base : t -> User_base.t
 
-val set_sync_timeout : t -> rounds:int option -> unit
-(** Partial synchrony on the {e external} channel: terminate with an
-    alarm when a sync session stays unresolved for more than [rounds]
-    rounds — a partitioned broadcast channel (the supporting move of
-    the Figure 1 attack) or a withholding peer. [None] (the default)
-    is the bare paper protocol, which blocks forever instead. *)
-
-val sigma : t -> string
-val last : t -> string option
-val gctr : t -> int
-val syncs_completed : t -> int
+val sync : t -> State_tag.registers Sync_session.t
+(** The user's sync driver; reports carry the registers. *)
 
 (** {2 Runtime sanitizer}
 

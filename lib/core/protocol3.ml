@@ -7,8 +7,6 @@ type config = {
   check_epoch_progress : bool;
 }
 
-type registers = { sigma : string; last : string option; gctr : int }
-
 let obs_scope = Obs.Scope.v "protocol3"
 let c_epochs_verified = Obs.counter ~scope:obs_scope "epochs_verified"
 let c_backups_signed = Obs.counter ~scope:obs_scope "backups_signed"
@@ -19,7 +17,7 @@ type t = {
   base : User_base.t;
   keyring : Pki.Keyring.t;
   signer : Pki.Signer.t;
-  mutable regs : registers;
+  mutable regs : State_tag.registers;
   mutable known_epoch : int;
   mutable pending_backup : Message.epoch_backup option;
   mutable next_assigned : int; (* next epoch index this user must verify *)
@@ -28,12 +26,10 @@ type t = {
 }
 
 let base t = t.base
-let known_epoch t = t.known_epoch
-let epochs_verified t = t.epochs_verified
 let me t = User_base.user t.base
 let fail t ~round reason = User_base.terminate t.base ~round ~reason
 
-let sign_backup t ~epoch ~(regs : registers) =
+let sign_backup t ~epoch ~(regs : State_tag.registers) =
   Obs.incr c_backups_signed;
   let last = Option.value regs.last ~default:State_tag.zero in
   let message =
@@ -97,7 +93,7 @@ let roll_epoch t ~new_epoch =
       Sanitize.violation "epoch roll not monotone (%d -> %d)" t.known_epoch new_epoch
   end;
   t.pending_backup <- Some (sign_backup t ~epoch:t.known_epoch ~regs:t.regs);
-  t.regs <- { sigma = State_tag.zero; last = None; gctr = t.regs.gctr };
+  t.regs <- { State_tag.no_registers with gctr = t.regs.gctr };
   t.known_epoch <- new_epoch
 
 (* The Protocol II path check over one epoch's stored states. *)
@@ -211,27 +207,16 @@ let handle_response t ~round ~(answer : Vo.answer) ~vo ~ctr ~last_user ~epoch ~e
           fail t ~round (Printf.sprintf "server epoch went backwards (%d < %d)" epoch t.known_epoch)
         else begin
           if epoch > t.known_epoch then roll_epoch t ~new_epoch:epoch;
-          match Vo.apply vo op with
-          | Error e ->
-              fail t ~round (Format.asprintf "bad verification object: %a" Vo.pp_error e)
-          | Ok (replayed, old_root, new_root) ->
-              if not (Sim.Oracle.answers_equal replayed answer) then
-                fail t ~round "answer does not match verification object replay"
-              else if ctr < t.regs.gctr then
+          match User_base.verify t.base ~round ~answer vo op with
+          | None -> ()
+          | Some { old_root; new_root; _ } ->
+              if ctr < t.regs.gctr then
                 fail t ~round
                   (Printf.sprintf "counter went backwards (ctr=%d < gctr=%d)" ctr t.regs.gctr)
               else begin
-                let old_tag =
-                  if ctr = 0 then State_tag.initial ~root:old_root
-                  else State_tag.tagged ~root:old_root ~ctr ~user:last_user
-                in
-                let new_tag = State_tag.tagged ~root:new_root ~ctr:(ctr + 1) ~user:(me t) in
                 t.regs <-
-                  {
-                    sigma = State_tag.xor t.regs.sigma (State_tag.xor old_tag new_tag);
-                    last = Some new_tag;
-                    gctr = ctr + 1;
-                  };
+                  State_tag.fold ~tag:State_tag.tagged t.regs ~old_root ~new_root ~ctr ~last_user
+                    ~user:(me t);
                 sanitize_epochs t ~round;
                 User_base.complete t.base ~round ~answer ~roots:(old_root, new_root) ()
               end
@@ -269,7 +254,7 @@ let create config ~user ~engine ~trace ~keyring ~signer =
       base = User_base.create ~user ~engine ~trace;
       keyring;
       signer;
-      regs = { sigma = State_tag.zero; last = None; gctr = 0 };
+      regs = State_tag.no_registers;
       known_epoch = 0;
       pending_backup = None;
       next_assigned = user;

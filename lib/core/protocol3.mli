@@ -48,10 +48,6 @@ val create :
   t
 
 val base : t -> User_base.t
-val known_epoch : t -> int
-val epochs_verified : t -> int
-(** Number of epoch checks this user has completed (as assigned
-    verifier). *)
 
 (** {2 Runtime sanitizer}
 

@@ -40,7 +40,6 @@ type t = {
 }
 
 let base t = t.base
-let gctr t = t.gctr
 let me t = User_base.user t.base
 
 let sorted_rings t =
@@ -49,12 +48,6 @@ let sorted_rings t =
     (fun shard ring acc -> (shard, ring) :: acc)
     t.rings []
   |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
-
-let witness_count t =
-  List.fold_left
-    (fun acc (_, ring) ->
-      Array.fold_left (fun acc p -> if p >= 0 then acc + 1 else acc) acc ring.positions)
-    0 (sorted_rings t)
 
 let broadcast t msg =
   Sim.Engine.broadcast (User_base.engine t.base) ~src:(Sim.Id.User (me t)) msg
@@ -179,12 +172,10 @@ let handle_response t ~round ~(answer : Vo.answer) ~vo ~ctr =
   match User_base.in_flight_op t.base with
   | None -> ()
   | Some op -> (
-      match Vo.apply_detail vo op with
-      | Error e -> fail t ~round (Format.asprintf "bad verification object: %a" Vo.pp_error e)
-      | Ok (replayed, old_root, new_root, transitions) ->
-          if not (Sim.Oracle.answers_equal replayed answer) then
-            fail t ~round "answer does not match verification object replay"
-          else if ctr < t.gctr then
+      match User_base.verify t.base ~round ~answer vo op with
+      | None -> ()
+      | Some { old_root; new_root; transitions; _ } ->
+          if ctr < t.gctr then
             fail t ~round
               (Printf.sprintf "protocol-4: counter went backwards (ctr=%d < gctr=%d)" ctr
                  t.gctr)

@@ -57,12 +57,6 @@ val create :
   t
 
 val base : t -> User_base.t
-val gctr : t -> int
-(** Highest global counter this user has completed an operation
-    against. *)
-
-val witness_count : t -> int
-(** Live entries across all of this user's shard rings. *)
 
 (** {2 Runtime sanitizer}
 

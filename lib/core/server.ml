@@ -8,7 +8,6 @@ type config = {
   epoch_len : int option;
   branching : int;
   adversary : Adversary.t;
-  history_cap : int;
 }
 
 (* One copy of the database as some set of users sees it. A fork
@@ -54,7 +53,7 @@ type t = {
   route_counters : (Obs.counter array * Obs.counter) option;
 }
 
-let default_history_cap = 64
+let history_cap = 64
 
 let obs_scope = Obs.Scope.v "server"
 let c_queries = Obs.counter ~scope:obs_scope "queries_served"
@@ -78,7 +77,7 @@ let rec take n = function
   | [] -> []
   | x :: rest -> if n <= 0 then [] else x :: take (n - 1) rest
 
-let push_history ~cap b snap = b.history <- snap :: take (max 1 cap - 1) b.history
+let push_history b snap = b.history <- snap :: take (history_cap - 1) b.history
 
 let restore b (db, ctr, last_user, root_sig) =
   b.db <- db;
@@ -188,11 +187,10 @@ let states_for t epochs =
    decrease down the list. Rollback/Tamper/Fork legitimately break
    monotonicity, so only the cap is checked for them. *)
 let check_branch_history t b ~label =
-  let cap = max 1 t.config.history_cap in
-  if List.length b.history > cap then
+  if List.length b.history > history_cap then
     Error
       (Printf.sprintf "%s: history holds %d snapshots, cap is %d" label
-         (List.length b.history) cap)
+         (List.length b.history) history_cap)
   else begin
     let monotone_expected =
       match t.config.adversary with
@@ -344,7 +342,7 @@ let execute_query t ~round ~user ~(op : Vo.op) ~piggyback =
   | Adversary.Tamper_value { at_op } when t.total_ops = at_op ->
       Obs.incr c_tampered;
       let tampered, _ = Sdb.apply branch.db (tampered_op op) in
-      push_history ~cap:t.config.history_cap branch pre;
+      push_history branch pre;
       branch.db <- tampered;
       branch.ctr <- branch.ctr + 1;
       branch.last_user <- user;
@@ -359,7 +357,7 @@ let execute_query t ~round ~user ~(op : Vo.op) ~piggyback =
          notice nothing. The rot is in the in-memory value cache; the
          log records the honest operation. *)
       Obs.incr c_bitrot;
-      push_history ~cap:t.config.history_cap branch pre;
+      push_history branch pre;
       branch.db <- Sdb.debug_bitrot db';
       branch.ctr <- branch.ctr + 1;
       branch.last_user <- user;
@@ -370,7 +368,7 @@ let execute_query t ~round ~user ~(op : Vo.op) ~piggyback =
   | Adversary.Freeze_epoch _ | Adversary.Bitrot _ | Adversary.Crash _
   | Adversary.Rollback_crash _ | Adversary.Torn_manifest _
   | Adversary.Checkpoint_crash _ ->
-      push_history ~cap:t.config.history_cap branch pre;
+      push_history branch pre;
       branch.db <- db';
       branch.ctr <- branch.ctr + 1;
       branch.last_user <- user;
@@ -620,12 +618,5 @@ let create ?store ?shards ?resume_from config ~engine ~initial ~initial_root_sig
 
 let initial_root t = t.initial_root
 let ops_performed t = t.main.ctr
-let halted t = t.halted
 let true_root t = Sdb.root_digest t.main.db
 let history_length t = List.length t.main.history
-
-module Sharded = struct
-  let shard_count t = Sdb.shard_count t.main.db
-  let shard_roots t = Sdb.shard_roots t.main.db
-  let shard_of_key t key = Sdb.route t.main.db key
-end

@@ -32,16 +32,13 @@ type config = {
   epoch_len : int option;  (** rounds per epoch (Protocol III) *)
   branching : int;
   adversary : Adversary.t;
-  history_cap : int;
-      (** max pre-operation snapshots retained per branch (for the
-          Rollback adversary); clamped to at least 1. Long simulations
-          would otherwise grow the snapshot spine linearly with the
-          number of operations. *)
 }
 
-val default_history_cap : int
-(** 64 — comfortably deeper than any [Rollback] the adversary model
-    uses. *)
+val history_cap : int
+(** 64: the most pre-operation snapshots a branch retains for the
+    [Rollback] adversary — comfortably deeper than any rollback the
+    adversary model uses. Long simulations would otherwise grow the
+    snapshot spine linearly with the number of operations. *)
 
 type t
 
@@ -75,11 +72,6 @@ val create :
     signature, epoch backups — so a restarted server continues the same
     session instead of re-baselining. *)
 
-val halted : t -> bool
-(** True once recovery has failed unrecoverably: the server has raised
-    a simulator alarm and silently drops every subsequent message
-    rather than serve a half-initialized shard map. *)
-
 val initial_root : t -> string
 (** [M(D₀)] — common knowledge among users. *)
 
@@ -92,7 +84,7 @@ val true_root : t -> string
 
 val history_length : t -> int
 (** Snapshots currently retained on the main branch — bounded by
-    [config.history_cap]; exposed for tests. *)
+    {!history_cap}; exposed for tests. *)
 
 (** {2 Runtime sanitizers}
 
@@ -102,7 +94,7 @@ val history_length : t -> int
 
 val check_history : t -> (unit, string) result
 (** Branch history well-formedness: snapshot count within
-    [config.history_cap], and — under adversaries that apply operations
+    {!history_cap}, and — under adversaries that apply operations
     honestly (Honest, Bitrot) — strictly decreasing counters down the
     newest-first snapshot list. *)
 
@@ -111,16 +103,3 @@ val check_invariants : t -> (unit, string) result
     live branch database (digest recomputation from raw bytes — this
     is what catches {!Adversary.Bitrot} — plus shard routing) followed
     by {!check_history}. *)
-
-(** {2 Sharding} *)
-
-module Sharded : sig
-  val shard_count : t -> int
-  (** 1 on legacy single-tree servers. *)
-
-  val shard_roots : t -> string array
-  (** Per-shard root digests of the main branch; the signed root is
-      their composition ({!Store.Shard_db.root_digest}). *)
-
-  val shard_of_key : t -> string -> int
-end

@@ -28,3 +28,14 @@ let xor a b =
   String.init (String.length a) (fun i -> Char.chr (Char.code a.[i] lxor Char.code b.[i]))
 
 let zero = String.make 32 '\x00'
+
+type registers = { sigma : string; last : string option; gctr : int }
+
+let no_registers = { sigma = zero; last = None; gctr = 0 }
+
+let fold ~tag regs ~old_root ~new_root ~ctr ~last_user ~user =
+  let old_tag =
+    if ctr = 0 then initial ~root:old_root else tag ~root:old_root ~ctr ~user:last_user
+  in
+  let new_tag = tag ~root:new_root ~ctr:(ctr + 1) ~user in
+  { sigma = xor regs.sigma (xor old_tag new_tag); last = Some new_tag; gctr = ctr + 1 }

@@ -33,6 +33,30 @@ val token_record_message :
 (** The byte string signed for each record of the token-passing
     baseline's hash-chained log. *)
 
+type registers = { sigma : string; last : string option; gctr : int }
+(** A user's XOR state registers σᵢ, lastᵢ and gctrᵢ (Protocol II;
+    Protocol III keeps one set per epoch). [last = None] until the
+    user's first operation. *)
+
+val no_registers : registers
+(** σ = 0, no last state, gctr = 0. *)
+
+val fold :
+  tag:(root:string -> ctr:int -> user:int -> string) ->
+  registers ->
+  old_root:string ->
+  new_root:string ->
+  ctr:int ->
+  last_user:int ->
+  user:int ->
+  registers
+(** Fold one verified operation into the registers: operation [ctr]
+    by [user] took [M(D)] = [old_root], last written by [last_user], to
+    [M(D')] = [new_root]. [σ ⊕= old_tag ⊕ new_tag], [last ← new_tag],
+    [gctr ← ctr + 1], where the old tag is {!initial} at [ctr = 0] and
+    both tags are otherwise [tag] ({!tagged}, or {!untagged} for the
+    Figure 3 ablation). *)
+
 val xor : string -> string -> string
 (** Byte-wise XOR of two equal-length strings (32-byte register
     arithmetic). @raise Invalid_argument on length mismatch. *)

@@ -13,13 +13,9 @@ type t = {
   signer : Pki.Signer.t;
   mutable phase : phase;
   mutable last_slot_handled : int;
-  mutable turns_taken : int;
-  mutable null_turns : int;
 }
 
 let base t = t.base
-let turns_taken t = t.turns_taken
-let null_turns t = t.null_turns
 let me t = User_base.user t.base
 let fail t ~round reason = User_base.terminate t.base ~round ~reason
 
@@ -77,10 +73,9 @@ let handle_token_state t ~round ~record ~vo =
           (Printf.sprintf "token log head is stale, missing or forged at slot %d" slot)
       else begin
         let effective_op = match op with Some o -> o | None -> Vo.Get "" in
-        match Vo.apply vo effective_op with
-        | Error e ->
-            fail t ~round (Format.asprintf "bad verification object: %a" Vo.pp_error e)
-        | Ok (replayed, old_root, new_root) ->
+        match User_base.verify t.base ~round vo effective_op with
+        | None -> ()
+        | Some { replayed; old_root; new_root; _ } ->
             if not (Crypto.Ctime.equal old_root prev_root) then
               fail t ~round "server state does not match the signed log head"
             else begin
@@ -106,10 +101,8 @@ let handle_token_state t ~round ~record ~vo =
               Sim.Engine.send (User_base.engine t.base) ~src:(Sim.Id.User (me t))
                 ~dst:Sim.Id.Server
                 (Message.Token_take_turn { op; record = new_record });
-              t.turns_taken <- t.turns_taken + 1;
-              (match op with
-              | Some _ -> User_base.complete t.base ~round ~answer:replayed ~roots:(old_root, new_root) ()
-              | None -> t.null_turns <- t.null_turns + 1)
+              if Option.is_some op then
+                User_base.complete t.base ~round ~answer:replayed ~roots:(old_root, new_root) ()
             end
       end
 
@@ -122,8 +115,6 @@ let create config ~user ~engine ~trace ~keyring ~signer =
       signer;
       phase = Idle;
       last_slot_handled = -1;
-      turns_taken = 0;
-      null_turns = 0;
     }
   in
   let on_message ~round ~src msg =

@@ -34,5 +34,3 @@ val create :
   t
 
 val base : t -> User_base.t
-val turns_taken : t -> int
-val null_turns : t -> int

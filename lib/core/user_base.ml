@@ -11,7 +11,6 @@ type t = {
   mutable in_flight : (int * Mtree.Vo.op) option; (* (trace seq, op) *)
   mutable in_flight_since : int;
   mutable response_timeout : int option;
-  mutable completed_ops : int;
   mutable terminated : bool;
 }
 
@@ -24,7 +23,6 @@ let create ~user ~engine ~trace =
     in_flight = None;
     in_flight_since = 0;
     response_timeout = None;
-    completed_ops = 0;
     terminated = false;
   }
 
@@ -76,10 +74,8 @@ let complete t ~round ~answer ?roots () =
   | Some (seq, _) ->
       Sim.Trace.complete t.trace ~seq ~round ~answer ?roots ();
       t.in_flight <- None;
-      t.completed_ops <- t.completed_ops + 1;
       Obs.incr c_ops_completed
 
-let completed_ops t = t.completed_ops
 let terminated t = t.terminated
 
 let terminate t ~round:_ ~reason =
@@ -87,6 +83,29 @@ let terminate t ~round:_ ~reason =
     t.terminated <- true;
     Sim.Engine.alarm t.engine ~agent:(Sim.Id.User t.user) ~reason
   end
+
+type verified = {
+  replayed : Mtree.Vo.answer;
+  old_root : string;
+  new_root : string;
+  transitions : Mtree.Vo.shard_transition list;
+}
+
+let replay ?answer vo op =
+  match Mtree.Vo.apply_detail vo op with
+  | Error e -> Error (Format.asprintf "bad verification object: %a" Mtree.Vo.pp_error e)
+  | Ok (replayed, old_root, new_root, transitions) -> (
+      match answer with
+      | Some claimed when not (Sim.Oracle.answers_equal replayed claimed) ->
+          Error "answer does not match verification object replay"
+      | Some _ | None -> Ok { replayed; old_root; new_root; transitions })
+
+let verify t ~round ?answer vo op =
+  match replay ?answer vo op with
+  | Ok v -> Some v
+  | Error reason ->
+      terminate t ~round ~reason;
+      None
 
 let set_response_timeout t ~rounds = t.response_timeout <- rounds
 

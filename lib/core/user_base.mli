@@ -39,13 +39,30 @@ val note_blocked : t -> round:int -> unit
     [run.blocked_rounds] counter the four-protocol comparison bench
     reports; a no-op when nothing is actually due. *)
 
+type verified = {
+  replayed : Mtree.Vo.answer;  (** the answer the replay computed *)
+  old_root : string;  (** [M(D)] before the operation *)
+  new_root : string;  (** [M(D')] after it *)
+  transitions : Mtree.Vo.shard_transition list;  (** per-shard root chain *)
+}
+
+val replay : ?answer:Mtree.Vo.answer -> Mtree.Vo.t -> Mtree.Vo.op -> (verified, string) result
+(** Replay [op] over the verification object and, given the server's
+    claimed [answer], check that it equals the replayed one. [Error]
+    carries the alarm text: a VO that cannot replay the operation, or
+    an answer the replay contradicts. *)
+
+val verify :
+  t -> round:int -> ?answer:Mtree.Vo.answer -> Mtree.Vo.t -> Mtree.Vo.op -> verified option
+(** {!replay}, terminating the user with its alarm on [Error] — the
+    verified-reply step every verifying agent starts from. *)
+
 val complete :
   t -> round:int -> answer:Mtree.Vo.answer -> ?roots:string * string -> unit -> unit
 (** Record the response action for the in-flight transaction, with the
     (old, new) root digests the user verified, if any.
     @raise Invalid_argument if no transaction is in flight. *)
 
-val completed_ops : t -> int
 val terminated : t -> bool
 
 val terminate : t -> round:int -> reason:string -> unit

@@ -8,8 +8,9 @@ module R = Wire.R
    decodes message bodies — can attribute a frame to the op that caused
    it.
    v3: the Shard_link role and the Prepare/Shard_root/Commit barrier
-   frames for the multi-daemon cluster (router <-> shard daemon). *)
-let protocol_version = 3
+   frames for the multi-daemon cluster (router <-> shard daemon).
+   v4: the Sync_* messages carry their sync session's number. *)
+let protocol_version = 4
 let magic = "TCVN"
 let header_len = 12
 let default_max_frame = 1 lsl 20
@@ -231,21 +232,25 @@ let write_message w (m : Message.t) =
       W.u8 w 4;
       encode_opt w (encode_token_record w) record;
       encode_vo w vo
-  | Message.Sync_begin { initiator } ->
+  | Message.Sync_begin { session; initiator } ->
       W.u8 w 5;
+      W.u32 w session;
       W.u16 w initiator
-  | Message.Sync_count { reporter; lctr } ->
+  | Message.Sync_count { session; reporter; lctr } ->
       W.u8 w 6;
+      W.u32 w session;
       W.u16 w reporter;
       W.u32 w lctr
-  | Message.Sync_registers { reporter; sigma; last; gctr } ->
+  | Message.Sync_registers { session; reporter; registers = { sigma; last; gctr } } ->
       W.u8 w 7;
+      W.u32 w session;
       W.u16 w reporter;
       W.str w sigma;
       encode_opt w (W.str w) last;
       W.u32 w gctr
-  | Message.Sync_verdict { reporter; success } ->
+  | Message.Sync_verdict { session; reporter; success } ->
       W.u8 w 8;
+      W.u32 w session;
       W.u16 w reporter;
       W.u8 w (if success then 1 else 0)
   | Message.Shard_witness { reporter; entries } ->
@@ -292,18 +297,23 @@ let read_message r : Message.t =
   | 4 ->
       let record = decode_opt r decode_token_record in
       Message.Token_state { record; vo = decode_vo r }
-  | 5 -> Message.Sync_begin { initiator = R.u16 r }
+  | 5 ->
+      let session = R.u32 r in
+      Message.Sync_begin { session; initiator = R.u16 r }
   | 6 ->
+      let session = R.u32 r in
       let reporter = R.u16 r in
-      Message.Sync_count { reporter; lctr = R.u32 r }
+      Message.Sync_count { session; reporter; lctr = R.u32 r }
   | 7 ->
+      let session = R.u32 r in
       let reporter = R.u16 r in
       let sigma = R.str r in
       let last = decode_opt r R.str in
-      Message.Sync_registers { reporter; sigma; last; gctr = R.u32 r }
+      Message.Sync_registers { session; reporter; registers = { sigma; last; gctr = R.u32 r } }
   | 8 ->
+      let session = R.u32 r in
       let reporter = R.u16 r in
-      Message.Sync_verdict { reporter; success = read_bool r }
+      Message.Sync_verdict { session; reporter; success = read_bool r }
   | 9 ->
       let reporter = R.u16 r in
       let entries =

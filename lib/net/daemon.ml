@@ -76,12 +76,6 @@ type state = {
 
 let jot st = Front.jot st.fe
 
-let mode_of_protocol = function
-  | Harness.Protocol_1 _ -> (`Signed, None)
-  | Harness.Protocol_2 _ | Harness.Protocol_4 _ | Harness.Unverified -> (`Plain, None)
-  | Harness.Protocol_3 { epoch_len } -> (`Plain, Some epoch_len)
-  | Harness.Token_baseline _ -> (`Token, None)
-
 let generation st = match st.store with Some s -> Store.generation s | None -> 0
 
 let welcome st () =
@@ -321,39 +315,25 @@ let build_state cfg =
       let engine =
         Sim.Engine.create ~measure:Message.encoded_size ~classify:Message.kind ()
       in
-      let mode, epoch_len = mode_of_protocol cfg.protocol in
-      let initial_root_sig =
-        match cfg.protocol with
-        | Harness.Protocol_1 _ ->
+      let server =
+        Harness.create_server ?store ~shards:cfg.shards ?resume_from cfg.protocol
+          ~branching:cfg.branching ~adversary:cfg.adversary
+          ~elected_signer:(fun () ->
             (* same deterministic PKI ceremony as the clients *)
-            let rng = Crypto.Prng.create ~seed:cfg.seed in
             let _, signers =
               Pki.Keyring.setup
                 ~scheme:(Pki.Signer.Hmac_shared { key = "experiment-shared-key" })
-                ~users:cfg.users rng
+                ~users:cfg.users
+                (Crypto.Prng.create ~seed:cfg.seed)
             in
-            let db =
-              match store with
+            signers.(0))
+          ~initial_root:(fun () ->
+            Store.Shard_db.root_digest
+              (match store with
               | Some s -> Store.db s
               | None ->
-                  Store.Shard_db.create ~branching:cfg.branching ~shards:cfg.shards
-                    initial
-            in
-            Some
-              (Tcvs.Protocol1.initial_signature ~signer:signers.(0)
-                 ~root:(Store.Shard_db.root_digest db))
-        | _ -> None
-      in
-      let server =
-        Server.create ?store ~shards:cfg.shards ?resume_from
-          {
-            Server.mode;
-            epoch_len;
-            branching = cfg.branching;
-            adversary = cfg.adversary;
-            history_cap = Server.default_history_cap;
-          }
-          ~engine ~initial ~initial_root_sig
+                  Store.Shard_db.create ~branching:cfg.branching ~shards:cfg.shards initial))
+          ~engine ~initial
       in
       let outbox = Queue.create () in
       for u = 0 to cfg.users - 1 do

@@ -94,11 +94,13 @@ let sample_messages =
       };
     M.Token_state { record = Some sample_record; vo = sample_vo };
     M.Token_state { record = None; vo = sample_vo };
-    M.Sync_begin { initiator = 0 };
-    M.Sync_count { reporter = 1; lctr = 17 };
-    M.Sync_registers { reporter = 2; sigma = digest 's'; last = Some (digest 'l'); gctr = 8 };
-    M.Sync_registers { reporter = 3; sigma = digest 's'; last = None; gctr = 0 };
-    M.Sync_verdict { reporter = 0; success = false };
+    M.Sync_begin { session = 0; initiator = 0 };
+    M.Sync_count { session = 3; reporter = 1; lctr = 17 };
+    M.Sync_registers
+      { session = 5; reporter = 2; registers = { sigma = digest 's'; last = Some (digest 'l'); gctr = 8 } };
+    M.Sync_registers
+      { session = 0; reporter = 3; registers = { sigma = digest 's'; last = None; gctr = 0 } };
+    M.Sync_verdict { session = 70000; reporter = 0; success = false };
   ]
 
 (* Every frame constructor; payload-bearing frames get a spread of the

@@ -373,8 +373,7 @@ let make_cvs_pair ?(adversary = Adversary.Honest) () =
   let trace = Sim.Trace.create () in
   let server =
     Server.create
-      { Server.mode = `Plain; epoch_len = None; branching = 8; adversary;
-        history_cap = Server.default_history_cap }
+      { Server.mode = `Plain; epoch_len = None; branching = 8; adversary }
       ~engine ~initial:[] ~initial_root_sig:None
   in
   let config = Protocol2.default_config ~n:2 ~k:6 ~initial_root:(Server.initial_root server) in
@@ -448,16 +447,15 @@ let test_history_cap_bounds_snapshots () =
      operations run. *)
   let engine = Sim.Engine.create ~measure:Message.encoded_size () in
   let trace = Sim.Trace.create () in
-  let cap = 4 in
+  let cap = Server.history_cap in
   let server =
     Server.create
-      { Server.mode = `Plain; epoch_len = None; branching = 8;
-        adversary = Adversary.Honest; history_cap = cap }
+      { Server.mode = `Plain; epoch_len = None; branching = 8; adversary = Adversary.Honest }
       ~engine ~initial:[] ~initial_root_sig:None
   in
   let config = Protocol2.default_config ~n:1 ~k:1000 ~initial_root:(Server.initial_root server) in
   let s = Cvs.session ~engine ~base:(Protocol2.base (Protocol2.create config ~user:0 ~engine ~trace)) in
-  for i = 1 to 20 do
+  for i = 1 to cap + 16 do
     ignore (ok (Cvs.commit s ~path:"f.ml" ~content:(string_of_int i) ~log:"c"))
   done;
   Alcotest.(check bool) "snapshots retained" true (Server.history_length server > 0);
@@ -465,6 +463,126 @@ let test_history_cap_bounds_snapshots () =
     (Printf.sprintf "spine bounded by cap (%d <= %d)" (Server.history_length server) cap)
     true
     (Server.history_length server <= cap)
+
+(* ---- sync driver: one real user among scripted peers ---------------------- *)
+
+(* User 1 runs the real Protocol I or II agent; every other user is a
+   scripted peer that broadcasts [(round, peer, message)] entries of
+   [script] when activated in that round (delivery is the next round).
+   Returns the real user's completed sync sessions and the alarms after
+   [rounds] rounds. *)
+let scripted_sync protocol ~n ?timeout ~script ~rounds () =
+  let engine = Sim.Engine.create () in
+  let trace = Sim.Trace.create () in
+  let peer id =
+    Sim.Engine.register engine (Sim.Id.User id)
+      {
+        Sim.Engine.on_message = (fun ~round:_ ~src:_ _ -> ());
+        on_activate =
+          (fun ~round ->
+            List.iter
+              (fun (at, from, msg) ->
+                if at = round && from = id then
+                  Sim.Engine.broadcast engine ~src:(Sim.Id.User id) msg)
+              script);
+      }
+  in
+  peer 0;
+  let syncs =
+    match protocol with
+    | `P1 ->
+        let keyring, signers =
+          Pki.Keyring.setup ~scheme:(Pki.Signer.Hmac_shared { key = "sync" }) ~users:n
+            (Crypto.Prng.create ~seed:"sync")
+        in
+        let p =
+          Protocol1.create
+            { Protocol1.n; k = 8; initial_root = State_tag.zero; elected_signer = 0 }
+            ~user:1 ~engine ~trace ~keyring ~signer:signers.(1)
+        in
+        Sync_session.set_timeout (Protocol1.sync p) ~rounds:timeout;
+        fun () -> Sync_session.syncs_completed (Protocol1.sync p)
+    | `P2 ->
+        let p =
+          Protocol2.create
+            (Protocol2.default_config ~n ~k:8 ~initial_root:State_tag.zero)
+            ~user:1 ~engine ~trace
+        in
+        Sync_session.set_timeout (Protocol2.sync p) ~rounds:timeout;
+        fun () -> Sync_session.syncs_completed (Protocol2.sync p)
+  in
+  for id = 2 to n - 1 do
+    peer id
+  done;
+  Sim.Engine.run engine ~rounds;
+  (syncs (), Sim.Engine.alarms engine)
+
+let sync_begin ~session ~from = Message.Sync_begin { session; initiator = from }
+
+let sync_report protocol ~session ~from =
+  match protocol with
+  | `P1 -> Message.Sync_count { session; reporter = from; lctr = 0 }
+  | `P2 -> Message.Sync_registers { session; reporter = from; registers = State_tag.no_registers }
+
+let sync_verdict ~session ~from = Message.Sync_verdict { session; reporter = from; success = true }
+
+let protocol_label = function `P1 -> "protocol 1" | `P2 -> "protocol 2"
+
+(* The TCP wedge: peer A (user 0) resolves session 0 and starts session
+   1 while peer C's (user 2) session-0 verdict is still on its way to
+   user B (user 1). In wedge order A's session-1 begin and report reach
+   B before C's verdict; in benign order they arrive after it. B must
+   complete both sessions either way: merged into session 0, A's
+   session-1 report would be lost when session 0 resolves, and B would
+   wait for it forever. *)
+let test_sync_next_session_held protocol () =
+  let report = sync_report protocol in
+  let script ~wedge =
+    let a_next, c_verdict = if wedge then (4, 5) else (5, 4) in
+    [
+      (1, 0, sync_begin ~session:0 ~from:0);
+      (1, 0, report ~session:0 ~from:0);
+      (1, 2, report ~session:0 ~from:2);
+      (3, 0, sync_verdict ~session:0 ~from:0);
+      (a_next, 0, sync_begin ~session:1 ~from:0);
+      (a_next, 0, report ~session:1 ~from:0);
+      (c_verdict, 2, sync_verdict ~session:0 ~from:2);
+      (7, 2, report ~session:1 ~from:2);
+      (9, 0, sync_verdict ~session:1 ~from:0);
+      (9, 2, sync_verdict ~session:1 ~from:2);
+    ]
+  in
+  List.iter
+    (fun wedge ->
+      let syncs, alarms = scripted_sync protocol ~n:3 ~script:(script ~wedge) ~rounds:15 () in
+      let order = if wedge then "wedge order" else "benign order" in
+      Alcotest.(check int)
+        (Printf.sprintf "%s, %s: both sessions complete" (protocol_label protocol) order)
+        2 syncs;
+      Alcotest.(check int) (order ^ ": no alarm") 0 (List.length alarms))
+    [ true; false ]
+
+(* A peer that starts a session and never reports. B activates the
+   session in round 2, so a 5-round timeout fires in round 8 and not
+   before; without a timeout B blocks silently, the bare paper
+   protocol. *)
+let test_sync_timeout protocol () =
+  let script = [ (1, 0, sync_begin ~session:0 ~from:0) ] in
+  let name = match protocol with `P1 -> "protocol-1" | `P2 -> "protocol-2" in
+  let _, early = scripted_sync protocol ~n:2 ~timeout:5 ~script ~rounds:7 () in
+  Alcotest.(check int) "no alarm within the limit" 0 (List.length early);
+  (match scripted_sync protocol ~n:2 ~timeout:5 ~script ~rounds:8 () with
+  | _, [ alarm ] ->
+      Alcotest.(check int) "alarm round" 8 alarm.Sim.Engine.at_round;
+      Alcotest.(check string) "alarm text"
+        (name
+       ^ " sync stuck for 6 rounds — external broadcast channel partitioned or a peer is \
+          withholding its report")
+        alarm.Sim.Engine.reason
+  | _, alarms -> Alcotest.failf "expected one alarm, got %d" (List.length alarms));
+  let syncs, silent = scripted_sync protocol ~n:2 ~script ~rounds:200 () in
+  Alcotest.(check int) "no timeout: no alarm" 0 (List.length silent);
+  Alcotest.(check int) "no timeout: the session never resolves" 0 syncs
 
 (* ---- edge cases ------------------------------------------------------------ *)
 
@@ -1015,4 +1133,10 @@ let suite =
     quick "cvs: commit_many" test_cvs_commit_many;
     quick "cvs: commit_atomic (multi-key Set_many)" test_cvs_commit_atomic;
     quick "cvs: tags" test_cvs_tags;
+    quick "sync: next-session messages held until the session resolves (protocol 1)"
+      (test_sync_next_session_held `P1);
+    quick "sync: next-session messages held until the session resolves (protocol 2)"
+      (test_sync_next_session_held `P2);
+    quick "sync: timeout alarms on a withholding peer (protocol 1)" (test_sync_timeout `P1);
+    quick "sync: timeout alarms on a withholding peer (protocol 2)" (test_sync_timeout `P2);
   ]

@@ -844,7 +844,6 @@ let test_server_crash_clears_history () =
         epoch_len = None;
         branching = 8;
         adversary = Adversary.Crash { at_round = 6 };
-        history_cap = 64;
       }
       ~engine ~initial ~initial_root_sig:None
   in

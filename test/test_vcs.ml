@@ -247,8 +247,7 @@ let test_repo_protocol_equivalence () =
   let server =
     Tcvs.Server.create
       { Tcvs.Server.mode = `Plain; epoch_len = None; branching = 8;
-        adversary = Tcvs.Adversary.Honest;
-        history_cap = Tcvs.Server.default_history_cap }
+        adversary = Tcvs.Adversary.Honest }
       ~engine ~initial:[] ~initial_root_sig:None
   in
   let config =

@@ -67,11 +67,15 @@ let test_message_sizes_positive () =
           epoch = 0;
           epoch_states = [];
         };
-      Tcvs.Message.Sync_begin { initiator = 0 };
-      Tcvs.Message.Sync_count { reporter = 0; lctr = 5 };
+      Tcvs.Message.Sync_begin { session = 0; initiator = 0 };
+      Tcvs.Message.Sync_count { session = 2; reporter = 0; lctr = 5 };
       Tcvs.Message.Sync_registers
-        { reporter = 0; sigma = String.make 32 '0'; last = None; gctr = 3 };
-      Tcvs.Message.Sync_verdict { reporter = 0; success = true };
+        {
+          session = 1;
+          reporter = 0;
+          registers = { sigma = String.make 32 '0'; last = None; gctr = 3 };
+        };
+      Tcvs.Message.Sync_verdict { session = 7; reporter = 0; success = true };
     ]
   in
   List.iter
