@@ -148,11 +148,20 @@ let store_arg =
   in
   Arg.(value & opt (some string) None & info [ "store" ] ~docv:"DIR" ~doc)
 
+(* Every command takes the same shard range, the one Store.Shard_map
+   enforces; out of it is a usage error, as every other bad argument. *)
+let check_shard_count ~flag n =
+  if n < 1 || n > Mtree.Vo.max_shards then begin
+    Printf.eprintf "error: %s must be between 1 and %d\n" flag Mtree.Vo.max_shards;
+    exit 2
+  end
+
 let shards_arg =
   let doc =
-    "Partition the server database into $(docv) key-range shards, each with \
-     its own Merkle tree (and WAL file under $(b,--store)). The exchanged \
-     root digest composes the sorted shard roots; verdicts are unchanged."
+    "Partition the server database into $(docv) key-range shards (1 to 61), \
+     each with its own Merkle tree (and WAL file under $(b,--store)). The \
+     exchanged root digest composes the sorted shard roots; verdicts are \
+     unchanged."
   in
   Arg.(value & opt (some int) None & info [ "shards" ] ~docv:"N" ~doc)
 
@@ -271,6 +280,7 @@ let simulate_cmd =
   let run seed users rounds k epoch_len protocol_str adversary_str sanitize verbosity
       metrics trace_file store_dir shards durability =
     Log_setup.install ~level:verbosity ();
+    Option.iter (check_shard_count ~flag:"--shards") shards;
     if sanitize then Sanitize.set_enabled true;
     match
       ( protocol_conv k epoch_len protocol_str,
@@ -411,8 +421,9 @@ let session_cmd =
         let trace = Sim.Trace.create () in
         let server =
           Server.create
-            { Server.mode = `Plain; epoch_len = None; branching = 8; adversary }
-            ~engine ~initial:[] ~initial_root_sig:None
+            { Server.mode = `Plain; epoch_len = None; adversary }
+            ~engine
+            ~db:(Store.Shard_db.create ~branching:8 ~shards:1 [])
         in
         let config =
           Protocol2.default_config ~n:2 ~k ~initial_root:(Server.initial_root server)
@@ -579,6 +590,8 @@ let serve_cmd =
       port_file store_dir shards shard_id shard_count durability max_conns journal
       admin_port admin_port_file metrics =
     Log_setup.install ~level:verbosity ();
+    Option.iter (check_shard_count ~flag:"--shards") shards;
+    check_shard_count ~flag:"--shard-count" shard_count;
     if sanitize then Sanitize.set_enabled true;
     match (protocol_conv k epoch_len protocol_str, parse_adversary ~users adversary_str) with
     | Error (`Msg m), _ | _, Error (`Msg m) ->
@@ -661,6 +674,7 @@ let client_cmd =
   let run seed users rounds k epoch_len protocol_str verbosity connect user shards
       response_timeout sync_timeout max_reconnects journal =
     Log_setup.install ~level:verbosity ();
+    Option.iter (check_shard_count ~flag:"--shards") shards;
     match (protocol_conv k epoch_len protocol_str, parse_hostport connect) with
     | Error (`Msg m), _ | _, Error m ->
         Printf.eprintf "error: %s\n" m;
@@ -981,10 +995,7 @@ let serve_cluster_cmd =
   let run verbosity listen port_file shards users seed store_base journal_base
       admin_port admin_port_file metrics =
     Log_setup.install ~level:verbosity ();
-    if shards < 1 then begin
-      Printf.eprintf "error: --shards must be at least 1\n";
-      exit 2
-    end;
+    check_shard_count ~flag:"--shards" shards;
     Option.iter (fun b -> if not (Sys.file_exists b) then Unix.mkdir b 0o755) store_base;
     Option.iter (fun b -> if not (Sys.file_exists b) then Unix.mkdir b 0o755) journal_base;
     let dir = fresh_dir "tcvs-cluster" in
@@ -1018,7 +1029,7 @@ let serve_cluster_cmd =
             exit 1)
   in
   let shards_arg =
-    let doc = "Shard daemons to spawn (one process per key-range shard)." in
+    let doc = "Shard daemons to spawn (one process per key-range shard; 1 to 61)." in
     Arg.(value & opt int 2 & info [ "shards" ] ~docv:"N" ~doc)
   in
   let store_base_arg =
@@ -1092,22 +1103,16 @@ let trace_join_cmd =
   in
   Cmd.v (Cmd.info "trace-join" ~doc) Term.(const run $ files_arg)
 
-let resolve_host host =
-  try Unix.inet_addr_of_string host
-  with Failure _ -> (
-    match Unix.getaddrinfo host "" [ Unix.AI_FAMILY Unix.PF_INET ] with
-    | { Unix.ai_addr = Unix.ADDR_INET (a, _); _ } :: _ -> a
-    | _ -> raise (Failure ("cannot resolve " ^ host)))
-
 (* One admin scrape: connect, read to EOF, return the snapshot. *)
 let scrape ~host ~port =
   match
-    let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-    match Unix.connect fd (Unix.ADDR_INET (resolve_host host, port)) with
-    | () -> Ok fd
-    | exception Unix.Unix_error (err, _, _) ->
-        Unix.close fd;
-        Error (Unix.error_message err)
+    Result.bind (Net.Loop.resolve host) (fun addr ->
+        let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+        match Unix.connect fd (Unix.ADDR_INET (addr, port)) with
+        | () -> Ok fd
+        | exception Unix.Unix_error (err, _, _) ->
+            Unix.close fd;
+            Error (Unix.error_message err))
   with
   | Error e -> Error e
   | Ok fd ->

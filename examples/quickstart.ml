@@ -19,11 +19,11 @@ let () =
   (* 1. Build the system: engine, honest server, two Protocol II users. *)
   let engine = Sim.Engine.create ~measure:Message.encoded_size () in
   let trace = Sim.Trace.create () in
-  let initial = [] in
   let server =
     Server.create
-      { Server.mode = `Plain; epoch_len = None; branching = 8; adversary = Adversary.Honest }
-      ~engine ~initial ~initial_root_sig:None
+      { Server.mode = `Plain; epoch_len = None; adversary = Adversary.Honest }
+      ~engine
+      ~db:(Store.Shard_db.create ~branching:8 ~shards:1 [])
   in
   let config =
     Protocol2.default_config ~n:2 ~k:8 ~initial_root:(Server.initial_root server)

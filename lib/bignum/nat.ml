@@ -302,7 +302,6 @@ let divmod a b =
   else if Array.length b = 1 then divmod_limb a b.(0)
   else divmod_knuth a b
 
-let div a b = fst (divmod a b)
 let rem a b = snd (divmod a b)
 
 let mod_pow ~base:bse ~exp ~modulus =
@@ -318,8 +317,6 @@ let mod_pow ~base:bse ~exp ~modulus =
     done;
     !result
   end
-
-let rec gcd a b = if is_zero b then a else gcd b (rem a b)
 
 (* Signed value for the extended-Euclid coefficients. *)
 type signed = { neg : bool; mag : t }
@@ -387,42 +384,6 @@ let to_bytes_be ?pad_to a =
       if nbytes > w then invalid_arg "Nat.to_bytes_be: value too wide for pad_to";
       String.make (w - nbytes) '\x00' ^ body
 
-let of_hex h = of_bytes_be (Crypto.Hex.decode (if String.length h mod 2 = 1 then "0" ^ h else h))
-
-let to_hex a =
-  let s = Crypto.Hex.encode (to_bytes_be a) in
-  if s = "" then "0" else s
-
-let ten = of_int 10
-let decimal_chunk = 1_000_000 (* < 2^26, so the short-division path applies *)
-
-let to_decimal a =
-  if is_zero a then "0"
-  else begin
-    let chunks = ref [] in
-    let v = ref a in
-    while not (is_zero !v) do
-      let q, r = divmod !v (of_int decimal_chunk) in
-      let r = match to_int r with Some i -> i | None -> assert false in
-      chunks := r :: !chunks;
-      v := q
-    done;
-    match !chunks with
-    | [] -> assert false
-    | first :: rest ->
-        String.concat ""
-          (string_of_int first :: List.map (Printf.sprintf "%06d") rest)
-  end
-
-let of_decimal s =
-  if s = "" then invalid_arg "Nat.of_decimal: empty string";
-  String.fold_left
-    (fun acc c ->
-      match c with
-      | '0' .. '9' -> add (mul acc ten) (of_int (Char.code c - Char.code '0'))
-      | _ -> invalid_arg "Nat.of_decimal: invalid character")
-    zero s
-
 let random rng ~bits =
   if bits <= 0 then invalid_arg "Nat.random: bits must be positive";
   let nbytes = (bits + 7) / 8 in
@@ -439,5 +400,3 @@ let random_below rng bound =
     if compare v bound < 0 then v else draw ()
   in
   draw ()
-
-let pp fmt a = Format.pp_print_string fmt (to_decimal a)

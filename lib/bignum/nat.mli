@@ -31,13 +31,6 @@ val to_bytes_be : ?pad_to:int -> t -> string
     [pad_to] if given.
     @raise Invalid_argument if the value does not fit in [pad_to]. *)
 
-val of_hex : string -> t
-val to_hex : t -> string
-val of_decimal : string -> t
-(** @raise Invalid_argument on a non-digit character or empty string. *)
-
-val to_decimal : t -> string
-
 val compare : t -> t -> int
 val equal : t -> t -> bool
 val is_zero : t -> bool
@@ -67,15 +60,12 @@ val divmod : t -> t -> t * t
     (Knuth TAOCP vol. 2 Algorithm 4.3.1 D).
     @raise Division_by_zero if [b] is zero. *)
 
-val div : t -> t -> t
 val rem : t -> t -> t
 
 val mod_pow : base:t -> exp:t -> modulus:t -> t
 (** [mod_pow ~base ~exp ~modulus] is [base^exp mod modulus] by
     left-to-right binary exponentiation.
     @raise Division_by_zero if [modulus] is zero. *)
-
-val gcd : t -> t -> t
 
 val mod_inverse : t -> modulus:t -> t option
 (** [mod_inverse a ~modulus] is [Some x] with [a*x ≡ 1 (mod modulus)]
@@ -86,6 +76,3 @@ val random : Crypto.Prng.t -> bits:int -> t
 
 val random_below : Crypto.Prng.t -> t -> t
 (** Uniform in [0, bound). @raise Invalid_argument if bound is zero. *)
-
-val pp : Format.formatter -> t -> unit
-(** Prints the decimal rendering. *)

@@ -186,8 +186,8 @@ let build_user setup ~initial_root ~engine ~trace ~keyring ~signers ~user =
            ~user ~engine ~trace ~keyring ~signer:signers.(user))
   | Unverified -> Plain_user.base (Plain_user.create ~user ~engine ~trace)
 
-let create_server ?store ?shards ?resume_from protocol ~branching ~adversary ~elected_signer
-    ~initial_root ~engine ~initial =
+let create_server ?store ?route_counters ?resume_from protocol ~adversary ~elected_signer
+    ~engine ~db =
   let mode, epoch_len =
     match protocol with
     | Protocol_1 _ -> (`Signed, None)
@@ -195,15 +195,15 @@ let create_server ?store ?shards ?resume_from protocol ~branching ~adversary ~el
     | Protocol_3 { epoch_len } -> (`Plain, Some epoch_len)
     | Token_baseline _ -> (`Token, None)
   in
-  let initial_root_sig =
+  let sign_initial_root =
     match protocol with
     | Protocol_1 _ ->
-        Some (Protocol1.initial_signature ~signer:(elected_signer ()) ~root:(initial_root ()))
+        Some (fun root -> Protocol1.initial_signature ~signer:(elected_signer ()) ~root)
     | Protocol_2 _ | Protocol_3 _ | Protocol_4 _ | Token_baseline _ | Unverified -> None
   in
-  Server.create ?store ?shards ?resume_from
-    { Server.mode; epoch_len; branching; adversary }
-    ~engine ~initial ~initial_root_sig
+  Server.create ?store ?route_counters ?sign_initial_root ?resume_from
+    { Server.mode; epoch_len; adversary }
+    ~engine ~db
 
 let run_common setup ~script =
   (match validate setup with Ok () -> () | Error e -> raise (Setup_error e));
@@ -249,18 +249,17 @@ let run_common setup ~script =
           ~shards:(Option.value ~default:1 setup.shards)
           initial
   in
-  if store <> None || setup.shards <> None then
+  let sharded = store <> None || setup.shards <> None in
+  if sharded then
     Obs.set_meta "shards" (string_of_int (Store.Shard_db.shard_count initial_db));
   (* For N ≥ 2 shards this is the composed root (one extra hash level
      over the sorted shard roots) — the digest every protocol user
      treats as M(D₀). *)
   let initial_root = Store.Shard_db.root_digest initial_db in
   let server =
-    create_server ?store ?shards:setup.shards setup.protocol ~branching:setup.branching
-      ~adversary:setup.adversary
+    create_server ?store ~route_counters:sharded setup.protocol ~adversary:setup.adversary
       ~elected_signer:(fun () -> signers.(0))
-      ~initial_root:(fun () -> initial_root)
-      ~engine ~initial
+      ~engine ~db:initial_db
   in
   let bases =
     Array.init setup.users (fun user ->

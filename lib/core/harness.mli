@@ -137,23 +137,21 @@ val build_user :
 
 val create_server :
   ?store:Store.t ->
-  ?shards:int ->
+  ?route_counters:bool ->
   ?resume_from:Store.recovered ->
   protocol ->
-  branching:int ->
   adversary:Adversary.t ->
   elected_signer:(unit -> Pki.Signer.t) ->
-  initial_root:(unit -> string) ->
   engine:Message.t Sim.Engine.t ->
-  initial:(string * string) list ->
+  db:Store.Shard_db.t ->
   Server.t
 (** The server [protocol] runs against, built as {!run} builds it —
     exported so the network daemon sets up the same server. Protocol I
     gets the [`Signed] mode and the elected user's signature over
-    [h(M(D₀) ‖ 0)]; only then are [elected_signer] and [initial_root]
-    called. Protocol III gets its epoch length, the token baseline the
-    [`Token] mode, every other protocol [`Plain]. The optional
-    arguments are {!Server.create}'s. *)
+    [h(M(D₀) ‖ 0)]; only then is [elected_signer] called. Protocol III
+    gets its epoch length, the token baseline the [`Token] mode, every
+    other protocol [`Plain]. [db] and the optional arguments are
+    {!Server.create}'s. *)
 
 val run_script : setup -> script:scripted list -> outcome
 (** Like {!run} but with explicit database operations instead of

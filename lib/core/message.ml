@@ -52,51 +52,6 @@ let kind = function
   | Sync_verdict _ -> "sync_verdict"
   | Shard_witness _ -> "shard_witness"
 
-let pp_op fmt (op : Mtree.Vo.op) =
-  match op with
-  | Mtree.Vo.Get k -> Format.fprintf fmt "get %s" k
-  | Mtree.Vo.Set (k, _) -> Format.fprintf fmt "set %s" k
-  | Mtree.Vo.Set_many entries -> Format.fprintf fmt "set-many (%d keys)" (List.length entries)
-  | Mtree.Vo.Remove k -> Format.fprintf fmt "remove %s" k
-  | Mtree.Vo.Range (lo, hi) -> Format.fprintf fmt "range [%s,%s]" lo hi
-
-let pp fmt = function
-  | Query { op; piggyback } ->
-      let extra =
-        String.concat ""
-          (List.map
-             (function
-               | Backup b -> Printf.sprintf " +backup(e%d)" b.backup_epoch
-               | Request_states { epochs } ->
-                   Printf.sprintf " +request-states(%s)"
-                     (String.concat "," (List.map string_of_int epochs)))
-             piggyback)
-      in
-      Format.fprintf fmt "query(%a)%s" pp_op op extra
-  | Root_signature { signer; ctr; _ } -> Format.fprintf fmt "root-sig(u%d, ctr=%d)" signer ctr
-  | Token_take_turn { op; record } ->
-      Format.fprintf fmt "token-turn(u%d, ctr=%d, %s)" record.token_user record.token_ctr
-        (match op with None -> "null" | Some o -> Format.asprintf "%a" pp_op o)
-  | Response { ctr; last_user; root_sig; epoch; _ } ->
-      Format.fprintf fmt "response(ctr=%d, j=%d%s%s)" ctr last_user
-        (if root_sig <> None then ", sig" else "")
-        (if epoch > 0 then Printf.sprintf ", e%d" epoch else "")
-  | Token_state { record; _ } ->
-      Format.fprintf fmt "token-state(%s)"
-        (match record with
-        | None -> "initial"
-        | Some r -> Printf.sprintf "u%d ctr=%d" r.token_user r.token_ctr)
-  | Sync_begin { session; initiator } ->
-      Format.fprintf fmt "sync-begin(s%d, u%d)" session initiator
-  | Sync_count { session; reporter; lctr } ->
-      Format.fprintf fmt "sync-count(s%d, u%d, lctr=%d)" session reporter lctr
-  | Sync_registers { session; reporter; _ } ->
-      Format.fprintf fmt "sync-registers(s%d, u%d)" session reporter
-  | Sync_verdict { session; reporter; success } ->
-      Format.fprintf fmt "sync-verdict(s%d, u%d, %b)" session reporter success
-  | Shard_witness { reporter; entries } ->
-      Format.fprintf fmt "shard-witness(u%d, %d entries)" reporter (List.length entries)
-
 (* Sizes approximate a compact binary wire format: 8 bytes per integer,
    32 bytes per digest/register, actual length for strings, plus the
    real encoded size of verification objects. *)

@@ -74,8 +74,6 @@ val kind : t -> string
 (** Stable snake_case tag of the constructor — the per-kind label the
     simulator's wire metrics are keyed on. *)
 
-val pp : Format.formatter -> t -> unit
-
 val encoded_size : t -> int
 (** Size in bytes of a canonical binary encoding — used by the
     overhead experiments to report message-size costs without the

@@ -45,7 +45,8 @@ let check_registers t =
          "sigma register diverged from the XOR-fold of its %d recorded transitions"
          (List.length t.tag_ledger))
 
-let debug_corrupt_sigma t =
+(* test_sanitize's "protocol2: register ledger" corrupts σ through this *)
+let[@tcvs.lint.allow "dead-code"] debug_corrupt_sigma t =
   t.regs <-
     { t.regs with sigma = State_tag.xor t.regs.sigma (State_tag.initial ~root:"bitflip") }
 

@@ -3,12 +3,7 @@ module Sdb = Store.Shard_db
 
 type mode = [ `Signed | `Plain | `Token ]
 
-type config = {
-  mode : mode;
-  epoch_len : int option;
-  branching : int;
-  adversary : Adversary.t;
-}
+type config = { mode : mode; epoch_len : int option; adversary : Adversary.t }
 
 (* One copy of the database as some set of users sees it. A fork
    attack maintains two of these. [history] (newest first) holds the
@@ -256,20 +251,13 @@ let sanitize_pass t =
 
 (* ---- Persistence ---------------------------------------------------- *)
 
-let shards_touched db (op : Vo.op) =
-  match op with
-  | Vo.Get k | Vo.Set (k, _) | Vo.Remove k -> [ Sdb.route db k ]
-  | Vo.Range (lo, hi) ->
-      let first = Sdb.route db lo and last = Sdb.route db hi in
-      List.init (last - first + 1) (fun j -> first + j)
-  | Vo.Set_many entries ->
-      List.sort_uniq Int.compare (List.map (fun (k, _) -> Sdb.route db k) entries)
-
 let record_routing t branch op =
   match t.route_counters with
   | None -> ()
   | Some (per_shard, aggregate) ->
-      List.iter (fun i -> Obs.incr per_shard.(i)) (shards_touched branch.db op);
+      List.iter
+        (fun i -> Obs.incr per_shard.(i))
+        (Vo.shards_for (Store.Shard_map.boundaries (Sdb.map branch.db)) op);
       Obs.incr aggregate
 
 (* Only the main branch is durable: a fork is a lie the server tells
@@ -535,25 +523,20 @@ let handle_token_turn t ~op ~record =
 
 (* ---- Wiring --------------------------------------------------------- *)
 
-let create ?store ?shards ?resume_from config ~engine ~initial ~initial_root_sig =
-  let db =
-    match store with
-    | Some s -> Store.db s
-    | None ->
-        let shards = Option.value ~default:1 shards in
-        Sdb.create ~branching:config.branching ~shards initial
-  in
+let create ?store ?(route_counters = false) ?sign_initial_root ?resume_from config ~engine
+    ~db =
+  (match store with
+  | Some s when Store.db s != db -> invalid_arg "Server.create: db is not the store's database"
+  | Some _ | None -> ());
+  let initial_root = Sdb.root_digest db in
+  let initial_root_sig = Option.map (fun sign -> sign initial_root) sign_initial_root in
   let route_counters =
-    match (store, shards) with
-    | None, None -> None
-    | _ ->
-        let n = Sdb.shard_count db in
-        Some
-          ( Array.init n (fun i ->
-                Obs.counter
-                  ~scope:(Obs.Scope.v (Printf.sprintf "server.s%d" i))
-                  "ops_routed"),
-            Obs.counter ~scope:obs_scope "ops_routed" )
+    if not route_counters then None
+    else
+      Some
+        ( Array.init (Sdb.shard_count db) (fun i ->
+              Obs.counter ~scope:(Obs.Scope.v (Printf.sprintf "server.s%d" i)) "ops_routed"),
+          Obs.counter ~scope:obs_scope "ops_routed" )
   in
   let main =
     { db; ctr = 0; last_user = -1; root_sig = initial_root_sig; history = [] }
@@ -562,7 +545,7 @@ let create ?store ?shards ?resume_from config ~engine ~initial ~initial_root_sig
     {
       config;
       engine;
-      initial_root = Sdb.root_digest db;
+      initial_root;
       initial_root_sig;
       store;
       main;
@@ -619,4 +602,7 @@ let create ?store ?shards ?resume_from config ~engine ~initial ~initial_root_sig
 let initial_root t = t.initial_root
 let ops_performed t = t.main.ctr
 let true_root t = Sdb.root_digest t.main.db
-let history_length t = List.length t.main.history
+(* test_protocols' "server: history cap bounds rollback snapshots" and
+   test_store's "server: crash clears history" read the spine's length
+   through this; nothing else can see it *)
+let[@tcvs.lint.allow "dead-code"] history_length t = List.length t.main.history

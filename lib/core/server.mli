@@ -30,7 +30,6 @@ type mode = [ `Signed | `Plain | `Token ]
 type config = {
   mode : mode;
   epoch_len : int option;  (** rounds per epoch (Protocol III) *)
-  branching : int;
   adversary : Adversary.t;
 }
 
@@ -44,28 +43,30 @@ type t
 
 val create :
   ?store:Store.t ->
-  ?shards:int ->
+  ?route_counters:bool ->
+  ?sign_initial_root:(string -> string) ->
   ?resume_from:Store.recovered ->
   config ->
   engine:Message.t Sim.Engine.t ->
-  initial:(string * string) list ->
-  initial_root_sig:string option ->
+  db:Store.Shard_db.t ->
   t
 (** Build the server state and register it with the engine under
-    {!Sim.Id.Server}. [initial_root_sig] seeds Protocol I with the
-    elected user's signature over the initial root (the paper's
-    initialisation step).
+    {!Sim.Id.Server}. The main branch starts at [db], D₀, which the
+    caller builds once and shares with its users' [M(D₀)].
+    [sign_initial_root], given in Protocol I, is called once with the
+    root of [db] and returns the elected user's signature over it (the
+    paper's initialisation step).
 
-    [store], when given, makes the server durable: the main branch is
-    seeded from {!Store.db} (which is [initial] on a fresh store and
-    the recovered database on a reopened one), every served operation,
-    stored root signature and epoch backup is logged to the store's
-    WAL, and the [Crash] / [Rollback_crash] adversaries become
-    meaningful. [shards], when given without a store, runs the server
-    on an in-memory {!Store.Shard_db} with that many shards. Either
-    argument also switches on the per-shard [server.s<i>.ops_routed]
-    routing counters plus the [server.ops_routed] aggregate (kept off
-    otherwise so legacy single-tree reports are byte-identical).
+    [store], when given, makes the server durable: [db] must be
+    {!Store.db}[ store] (the initial contents on a fresh store, the
+    recovered database on a reopened one; anything else raises
+    [Invalid_argument]), every served operation, stored root signature
+    and epoch backup is logged to the store's WAL, and the [Crash] /
+    [Rollback_crash] adversaries become meaningful.
+    [route_counters] (default [false]) switches on the per-shard
+    [server.s<i>.ops_routed] routing counters plus the
+    [server.ops_routed] aggregate; callers set it on store and sharded
+    runs, so legacy single-tree reports keep their exact metric set.
 
     [resume_from], when given (the network daemon's {!Store.resume}
     path), adopts the recovered bookkeeping — ctr, last user, root

@@ -26,5 +26,3 @@ let decode h =
     Bytes.set out i (Char.chr ((hi lsl 4) lor lo))
   done;
   Bytes.unsafe_to_string out
-
-let pp fmt s = Format.pp_print_string fmt (encode s)

@@ -14,6 +14,3 @@ val decode : string -> string
 
     @raise Invalid_argument if [h] has odd length or contains a
     character outside [0-9a-fA-F]. *)
-
-val pp : Format.formatter -> string -> unit
-(** [pp fmt s] prints [encode s]. *)

@@ -104,11 +104,6 @@ let int g bound =
   in
   draw ()
 
-let int_in g lo hi =
-  if hi < lo then invalid_arg "Prng.int_in: empty range";
-  lo + int g (hi - lo + 1)
-
-let bool g = byte g land 1 = 1
 let float g = Stdlib.float_of_int (bits62 g lsr 9) *. 0x1p-53
 
 let bernoulli g ~p =
@@ -121,10 +116,6 @@ let shuffle g arr =
     arr.(i) <- arr.(j);
     arr.(j) <- tmp
   done
-
-let pick g arr =
-  if Array.length arr = 0 then invalid_arg "Prng.pick: empty array";
-  arr.(int g (Array.length arr))
 
 let exponential g ~mean =
   if mean <= 0. then invalid_arg "Prng.exponential: mean must be positive";

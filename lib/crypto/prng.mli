@@ -28,10 +28,6 @@ val int : t -> int -> int
     it is exactly uniform.
     @raise Invalid_argument if [bound <= 0]. *)
 
-val int_in : t -> int -> int -> int
-(** [int_in g lo hi] is uniform in [lo, hi] inclusive. *)
-
-val bool : t -> bool
 val float : t -> float
 (** Uniform in [0, 1), with 53 bits of precision. *)
 
@@ -40,10 +36,6 @@ val bernoulli : t -> p:float -> bool
 
 val shuffle : t -> 'a array -> unit
 (** In-place Fisher–Yates shuffle. *)
-
-val pick : t -> 'a array -> 'a
-(** Uniform element of a non-empty array.
-    @raise Invalid_argument on an empty array. *)
 
 val exponential : t -> mean:float -> float
 (** Exponentially distributed sample with the given mean; used for

@@ -2,7 +2,6 @@
    ints are 63-bit here) and masked after every arithmetic operation;
    this avoids Int32 boxing in the compression loop. *)
 
-let digest_size = 32
 let mask = 0xffffffff
 
 (* Hot-path observability: one field increment per finalize. [bytes]
@@ -180,10 +179,3 @@ let digest_list parts =
   let ctx = init () in
   List.iter (feed ctx) parts;
   finalize ctx
-
-let hex s = Hex.encode (digest s)
-
-let pp fmt d =
-  let h = Hex.encode d in
-  let prefix = if String.length h > 8 then String.sub h 0 8 else h in
-  Format.fprintf fmt "%s…" prefix

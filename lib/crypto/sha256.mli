@@ -8,9 +8,6 @@
 type ctx
 (** Incremental hashing context. *)
 
-val digest_size : int
-(** Size of a digest in bytes (32). *)
-
 val init : unit -> ctx
 val feed : ctx -> string -> unit
 (** [feed ctx s] absorbs the bytes of [s]. May be called repeatedly. *)
@@ -32,10 +29,3 @@ val digest : string -> string
 val digest_list : string list -> string
 (** [digest_list parts] hashes the concatenation of [parts] without
     building the intermediate string. *)
-
-val hex : string -> string
-(** [hex s] is [Hex.encode (digest s)]. *)
-
-val pp : Format.formatter -> string -> unit
-(** Pretty-print a digest (first 8 hex chars followed by an ellipsis),
-    for compact traces. *)

@@ -4,7 +4,6 @@ let value_size = 32
 type secret_key = { sk0 : string array; sk1 : string array }
 type public_key = { pk0 : string array; pk1 : string array }
 
-let public_key_size = 2 * hash_bits * value_size
 let signature_size = hash_bits * value_size
 
 let generate rng =
@@ -38,17 +37,3 @@ let verify pk msg ~signature =
        done;
        !ok
      end
-
-let public_to_string pk =
-  String.concat "" (Array.to_list pk.pk0) ^ String.concat "" (Array.to_list pk.pk1)
-
-let public_of_string s =
-  if String.length s <> public_key_size then None
-  else begin
-    let read offset i = String.sub s (offset + (i * value_size)) value_size in
-    let pk0 = Array.init hash_bits (read 0) in
-    let pk1 = Array.init hash_bits (read (hash_bits * value_size)) in
-    Some { pk0; pk1 }
-  end
-
-let public_key_digest pk = Crypto.Sha256.digest (public_to_string pk)

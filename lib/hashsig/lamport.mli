@@ -15,14 +15,4 @@ val sign : secret_key -> string -> string
 
 val verify : public_key -> string -> signature:string -> bool
 
-val public_key_digest : public_key -> string
-(** 32-byte commitment to the public key (hash of all 512 hashes);
-    used as the Merkle-tree leaf in {!Mss}. *)
-
-val public_key_size : int
-(** Size of a serialised public key in bytes. *)
-
 val signature_size : int
-
-val public_to_string : public_key -> string
-val public_of_string : string -> public_key option

@@ -36,8 +36,6 @@ let create ~height ~w rng =
 
 let public_key t = t.levels.(t.height).(0)
 let capacity t = 1 lsl t.height
-let signatures_remaining t = capacity t - t.next_leaf
-
 let auth_path t leaf =
   List.init t.height (fun level ->
       let index_at_level = leaf lsr level in

@@ -21,7 +21,6 @@ val create : height:int -> w:int -> Crypto.Prng.t -> signer
     @raise Invalid_argument if [height] is not in [1, 20]. *)
 
 val public_key : signer -> public_key
-val signatures_remaining : signer -> int
 val capacity : signer -> int
 
 val sign : signer -> string -> string

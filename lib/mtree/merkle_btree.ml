@@ -1,9 +1,5 @@
 type t = { root : Node.t; branching : int; count : int }
 
-let create ?(branching = 16) () =
-  if branching < 4 then invalid_arg "Merkle_btree.create: branching must be >= 4";
-  { root = Node.empty_leaf; branching; count = 0 }
-
 let branching t = t.branching
 let root_digest t = Node.digest t.root
 let size t = t.count

@@ -11,11 +11,6 @@
 
 type t
 
-val create : ?branching:int -> unit -> t
-(** Empty database. [branching] is the maximum number of children of
-    an internal node (default 16).
-    @raise Invalid_argument if [branching < 4]. *)
-
 val branching : t -> int
 val root_digest : t -> string
 (** [M(D)] in the paper's notation. *)

@@ -571,15 +571,3 @@ let check_invariants ~branching t =
       match List.sort_uniq Int.compare (leaf_depths t) with
       | [] | [ _ ] -> Ok ()
       | _ -> fail "leaves at differing depths")
-
-let rec pp fmt t =
-  match t with
-  | Stub d -> Format.fprintf fmt "#%a" Crypto.Sha256.pp d
-  | Leaf { entries; digest } ->
-      Format.fprintf fmt "@[<h>leaf[%a](%s)@]" Crypto.Sha256.pp digest
-        (String.concat ";" (Array.to_list (Array.map (fun e -> e.key) entries)))
-  | Node { keys; children; digest } ->
-      Format.fprintf fmt "@[<v 2>node[%a]{%s}" Crypto.Sha256.pp digest
-        (String.concat ";" (Array.to_list keys));
-      Array.iter (fun c -> Format.fprintf fmt "@,%a" pp c) children;
-      Format.fprintf fmt "@]"

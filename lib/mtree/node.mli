@@ -106,6 +106,3 @@ val check_invariants : branching:int -> t -> (unit, string) result
 val depth : t -> int
 (** Length of the leftmost root-to-leaf path (stub counts as depth 0
     below itself). *)
-
-val pp : Format.formatter -> t -> unit
-(** Debugging rendering of the structure with abbreviated digests. *)

@@ -183,11 +183,14 @@ let generate tree op =
   record_generated vo;
   vo
 
+(* One bit per shard in [shard_mask]'s immediate int: the cap on every
+   shard count, far above any deployed configuration. *)
+let max_shards = 61
+
 (* Which shards does [op] touch, as a bitmask (bit i = shard i)? Same
-   routing the replay uses, in one immediate int — no per-op list.
-   Caps the store at 61 shards, far above any deployed configuration. *)
+   routing the replay uses, in one immediate int — no per-op list. *)
 let shard_mask boundaries (op : op) =
-  if Array.length boundaries >= 61 then invalid_arg "Vo.shard_mask: more than 61 shards";
+  if Array.length boundaries >= max_shards then invalid_arg "Vo.shard_mask: more than 61 shards";
   match op with
   | Get key | Set (key, _) | Remove key -> 1 lsl Node.child_index boundaries key
   | Set_many entries ->
@@ -203,8 +206,8 @@ let shard_mask boundaries (op : op) =
       ((1 lsl (last - first + 1)) - 1) lsl first
 
 (* Which shards does [op] touch, ascending? List-building wrapper over
-   [shard_mask] for the cluster router; the replay path below sticks
-   to the mask. *)
+   [shard_mask] for the callers that fan an op out; the replay path
+   below sticks to the mask. *)
 let shards_for boundaries (op : op) =
   let mask = shard_mask boundaries op in
   let rec bits i acc =

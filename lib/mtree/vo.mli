@@ -122,16 +122,21 @@ val compose_root : string array -> string array -> string
     node; shared with the sharded store so server and client cannot
     disagree on the extra hash level by construction. *)
 
+val max_shards : int
+(** 61: the most shards a database may have, one bit each in
+    {!shard_mask}'s immediate int. {!Store.Shard_map} enforces it. *)
+
 val shard_mask : string array -> op -> int
 (** Which shards (by [boundaries] routing) [op] touches, as a bitmask
     (bit [i] set iff shard [i] is touched) — the allocation-free form
     the sharded replay and Protocol IV's per-op routing use.
-    @raise Invalid_argument beyond 61 shards (one immediate int). *)
+    @raise Invalid_argument beyond {!max_shards} shards. *)
 
 val shards_for : string array -> op -> int list
 (** Which shards (by [boundaries] routing) [op] touches, ascending —
-    list form of {!shard_mask}, exported for the cluster router, which
-    must fan an op to the same owning shard daemons. *)
+    list form of {!shard_mask}: the one op→shard split the router's
+    fan-out, {!Store.Shard_db.apply}, the store's WAL records and the
+    server's routing counters share. *)
 
 val sub_op_for : string array -> int -> op -> op
 (** Restrict [op] to the keys shard [i] owns (only [Set_many] actually

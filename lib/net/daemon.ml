@@ -284,7 +284,7 @@ let initial_slice cfg =
         Store.Shard_map.create ~branching:cfg.branching ~shards:cfg.shard_count
           ~keys:(List.map fst initial)
       in
-      List.filter (fun (k, _) -> Store.Shard_map.route map k = i) initial
+      (Store.Shard_map.split map initial).(i)
 
 let open_store cfg ~initial =
   match cfg.store_dir with
@@ -315,9 +315,14 @@ let build_state cfg =
       let engine =
         Sim.Engine.create ~measure:Message.encoded_size ~classify:Message.kind ()
       in
+      let db =
+        match store with
+        | Some s -> Store.db s
+        | None -> Store.Shard_db.create ~branching:cfg.branching ~shards:cfg.shards initial
+      in
       let server =
-        Harness.create_server ?store ~shards:cfg.shards ?resume_from cfg.protocol
-          ~branching:cfg.branching ~adversary:cfg.adversary
+        Harness.create_server ?store ~route_counters:true ?resume_from cfg.protocol
+          ~adversary:cfg.adversary
           ~elected_signer:(fun () ->
             (* same deterministic PKI ceremony as the clients *)
             let _, signers =
@@ -327,13 +332,7 @@ let build_state cfg =
                 (Crypto.Prng.create ~seed:cfg.seed)
             in
             signers.(0))
-          ~initial_root:(fun () ->
-            Store.Shard_db.root_digest
-              (match store with
-              | Some s -> Store.db s
-              | None ->
-                  Store.Shard_db.create ~branching:cfg.branching ~shards:cfg.shards initial))
-          ~engine ~initial
+          ~engine ~db
       in
       let outbox = Queue.create () in
       for u = 0 to cfg.users - 1 do

@@ -676,23 +676,20 @@ let admin_snapshot st =
 let build_state cfg =
   let shard_count = Array.length cfg.shard_addrs in
   let addrs = Array.map (fun (host, _) -> Loop.resolve host) cfg.shard_addrs in
-  if shard_count < 1 then Error "router needs at least one shard address"
+  if shard_count < 1 || shard_count > Mtree.Vo.max_shards then
+    Error (Printf.sprintf "router needs 1 to %d shard addresses" Mtree.Vo.max_shards)
   else
     match Array.find_map (function Error e -> Some e | Ok _ -> None) addrs with
     | Some e -> Error e
     | None ->
-      let initial = Harness.initial_files cfg.files in
-      let map =
-        Store.Shard_map.create ~branching:cfg.branching ~shards:shard_count
-          ~keys:(List.map fst initial)
+      (* Each shard tree of the sharded D₀ is the 1-shard tree that
+         shard's daemon builds from its slice. *)
+      let db =
+        Store.Shard_db.create ~branching:cfg.branching ~shards:shard_count
+          (Harness.initial_files cfg.files)
       in
-      let boundaries = Store.Shard_map.boundaries map in
-      let initial_roots =
-        Array.init shard_count (fun i ->
-            let slice = List.filter (fun (k, _) -> Store.Shard_map.route map k = i) initial in
-            Store.Shard_db.root_digest
-              (Store.Shard_db.create ~branching:cfg.branching ~shards:1 slice))
-      in
+      let boundaries = Store.Shard_map.boundaries (Store.Shard_db.map db) in
+      let initial_roots = Store.Shard_db.shard_roots db in
       let links =
         Array.mapi
           (fun i (host, port) ->

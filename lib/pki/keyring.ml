@@ -9,9 +9,6 @@ let register t user verifier =
   Hashtbl.add t.table user verifier
 
 let find t user = Hashtbl.find_opt t.table user
-let mem t user = Hashtbl.mem t.table user
-let user_count t = Hashtbl.length t.table
-
 let users t =
   Hashtbl.fold (fun id _ acc -> id :: acc) t.table [] |> List.sort Int.compare
 

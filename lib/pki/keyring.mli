@@ -20,8 +20,6 @@ val register : t -> user_id -> Signer.verifier -> unit
     user). *)
 
 val find : t -> user_id -> Signer.verifier option
-val mem : t -> user_id -> bool
-val user_count : t -> int
 val users : t -> user_id list
 (** Registered ids in increasing order. *)
 

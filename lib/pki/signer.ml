@@ -52,8 +52,3 @@ let signature_size = function
   | Rsa { bits } -> bits / 8
   | Mss { height; w } -> Hashsig.Mss.signature_size ~height ~w
   | Hmac_shared _ -> 32
-
-let verifier_fingerprint = function
-  | Rsa_verifier pub -> Crypto.Sha256.digest_list [ "fp-rsa"; Rsa.public_to_string pub ]
-  | Mss_verifier root -> Crypto.Sha256.digest_list [ "fp-mss"; root ]
-  | Hmac_verifier key -> Crypto.Sha256.digest_list [ "fp-hmac"; key ]

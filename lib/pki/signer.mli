@@ -36,7 +36,3 @@ val sign : t -> string -> string
 val verify : verifier -> string -> signature:string -> bool
 val signature_size : scheme -> int
 (** Size in bytes of signatures under [scheme] (constant per scheme). *)
-
-val verifier_fingerprint : verifier -> string
-(** 32-byte digest identifying the verification key; what a CA would
-    certify. *)

@@ -68,37 +68,3 @@ let verify pub msg ~signature =
       | exception Invalid_argument _ -> false
     end
   end
-
-(* Serialisation: 4-byte big-endian length framing for each component. *)
-let frame s =
-  let n = String.length s in
-  let hdr = Bytes.create 4 in
-  for i = 0 to 3 do
-    Bytes.set hdr i (Char.chr ((n lsr (8 * (3 - i))) land 0xff))
-  done;
-  Bytes.unsafe_to_string hdr ^ s
-
-let unframe s pos =
-  if pos + 4 > String.length s then None
-  else begin
-    let n =
-      (Char.code s.[pos] lsl 24)
-      lor (Char.code s.[pos + 1] lsl 16)
-      lor (Char.code s.[pos + 2] lsl 8)
-      lor Char.code s.[pos + 3]
-    in
-    if pos + 4 + n > String.length s then None
-    else Some (String.sub s (pos + 4) n, pos + 4 + n)
-  end
-
-let public_to_string pub =
-  frame (Nat.to_bytes_be pub.n) ^ frame (Nat.to_bytes_be pub.e)
-
-let public_of_string s =
-  match unframe s 0 with
-  | None -> None
-  | Some (n_bytes, pos) -> (
-      match unframe s pos with
-      | Some (e_bytes, pos') when pos' = String.length s ->
-          Some { n = Nat.of_bytes_be n_bytes; e = Nat.of_bytes_be e_bytes }
-      | _ -> None)

@@ -31,8 +31,3 @@ val sign : private_key -> string -> string
 val verify : public_key -> string -> signature:string -> bool
 (** Constant-time comparison of the recovered encoding against the
     expected one. Returns [false] on any malformed input. *)
-
-val public_to_string : public_key -> string
-(** Canonical serialisation (for keyring storage and hashing). *)
-
-val public_of_string : string -> public_key option

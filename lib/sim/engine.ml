@@ -123,11 +123,6 @@ let step t =
     due;
   List.iter (fun (_, h) -> h.on_activate ~round) t.agents
 
-let run t ~rounds =
-  for _ = 1 to rounds do
-    step t
-  done
-
 let run_until t ?(max_rounds = 100_000) predicate =
   let rec go steps =
     if predicate () then true

@@ -55,8 +55,6 @@ val round : 'msg t -> int
 val step : 'msg t -> unit
 (** Advance one round. *)
 
-val run : 'msg t -> rounds:int -> unit
-
 val run_until : 'msg t -> ?max_rounds:int -> (unit -> bool) -> bool
 (** Step until the predicate holds or [max_rounds] (default 100_000)
     elapse; returns whether the predicate held. *)

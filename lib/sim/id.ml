@@ -1,8 +1,6 @@
 type t = Server | User of int
 
 let equal a b = a = b
-let compare = Stdlib.compare
-
 let to_string = function
   | Server -> "server"
   | User i -> Printf.sprintf "user-%d" i

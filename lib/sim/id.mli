@@ -5,6 +5,5 @@
 type t = Server | User of int
 
 val equal : t -> t -> bool
-val compare : t -> t -> int
 val pp : Format.formatter -> t -> unit
 val to_string : t -> string

@@ -32,9 +32,11 @@ type verdict = {
 val trusted_answer :
   Mtree.Merkle_btree.t -> Mtree.Vo.op -> Mtree.Merkle_btree.t * Mtree.Vo.answer
 (** One step of the trusted executor: apply the operation, return the
-    new database and the answer a trusted server gives. Shared with the
-    server implementation so trusted and untrusted servers cannot
-    disagree by construction bug. *)
+    new database and the answer a trusted server gives. It runs on one
+    flat tree and shares no code with the server, which executes
+    through {!Store.Shard_db.apply}: it is the independent reference
+    the oracle replays with and [test_store] checks the sharded
+    executor against. *)
 
 val replay : ?branching:int -> initial:(string * string) list -> Trace.t -> verdict
 (** [replay ~initial trace] starts from a trusted database holding

@@ -51,12 +51,7 @@ let complete t ~seq ~round ~answer ?roots () =
 
 let transactions t = List.init t.next_seq (fun seq -> Hashtbl.find t.by_seq seq)
 let completed t = List.filter (fun tx -> tx.completed_round <> None) (transactions t)
-let pending t = List.filter (fun tx -> tx.completed_round = None) (transactions t)
 let count t = t.next_seq
-
-let completed_count_for_user t ~user =
-  List.length
-    (List.filter (fun tx -> tx.user = user && tx.completed_round <> None) (transactions t))
 
 let completed_after t ~round ~user =
   List.length

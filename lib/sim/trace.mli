@@ -36,9 +36,7 @@ val transactions : t -> transaction list
 (** In issue order. *)
 
 val completed : t -> transaction list
-val pending : t -> transaction list
 val count : t -> int
-val completed_count_for_user : t -> user:int -> int
 
 val completed_after : t -> round:int -> user:int -> int
 (** Number of transactions by [user] issued after [round] that have

@@ -3,24 +3,11 @@ module Vo = Mtree.Vo
 
 type t = { map : Shard_map.t; shards : T.t array }
 
+(* [split] keeps each shard's bindings in order, so later bindings win
+   per shard as they do in [T.of_alist]. *)
 let of_map map initial =
   let branching = Shard_map.branching map in
-  let n = Shard_map.shards map in
-  if n = 1 then { map; shards = [| T.of_alist ~branching initial |] }
-  else begin
-    let buckets = Array.make n [] in
-    (* Later bindings win, as in [T.of_alist]: distribute in order,
-       prepend, then reverse per bucket. *)
-    List.iter
-      (fun ((k, _) as binding) ->
-        let i = Shard_map.route map k in
-        buckets.(i) <- binding :: buckets.(i))
-      initial;
-    let shards =
-      Array.map (fun bucket -> T.of_alist ~branching (List.rev bucket)) buckets
-    in
-    { map; shards }
-  end
+  { map; shards = Array.map (T.of_alist ~branching) (Shard_map.split map initial) }
 
 let create ?(branching = 16) ~shards initial =
   of_map (Shard_map.create ~branching ~shards ~keys:(List.map fst initial)) initial
@@ -54,27 +41,20 @@ let apply t (op : Vo.op) =
   | Vo.Set (k, v) ->
       let i = route t k in
       (with_shard t i (T.set t.shards.(i) ~key:k ~value:v), Vo.Updated)
-  | Vo.Set_many entries ->
-      let touched =
-        List.sort_uniq Int.compare (List.map (fun (k, _) -> route t k) entries)
+  | Vo.Set_many _ ->
+      let boundaries = Shard_map.boundaries t.map in
+      let set_part acc i =
+        match Vo.sub_op_for boundaries i op with
+        | Vo.Set_many mine -> with_shard acc i (T.set_many acc.shards.(i) mine)
+        | _ -> acc
       in
-      let t' =
-        List.fold_left
-          (fun acc i ->
-            let mine = List.filter (fun (k, _) -> route t k = i) entries in
-            with_shard acc i (T.set_many acc.shards.(i) mine))
-          t touched
-      in
-      (t', Vo.Updated)
+      (List.fold_left set_part t (Vo.shards_for boundaries op), Vo.Updated)
   | Vo.Remove k ->
       let i = route t k in
       (with_shard t i (T.remove t.shards.(i) k), Vo.Updated)
   | Vo.Range (lo, hi) ->
-      let first = route t lo and last = route t hi in
-      let entries =
-        List.concat (List.init (last - first + 1) (fun j -> T.range t.shards.(first + j) ~lo ~hi))
-      in
-      (t, Vo.Entries entries)
+      let touched = Vo.shards_for (Shard_map.boundaries t.map) op in
+      (t, Vo.Entries (List.concat_map (fun i -> T.range t.shards.(i) ~lo ~hi) touched))
 
 let generate_vo t op =
   if Array.length t.shards = 1 then Vo.generate t.shards.(0) op

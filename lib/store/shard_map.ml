@@ -13,8 +13,8 @@ let byte_space_boundaries shards =
   Array.init (shards - 1) (fun i -> String.make 1 (Char.chr ((i + 1) * 256 / shards)))
 
 let create ~branching ~shards ~keys =
-  if shards < 1 then invalid_arg "Shard_map.create: shards < 1";
-  if shards > 256 then invalid_arg "Shard_map.create: shards > 256";
+  if shards < 1 || shards > Mtree.Vo.max_shards then
+    invalid_arg (Printf.sprintf "Shard_map.create: shards outside 1..%d" Mtree.Vo.max_shards);
   if branching < 4 then invalid_arg "Shard_map.create: branching < 4";
   if shards = 1 then { branching; boundaries = [||] }
   else begin
@@ -36,6 +36,15 @@ let shards t = Array.length t.boundaries + 1
 let boundaries t = t.boundaries
 let route t key = Mtree.Node.child_index t.boundaries key
 
+let split t bindings =
+  let buckets = Array.make (shards t) [] in
+  List.iter
+    (fun ((k, _) as b) ->
+      let i = route t k in
+      buckets.(i) <- b :: buckets.(i))
+    bindings;
+  Array.map List.rev buckets
+
 let encode t =
   let w = Wire.W.create () in
   Wire.W.u16 w t.branching;
@@ -47,13 +56,9 @@ let decode s =
   Wire.decode s (fun r ->
       let branching = Wire.R.u16 r in
       let shards = Wire.R.u16 r in
-      if shards < 1 || branching < 4 then failwith "Shard_map.decode: bad header";
+      if shards < 1 || shards > Mtree.Vo.max_shards || branching < 4 then
+        failwith "Shard_map.decode: bad header";
       let boundaries = Array.init (shards - 1) (fun _ -> Wire.R.str r) in
       if not (strictly_increasing boundaries) then
         failwith "Shard_map.decode: boundaries not sorted";
       { branching; boundaries })
-
-let equal a b =
-  a.branching = b.branching
-  && Array.length a.boundaries = Array.length b.boundaries
-  && Array.for_all2 String.equal a.boundaries b.boundaries

@@ -15,7 +15,8 @@ val create : branching:int -> shards:int -> keys:string list -> t
     when there are too few distinct keys to separate [shards] ranges,
     fall back to an even split of the single-byte prefix space, so an
     (almost) empty store still has a fixed, deterministic partition.
-    @raise Invalid_argument if [shards < 1] or [branching < 4]. *)
+    @raise Invalid_argument if [shards] is outside 1..{!Mtree.Vo.max_shards}
+    or [branching < 4]. *)
 
 val branching : t -> int
 val shards : t -> int
@@ -27,9 +28,11 @@ val boundaries : t -> string array
 val route : t -> string -> int
 (** Owning shard of a key. *)
 
+val split : t -> (string * 'v) list -> (string * 'v) list array
+(** Each shard's bindings, in their original order: element [i] holds
+    the bindings whose key shard [i] owns. *)
+
 val encode : t -> string
 (** MANIFEST payload (via [Wire]). *)
 
 val decode : string -> t option
-
-val equal : t -> t -> bool

@@ -675,7 +675,6 @@ let gc t ~prev =
 (* ---- accessors ------------------------------------------------------ *)
 
 let db t = t.opened_db
-let shard_map t = t.map
 let generation t = t.gen
 let dir t = t.dir
 let durability t = t.durability
@@ -766,7 +765,6 @@ let checkpoint t ~db =
 
 let sub_records map (op : Vo.op) =
   match op with
-  | Vo.Get k | Vo.Set (k, _) | Vo.Remove k -> [ (Shard_map.route map k, op) ]
   | Vo.Range (lo, _) ->
       (* Reads are logged for counter bookkeeping only; one record, on
          the low bound's shard, is enough. *)
@@ -776,17 +774,9 @@ let sub_records map (op : Vo.op) =
          counter: log one empty record so recovery replays the ctr
          bump. *)
       [ (0, op) ]
-  | Vo.Set_many entries ->
-      let touched =
-        List.sort_uniq Int.compare
-          (List.map (fun (k, _) -> Shard_map.route map k) entries)
-      in
-      List.map
-        (fun i ->
-          ( i,
-            Vo.Set_many
-              (List.filter (fun (k, _) -> Shard_map.route map k = i) entries) ))
-        touched
+  | Vo.Get _ | Vo.Set _ | Vo.Remove _ | Vo.Set_many _ ->
+      let boundaries = Shard_map.boundaries map in
+      List.map (fun i -> (i, Vo.sub_op_for boundaries i op)) (Vo.shards_for boundaries op)
 
 (* Stage one record on stream [idx], then apply the durability policy:
    per-op flushes that stream immediately (the pre-group-commit
@@ -842,12 +832,6 @@ let declare_origin t ~user ~seq = t.origins <- set_assoc user seq t.origins
 let log_reply t ~user ~seq ~payload =
   t.replies <- set_assoc user (seq, payload) t.replies;
   stage_record t (meta_index t) ~payload:(encode_reply_record ~user ~seq ~payload)
-
-let last_seqs t = t.seqs
-let cached_reply t ~user =
-  match List.assoc_opt user t.replies with
-  | None -> None
-  | Some (seq, payload) -> Some (seq, payload)
 
 (* ---- recovery ------------------------------------------------------- *)
 

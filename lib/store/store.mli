@@ -142,7 +142,6 @@ val db : t -> Shard_db.t
 (** The database state as of {!create_or_open} — what a server should
     start serving from. *)
 
-val shard_map : t -> Shard_map.t
 val generation : t -> int
 val dir : t -> string
 val durability : t -> durability
@@ -161,20 +160,14 @@ val log_backup : t -> backup -> unit
 val declare_origin : t -> user:int -> seq:int -> unit
 (** Tag the {e next} {!log_op} for [user] with the network-level
     request seq that caused it. The origin rides in the op's WAL
-    records, so replay rebuilds the per-user dedup table
-    ({!last_seqs}) — the daemon never executes the same request
-    twice across a crash. *)
+    records, so replay rebuilds the per-user dedup table (the
+    [seqs] of {!recovered}, which the daemon reads) — the daemon never
+    executes the same request twice across a crash. *)
 
 val log_reply : t -> user:int -> seq:int -> payload:string -> unit
 (** Durably cache the reply for [user]'s request [seq] (one cached
     reply per user — retransmissions only ever ask for the latest).
     Appended to the meta log and carried through snapshots. *)
-
-val last_seqs : t -> (int * int) list
-(** Per-user highest executed request seq, sorted by user. *)
-
-val cached_reply : t -> user:int -> (int * string) option
-(** The latest durably cached reply for [user], as [(seq, payload)]. *)
 
 val flush : t -> unit
 (** The group-commit point: write every stream's staged batch (one

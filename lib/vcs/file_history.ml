@@ -43,11 +43,6 @@ let commit t ~author ~round ~log ~content =
 let log_entries t =
   List.rev_map (fun r -> (r.number, r.author, r.round, r.log)) t.revisions
 
-let diff_between t a b =
-  match (content_at t a, content_at t b) with
-  | Ok ca, Ok cb -> Ok (Vdiff.Patch.make ~old_:ca ~new_:cb)
-  | Error e, _ | _, Error e -> Error e
-
 let annotate t =
   (* Replay the chain, tracking the introducing revision per line. *)
   let annotated = ref [] in
@@ -112,5 +107,3 @@ let decode s =
         | Ok head -> Some { revisions; head }
         | Error _ -> None
       end
-
-let digest t = Crypto.Sha256.digest (encode t)

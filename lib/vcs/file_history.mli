@@ -39,14 +39,9 @@ val commit : t -> author:int -> round:int -> log:string -> content:string -> t
 val log_entries : t -> (int * int * int * string) list
 (** (revision, author, round, message), newest first — `cvs log`. *)
 
-val diff_between : t -> int -> int -> (Vdiff.Patch.t, string) result
-(** Patch transforming revision [a]'s content into revision [b]'s. *)
-
 val annotate : t -> (string * int) list
 (** For each line of the head content, the revision that introduced it
     (`cvs annotate`). *)
 
 val encode : t -> string
 val decode : string -> t option
-val digest : t -> string
-(** SHA-256 of the canonical encoding. *)

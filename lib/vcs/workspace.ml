@@ -9,8 +9,6 @@ type file_state = {
 type t = file_state Path_map.t
 
 let empty = Path_map.empty
-let files t = Path_map.bindings t
-
 let checkout t ~path history =
   let content = File_history.head_content history in
   Path_map.add path
@@ -27,21 +25,6 @@ let edit t ~path ~content =
   | Some st -> Path_map.add path { st with local_content = content } t
 
 let find t path = Path_map.find_opt path t
-
-type status = Unchanged | Modified
-
-let status t =
-  Path_map.bindings t
-  |> List.map (fun (path, st) ->
-         (path, if st.local_content = st.base_content then Unchanged else Modified))
-
-let modified_paths t =
-  status t |> List.filter_map (fun (p, s) -> if s = Modified then Some p else None)
-
-let is_up_to_date t ~path history =
-  match Path_map.find_opt path t with
-  | None -> false
-  | Some st -> st.base_revision = File_history.head_revision history
 
 type update_result =
   | Updated of t

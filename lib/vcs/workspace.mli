@@ -1,8 +1,8 @@
 (** A user's local checkout — the sandbox directory a CVS user edits.
 
     A workspace remembers, per file, the revision and content it was
-    checked out at plus any local edits. It can report status, produce
-    commit payloads, and bring local files up to date against a newer
+    checked out at plus any local edits. It produces commit payloads
+    and brings local files up to date against a newer
     history with the usual CVS merge-on-update behaviour (a merge that
     cannot apply cleanly is reported as a conflict instead of silently
     corrupting the file). *)
@@ -16,8 +16,6 @@ type file_state = {
 type t
 
 val empty : t
-val files : t -> (string * file_state) list
-(** Sorted by path. *)
 
 val checkout : t -> path:string -> File_history.t -> t
 (** Record a fresh checkout of the head revision. Discards local edits
@@ -28,15 +26,6 @@ val edit : t -> path:string -> content:string -> t
     @raise Not_found if the path was never checked out. *)
 
 val find : t -> string -> file_state option
-
-type status = Unchanged | Modified
-
-val status : t -> (string * status) list
-val modified_paths : t -> string list
-
-val is_up_to_date : t -> path:string -> File_history.t -> bool
-(** True when the workspace's base revision equals the history head —
-    the precondition CVS imposes for committing. *)
 
 type update_result =
   | Updated of t  (** local edits merged onto the new head *)

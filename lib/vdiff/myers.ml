@@ -81,8 +81,3 @@ let diff_lines old_lines new_lines =
   end
 
 let diff old_s new_s = diff_lines (split_lines old_s) (split_lines new_s)
-
-let edit_distance old_s new_s =
-  List.fold_left
-    (fun acc op -> match op with Keep _ -> acc | Del _ | Add _ -> acc + 1)
-    0 (diff old_s new_s)

@@ -22,6 +22,3 @@ val split_lines : string -> string list
 
 val diff : string -> string -> line_op list
 (** Split both strings into lines with {!split_lines} and diff them. *)
-
-val edit_distance : string -> string -> int
-(** Number of [Del] + [Add] in the minimal script. *)

@@ -66,32 +66,6 @@ let apply t base =
   in
   go t.ops
 
-let inverse t =
-  {
-    ops =
-      List.map
-        (function
-          | Copy n -> Copy n
-          | Insert ls -> Delete ls
-          | Delete ls -> Insert ls)
-        t.ops;
-  }
-
-let identity = { ops = [] }
-
-let is_empty_change t =
-  List.for_all (function Copy _ -> true | Insert _ | Delete _ -> false) t.ops
-
-let additions t =
-  List.fold_left
-    (fun acc -> function Insert ls -> acc + List.length ls | Copy _ | Delete _ -> acc)
-    0 t.ops
-
-let deletions t =
-  List.fold_left
-    (fun acc -> function Delete ls -> acc + List.length ls | Copy _ | Insert _ -> acc)
-    0 t.ops
-
 (* Wire format: each op on its own record, lines separated by \n and
    escaped so line content containing the separator is impossible
    (lines never contain \n by construction). Records framed by a
@@ -145,12 +119,3 @@ let decode s =
           | _ -> None)
   in
   go [] (String.split_on_char '\n' s)
-
-let pp fmt t =
-  List.iter
-    (fun op ->
-      match op with
-      | Copy n -> Format.fprintf fmt "@ %d unchanged@." n
-      | Insert ls -> List.iter (fun l -> Format.fprintf fmt "+%s@." l) ls
-      | Delete ls -> List.iter (fun l -> Format.fprintf fmt "-%s@." l) ls)
-    t.ops

@@ -1,4 +1,4 @@
-(** Compact, invertible patches derived from {!Myers} scripts.
+(** Compact, validated patches derived from {!Myers} scripts.
 
     The {!Vcs} substrate stores each revision as a patch against its
     parent, exactly as RCS/CVS store ",v" files as delta chains. A
@@ -21,21 +21,5 @@ val apply : t -> string -> (string, string) result
 (** [apply p base] rebuilds the new text, or [Error reason] when [base]
     is not the text the patch was made against. *)
 
-val inverse : t -> t
-(** [apply (inverse p) new_ = Ok old_] whenever [apply p old_ = Ok new_]. *)
-
-val identity : t
-(** Patch with no operations; [apply identity s = Ok s] only for the
-    empty string— use {!make} for real identities. *)
-
-val is_empty_change : t -> bool
-(** True when the patch contains no [Insert]/[Delete]. *)
-
-val additions : t -> int
-val deletions : t -> int
-
 val encode : t -> string
 val decode : string -> t option
-
-val pp : Format.formatter -> t -> unit
-(** Unified-diff-flavoured rendering. *)

@@ -1,4 +1,4 @@
-type t = { cdf : float array; pmf : float array }
+type t = { cdf : float array }
 
 let create ~n ~s =
   if n <= 0 then invalid_arg "Zipf.create: n must be positive";
@@ -14,10 +14,7 @@ let create ~n ~s =
       cdf.(i) <- !acc)
     pmf;
   cdf.(n - 1) <- 1.0;
-  { cdf; pmf }
-
-let support t = Array.length t.cdf
-let probability t i = t.pmf.(i)
+  { cdf }
 
 let sample t rng =
   let u = Crypto.Prng.float rng in

@@ -12,6 +12,3 @@ val create : n:int -> s:float -> t
 (** @raise Invalid_argument if [n <= 0] or [s < 0]. *)
 
 val sample : t -> Crypto.Prng.t -> int
-val support : t -> int
-val probability : t -> int -> float
-(** Mass of a rank (for test assertions). *)

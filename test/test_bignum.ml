@@ -13,7 +13,10 @@ let big_nat bits = N.random rng ~bits
 let small_pair_gen =
   QCheck.map (fun i -> (i, N.of_int i)) QCheck.(int_bound 1_000_000)
 
-let nat_testable = Alcotest.testable (fun fmt n -> N.pp fmt n) N.equal
+let nat_testable =
+  Alcotest.testable
+    (fun fmt n -> Format.pp_print_string fmt (Crypto.Hex.encode (N.to_bytes_be n)))
+    N.equal
 
 (* ---- int oracle ------------------------------------------------------ *)
 
@@ -98,7 +101,7 @@ let test_shift_right_is_div_pow2 () =
     let a = big_nat 300 in
     let s = Crypto.Prng.int rng 100 in
     let pow2 = N.shift_left N.one s in
-    Alcotest.check nat_testable "a >> s = a / 2^s" (N.shift_right a s) (N.div a pow2)
+    Alcotest.check nat_testable "a >> s = a / 2^s" (N.shift_right a s) (fst (N.divmod a pow2))
   done
 
 let test_sub_negative_raises () =
@@ -138,22 +141,10 @@ let test_mod_inverse () =
     match N.mod_inverse a ~modulus:m with
     | Some x -> Alcotest.check nat_testable "a * a^-1 ≡ 1" N.one (N.rem (N.mul a x) m)
     | None ->
+        let rec gcd a b = if N.is_zero b then a else gcd b (N.rem a b) in
         Alcotest.(check bool) "no inverse implies gcd > 1 (or a ≡ 0)" true
-          (N.is_zero (N.rem a m) || not (N.equal (N.gcd a m) N.one))
+          (N.is_zero (N.rem a m) || not (N.equal (gcd a m) N.one))
   done
-
-let test_gcd_properties () =
-  for _ = 1 to 100 do
-    let a = big_nat 200 and b = big_nat 200 in
-    let g = N.gcd a b in
-    if not (N.is_zero a) then
-      Alcotest.(check bool) "g | a" true (N.is_zero (N.rem a g));
-    if not (N.is_zero b) then
-      Alcotest.(check bool) "g | b" true (N.is_zero (N.rem b g));
-    Alcotest.check nat_testable "gcd symmetric" g (N.gcd b a)
-  done
-
-(* ---- serialisation --------------------------------------------------- *)
 
 let test_bytes_roundtrip () =
   for _ = 1 to 200 do
@@ -168,21 +159,6 @@ let test_bytes_padding () =
   Alcotest.check_raises "too wide"
     (Invalid_argument "Nat.to_bytes_be: value too wide for pad_to") (fun () ->
       ignore (N.to_bytes_be ~pad_to:1 a))
-
-let test_decimal_roundtrip () =
-  for _ = 1 to 100 do
-    let a = big_nat (1 + Crypto.Prng.int rng 600) in
-    Alcotest.check nat_testable "of_decimal∘to_decimal = id" a (N.of_decimal (N.to_decimal a))
-  done;
-  Alcotest.(check string) "zero renders" "0" (N.to_decimal N.zero);
-  Alcotest.check nat_testable "known value" (N.of_int 1234567890123)
-    (N.of_decimal "1234567890123")
-
-let test_hex_roundtrip () =
-  for _ = 1 to 100 do
-    let a = big_nat (1 + Crypto.Prng.int rng 600) in
-    Alcotest.check nat_testable "of_hex∘to_hex = id" a (N.of_hex (N.to_hex a))
-  done
 
 let test_bit_length () =
   Alcotest.(check int) "bit_length 0" 0 (N.bit_length N.zero);
@@ -270,11 +246,8 @@ let suite =
     QCheck_alcotest.to_alcotest prop_modpow_oracle;
     quick "mod_pow: Fermat's little theorem" test_modpow_fermat;
     quick "mod_inverse correctness" test_mod_inverse;
-    quick "gcd properties" test_gcd_properties;
     quick "bytes roundtrip" test_bytes_roundtrip;
     quick "bytes padding" test_bytes_padding;
-    quick "decimal roundtrip" test_decimal_roundtrip;
-    quick "hex roundtrip" test_hex_roundtrip;
     quick "bit_length" test_bit_length;
     quick "test_bit" test_test_bit;
     quick "random_below bounds" test_random_below_bounds;

@@ -186,8 +186,6 @@ let test_prng_bounds () =
   for _ = 1 to 1000 do
     let v = Crypto.Prng.int g 7 in
     if v < 0 || v >= 7 then Alcotest.failf "int out of range: %d" v;
-    let w = Crypto.Prng.int_in g 5 9 in
-    if w < 5 || w > 9 then Alcotest.failf "int_in out of range: %d" w;
     let f = Crypto.Prng.float g in
     if f < 0.0 || f >= 1.0 then Alcotest.failf "float out of range: %f" f
   done;

@@ -214,14 +214,6 @@ let test_parse_error_is_a_finding () =
 
 (* ---- the repo itself is clean ------------------------------------------ *)
 
-let rec ml_files_under dir =
-  Sys.readdir dir |> Array.to_list |> List.sort String.compare
-  |> List.concat_map (fun entry ->
-         let path = Filename.concat dir entry in
-         if Sys.is_directory path then ml_files_under path
-         else if Filename.check_suffix entry ".ml" then [ path ]
-         else [])
-
 let test_repo_is_clean () =
   (* dune copies the library sources next to the test binary's tree, so
      the full lint pass can run in-sandbox. Skip silently if the layout
@@ -238,11 +230,8 @@ let test_repo_is_clean () =
       in
       let findings =
         List.concat_map
-          (fun path ->
-            (* Repo-relative label: strip the leading "../". *)
-            let file = String.sub path 3 (String.length path - 3) in
-            E.lint_file ~config ~rules:R.all ~file path)
-          (ml_files_under "../lib")
+          (fun file -> E.lint_file ~config ~rules:R.all ~file (Filename.concat ".." file))
+          (E.ml_files ~dir:"lib" ~root:".." ())
       in
       Alcotest.(check (list string))
         "lib/ carries zero lint findings"
@@ -353,7 +342,7 @@ let test_callgraph_path_rendering () =
     "provenance-annotated path" "A.f →[direct] A.g →[direct] A.h"
     (G.path_to reached "A.h")
 
-(* ---- deep tier: the three reachability rules --------------------------- *)
+(* ---- deep tier: the reachability rules --------------------------------- *)
 
 let analyze ?(config = C.empty) sources = D.analyze ~config (build sources)
 
@@ -509,6 +498,68 @@ let test_domain_safety_trips_on_obs () =
        findings
     |> List.sort_uniq String.compare)
 
+let dead_code_symbols ?config sources =
+  List.filter_map
+    (fun (f : D.finding) -> if f.D.rule_id = "dead-code" then Some f.D.symbol else None)
+    (analyze ?config sources)
+
+let test_dead_code_flags () =
+  (* A lib def a program calls is live, and so is what it calls; one
+     that only other dead code calls is not. *)
+  Alcotest.(check (list string))
+    "unreached lib defs" [ "Util.orphan_helper"; "Util.orphan" ]
+    (dead_code_symbols
+       [
+         ( "lib/core/util.ml",
+           "let helper x = x + 1\n\
+            let used x = helper x\n\
+            let orphan_helper x = x * 2\n\
+            let orphan x = orphan_helper x" );
+         ("bin/main.ml", "let () = print_int (Tcvs.Util.used 1)");
+       ]);
+  (* A value a program reads needs its body's callees; a module's
+     top-level effects run whenever it is linked. *)
+  Alcotest.(check (list string))
+    "values and (init) propagate" []
+    (dead_code_symbols
+       [
+         ( "lib/core/util.ml",
+           "let build () = 42\n\
+            let table = build ()\n\
+            let register () = ()\n\
+            let () = register ()" );
+         ("bin/main.ml", "let () = print_int Tcvs.Util.table");
+       ])
+
+let test_dead_code_needs_a_program () =
+  (* With no program in the graph nothing roots it, so the rule is
+     silent, as event-loop-purity is without an event-loop root. *)
+  Alcotest.(check (list string))
+    "lib-only graph" []
+    (dead_code_symbols [ ("lib/core/util.ml", "let orphan x = x") ])
+
+let test_dead_code_suppressed () =
+  (* An allowed def is a root: neither it nor its callees are
+     reported. *)
+  Alcotest.(check (list string))
+    "allow attribute" []
+    (dead_code_symbols
+       [
+         ( "lib/core/util.ml",
+           "let corrupt_helper x = x\n\
+            let[@tcvs.lint.allow \"dead-code\"] debug_corrupt x = corrupt_helper x" );
+         ("bin/main.ml", "let () = ()");
+       ]);
+  Alcotest.(check (list string))
+    "config allow for the file" []
+    (dead_code_symbols
+       ~config:(config_exn "allow dead-code lib/core/cvs.ml")
+       [
+         ("lib/core/cvs.ml", "let tag x = Util.snapshot x");
+         ("lib/core/util.ml", "let snapshot x = x");
+         ("bin/main.ml", "let () = ()");
+       ])
+
 (* ---- deep tier: baseline and JSON -------------------------------------- *)
 
 let test_baseline_round_trip () =
@@ -567,47 +618,14 @@ let test_json_schema_stability () =
 
 (* ---- deep tier: the repo's own roots hold ------------------------------ *)
 
-(* The real graph over ../lib (see test_repo_is_clean for the layout
-   caveat), or [None] where the tree is not there. *)
+(* The real graph over ../lib and the programs (see test_repo_is_clean
+   for the layout caveat), or [None] where the tree is not there. *)
 let repo_graph () =
   if not (Sys.file_exists "../lib" && Sys.is_directory "../lib") then None
-  else begin
-    let read path =
-      let ic = open_in_bin path in
-      let n = in_channel_length ic in
-      let s = really_input_string ic n in
-      close_in ic;
-      s
-    in
-    let sources =
-      List.map
-        (fun path -> (String.sub path 3 (String.length path - 3), read path))
-        (ml_files_under "../lib")
-    in
-    let libraries =
-      (* the same dir -> library-name map the CLI derives from
-         lib/*/dune: the graph must match the committed baseline *)
-      Sys.readdir "../lib" |> Array.to_list |> List.sort String.compare
-      |> List.filter_map (fun entry ->
-             let dune = Filename.concat (Filename.concat "../lib" entry) "dune" in
-             if not (Sys.file_exists dune) then None
-             else
-               let tokens =
-                 String.split_on_char '\n' (read dune)
-                 |> List.concat_map (String.split_on_char ' ')
-                 |> List.concat_map (String.split_on_char '(')
-                 |> List.concat_map (String.split_on_char ')')
-                 |> List.filter (fun t -> String.trim t <> "")
-               in
-               let rec find = function
-                 | "name" :: name :: _ -> Some ("lib/" ^ entry, String.trim name)
-                 | _ :: rest -> find rest
-                 | [] -> None
-               in
-               find tokens)
-    in
-    Some (G.build_from_sources ~libraries sources)
-  end
+  else Some (G.of_repo ~root:"..")
+
+let repo_config () =
+  match C.load "../.tcvs-lint" with Ok c -> c | Error m -> Alcotest.failf "%s" m
 
 let test_repo_deep_baseline_holds () =
   (* Every current deep finding is either fixed, justified in-source, or
@@ -615,10 +633,7 @@ let test_repo_deep_baseline_holds () =
   match repo_graph () with
   | None -> ()
   | Some graph ->
-      let config =
-        match C.load "../.tcvs-lint" with Ok c -> c | Error m -> Alcotest.failf "%s" m
-      in
-      let findings = D.analyze ~config graph in
+      let findings = D.analyze ~config:(repo_config ()) graph in
       let baseline =
         match D.load_baseline "../.tcvs-lint-baseline" with
         | Ok keys -> keys
@@ -629,6 +644,18 @@ let test_repo_deep_baseline_holds () =
         "no non-baselined deep findings in lib/" []
         (List.map D.to_string fresh);
       Alcotest.(check (list string)) "no stale baseline keys" [] stale
+
+let test_repo_no_dead_code () =
+  (* Every lib/ def is reached from a program, from a module's top-level
+     effects, or from a def allowed with the reason a test needs it. *)
+  match repo_graph () with
+  | None -> ()
+  | Some graph ->
+      Alcotest.(check (list string))
+        "lib/ defs no program reaches" []
+        (D.analyze ~config:(repo_config ()) graph
+        |> List.filter (fun (f : D.finding) -> f.D.rule_id = "dead-code")
+        |> List.map D.to_string)
 
 let test_repo_event_loop_roots () =
   (* One root per process, on the definition that hands the loop its
@@ -711,8 +738,12 @@ let suite =
     Alcotest.test_case "domain-safety: suppressed" `Quick test_domain_safety_suppressed;
     Alcotest.test_case "domain-safety: trips on the real Obs" `Quick
       test_domain_safety_trips_on_obs;
+    Alcotest.test_case "dead-code: flags" `Quick test_dead_code_flags;
+    Alcotest.test_case "dead-code: needs a program" `Quick test_dead_code_needs_a_program;
+    Alcotest.test_case "dead-code: suppressed" `Quick test_dead_code_suppressed;
     Alcotest.test_case "baseline: round trip + line drift" `Quick test_baseline_round_trip;
     Alcotest.test_case "json report: schema stability" `Quick test_json_schema_stability;
     Alcotest.test_case "repo deep baseline holds" `Quick test_repo_deep_baseline_holds;
     Alcotest.test_case "event-loop roots cover every process" `Quick test_repo_event_loop_roots;
+    Alcotest.test_case "repo lib/ has no dead code" `Quick test_repo_no_dead_code;
   ]

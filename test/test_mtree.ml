@@ -6,6 +6,9 @@
 module T = Mtree.Merkle_btree
 module Vo = Mtree.Vo
 
+(* The empty database: a bulk load of nothing. *)
+let empty ?branching () = T.of_alist ?branching []
+
 let rng = Crypto.Prng.create ~seed:"test-mtree"
 
 let key i = Printf.sprintf "key-%04d" i
@@ -17,15 +20,15 @@ let check_inv tree label =
 (* ---- basics ----------------------------------------------------------- *)
 
 let test_empty_tree () =
-  let t = T.create () in
+  let t = empty () in
   Alcotest.(check int) "size" 0 (T.size t);
   Alcotest.(check (option string)) "find" None (T.find t "anything");
   check_inv t "empty";
   Alcotest.(check bool) "two empties share a root digest" true
-    (T.root_digest (T.create ()) = T.root_digest t)
+    (T.root_digest (empty ()) = T.root_digest t)
 
 let test_set_find_remove () =
-  let t = T.set (T.create ()) ~key:"a" ~value:"1" in
+  let t = T.set (empty ()) ~key:"a" ~value:"1" in
   Alcotest.(check (option string)) "finds" (Some "1") (T.find t "a");
   let t = T.set t ~key:"a" ~value:"2" in
   Alcotest.(check (option string)) "overwrites" (Some "2") (T.find t "a");
@@ -35,13 +38,13 @@ let test_set_find_remove () =
   Alcotest.(check int) "size 0" 0 (T.size t)
 
 let test_remove_missing_is_noop () =
-  let t = T.set (T.create ()) ~key:"a" ~value:"1" in
+  let t = T.set (empty ()) ~key:"a" ~value:"1" in
   let t' = T.remove t "zzz" in
   Alcotest.(check string) "root unchanged" (T.root_digest t) (T.root_digest t')
 
 let test_persistence () =
   (* Operations must not disturb earlier versions. *)
-  let t0 = T.create ~branching:4 () in
+  let t0 = empty ~branching:4 () in
   let t1 = List.fold_left (fun t i -> T.set t ~key:(key i) ~value:"x") t0 (List.init 50 Fun.id) in
   let root1 = T.root_digest t1 in
   let _t2 = List.fold_left (fun t i -> T.remove t (key i)) t1 (List.init 25 Fun.id) in
@@ -80,7 +83,7 @@ let test_depth_grows_logarithmically () =
 
 let run_model_test ~branching ~steps ~key_space =
   let model = Hashtbl.create 64 in
-  let tree = ref (T.create ~branching ()) in
+  let tree = ref (empty ~branching ()) in
   for step = 1 to steps do
     let k = key (Crypto.Prng.int rng key_space) in
     (match Crypto.Prng.int rng 100 with
@@ -140,7 +143,7 @@ let apply_server tree (op : Vo.op) =
 let test_vo_replay_random_ops () =
   List.iter
     (fun branching ->
-      let tree = ref (T.create ~branching ()) in
+      let tree = ref (empty ~branching ()) in
       for step = 1 to 800 do
         let op = random_op 120 step in
         let vo = Vo.generate !tree op in
@@ -273,7 +276,7 @@ let test_vo_range_completeness () =
   | _ -> Alcotest.fail "range replay failed"
 
 let test_vo_update_on_empty_tree () =
-  let tree = T.create ~branching:4 () in
+  let tree = empty ~branching:4 () in
   let vo = Vo.generate tree (Vo.Set ("first", "v")) in
   match Vo.apply vo (Vo.Set ("first", "v")) with
   | Ok (Vo.Updated, o, n) ->
@@ -393,7 +396,7 @@ let test_bulk_load_equals_incremental () =
       let incremental =
         List.fold_left
           (fun t (k, v) -> T.set t ~key:k ~value:v)
-          (T.create ~branching ()) bindings
+          (empty ~branching ()) bindings
       in
       let label = Printf.sprintf "branching %d, %d keys" branching n in
       check_inv bulk label;
@@ -455,7 +458,7 @@ let test_set_many_equals_fold_of_set () =
 let test_vdigest_cache_through_rebalance () =
   (* check_invariants recomputes every cached value digest; drive the
      tree through splits, borrows and merges and verify at each stage. *)
-  let t = ref (T.create ~branching:4 ()) in
+  let t = ref (empty ~branching:4 ()) in
   for i = 0 to 99 do
     t := T.set !t ~key:(key i) ~value:(Printf.sprintf "v%d" i)
   done;
@@ -562,12 +565,15 @@ let test_vo_size_bytes_exact () =
       Vo.Remove (key 100); Vo.Range (key 10, key 50);
       Vo.Set_many [ (key 1, "a"); (key 90, "b"); ("zz", String.make 300 'c') ];
     ];
-  check_tree (T.create ~branching:8 ()) [ Vo.Get "x"; Vo.Set ("x", "y") ]
+  check_tree (empty ~branching:8 ()) [ Vo.Get "x"; Vo.Set ("x", "y") ]
 
 let test_branching_validation () =
   Alcotest.check_raises "branching < 4"
-    (Invalid_argument "Merkle_btree.create: branching must be >= 4") (fun () ->
-      ignore (T.create ~branching:3 ()))
+    (Invalid_argument "Merkle_btree.of_sorted_array: branching must be >= 4") (fun () ->
+      ignore (empty ~branching:3 ()));
+  Alcotest.check_raises "of_root: branching < 4"
+    (Invalid_argument "Merkle_btree.of_root: branching must be >= 4") (fun () ->
+      ignore (T.of_root ~branching:3 (T.root (empty ()))))
 
 (* qcheck: arbitrary op sequences keep tree = model and VOs replaying *)
 let prop_random_sequences =
@@ -581,7 +587,7 @@ let prop_random_sequences =
     QCheck.(make Gen.(list_size (int_range 1 120) op_gen))
     (fun ops ->
       let model = Hashtbl.create 16 in
-      let tree = ref (T.create ~branching:4 ()) in
+      let tree = ref (empty ~branching:4 ()) in
       List.for_all
         (fun (kidx, tag) ->
           let k = key kidx in

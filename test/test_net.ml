@@ -21,7 +21,7 @@ let sample_vo =
     List.fold_left
       (fun t i ->
         T.set t ~key:(Printf.sprintf "file-%02d" i) ~value:(Printf.sprintf "v%d" i))
-      (T.create ())
+      (T.of_alist [])
       (List.init 8 Fun.id)
   in
   Vo.generate tree (Vo.Get "file-03")

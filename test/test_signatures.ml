@@ -53,17 +53,6 @@ let test_rsa_deterministic () =
   Alcotest.(check string) "PKCS#1 v1.5 signing is deterministic"
     (Rsa.sign kp.Rsa.private_ "same") (Rsa.sign kp.Rsa.private_ "same")
 
-let test_rsa_public_serialisation () =
-  let kp = Lazy.force keypair in
-  match Rsa.public_of_string (Rsa.public_to_string kp.Rsa.public) with
-  | None -> Alcotest.fail "roundtrip failed"
-  | Some pub ->
-      let s = Rsa.sign kp.Rsa.private_ "roundtrip" in
-      Alcotest.(check bool) "deserialised key verifies" true
-        (Rsa.verify pub "roundtrip" ~signature:s);
-      Alcotest.(check (option reject)) "garbage rejected" None
-        (Rsa.public_of_string "garbage")
-
 (* ---- Lamport ----------------------------------------------------------- *)
 
 let test_lamport_sign_verify () =
@@ -86,15 +75,6 @@ let test_lamport_keys_independent () =
   let _, pk2 = Hashsig.Lamport.generate rng in
   let s = Hashsig.Lamport.sign sk1 "m" in
   Alcotest.(check bool) "wrong public key" false (Hashsig.Lamport.verify pk2 "m" ~signature:s)
-
-let test_lamport_public_roundtrip () =
-  let _, pk = Hashsig.Lamport.generate rng in
-  match Hashsig.Lamport.public_of_string (Hashsig.Lamport.public_to_string pk) with
-  | None -> Alcotest.fail "roundtrip failed"
-  | Some pk' ->
-      Alcotest.(check string) "digests agree"
-        (Crypto.Hex.encode (Hashsig.Lamport.public_key_digest pk))
-        (Crypto.Hex.encode (Hashsig.Lamport.public_key_digest pk'))
 
 (* ---- Winternitz --------------------------------------------------------- *)
 
@@ -146,8 +126,7 @@ let test_mss_capacity_and_exhaustion () =
     let msg = Printf.sprintf "message %d" i in
     let s = Hashsig.Mss.sign signer msg in
     Alcotest.(check bool) (Printf.sprintf "signature %d verifies" i) true
-      (Hashsig.Mss.verify pk msg ~signature:s);
-    Alcotest.(check int) "remaining decreases" (8 - i) (Hashsig.Mss.signatures_remaining signer)
+      (Hashsig.Mss.verify pk msg ~signature:s)
   done;
   Alcotest.check_raises "exhausted" Hashsig.Mss.Keys_exhausted (fun () ->
       ignore (Hashsig.Mss.sign signer "one too many"))
@@ -221,7 +200,6 @@ let test_signer_cross_scheme_rejection () =
 
 let test_keyring_setup () =
   let ring, signers = Pki.Keyring.setup ~scheme:(Pki.Signer.Hmac_shared { key = "k" }) ~users:5 rng in
-  Alcotest.(check int) "user count" 5 (Pki.Keyring.user_count ring);
   Alcotest.(check (list int)) "user ids" [ 0; 1; 2; 3; 4 ] (Pki.Keyring.users ring);
   let s = Pki.Signer.sign signers.(3) "hello" in
   Alcotest.(check bool) "verify by id" true (Pki.Keyring.verify ring 3 "hello" ~signature:s);
@@ -244,12 +222,6 @@ let test_keyring_duplicate_registration () =
     (Invalid_argument "Keyring.register: user 0 already registered") (fun () ->
       Pki.Keyring.register ring 0 v)
 
-let test_verifier_fingerprints_differ () =
-  let _, v1 = Pki.Signer.generate (Pki.Signer.Rsa { bits = 512 }) rng in
-  let _, v2 = Pki.Signer.generate (Pki.Signer.Rsa { bits = 512 }) rng in
-  Alcotest.(check bool) "fingerprints distinct" true
-    (Pki.Signer.verifier_fingerprint v1 <> Pki.Signer.verifier_fingerprint v2)
-
 let suite =
   let quick name f = Alcotest.test_case name `Quick f in
   [
@@ -259,11 +231,9 @@ let suite =
     quick "rsa: rejects wrong key" test_rsa_rejects_wrong_key;
     quick "rsa: rejects bad lengths" test_rsa_rejects_bad_lengths;
     quick "rsa: deterministic" test_rsa_deterministic;
-    quick "rsa: public key serialisation" test_rsa_public_serialisation;
     quick "lamport: sign/verify" test_lamport_sign_verify;
     quick "lamport: rejects corruption" test_lamport_rejects_corruption;
     quick "lamport: keys independent" test_lamport_keys_independent;
-    quick "lamport: public roundtrip" test_lamport_public_roundtrip;
     quick "winternitz: all parameters" test_winternitz_all_w;
     quick "winternitz: invalid parameters" test_winternitz_bad_params;
     quick "winternitz: chain counts shrink with w" test_winternitz_chain_counts_decrease;
@@ -277,5 +247,4 @@ let suite =
     quick "keyring: setup" test_keyring_setup;
     quick "keyring: per-user keys" test_keyring_per_user_keys;
     quick "keyring: duplicate registration" test_keyring_duplicate_registration;
-    quick "signer: fingerprints differ" test_verifier_fingerprints_differ;
   ]

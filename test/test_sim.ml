@@ -4,6 +4,11 @@
 module E = Sim.Engine
 module Vo = Mtree.Vo
 
+let run engine ~rounds =
+  for _ = 1 to rounds do
+    E.step engine
+  done
+
 (* A simple echo setup: one "server" agent replying to pings. *)
 let echo_setup () =
   let engine : string E.t = E.create ~measure:String.length () in
@@ -28,7 +33,7 @@ let test_delivery_next_round () =
         (fun ~round ->
           if round = 1 then E.send engine ~src:(Sim.Id.User 0) ~dst:Sim.Id.Server "ping");
     };
-  E.run engine ~rounds:4;
+  run engine ~rounds:4;
   (match !received with
   | [ (2, Sim.Id.User 0, "ping") ] -> ()
   | _ -> Alcotest.fail "server should receive exactly one ping in round 2");
@@ -47,7 +52,7 @@ let test_determinism () =
             if round mod 3 = 0 then
               E.send engine ~src:(Sim.Id.User 0) ~dst:Sim.Id.Server (string_of_int round));
       };
-    E.run engine ~rounds:20;
+    run engine ~rounds:20;
     (!received, E.messages_sent engine, E.bytes_sent engine)
   in
   Alcotest.(check bool) "two identical runs" true (run () = run ())
@@ -69,7 +74,7 @@ let test_broadcast_semantics () =
           (fun ~round -> if round = 1 && u = 0 then E.broadcast engine ~src:(Sim.Id.User 0) "hi");
       }
   done;
-  E.run engine ~rounds:3;
+  run engine ~rounds:3;
   Alcotest.(check (list string)) "sender does not hear itself" [] seen.(0);
   Alcotest.(check (list string)) "user 1 hears" [ "hi" ] seen.(1);
   Alcotest.(check (list string)) "user 2 hears" [ "hi" ] seen.(2);
@@ -85,7 +90,7 @@ let test_unregistered_destination_dropped () =
         (fun ~round ->
           if round = 1 then E.send engine ~src:(Sim.Id.User 0) ~dst:(Sim.Id.User 9) "void");
     };
-  E.run engine ~rounds:3 (* must not raise *)
+  run engine ~rounds:3 (* must not raise *)
 
 let test_duplicate_registration_rejected () =
   let engine : string E.t = E.create () in
@@ -114,7 +119,7 @@ let test_alarms () =
       on_activate =
         (fun ~round -> if round = 5 then E.alarm engine ~agent:(Sim.Id.User 0) ~reason:"boom");
     };
-  E.run engine ~rounds:10;
+  run engine ~rounds:10;
   match E.first_alarm engine with
   | Some { E.agent = Sim.Id.User 0; at_round = 5; reason = "boom" } -> ()
   | _ -> Alcotest.fail "alarm not recorded correctly"
@@ -128,7 +133,7 @@ let test_bytes_accounting () =
         (fun ~round ->
           if round = 1 then E.send engine ~src:(Sim.Id.User 0) ~dst:Sim.Id.Server "12345");
     };
-  E.run engine ~rounds:3;
+  run engine ~rounds:3;
   (* "12345" (5) + "echo:12345" (10) *)
   Alcotest.(check int) "bytes measured" 15 (E.bytes_sent engine)
 
@@ -151,7 +156,7 @@ let test_fifo_ordering () =
             List.iter (fun m -> E.send engine ~src:(Sim.Id.User 0) ~dst:Sim.Id.Server m)
               [ 1; 2; 3; 4; 5 ]);
     };
-  E.run engine ~rounds:3;
+  run engine ~rounds:3;
   Alcotest.(check (list int)) "in order" [ 1; 2; 3; 4; 5 ] (List.rev !received)
 
 (* ---- Trace ---------------------------------------------------------------- *)
@@ -164,9 +169,12 @@ let test_trace_lifecycle () =
   Alcotest.(check int) "none completed" 0 (List.length (Sim.Trace.completed tr));
   Sim.Trace.complete tr ~seq:s1 ~round:3 ~answer:(Vo.Value None) ();
   Alcotest.(check int) "one completed" 1 (List.length (Sim.Trace.completed tr));
-  Alcotest.(check int) "one pending" 1 (List.length (Sim.Trace.pending tr));
+  Alcotest.(check int) "one pending" 1
+    (Sim.Trace.count tr - List.length (Sim.Trace.completed tr));
   Sim.Trace.complete tr ~seq:s2 ~round:4 ~answer:Vo.Updated ();
-  Alcotest.(check int) "per-user count" 1 (Sim.Trace.completed_count_for_user tr ~user:1);
+  Alcotest.(check int) "per-user count" 1
+    (List.length
+       (List.filter (fun tx -> tx.Sim.Trace.user = 1) (Sim.Trace.completed tr)));
   Alcotest.(check int) "completed after round 1" 1
     (Sim.Trace.completed_after tr ~round:1 ~user:1);
   Alcotest.check_raises "double completion"

@@ -148,7 +148,9 @@ let test_shard_map_routing () =
       if i < 3 then Alcotest.(check bool) "below upper boundary" true (k < boundaries.(i)))
     keys;
   (match Store.Shard_map.decode (Store.Shard_map.encode map) with
-  | Some map' -> Alcotest.(check bool) "encode/decode round-trips" true (Store.Shard_map.equal map map')
+  | Some map' ->
+      Alcotest.(check string) "encode/decode round-trips" (Store.Shard_map.encode map)
+        (Store.Shard_map.encode map')
   | None -> Alcotest.fail "shard map decode failed");
   (* Few distinct keys: the byte-space fallback still yields a valid map. *)
   let tiny = Store.Shard_map.create ~branching:8 ~shards:4 ~keys:[ "only" ] in
@@ -245,7 +247,7 @@ let test_store_crash_recovery_root () =
   (* For this script a from-scratch bulk load of the final contents
      also lands on the same root. *)
   let rebuilt =
-    Store.Shard_db.of_map (Store.shard_map store) (Store.Shard_db.to_alist db)
+    Store.Shard_db.of_map (Store.Shard_db.map db) (Store.Shard_db.to_alist db)
   in
   Alcotest.(check string) "fresh bulk load agrees"
     (Crypto.Hex.encode live_root)
@@ -651,7 +653,7 @@ let test_store_incremental_checkpoint () =
   let g1 = Store.generation store in
   (* Dirty exactly one shard, then checkpoint again. *)
   let key = "src/file_03.ml" in
-  let dirty_shard = Store.Shard_map.route (Store.shard_map store) key in
+  let dirty_shard = Store.Shard_db.route db key in
   let db2, _ = Store.Shard_db.apply db (Vo.Set (key, "INCR")) in
   Store.log_op store ~db:db2 ~op:(Vo.Set (key, "INCR"))
     ~ctr:(List.length ops_script + 1) ~last_user:0;
@@ -812,13 +814,21 @@ let test_store_resume_preserves_bookkeeping () =
         payload)
     r.Store.replies;
   Alcotest.(check int) "one cached reply per user" 3 (List.length r.Store.replies);
-  (* And the resumed store keeps answering the dedup queries live. *)
-  Alcotest.(check (list (pair int int))) "last_seqs live" r.Store.seqs
-    (Store.last_seqs store2);
-  (match Store.cached_reply store2 ~user:1 with
-  | Some (seq, _) -> Alcotest.(check int) "cached_reply live" (expect_seq 1) seq
-  | None -> Alcotest.fail "no cached reply for user 1");
-  Store.close store2
+  (* The resumed store carries the dedup table into its next
+     checkpoint, which replaces the log the table was replayed from: a
+     second restart must still recover it. *)
+  Store.checkpoint store2 ~db:r.Store.db;
+  Store.close store2;
+  let store3, r2 =
+    match Store.resume ~dir () with
+    | Ok x -> x
+    | Error e -> Alcotest.failf "second resume failed: %s" e
+  in
+  Alcotest.(check (list (pair int int))) "dedup seqs survive a checkpoint" r.Store.seqs
+    r2.Store.seqs;
+  Alcotest.(check (list (triple int int string))) "cached replies survive a checkpoint"
+    r.Store.replies r2.Store.replies;
+  Store.close store3
 
 (* ---- server crash recovery ------------------------------------------ *)
 
@@ -837,16 +847,17 @@ let test_server_crash_clears_history () =
       Sim.Engine.on_message = (fun ~round:_ ~src:_ _ -> ());
       on_activate = (fun ~round:_ -> ());
     };
-  let server =
-    Server.create ~store
-      {
-        Server.mode = `Plain;
-        epoch_len = None;
-        branching = 8;
-        adversary = Adversary.Crash { at_round = 6 };
-      }
-      ~engine ~initial ~initial_root_sig:None
+  let config =
+    { Server.mode = `Plain; epoch_len = None; adversary = Adversary.Crash { at_round = 6 } }
   in
+  (* A durable server logs the store's own database; any other copy,
+     even one with the same contents, would diverge from the WAL. *)
+  Alcotest.check_raises "a db other than the store's is refused"
+    (Invalid_argument "Server.create: db is not the store's database") (fun () ->
+      ignore
+        (Server.create ~store config ~engine
+           ~db:(Store.Shard_db.create ~branching:8 ~shards:1 initial)));
+  let server = Server.create ~store config ~engine ~db:(Store.db store) in
   List.iter
     (fun i ->
       Sim.Engine.send engine ~src:(Sim.Id.User 0) ~dst:Sim.Id.Server
@@ -1040,6 +1051,33 @@ let test_harness_storeless_crash_refused () =
       Adversary.Checkpoint_crash { at_round = 10 };
     ]
 
+(* ---- harness: D₀ is built once ---------------------------------------- *)
+
+let test_harness_builds_initial_db_once () =
+  (* A run that completes no operation costs only its setup. With a
+     store, the store's one copy of D₀ serves the users' M(D₀) and the
+     server; without one, the harness builds D₀ once and hands the same
+     value to the server. Either way the oracle's independent replay
+     tree is the only other build. *)
+  let rebuilds store_dir =
+    let setup =
+      {
+        (Harness.default_setup ~protocol:Harness.Unverified ~users:1
+           ~adversary:Adversary.Honest)
+        with
+        Harness.store_dir;
+      }
+    in
+    let outcome = Harness.run setup ~events:(workload ~users:1 ~rounds:1 "d0-once") in
+    Alcotest.(check int) "no op completed" 0 outcome.Harness.completed_transactions;
+    Obs.value "mtree.node_rebuilds"
+  in
+  let dir = fresh_dir "d0-once" in
+  let with_store = rebuilds (Some dir) in
+  rm_rf dir;
+  Alcotest.(check int) "storeless setup rebuilds as many nodes as --store" with_store
+    (rebuilds None)
+
 (* ---- harness: shard-count invariance --------------------------------- *)
 
 let run_sharded ~shards protocol adversary events =
@@ -1174,4 +1212,6 @@ let suite =
       test_store_reports_deterministic;
     Alcotest.test_case "harness: reports deterministic across durability" `Slow
       test_reports_deterministic_across_durability;
+    Alcotest.test_case "harness: storeless setup builds D₀ once" `Quick
+      test_harness_builds_initial_db_once;
   ]

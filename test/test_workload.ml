@@ -3,43 +3,56 @@
 
 module S = Workload.Schedule
 
+(* The reference Zipf pmf, computed here independently of the sampler's
+   CDF: p(i) = (i+1)^-s / sum_j (j+1)^-s. *)
+let zipf_pmf ~n ~s i =
+  let w j = 1. /. Float.pow (float_of_int (j + 1)) s in
+  w i /. List.fold_left (fun acc j -> acc +. w j) 0. (List.init n Fun.id)
+
+(* Draw [draws] samples and count them per rank; a draw outside
+   [0, n) fails the test. *)
+let sample_counts ~n ~s ~seed ~draws =
+  let z = Workload.Zipf.create ~n ~s in
+  let rng = Crypto.Prng.create ~seed in
+  let counts = Array.make n 0 in
+  for _ = 1 to draws do
+    let v = Workload.Zipf.sample z rng in
+    if v < 0 || v >= n then Alcotest.failf "n=%d s=%.1f: sample %d out of range" n s v;
+    counts.(v) <- counts.(v) + 1
+  done;
+  counts
+
+(* Check every rank's sampled frequency against the reference pmf to
+   within 10%. *)
+let check_sampling ~n ~s ~seed =
+  let draws = 40_000 in
+  Array.iteri
+    (fun i c ->
+      let expected = float_of_int draws *. zipf_pmf ~n ~s i in
+      let err = abs_float (float_of_int c -. expected) /. expected in
+      if err > 0.1 then Alcotest.failf "n=%d s=%.1f: rank %d off by %.0f%%" n s i (100. *. err))
+    (sample_counts ~n ~s ~seed ~draws)
+
+(* The reference pmf is normalised, and every draw lands on a rank in
+   [0, n), so the sampled frequencies sum to one too. *)
 let test_zipf_pmf_sums_to_one () =
   List.iter
     (fun (n, s) ->
-      let z = Workload.Zipf.create ~n ~s in
-      let total = List.fold_left (fun acc i -> acc +. Workload.Zipf.probability z i) 0. (List.init n Fun.id) in
-      if abs_float (total -. 1.0) > 1e-9 then Alcotest.failf "pmf sums to %f" total)
+      let total = List.fold_left (fun acc i -> acc +. zipf_pmf ~n ~s i) 0. (List.init n Fun.id) in
+      if abs_float (total -. 1.0) > 1e-9 then Alcotest.failf "reference pmf sums to %f" total;
+      ignore (sample_counts ~n ~s ~seed:"zipf-range" ~draws:10_000))
     [ (1, 1.0); (10, 0.0); (100, 1.0); (50, 2.0) ]
 
+(* With s > 0 a lower rank is drawn more often than the next one. *)
 let test_zipf_monotone () =
-  let z = Workload.Zipf.create ~n:20 ~s:1.2 in
-  for i = 0 to 18 do
-    Alcotest.(check bool) "p(i) >= p(i+1)" true
-      (Workload.Zipf.probability z i >= Workload.Zipf.probability z (i + 1))
+  let counts = sample_counts ~n:8 ~s:2.0 ~seed:"zipf-monotone" ~draws:40_000 in
+  for i = 0 to 6 do
+    if counts.(i) < counts.(i + 1) then
+      Alcotest.failf "rank %d drawn %d times, rank %d %d times" i counts.(i) (i + 1) counts.(i + 1)
   done
 
-let test_zipf_sampling_matches_pmf () =
-  let z = Workload.Zipf.create ~n:8 ~s:1.0 in
-  let rng = Crypto.Prng.create ~seed:"zipf" in
-  let counts = Array.make 8 0 in
-  let n = 40_000 in
-  for _ = 1 to n do
-    let v = Workload.Zipf.sample z rng in
-    counts.(v) <- counts.(v) + 1
-  done;
-  Array.iteri
-    (fun i c ->
-      let expected = float_of_int n *. Workload.Zipf.probability z i in
-      let err = abs_float (float_of_int c -. expected) /. expected in
-      if err > 0.1 then Alcotest.failf "rank %d off by %.0f%%" i (100. *. err))
-    counts
-
-let test_zipf_uniform_degenerate () =
-  let z = Workload.Zipf.create ~n:5 ~s:0.0 in
-  for i = 0 to 4 do
-    if abs_float (Workload.Zipf.probability z i -. 0.2) > 1e-9 then
-      Alcotest.failf "s=0 should be uniform"
-  done
+let test_zipf_sampling_matches_pmf () = check_sampling ~n:8 ~s:1.0 ~seed:"zipf"
+let test_zipf_uniform_degenerate () = check_sampling ~n:5 ~s:0.0 ~seed:"zipf-uniform"
 
 let test_zipf_validation () =
   Alcotest.check_raises "n=0" (Invalid_argument "Zipf.create: n must be positive") (fun () ->

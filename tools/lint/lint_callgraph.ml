@@ -360,6 +360,9 @@ let collect_pass1 graph env =
         (* functor body: defs live under the functor's name; every
            application aliases back here *)
         module_expr path name body
+    | Pmod_unpack _ ->
+        (* `module Log = (val e)`: e runs at module initialisation *)
+        add_def path "(init)" mexpr.pmod_loc
     | _ -> ()
   in
   structure [] ~floating_allows:[] env.f_structure
@@ -585,18 +588,36 @@ let collect_pass2 u env =
         expr path def hi;
         expr path def body
     | Pexp_constraint (e, _) | Pexp_coerce (e, _, _) -> expr path def e
+    | Pexp_open ({ popen_expr = { pmod_desc = Pmod_ident { txt; _ }; _ }; _ }, e) ->
+        (* `M.(e)` and `let open M in e`: M's names are in scope in e *)
+        let saved = env.f_opens in
+        env.f_opens <- lid_components txt :: saved;
+        expr path def e;
+        env.f_opens <- saved
     | Pexp_lazy e | Pexp_assert e | Pexp_newtype (_, e) | Pexp_open (_, e) ->
         expr path def e
     | Pexp_send (e, _) -> expr path def e
     | Pexp_setinstvar (_, e) -> expr path def e
+    | Pexp_letmodule ({ txt = Some name; _ }, { pmod_desc = Pmod_ident { txt; _ }; _ }, body)
+      ->
+        (* `let module J = Obs.Json in e`: a local alias, as at toplevel *)
+        let saved = env.f_aliases in
+        env.f_aliases <-
+          { a_name = name; a_target = lid_components txt; a_functor = false } :: saved;
+        expr path def body;
+        env.f_aliases <- saved
     | Pexp_letmodule (_, mexpr, body) ->
         module_in_expr path def mexpr;
         expr path def body
     | Pexp_letexception (_, body) -> expr path def body
     | Pexp_override fields -> List.iter (fun (_, e) -> expr path def e) fields
     | Pexp_letop { let_; ands; body } ->
-        expr path def let_.pbop_exp;
-        List.iter (fun a -> expr path def a.pbop_exp) ands;
+        List.iter
+          (fun op ->
+            record_ref u env path def ~head:true (Longident.Lident op.pbop_op.txt)
+              op.pbop_op.loc;
+            expr path def op.pbop_exp)
+          (let_ :: ands);
         expr path def body
     | _ -> ()
   and case path def c =
@@ -664,6 +685,7 @@ let collect_pass2 u env =
     | Pmod_structure items -> structure (path @ [ name ]) items
     | Pmod_constraint (inner, _) -> module_expr path name inner
     | Pmod_functor (_, body) -> module_expr path name body
+    | Pmod_unpack e -> Option.iter (fun def -> expr path def e) (find_def path "(init)")
     | _ -> ()
   in
   structure [] env.f_structure
@@ -701,6 +723,54 @@ let build_from_sources ?libraries sources =
   build ?libraries
     (List.map (fun (file, source) -> (file, parse_string ~file source)) sources)
 
+(* ---- The repo's graph ------------------------------------------------- *)
+
+(* The programs: every def under these trees is an entry point into
+   lib/. Their test directories are not programs. *)
+let program_dirs = [ "bin"; "bench"; "examples"; "tools"; "tcvs_bench" ]
+
+(* dir -> dune library name, from the `(name ...)` field of each
+   lib/<dir>/dune: the resolver needs it to route wrapped paths like
+   Tcvs.Harness.run to lib/core/harness.ml. *)
+let library_map ~root =
+  let libdir = Filename.concat root "lib" in
+  if not (Sys.file_exists libdir) then []
+  else
+    Sys.readdir libdir |> Array.to_list |> List.sort String.compare
+    |> List.filter_map (fun entry ->
+           let dune = Filename.concat (Filename.concat libdir entry) "dune" in
+           if not (Sys.file_exists dune) then None
+           else
+             let tokens =
+               String.split_on_char '\n' (Lint_config.read_file dune)
+               |> List.concat_map (String.split_on_char ' ')
+               |> List.concat_map (String.split_on_char '(')
+               |> List.concat_map (String.split_on_char ')')
+               |> List.filter (fun t -> String.trim t <> "")
+             in
+             let rec find = function
+               | "name" :: name :: _ -> Some ("lib/" ^ entry, String.trim name)
+               | _ :: rest -> find rest
+               | [] -> None
+             in
+             find tokens)
+
+(* The graph the deep tier audits: lib/ plus every program under
+   [root], files labelled root-relative. *)
+let of_repo ~root =
+  let files =
+    List.concat_map
+      (fun dir ->
+        if Sys.file_exists (Filename.concat root dir) then
+          Lint_engine.ml_files ~dir ~root ()
+          |> List.filter (fun rel ->
+                 not (List.mem "test" (String.split_on_char '/' rel)))
+        else [])
+      ("lib" :: program_dirs)
+  in
+  build_from_sources ~libraries:(library_map ~root)
+    (List.map (fun rel -> (rel, Lint_config.read_file (Filename.concat root rel))) files)
+
 (* ---- Queries --------------------------------------------------------- *)
 
 let find_def graph id = Hashtbl.find_opt graph.defs id
@@ -719,7 +789,7 @@ let defs_in_file graph file =
    reconstruction. Roots map to themselves. Deterministic: the worklist
    is processed in sorted insertion order and edges are visited
    sorted. *)
-let reachable graph ~roots =
+let reachable ?(through_values = false) graph ~roots =
   let parent : (string, (string * provenance) option) Hashtbl.t = Hashtbl.create 256 in
   let queue = Queue.create () in
   List.iter
@@ -734,8 +804,10 @@ let reachable graph ~roots =
     let def = Hashtbl.find graph.defs id in
     (* value defs ran at module init: reaching the value does not run
        its body, so its out-edges do not propagate — except for roots,
-       which the caller asserts are executed *)
-    if def.d_is_fun || Hashtbl.find parent id = None then
+       which the caller asserts are executed, and [through_values],
+       where the question is what code a value needs, not what a call
+       runs *)
+    if through_values || def.d_is_fun || Hashtbl.find parent id = None then
       List.sort (fun a b -> String.compare a.e_target b.e_target) def.d_edges
       |> List.iter (fun e ->
              if not (Hashtbl.mem parent e.e_target) then begin

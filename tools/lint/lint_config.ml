@@ -47,12 +47,10 @@ let parse_string source =
   in
   go empty 1 lines
 
+let read_file path = In_channel.with_open_bin path In_channel.input_all
+
 let load path =
-  let ic = open_in_bin path in
-  let n = in_channel_length ic in
-  let source = really_input_string ic n in
-  close_in ic;
-  match parse_string source with
+  match parse_string (read_file path) with
   | Ok config -> Ok config
   | Error m -> Error (Printf.sprintf "%s: %s" path m)
 

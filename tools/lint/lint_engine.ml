@@ -161,11 +161,28 @@ let lint_string ~config ~rules ~file source =
    [path] is where the bytes live (they differ under dune's sandbox). *)
 let lint_file ~config ~rules ?file path =
   let file = match file with Some f -> f | None -> path in
-  let ic = open_in_bin path in
-  let n = in_channel_length ic in
-  let source = really_input_string ic n in
-  close_in ic;
-  lint_string ~config ~rules ~file source
+  lint_string ~config ~rules ~file (Lint_config.read_file path)
+
+let skip_dirs = [ "_build"; ".git"; "_opam"; ".tcvs-lint.d" ]
+
+(* Every .ml under [root]/[dir] as a root-relative path, in sorted
+   order: rule scopes are prefix matches on these paths and output
+   order must be stable under CI. *)
+let ml_files ?(dir = "") ~root () =
+  let rec walk rel acc =
+    let abs = if rel = "" then root else Filename.concat root rel in
+    let entries = Sys.readdir abs in
+    Array.sort String.compare entries;
+    Array.fold_left
+      (fun acc entry ->
+        let rel = if rel = "" then entry else rel ^ "/" ^ entry in
+        if Sys.is_directory (Filename.concat root rel) then
+          if List.exists (String.equal entry) skip_dirs then acc else walk rel acc
+        else if Filename.check_suffix entry ".ml" then rel :: acc
+        else acc)
+      acc entries
+  in
+  List.rev (walk dir [])
 
 let pp_finding fmt (f : finding) =
   Format.fprintf fmt "%s:%d:%d: [%s] %s" f.file f.line f.col f.rule_id f.message

@@ -1,4 +1,4 @@
-(* The interprocedural lint tier: three reachability analyses over the
+(* The interprocedural lint tier: four reachability analyses over the
    {!Lint_callgraph}, plus the baseline mechanism that lets
    pre-existing findings be pinned and burned down instead of blocking
    the build.
@@ -10,7 +10,8 @@
    digest-verification entry points carry "hot-path" — so the analyses
    follow the code when entry points move, and fixtures can define
    their own roots. Domain-spawn sites need no annotation: any def that
-   references [Domain.spawn] is a spawn site.
+   references [Domain.spawn] is a spawn site. Nor do dead-code's roots:
+   every def outside lib/ is one.
 
    Suppression mirrors the syntactic tier: a deep finding is charged to
    the def (or toplevel binding) it fires in, and is silenced by a
@@ -60,6 +61,7 @@ let event_loop_root_tag = "event-loop"
 let hot_path_alloc_id = "hot-path-alloc"
 let hot_path_root_tag = "hot-path"
 let domain_safety_id = "domain-safety"
+let dead_code_id = "dead-code"
 
 let rules =
   [
@@ -76,6 +78,10 @@ let rules =
       "no mutable toplevel state (ref, Hashtbl, mutable record fields, arrays) in a \
        module reachable from more than one Domain.spawn site — the gating check for \
        running shards on OCaml 5 domains" );
+    ( dead_code_id,
+      "every lib/ def is reachable from a program: the roots are every def in bin/, \
+       bench/, examples/, tools/ and tcvs_bench/, every module's top-level effects, \
+       and every def allowlisted for this rule (a hook a test needs, with its reason)" );
   ]
 
 (* ---- Blocking-primitive classification ------------------------------- *)
@@ -339,13 +345,62 @@ let check_domain_safety ~config graph =
                end
                else None)
 
+(* ---- dead-code -------------------------------------------------------- *)
+
+let in_lib (def : G.def) = Lint_config.path_has_prefix ~prefix:"lib" def.G.d_file
+
+let is_init (def : G.def) = String.ends_with ~suffix:".(init)" def.G.d_id
+
+(* A value reached counts its body as needed too: the question is what
+   code some program can use, not what a call runs. A graph with no
+   program in it has no roots, so the rule is silent there, as
+   event-loop-purity is on a graph without an event-loop root. *)
+let check_dead_code ~config graph =
+  let defs =
+    Hashtbl.fold (fun _ def acc -> def :: acc) graph.G.defs []
+    |> List.sort (fun (a : G.def) b -> String.compare a.G.d_id b.G.d_id)
+  in
+  if List.for_all in_lib defs then []
+  else
+    let roots =
+      List.filter_map
+        (fun (def : G.def) ->
+          if (not (in_lib def)) || is_init def || allowed config dead_code_id def then
+            Some def.G.d_id
+          else None)
+        defs
+    in
+    let reached = G.reachable ~through_values:true graph ~roots in
+    List.filter_map
+      (fun (def : G.def) ->
+        if G.is_reached reached def.G.d_id then None
+        else
+          let line, col = loc_pos def.G.d_loc in
+          Some
+            {
+              file = def.G.d_file;
+              line;
+              col;
+              rule_id = dead_code_id;
+              symbol = def.G.d_id;
+              detail = "unreached";
+              message =
+                Printf.sprintf
+                  "%s is reached from no program (%s): delete it, or allow it with \
+                   the reason a test needs it"
+                  def.G.d_id
+                  (String.concat ", " (List.map (fun d -> d ^ "/") G.program_dirs));
+            })
+      defs
+
 (* ---- Entry ------------------------------------------------------------ *)
 
 let analyze ~config graph =
   sort
     (check_event_loop ~config graph
     @ check_hot_path ~config graph
-    @ check_domain_safety ~config graph)
+    @ check_domain_safety ~config graph
+    @ check_dead_code ~config graph)
 
 (* ---- Baseline --------------------------------------------------------- *)
 
@@ -361,13 +416,7 @@ let baseline_of_string source =
 
 let load_baseline path =
   if not (Sys.file_exists path) then Error (path ^ ": no such baseline file")
-  else begin
-    let ic = open_in_bin path in
-    let n = in_channel_length ic in
-    let source = really_input_string ic n in
-    close_in ic;
-    Ok (baseline_of_string source)
-  end
+  else Ok (baseline_of_string (Lint_config.read_file path))
 
 let render_baseline keys =
   let sorted = List.sort_uniq String.compare keys in

@@ -11,9 +11,10 @@
    compiler-libs and runs the Lint_rules set; findings print one per
    line, exit status 1 if any.
 
-   `--deep` additionally builds the whole-repo call graph over lib/
-   (Lint_callgraph) and runs the interprocedural tier (Lint_reach):
-   event-loop purity, hot-path allocation freedom, domain-safety.
+   `--deep` additionally builds the call graph over lib/ and the
+   programs that use it (Lint_callgraph.of_repo) and runs the
+   interprocedural tier (Lint_reach): event-loop purity, hot-path
+   allocation freedom, domain-safety, dead code.
    `--baseline FILE` pins pre-existing deep findings — only findings
    whose key is absent from the file fail the run; `--write-baseline`
    regenerates the file. `--format json` emits the machine-readable
@@ -53,24 +54,6 @@ let usage =
 
 (* ---- static pass ----------------------------------------------------- *)
 
-let skip_dirs = [ "_build"; ".git"; "_opam"; ".tcvs-lint.d" ]
-
-(* Relative paths, deterministic order: rule scopes are prefix matches
-   on repo-relative paths and output order must be stable under CI. *)
-let rec walk ~root rel acc =
-  let abs = if rel = "" then root else Filename.concat root rel in
-  let entries = Sys.readdir abs in
-  Array.sort String.compare entries;
-  Array.fold_left
-    (fun acc entry ->
-      let rel = if rel = "" then entry else rel ^ "/" ^ entry in
-      let abs = Filename.concat root rel in
-      if Sys.is_directory abs then
-        if List.exists (String.equal entry) skip_dirs then acc else walk ~root rel acc
-      else if Filename.check_suffix entry ".ml" then rel :: acc
-      else acc)
-    acc entries
-
 let load_config path ~explicit =
   if Sys.file_exists path then begin
     match Lint_config.load path with
@@ -99,7 +82,7 @@ let list_rules () =
     Lint_reach.rules
 
 let static_findings ~root ~config ~files =
-  let files = match files with [] -> List.rev (walk ~root "" []) | files -> files in
+  let files = match files with [] -> Lint_engine.ml_files ~root () | files -> files in
   let findings =
     List.concat_map
       (fun rel ->
@@ -114,51 +97,6 @@ let static_findings ~root ~config ~files =
   in
   Lint_engine.sort findings
 
-(* ---- deep pass: call graph + reachability rules ----------------------- *)
-
-let read_file abs =
-  let ic = open_in_bin abs in
-  let n = in_channel_length ic in
-  let source = really_input_string ic n in
-  close_in ic;
-  source
-
-(* dir -> dune library name, from the `(name ...)` field of each
-   lib/<dir>/dune: the resolver needs it to route wrapped paths like
-   Tcvs.Harness.run to lib/core/harness.ml. *)
-let library_map ~root =
-  let libdir = Filename.concat root "lib" in
-  if not (Sys.file_exists libdir) then []
-  else
-    Sys.readdir libdir |> Array.to_list |> List.sort String.compare
-    |> List.filter_map (fun entry ->
-           let dune = Filename.concat (Filename.concat libdir entry) "dune" in
-           if not (Sys.file_exists dune) then None
-           else
-             let source = read_file dune in
-             let tokens =
-               String.split_on_char '\n' source
-               |> List.concat_map (String.split_on_char ' ')
-               |> List.concat_map (String.split_on_char '(')
-               |> List.concat_map (String.split_on_char ')')
-               |> List.filter (fun t -> String.trim t <> "")
-             in
-             let rec find = function
-               | "name" :: name :: _ -> Some ("lib/" ^ entry, String.trim name)
-               | _ :: rest -> find rest
-               | [] -> None
-             in
-             find tokens)
-
-let run_deep ~root ~config =
-  let files =
-    List.rev (walk ~root "" [])
-    |> List.filter (Lint_config.path_has_prefix ~prefix:"lib")
-  in
-  let sources = List.map (fun rel -> (rel, read_file (Filename.concat root rel))) files in
-  let graph = Lint_callgraph.build_from_sources ~libraries:(library_map ~root) sources in
-  Lint_reach.analyze ~config graph
-
 let run_static ~root ~config_path ~explicit_config ~files ~deep ~baseline_path
     ~write_baseline ~format =
   let config =
@@ -169,7 +107,9 @@ let run_static ~root ~config_path ~explicit_config ~files ~deep ~baseline_path
     load_config path ~explicit:explicit_config
   in
   let static = static_findings ~root ~config ~files in
-  let deep_findings = if deep then run_deep ~root ~config else [] in
+  let deep_findings =
+    if deep then Lint_reach.analyze ~config (Lint_callgraph.of_repo ~root) else []
+  in
   (match write_baseline with
   | Some path ->
       let keys = List.map Lint_reach.key deep_findings in
@@ -404,7 +344,7 @@ let () =
       ("--list-rules", Arg.Set do_list, " print the rule catalogue and exit");
       ( "--deep",
         Arg.Set do_deep,
-        " also run the interprocedural tier (call-graph reachability over lib/)" );
+        " also run the interprocedural tier (call-graph reachability into lib/)" );
       ( "--baseline",
         Arg.Set_string baseline_path,
         "FILE pin deep findings listed in FILE; only new findings fail" );
