@@ -252,15 +252,14 @@ let run_common setup ~script =
   let sharded = store <> None || setup.shards <> None in
   if sharded then
     Obs.set_meta "shards" (string_of_int (Store.Shard_db.shard_count initial_db));
-  (* For N ≥ 2 shards this is the composed root (one extra hash level
-     over the sorted shard roots) — the digest every protocol user
-     treats as M(D₀). *)
-  let initial_root = Store.Shard_db.root_digest initial_db in
   let server =
     create_server ?store ~route_counters:sharded setup.protocol ~adversary:setup.adversary
       ~elected_signer:(fun () -> signers.(0))
       ~engine ~db:initial_db
   in
+  (* The server composed M(D₀) once: for N ≥ 2 shards it is one extra
+     hash level over the sorted shard roots. *)
+  let initial_root = Server.initial_root server in
   let bases =
     Array.init setup.users (fun user ->
         build_user setup ~initial_root ~engine ~trace ~keyring ~signers ~user)

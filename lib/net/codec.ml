@@ -9,8 +9,10 @@ module R = Wire.R
    it.
    v3: the Shard_link role and the Prepare/Shard_root/Commit barrier
    frames for the multi-daemon cluster (router <-> shard daemon).
-   v4: the Sync_* messages carry their sync session's number. *)
-let protocol_version = 4
+   v4: the Sync_* messages carry their sync session's number.
+   v5: the header checksum is the CRC-32C of the body, not a SHA-256
+   prefix. *)
+let protocol_version = 5
 let magic = "TCVN"
 let header_len = 12
 let default_max_frame = 1 lsl 20
@@ -330,8 +332,6 @@ let encode_message m =
   write_message w m;
   W.contents w
 
-let decode_message s = Wire.decode s read_message
-
 (* ---- frame codec ----------------------------------------------------- *)
 
 let role_tag = function Lockstep -> 0 | Free -> 1 | Shard_link -> 2
@@ -368,6 +368,13 @@ let read_ctx r =
   let x_span = R.u32 r in
   { x_round; x_user = (if u = 0xffff then -1 else u); x_span }
 
+(* A Reply body is this head, then the encoded message: the one layout
+   both [write_frame] and [encode_reply] write. *)
+let write_reply_head w ~seq ~ctx =
+  W.u8 w 5;
+  W.u32 w seq;
+  write_ctx w ctx
+
 let write_frame w (f : frame) =
   match f with
   | Hello h ->
@@ -401,9 +408,7 @@ let write_frame w (f : frame) =
       W.u8 w 4;
       W.u32 w seq
   | Reply { seq; ctx; msg } ->
-      W.u8 w 5;
-      W.u32 w seq;
-      write_ctx w ctx;
+      write_reply_head w ~seq ~ctx;
       write_message w msg
   | Deliver { src; sseq; ctx; msg } ->
       W.u8 w 6;
@@ -546,32 +551,51 @@ let frame_kind = function
   | Shard_root _ -> "shard_root"
   | Commit _ -> "commit"
 
-let checksum body = String.sub (Crypto.Sha256.digest body) 0 4
+let checksum body = Crypto.Crc32c.string body
+
+let set_u32 b off v =
+  Bytes.set_uint16_be b off ((v lsr 16) land 0xffff);
+  Bytes.set_uint16_be b (off + 2) (v land 0xffff)
+
+let get_u32 s off = (String.get_uint16_be s off lsl 16) lor String.get_uint16_be s (off + 2)
+
+(* The header and the body, whose pieces are [parts] in order, in one
+   string: the body is checksummed piece by piece and copied once. *)
+let frame_of_parts parts =
+  let len = List.fold_left (fun n p -> n + String.length p) 0 parts in
+  let out = Bytes.create (header_len + len) in
+  Bytes.blit_string magic 0 out 0 4;
+  set_u32 out 4 len;
+  let crc, _ =
+    List.fold_left
+      (fun (crc, pos) p ->
+        let n = String.length p in
+        Bytes.blit_string p 0 out pos n;
+        (Crypto.Crc32c.update crc p ~off:0 ~len:n, pos + n))
+      (0, header_len) parts
+  in
+  set_u32 out 8 crc;
+  Bytes.unsafe_to_string out
 
 let encode_frame f =
   let w = W.create () in
   write_frame w f;
-  let body = W.contents w in
-  let out = W.create () in
-  W.raw out magic;
-  W.u32 out (String.length body);
-  W.raw out (checksum body);
-  W.raw out body;
-  W.contents out
+  frame_of_parts [ W.contents w ]
+
+let encode_reply ~seq ~ctx payload =
+  let w = W.create () in
+  write_reply_head w ~seq ~ctx;
+  frame_of_parts [ W.contents w; payload ]
 
 let decode_header ?(max_frame = default_max_frame) hdr =
   if String.length hdr <> header_len then Error (Malformed "header")
   else if not (String.equal (String.sub hdr 0 4) magic) then Error Bad_magic
   else
-    match Wire.decode (String.sub hdr 4 8) (fun r ->
-              let len = R.u32 r in
-              (len, R.raw r 4))
-    with
-    | None -> Error (Malformed "header")
-    | Some (len, sum) -> if len > max_frame then Error (Oversized len) else Ok (len, sum)
+    let len = get_u32 hdr 4 in
+    if len > max_frame then Error (Oversized len) else Ok (len, get_u32 hdr 8)
 
 let decode_body ~checksum:expected body =
-  if not (String.equal (checksum body) expected) then Error Bad_checksum
+  if checksum body <> expected then Error Bad_checksum
   else
     match Wire.decode body read_frame with
     | Some f -> Ok f

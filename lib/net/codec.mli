@@ -4,21 +4,25 @@
 
     {v
     +------+----------+-----------------+------------------+
-    | TCVN | u32 len  | 4B sha256[0..4) | body (len bytes) |
+    | TCVN | u32 len  | u32 CRC-32C     | body (len bytes) |
     +------+----------+-----------------+------------------+
       magic   of body     of body          u8 type + fields
     v}
 
     Every frame is self-delimiting (the 12-byte header carries the body
-    length) and self-checking (the header carries the first four bytes
-    of the body's SHA-256, same convention as the store's WAL records).
-    Decoding is strict: trailing bytes, bad tags, truncation and
-    checksum mismatches all surface as a typed {!error}, never an
-    exception and never a half-decoded frame. *)
+    length) and self-checking (the header carries the body's CRC-32C,
+    {!Crypto.Crc32c}, the checksum the store's WAL records use too). The
+    checksum catches damage in transit, every burst of up to 32 bits
+    among it; it is no defence against the server, whose answers the
+    client checks against the Merkle root. Decoding is strict: trailing
+    bytes, bad tags, truncation and checksum mismatches all surface as
+    a typed {!error}, never an exception and never a half-decoded
+    frame. *)
 
 val protocol_version : int
 (** Bumped on any incompatible frame or message change; checked in the
-    {!Hello}/{!Welcome} handshake. *)
+    {!Hello}/{!Welcome} handshake. 5 since the header checksum became a
+    CRC-32C. *)
 
 type role = Lockstep | Free | Shard_link
 (** [Lockstep]: a protocol user driven by daemon {!Tick}s (the
@@ -131,11 +135,17 @@ val default_max_frame : int
 val encode_frame : frame -> string
 (** Header + body, ready to write. *)
 
-val decode_header : ?max_frame:int -> string -> (int * string, error) result
+val encode_reply : seq:int -> ctx:ctx -> string -> string
+(** [encode_reply ~seq ~ctx payload] is
+    [encode_frame (Reply { seq; ctx; msg })] for the [msg] whose
+    {!encode_message} is [payload]: a server encodes each reply once,
+    and its cache, its log and the wire share that payload. *)
+
+val decode_header : ?max_frame:int -> string -> (int * int, error) result
 (** [decode_header hdr] takes exactly {!header_len} bytes and returns
     [(body_length, expected_checksum)]. *)
 
-val decode_body : checksum:string -> string -> (frame, error) result
+val decode_body : checksum:int -> string -> (frame, error) result
 (** Decode a body of exactly the announced length, verifying the
     header's checksum first. *)
 
@@ -143,7 +153,5 @@ val decode_frame : ?max_frame:int -> string -> (frame, error) result
 (** Whole-frame convenience for tests: header + body in one string. *)
 
 val encode_message : Tcvs.Message.t -> string
-(** The payload codec on its own — also used by the store's reply
-    cache. *)
-
-val decode_message : string -> Tcvs.Message.t option
+(** The payload codec on its own: the reply a server caches, logs in
+    its store and frames with {!encode_reply}. *)

@@ -120,10 +120,12 @@ let pop t =
               Error e
         end
 
-let send t frame =
+let send_encoded t bytes =
   t.frames_out <- t.frames_out + 1;
   Obs.incr c_frames_sent;
-  t.wbuf <- t.wbuf ^ Codec.encode_frame frame
+  t.wbuf <- t.wbuf ^ bytes
+
+let send t frame = send_encoded t (Codec.encode_frame frame)
 
 (* Deep-lint justification: nonblocking socket (see [fill]); a short
    write leaves the tail in wbuf for the next writable round. *)

@@ -38,6 +38,9 @@ val send : t -> Codec.frame -> unit
 (** Encode and append to the write buffer (no syscall — {!Loop.turn}
     flushes). *)
 
+val send_encoded : t -> string -> unit
+(** Append one frame already encoded, e.g. by {!Codec.encode_reply}. *)
+
 val flush : t -> unit
 (** Write as much of the buffered output as the socket accepts. *)
 

@@ -106,8 +106,9 @@ let drain_outbox st =
         Obs.incr c_requests;
         Log.debug (fun f -> f "u%d: reply for seq %d" u seq);
         Front.jot_fwd st.fe ~user:u ~seq ~ctx ~ev:"daemon.reply" (Message.kind msg);
-        (* disconnected: the cached reply answers the re-request *)
-        Front.send_to st.fe u (Codec.Reply { seq; ctx; msg })
+        (* disconnected: the cached reply answers the re-request. The
+           message is encoded once, for the cache, the log and here. *)
+        Front.send_to st.fe u (Codec.encode_reply ~seq ~ctx payload)
     | None ->
         Log.warn (fun f -> f "response for u%d with no outstanding request" u)
   done

@@ -142,9 +142,9 @@ let lockstep_joined t =
   List.iter (fun s -> if lockstep s && s.user >= 0 then joined.(s.user) <- true) t.sessions;
   Array.for_all Fun.id joined
 
-let send_to t u frame =
+let send_to t u bytes =
   match session_for_user t u with
-  | Some s -> Conn.send s.conn frame
+  | Some s -> Conn.send_encoded s.conn bytes
   | None -> () (* disconnected; a re-request or the next tick recovers *)
 
 let reject sess code detail =
@@ -216,10 +216,8 @@ let admit_query t sess ~seq ~ctx =
         jot_fwd t ~user:u ~seq ~ctx ~ev:t.ev_dedup "duplicate query";
         Logs.debug ~src:t.src (fun f -> f "u%d: duplicate query seq %d, resending reply" u seq);
         (match Hashtbl.find_opt t.reply_cache u with
-        | Some (s, payload) when s = seq -> (
-            match Codec.decode_message payload with
-            | Some m -> Conn.send sess.conn (Codec.Reply { seq; ctx; msg = m })
-            | None -> lost_reply t sess "cached reply undecodable")
+        | Some (s, payload) when s = seq ->
+            Conn.send_encoded sess.conn (Codec.encode_reply ~seq ~ctx payload)
         | _ ->
             (* The at-most-once residue: the op ran (its WAL record
                survived a crash, or it predates a router restart) but
@@ -252,7 +250,8 @@ let record_reply t ~user ~seq payload =
 
 (* ---- Broadcast relay --------------------------------------------------- *)
 
-let deliver_to t v ~src ~sseq ~ctx msg = send_to t v (Codec.Deliver { src; sseq; ctx; msg })
+let deliver_to t v ~src ~sseq ~ctx msg =
+  send_to t v (Codec.encode_frame (Codec.Deliver { src; sseq; ctx; msg }))
 
 let handle_publish t sess ~seq ~ctx ~msg =
   let u = sess.user in
@@ -283,7 +282,7 @@ let handle_deliver_ack t sess ~psrc ~sseq =
         Hashtbl.remove t.relays (psrc, sseq);
         (* the Publish is only acknowledged once every recipient has
            acknowledged its Deliver — end-to-end reliable broadcast *)
-        send_to t psrc (Codec.Ack { seq = sseq })
+        send_to t psrc (Codec.encode_frame (Codec.Ack { seq = sseq }))
       end
 
 (* Every frame a process does not handle itself: the pre-Hello and

@@ -73,8 +73,9 @@ val jot : t -> ?user:int -> ?span:int -> ?dur_us:int -> ev:string -> string -> u
 val jot_fwd : t -> user:int -> seq:int -> ctx:Codec.ctx -> ev:string -> string -> unit
 val session_for_user : t -> int -> session option
 val lockstep : session -> bool
-val send_to : t -> int -> Codec.frame -> unit
-(** To user [u]'s live session, if any. *)
+val send_to : t -> int -> string -> unit
+(** An encoded frame ({!Codec.encode_reply}, {!Codec.encode_frame}) to
+    user [u]'s live session, if any. *)
 
 val reject : session -> Codec.error_code -> string -> unit
 (** Send a typed error frame, flush, close. *)
@@ -90,8 +91,9 @@ val join : t -> session -> Codec.hello -> welcome:(unit -> Codec.frame) -> unit
 val admit_query : t -> session -> seq:int -> ctx:Codec.ctx -> bool
 (** [true] for a fresh query, now recorded as outstanding: the caller
     must answer it. Otherwise it was handled here: a duplicate of the
-    outstanding query is ignored, an older seq gets its cached reply
-    (or [Lost_reply]), a second query while one is outstanding is a
+    outstanding query is ignored, an older seq gets its cached reply,
+    framed around the cached payload without decoding it (or
+    [Lost_reply]), a second query while one is outstanding is a
     [Protocol_violation]. *)
 
 val record_reply : t -> user:int -> seq:int -> string -> unit

@@ -113,7 +113,7 @@ type state = {
      dedup, never via a silent re-execution *)
   fe : Front.t;
   compose_q : rop Queue.t; (* global dispatch order *)
-  held : (int * Codec.frame) Queue.t; (* lockstep replies awaiting Commit *)
+  held : (int * string) Queue.t; (* encoded lockstep replies awaiting Commit *)
   mutable g_ctr : int; (* composed ops — the cluster's global ctr *)
   mutable g_last_user : int;
   mutable dirty : bool; (* an op was composed since the last barrier *)
@@ -402,12 +402,12 @@ let try_compose st =
         match compose st rop with
         | None -> () (* alarmed; session teardown happens in the main loop *)
         | Some msg ->
-            Front.record_reply st.fe ~user:rop.o_user ~seq:rop.o_seq
-              (Codec.encode_message msg);
+            let payload = Codec.encode_message msg in
+            Front.record_reply st.fe ~user:rop.o_user ~seq:rop.o_seq payload;
             Obs.incr c_ops;
             jot st ~user:rop.o_user ~span:rop.o_seq ~ev:"router.reply"
               (Message.kind msg);
-            let frame = Codec.Reply { seq = rop.o_seq; ctx = rop.o_ctx; msg } in
+            let frame = Codec.encode_reply ~seq:rop.o_seq ~ctx:rop.o_ctx payload in
             (* two-phase: a lockstep reply only leaves after the round's
                composed root is committed; bench replies flow freely *)
             if rop.o_lockstep then Queue.add (rop.o_user, frame) st.held

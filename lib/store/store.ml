@@ -212,6 +212,15 @@ let read_manifest dir =
 let manifest_exists dir =
   Sys.file_exists (manifest_path dir) || Sys.file_exists (manifest_bak_path dir)
 
+(* A directory an earlier version wrote is refused before anything else
+   reads it: the torn-MANIFEST repair would rewrite its MANIFEST, and a
+   WAL read would truncate its logs, whose checksums no longer match.
+   Its files stay byte-identical. *)
+let check_layout dir =
+  if List.exists Snapshot.older_format [ manifest_path dir; manifest_bak_path dir ] then
+    Error (dir ^ ": unsupported store layout (written by an older version?)")
+  else Ok ()
+
 (* Adversary hook: simulate a torn mid-write MANIFEST (and, for the
    unrepairable variant, a damaged backup too) before a restart. *)
 let debug_tear_manifest ~dir ~wreck_backup =
@@ -310,7 +319,7 @@ let decode_meta_record payload =
 (* Every log file opens with a header record at LSN 0 naming the
    stream and generation it belongs to — so replay can never read a
    misplaced file as the wrong log. *)
-let log_magic = "TCVSLOG1"
+let log_magic = "TCVSLOG2"
 
 let encode_log_header ~name ~gen =
   let w = W.create () in
@@ -984,6 +993,7 @@ let create_or_open ?(fsync = false) ?(durability = Per_op)
     Ok (t, `Fresh)
   end
   else begin
+    let* () = check_layout dir in
     let* map = read_manifest dir in
     let shards = Shard_map.shards map in
     let* g = read_current dir in
@@ -1017,6 +1027,7 @@ let resume ?(fsync = false) ?(durability = Per_op) ?(checkpoint_every = 64) ~dir
     Error (dir ^ ": no store to resume")
   else if not (manifest_exists dir) then Error (dir ^ ": no MANIFEST")
   else
+    let* () = check_layout dir in
     let* map = read_manifest dir in
     let* g = read_current dir in
     let* l = load_generation dir ~map g in
@@ -1057,7 +1068,7 @@ let debug_partial_checkpoint t ~db =
     trees.(0);
   let tmp = t.dir // Printf.sprintf "meta.%d.snap.tmp" g' in
   let oc = open_out_bin tmp in
-  output_string oc "TCVSSNP1\x00\x00half-written";
+  output_string oc "TCVSSNP2\x00\x00half-written";
   close_out oc
 
 (* ---- read-only inspection (tcvs_cli store-inspect) ------------------ *)
@@ -1091,6 +1102,7 @@ let inspect ~dir =
   if not (Sys.file_exists dir && Sys.is_directory dir) then
     Error (dir ^ ": no such store directory")
   else
+    let* () = check_layout dir in
     let try_map path =
       match Snapshot.read path with
       | Error _ as e -> e

@@ -46,7 +46,10 @@
     differ), so recovered root digests are byte-identical to the
     pre-crash roots (pinned by tests). A torn log tail is truncated
     with a logged warning; mid-log corruption is a hard error (see
-    {!Wal}). A directory in an older layout is refused on open. *)
+    {!Wal}). A directory in an older layout, or one whose snapshots
+    and logs carry the SHA-256-prefix checksums that preceded CRC-32C,
+    is refused on open before any file in it is read past its magic,
+    so nothing in it is repaired or truncated. *)
 
 module Shard_map = Shard_map
 module Shard_db = Shard_db
@@ -248,7 +251,8 @@ val inspect : dir:string -> (info, string) result
 (** Dump a store directory without mutating it: manifest state,
     generation, per-stream base snapshots and logs (record counts, LSN
     ranges, checksum status), and orphaned files. Reads manifests
-    without repairing and logs with [Wal.read ~repair:false]. *)
+    without repairing and logs with [Wal.read ~repair:false]. A
+    directory in an older layout is an error, as for {!create_or_open}. *)
 
 val close : t -> unit
 (** Flush staged records (graceful shutdown, all durability modes) and

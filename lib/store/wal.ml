@@ -33,25 +33,29 @@ let open_writer path =
     written = (Unix.stat path).Unix.st_size;
   }
 
-let checksum ~lsn_bytes ~payload =
-  String.sub (Crypto.Sha256.digest (lsn_bytes ^ payload)) 0 4
+(* Frame layout: u32 len | u32 CRC-32C of lsn ‖ payload | u64 lsn |
+   payload. *)
+let header_len = 4 + 4 + 8
 
-let u64_bytes v =
-  let w = Wire.W.create () in
-  Wire.W.u64 w v;
-  Wire.W.contents w
+let add_u32 buf v =
+  Buffer.add_uint16_be buf ((v lsr 16) land 0xffff);
+  Buffer.add_uint16_be buf (v land 0xffff)
+
+let get_u32 s off = (String.get_uint16_be s off lsl 16) lor String.get_uint16_be s (off + 2)
 
 (* [count:false] is for log-header records: they are framing, not
-   data, so they stay out of the [store.wal.appends] counter. *)
+   data, so they stay out of the [store.wal.appends] counter. The frame
+   goes straight into the stage buffer; the checksum runs over the lsn
+   and then the payload, so the two are never joined. *)
 let stage ?(count = true) w ~lsn ~payload =
   let t0 = now_us () in
-  let lsn_bytes = u64_bytes lsn in
-  let frame = Wire.W.create () in
-  Wire.W.u32 frame (String.length payload);
-  Wire.W.raw frame (checksum ~lsn_bytes ~payload);
-  Wire.W.raw frame lsn_bytes;
-  Wire.W.raw frame payload;
-  Buffer.add_string w.buf (Wire.W.contents frame);
+  let lsn_bytes = String.init 8 (fun i -> Char.chr ((lsn lsr (8 * (7 - i))) land 0xff)) in
+  let len = String.length payload in
+  add_u32 w.buf len;
+  add_u32 w.buf
+    (Crypto.Crc32c.update (Crypto.Crc32c.string lsn_bytes) payload ~off:0 ~len);
+  Buffer.add_string w.buf lsn_bytes;
+  Buffer.add_string w.buf payload;
   w.staged <- w.staged + 1;
   if count then begin
     Obs.incr c_appends;
@@ -116,9 +120,6 @@ let truncate_to ~repair path len =
     Unix.truncate path len
   end
 
-(* Frame layout: u32 len | 4B checksum | u64 lsn | payload. *)
-let header_len = 4 + 4 + 8
-
 let read ?(repair = true) path =
   if not (Sys.file_exists path) then Ok { records = []; truncated = false }
   else begin
@@ -132,22 +133,16 @@ let read ?(repair = true) path =
         Ok { records = List.rev !records; truncated = true }
       end
       else begin
-        let len =
-          (Char.code bytes.[off] lsl 24)
-          lor (Char.code bytes.[off + 1] lsl 16)
-          lor (Char.code bytes.[off + 2] lsl 8)
-          lor Char.code bytes.[off + 3]
-        in
+        let len = get_u32 bytes off in
         let frame_end = off + header_len + len in
         if frame_end > total then begin
           truncate_to ~repair path off;
           Ok { records = List.rev !records; truncated = true }
         end
         else begin
-          let stored_sum = String.sub bytes (off + 4) 4 in
-          let lsn_bytes = String.sub bytes (off + 8) 8 in
-          let payload = String.sub bytes (off + 16) len in
-          if not (String.equal stored_sum (checksum ~lsn_bytes ~payload)) then
+          (* lsn ‖ payload lie contiguous in the file *)
+          let crc = Crypto.Crc32c.update 0 bytes ~off:(off + 8) ~len:(8 + len) in
+          if get_u32 bytes (off + 4) <> crc then
             if frame_end = total then begin
               (* Checksum failure on the very last record: a torn
                  append, not silent corruption. *)
@@ -159,9 +154,8 @@ let read ?(repair = true) path =
                 (Printf.sprintf "%s: checksum mismatch at byte %d (mid-log corruption)"
                    path off)
           else begin
-            let lsn = ref 0 in
-            String.iter (fun c -> lsn := (!lsn lsl 8) lor Char.code c) lsn_bytes;
-            records := (!lsn, payload) :: !records;
+            let lsn = (get_u32 bytes (off + 8) lsl 32) lor get_u32 bytes (off + 12) in
+            records := (lsn, String.sub bytes (off + header_len) len) :: !records;
             go frame_end
           end
         end

@@ -3,9 +3,11 @@
 
     On-disk record frame (all integers big-endian, via [Wire]):
 
-    {v [u32 len] [4-byte checksum] [u64 lsn] [len bytes payload] v}
+    {v [u32 len] [u32 checksum] [u64 lsn] [len bytes payload] v}
 
-    where the checksum is the first 4 bytes of [SHA-256(lsn || payload)].
+    where the checksum is the CRC-32C ({!Crypto.Crc32c}) of
+    [lsn || payload]. It guards against accidental corruption only;
+    the untrusted server is caught by the Merkle root, not by it.
     The payload is opaque at this layer; {!Store} owns the payload
     codecs (including the header record that names each log's stream
     and generation). LSNs are assigned by the caller
@@ -35,8 +37,8 @@ val open_writer : string -> writer
 (** Open (creating if absent) for append. *)
 
 val stage : ?count:bool -> writer -> lsn:int -> payload:string -> unit
-(** Encode one record into the staging buffer; nothing reaches the OS
-    until {!flush}. Records the [store.wal.appends] counter and the
+(** Encode one record straight into the staging buffer; nothing reaches
+    the OS until {!flush}. Records the [store.wal.appends] counter and the
     volatile [store.wal.append_us] histogram unless [~count:false]
     (used for log-header records, which are framing, not data). *)
 

@@ -223,9 +223,9 @@ let test_cluster_byte_identity () =
 
 (* Drive the reply stream like a verifying client: every VO must replay
    its op from exactly the root the previous reply left us at. *)
-let verify_reply ~boundaries ~root op bytes =
-  match Codec.decode_message bytes with
-  | Some (M.Response { vo; _ }) -> (
+let verify_reply ~boundaries ~root op msg =
+  match msg with
+  | M.Response { vo; _ } -> (
       match Vo.apply vo op with
       | Error e -> Alcotest.failf "VO replay failed: %a" Vo.pp_error e
       | Ok (_, old_root, new_root) ->
@@ -261,7 +261,7 @@ let test_cluster_kill9 () =
             incr seq;
             match query conn ~seq:!seq op with
             | Some (M.Response _ as m) ->
-                root := verify_reply ~boundaries ~root:!root op (Codec.encode_message m);
+                root := verify_reply ~boundaries ~root:!root op m;
                 true
             | Some m -> Alcotest.failf "unexpected %s reply" (M.kind m)
             | None -> false (* TRUE ALARM ended the session *)

@@ -1,5 +1,6 @@
 (* Tests for the crypto substrate: SHA-256 against FIPS 180-4 vectors,
-   HMAC against RFC 4231 vectors, hex codec, constant-time compare and
+   CRC-32C against RFC 3720 vectors and a bitwise reference, HMAC
+   against RFC 4231 vectors, hex codec, constant-time compare and
    the deterministic ChaCha20 PRNG. *)
 
 let check_hex name expected got = Alcotest.(check string) name expected (Crypto.Hex.encode got)
@@ -71,6 +72,61 @@ let test_sha_boundary_lengths () =
         (Crypto.Hex.encode (Crypto.Sha256.digest m))
         (Crypto.Hex.encode (Crypto.Sha256.finalize ctx)))
     [ 54; 55; 56; 57; 63; 64; 65; 119; 120; 127; 128 ]
+
+(* ---- CRC-32C --------------------------------------------------------- *)
+
+let check_crc name expected got = Alcotest.(check string) name expected (Printf.sprintf "%08x" got)
+
+(* RFC 3720 §B.4, plus the customary check value. *)
+let test_crc_known_answers () =
+  check_crc "32 x 0x00" "8a9136aa" (Crypto.Crc32c.string (String.make 32 '\x00'));
+  check_crc "32 x 0xff" "62a8ab43" (Crypto.Crc32c.string (String.make 32 '\xff'));
+  check_crc "bytes 0..31" "46dd794e" (Crypto.Crc32c.string (String.init 32 Char.chr));
+  check_crc "bytes 31..0" "113fdb5c"
+    (Crypto.Crc32c.string (String.init 32 (fun i -> Char.chr (31 - i))));
+  check_crc "123456789" "e3069283" (Crypto.Crc32c.string "123456789");
+  check_crc "empty" "00000000" (Crypto.Crc32c.string "")
+
+(* The definition, one bit at a time: the reflected register shifts
+   right and takes the polynomial whenever a 1 falls out. *)
+let crc_bitwise s ~off ~len =
+  let c = ref 0xffffffff in
+  for i = off to off + len - 1 do
+    c := !c lxor Char.code s.[i];
+    for _ = 1 to 8 do
+      c := if !c land 1 = 1 then (!c lsr 1) lxor 0x82F63B78 else !c lsr 1
+    done
+  done;
+  !c lxor 0xffffffff
+
+(* Every length up to 300 at every alignment: the 8-byte steps, the
+   byte tail, and the slice bounds. *)
+let test_crc_matches_bitwise () =
+  let g = Crypto.Prng.create ~seed:"crc32c" in
+  let src = String.init 320 (fun _ -> Char.chr (Crypto.Prng.int g 256)) in
+  for off = 0 to 7 do
+    for len = 0 to 300 do
+      let want = crc_bitwise src ~off ~len in
+      let got = Crypto.Crc32c.update 0 src ~off ~len in
+      if got <> want then
+        Alcotest.failf "off %d len %d: slicing-by-8 %08x, bitwise %08x" off len got want
+    done
+  done
+
+let test_crc_split_updates () =
+  let g = Crypto.Prng.create ~seed:"crc32c-split" in
+  let s = String.init 200 (fun _ -> Char.chr (Crypto.Prng.int g 256)) in
+  let n = String.length s in
+  let one_shot = Crypto.Crc32c.string s in
+  for cut = 0 to n do
+    let head = Crypto.Crc32c.update 0 s ~off:0 ~len:cut in
+    Alcotest.(check int)
+      (Printf.sprintf "split at %d" cut)
+      one_shot
+      (Crypto.Crc32c.update head s ~off:cut ~len:(n - cut))
+  done;
+  Alcotest.check_raises "slice past the end" (Invalid_argument "Crc32c.update") (fun () ->
+      ignore (Crypto.Crc32c.update 0 s ~off:(n - 1) ~len:2))
 
 (* ---- HMAC (RFC 4231) ------------------------------------------------ *)
 
@@ -229,6 +285,9 @@ let suite =
     quick "sha256: incremental feeding" test_sha_incremental;
     quick "sha256: digest_list" test_sha_digest_list;
     quick "sha256: padding boundaries" test_sha_boundary_lengths;
+    quick "crc32c: known answers" test_crc_known_answers;
+    quick "crc32c: slicing-by-8 = bitwise" test_crc_matches_bitwise;
+    quick "crc32c: split updates" test_crc_split_updates;
     quick "hmac: rfc4231 case 1" test_hmac_rfc4231_case1;
     quick "hmac: rfc4231 case 2" test_hmac_rfc4231_case2;
     quick "hmac: rfc4231 case 3" test_hmac_rfc4231_case3;

@@ -132,6 +132,26 @@ let test_fsync_confinement_store_ok () =
   (* Other Unix calls in the sanctioned dirs stay legal. *)
   check_clean ~file:"lib/net/fixture.ml" "let f fd = Unix.close fd"
 
+(* ---- checksum-confinement ---------------------------------------------- *)
+
+let test_checksum_confinement_flags () =
+  (* A CRC-32C where a digest belongs: a Merkle node, a program, or a
+     store file other than the WAL and snapshot formats. *)
+  check_flags ~file:"lib/mtree/fixture.ml" ~rule:"checksum-confinement"
+    "let digest s = Crypto.Crc32c.string s";
+  check_flags ~file:"lib/store/store.ml" ~rule:"checksum-confinement"
+    "let sum s = Crypto.Crc32c.update 0 s ~off:0 ~len:(String.length s)";
+  check_flags ~file:"bin/fixture.ml" ~rule:"checksum-confinement"
+    "let f s = Crypto.Crc32c.(string s)";
+  check_flags ~file:"lib/crypto/fixture.ml" ~rule:"checksum-confinement"
+    "let f s = Crc32c.string s"
+
+let test_checksum_confinement_sanctioned () =
+  List.iter
+    (fun file -> check_clean ~file "let sum s = Crypto.Crc32c.string s")
+    [ "lib/store/wal.ml"; "lib/store/snapshot.ml"; "lib/net/codec.ml" ];
+  check_clean ~file:"lib/mtree/fixture.ml" "let digest s = Crypto.Sha256.digest s"
+
 (* ---- obs-scope-naming -------------------------------------------------- *)
 
 let test_obs_scope_naming_flags () =
@@ -705,6 +725,9 @@ let suite =
     Alcotest.test_case "fsync-confinement: flags" `Quick test_fsync_confinement_flags;
     Alcotest.test_case "fsync-confinement: lib/store ok" `Quick
       test_fsync_confinement_store_ok;
+    Alcotest.test_case "checksum-confinement: flags" `Quick test_checksum_confinement_flags;
+    Alcotest.test_case "checksum-confinement: three formats ok" `Quick
+      test_checksum_confinement_sanctioned;
     Alcotest.test_case "obs-scope-naming: flags" `Quick test_obs_scope_naming_flags;
     Alcotest.test_case "obs-scope-naming: clean" `Quick test_obs_scope_naming_clean;
     Alcotest.test_case "allow attr: expression" `Quick test_allow_attribute_on_expression;

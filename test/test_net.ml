@@ -1,6 +1,6 @@
 (* Tests for the network layer: codec round-trips for every frame and
-   message constructor, strict-decode behaviour under truncation and
-   bit flips (seeded, so a failure is replayable), frame-size caps; a
+   message constructor, strict-decode behaviour under truncation, every
+   single-bit flip and seeded burst errors, frame-size caps; a
    live conformance table of the client-facing front end, run against
    a forked daemon and a forked 1-shard router (every rejection is a
    typed error frame, a re-sent query gets the identical reply); and
@@ -188,20 +188,23 @@ let check_roundtrip frame =
 
 let test_frame_roundtrips () = List.iter check_roundtrip sample_frames
 
+(* A message decodes from the Reply frame built around its payload. *)
 let test_message_roundtrips () =
   List.iter
     (fun msg ->
       let bytes = Codec.encode_message msg in
-      match Codec.decode_message bytes with
-      | None -> Alcotest.failf "%s does not decode" (M.kind msg)
-      | Some decoded ->
+      let ctx = { Codec.x_round = 3; x_user = 1; x_span = 9 } in
+      match Codec.decode_frame (Codec.encode_reply ~seq:9 ~ctx bytes) with
+      | Error e -> Alcotest.failf "%s does not decode: %s" (M.kind msg) (Codec.error_to_string e)
+      | Ok (Codec.Reply { msg = decoded; _ }) ->
           Alcotest.(check string)
             (Printf.sprintf "%s kind preserved" (M.kind msg))
             (M.kind msg) (M.kind decoded);
           Alcotest.(check string)
             (Printf.sprintf "%s re-encodes identically" (M.kind msg))
             bytes
-            (Codec.encode_message decoded))
+            (Codec.encode_message decoded)
+      | Ok f -> Alcotest.failf "%s decodes as %s" (M.kind msg) (Codec.frame_kind f))
     sample_messages
 
 (* ---- strict decoding under damage ------------------------------------- *)
@@ -226,23 +229,112 @@ let flip_bit s pos bit =
   Bytes.set b pos (Char.chr (Char.code (Bytes.get b pos) lxor (1 lsl bit)));
   Bytes.to_string b
 
-(* Any single-bit flip must be caught: magic flips as Bad_magic, length
-   flips as a length/size error, checksum and body flips as
-   Bad_checksum. Positions come from the seeded PRNG, so a failure
-   names a replayable (frame, position, bit). *)
+(* Every single-bit flip of every sample frame is caught, each as the
+   error its position calls for: a magic flip as Bad_magic, a length
+   flip as a length or size error, a checksum or body flip as
+   Bad_checksum (CRC-32C detects every single-bit error). *)
 let test_bit_flips_rejected () =
   List.iter
     (fun frame ->
       let bytes = Codec.encode_frame frame in
-      for _ = 1 to 64 do
-        let pos = Crypto.Prng.int rng (String.length bytes) in
-        let bit = Crypto.Prng.int rng 8 in
-        expect_error
-          (Printf.sprintf "%s with bit %d of byte %d flipped" (Codec.frame_kind frame)
-             bit pos)
-          (Codec.decode_frame (flip_bit bytes pos bit))
+      for pos = 0 to String.length bytes - 1 do
+        for bit = 0 to 7 do
+          match Codec.decode_frame (flip_bit bytes pos bit) with
+          | Error Codec.Bad_magic when pos < 4 -> ()
+          | Error (Codec.Malformed _ | Codec.Oversized _) when pos >= 4 && pos < 8 -> ()
+          | Error Codec.Bad_checksum when pos >= 8 -> ()
+          | r ->
+              Alcotest.failf "%s with bit %d of byte %d flipped: %s" (Codec.frame_kind frame)
+                bit pos
+                (match r with Ok _ -> "decoded" | Error e -> Codec.error_to_string e)
+        done
       done)
     sample_frames
+
+(* A burst of 2–32 bits inside the body (first and last bit flipped,
+   the ones between at random) is caught as Bad_checksum: CRC-32C
+   detects every burst of up to 32 bits. Seeded, so a failure names a
+   replayable (frame, start, length). *)
+let test_burst_errors_rejected () =
+  List.iter
+    (fun frame ->
+      let bytes = Codec.encode_frame frame in
+      let body_bits = 8 * (String.length bytes - Codec.header_len) in
+      for _ = 1 to 64 do
+        let len = 2 + Crypto.Prng.int rng (min 31 (body_bits - 1)) in
+        let start = (8 * Codec.header_len) + Crypto.Prng.int rng (body_bits - len + 1) in
+        let b = Bytes.of_string bytes in
+        for i = 0 to len - 1 do
+          if i = 0 || i = len - 1 || Crypto.Prng.int rng 2 = 1 then begin
+            let p = (start + i) / 8 in
+            Bytes.set b p (Char.chr (Char.code (Bytes.get b p) lxor (1 lsl ((start + i) mod 8))))
+          end
+        done;
+        match Codec.decode_frame (Bytes.to_string b) with
+        | Error Codec.Bad_checksum -> ()
+        | r ->
+            Alcotest.failf "%s with a %d-bit burst at bit %d: %s" (Codec.frame_kind frame) len
+              start
+              (match r with Ok _ -> "decoded" | Error e -> Codec.error_to_string e)
+      done)
+    sample_frames
+
+(* The Reply a server frames around its cached payload is the Reply
+   the frame codec writes. *)
+let test_reply_from_payload () =
+  List.iter
+    (fun msg ->
+      List.iter
+        (fun (seq, ctx) ->
+          Alcotest.(check string)
+            (Printf.sprintf "%s reply, seq %d" (M.kind msg) seq)
+            (Codec.encode_frame (Codec.Reply { seq; ctx; msg }))
+            (Codec.encode_reply ~seq ~ctx (Codec.encode_message msg)))
+        [
+          (1, { Codec.x_round = 0; x_user = 2; x_span = 1 });
+          (70000, { Codec.x_round = 12; x_user = -1; x_span = 70000 });
+        ])
+    sample_messages
+
+(* The frame, WAL and snapshot checksums hash nothing with SHA-256:
+   round trips of each leave [crypto.sha256.digests] where it was.
+   (Frames carrying a VO are left out: decoding one recomputes its
+   Merkle digests, as it must.) *)
+let test_checksums_off_sha256 () =
+  let dir = Live.fresh_dir () in
+  let digests () = Obs.value "crypto.sha256.digests" in
+  let before = digests () in
+  let frames =
+    [
+      Codec.Request
+        {
+          seq = 3;
+          ctx = { x_round = 1; x_user = 0; x_span = 3 };
+          msg = M.Query { op = Vo.Set ("k", String.make 2000 'v'); piggyback = [] };
+        };
+      Codec.Bye;
+      Codec.Commit { round = 9; root = digest 'c' };
+    ]
+  in
+  List.iter
+    (fun f ->
+      match Codec.decode_frame (Codec.encode_frame f) with
+      | Ok _ -> ()
+      | Error e -> Alcotest.failf "%s: %s" (Codec.frame_kind f) (Codec.error_to_string e))
+    frames;
+  let wal = Filename.concat dir "x.wal" in
+  let w = Store.Wal.open_writer wal in
+  Store.Wal.append w ~lsn:1 ~payload:(String.make 3000 'p');
+  Store.Wal.close_writer w;
+  (match Store.Wal.read wal with
+  | Ok { Store.Wal.records = [ (1, _) ]; truncated = false } -> ()
+  | _ -> Alcotest.fail "WAL record did not read back");
+  let snap = Filename.concat dir "x.snap" in
+  Store.Snapshot.write snap ~payload:(String.make 5000 's');
+  (match Store.Snapshot.read snap with
+  | Ok p -> Alcotest.(check int) "snapshot payload" 5000 (String.length p)
+  | Error e -> Alcotest.fail e);
+  Alcotest.(check int) "SHA-256 digests" before (digests ())
 
 let test_oversized_rejected () =
   let frame =
@@ -378,6 +470,10 @@ let conformance port =
         fun () ->
           let h = hello ~version:(Codec.protocol_version + 1) () in
           rejected_hello port h Codec.Version_mismatch );
+      ( "previous version",
+        fun () ->
+          let h = hello ~version:(Codec.protocol_version - 1) () in
+          rejected_hello port h Codec.Version_mismatch );
       ("user out of range", fun () -> rejected_hello port (hello ~user:7 ()) Codec.Bad_user);
       ("session width mismatch", fun () -> rejected_hello port (hello ~users:3 ()) Codec.Bad_user);
       ( "duplicate user, then a lockstep Hello beside a free session",
@@ -492,6 +588,10 @@ let suite =
     Alcotest.test_case "codec: message round-trips" `Quick test_message_roundtrips;
     Alcotest.test_case "codec: truncation rejected" `Quick test_truncation_rejected;
     Alcotest.test_case "codec: bit flips rejected" `Quick test_bit_flips_rejected;
+    Alcotest.test_case "codec: burst errors rejected" `Quick test_burst_errors_rejected;
+    Alcotest.test_case "codec: reply from a cached payload" `Quick test_reply_from_payload;
+    Alcotest.test_case "checksums: no SHA-256 in frames, WAL, snapshots" `Quick
+      test_checksums_off_sha256;
     Alcotest.test_case "codec: oversized rejected" `Quick test_oversized_rejected;
     Alcotest.test_case "codec: trailing bytes rejected" `Quick test_trailing_bytes_rejected;
     Alcotest.test_case "handshake: version and user checks" `Quick test_handshake;

@@ -603,6 +603,91 @@ let test_store_older_layout_refused () =
   refused "inspect" (Store.inspect ~dir);
   rm_rf dir
 
+(* The previous formats, built here with SHA-256: snapshot files were
+   "TCVSSNP1", the first 8 bytes of SHA-256(payload), the payload; WAL
+   records carried the first 4 bytes of SHA-256(lsn ‖ payload), and
+   each log's header record named "TCVSLOG1". *)
+let rewrite_in_previous_format dir =
+  let read path = In_channel.with_open_bin path In_channel.input_all in
+  let write path s = Out_channel.with_open_bin path (fun oc -> output_string oc s) in
+  let sha_prefix n s = String.sub (Crypto.Sha256.digest s) 0 n in
+  Array.iter
+    (fun f ->
+      let path = Filename.concat dir f in
+      let bytes = read path in
+      if Filename.check_suffix f ".wal" then begin
+        let records =
+          match Store.Wal.read ~repair:false path with
+          | Ok { Store.Wal.records; truncated = false } -> records
+          | _ -> Alcotest.failf "%s: unreadable log" f
+        in
+        let w = Wire.W.create () in
+        List.iteri
+          (fun i (lsn, payload) ->
+            let payload =
+              if i > 0 then payload
+              else begin
+                Alcotest.(check string) (f ^ " header") "TCVSLOG2" (String.sub payload 4 8);
+                String.sub payload 0 4 ^ "TCVSLOG1"
+                ^ String.sub payload 12 (String.length payload - 12)
+              end
+            in
+            let l = Wire.W.create () in
+            Wire.W.u64 l lsn;
+            let lsn_bytes = Wire.W.contents l in
+            Wire.W.u32 w (String.length payload);
+            Wire.W.raw w (sha_prefix 4 (lsn_bytes ^ payload));
+            Wire.W.raw w lsn_bytes;
+            Wire.W.raw w payload)
+          records;
+        write path (Wire.W.contents w)
+      end
+      else if String.length bytes >= 12 && String.equal (String.sub bytes 0 8) "TCVSSNP2" then begin
+        let payload =
+          match Store.Snapshot.read path with Ok p -> p | Error e -> Alcotest.fail e
+        in
+        write path ("TCVSSNP1" ^ sha_prefix 8 payload ^ payload)
+      end)
+    (Sys.readdir dir)
+
+let dir_contents dir =
+  Sys.readdir dir |> Array.to_list |> List.sort String.compare
+  |> List.map (fun f ->
+         (f, In_channel.with_open_bin (Filename.concat dir f) In_channel.input_all))
+
+(* A directory the previous version wrote — whole, or with its MANIFEST
+   torn — is refused by every way in, and nothing in it changes: no
+   MANIFEST repair from the backup, no WAL truncation of records whose
+   checksums the new format no longer matches. *)
+let test_store_previous_format_refused () =
+  List.iter
+    (fun torn ->
+      let dir = fresh_dir "prev-format" in
+      let initial = initial_files 20 in
+      let store =
+        expect_fresh
+          (Store.create_or_open ~checkpoint_every:8 ~dir ~branching:8 ~shards:2 ~initial ())
+      in
+      ignore (apply_logged store (Store.db store) ops_script);
+      Store.close store;
+      rewrite_in_previous_format dir;
+      if torn then Store.debug_tear_manifest ~dir ~wreck_backup:false;
+      let before = dir_contents dir in
+      let refused what = function
+        | Ok _ -> Alcotest.failf "%s opened a previous-format store" what
+        | Error e ->
+            Alcotest.(check bool) (what ^ " names the layout: " ^ e) true
+              (contains e "unsupported store layout (written by an older version?)");
+            Alcotest.(check (list (pair string string)))
+              (what ^ " leaves every file byte-identical")
+              before (dir_contents dir)
+      in
+      refused "create_or_open" (Store.create_or_open ~dir ~branching:8 ~shards:2 ~initial ());
+      refused "resume" (Store.resume ~dir ());
+      refused "inspect" (Store.inspect ~dir);
+      rm_rf dir)
+    [ false; true ]
+
 (* ---- crash window: mid-checkpoint ------------------------------------ *)
 
 let test_store_partial_checkpoint_ignored () =
@@ -1189,6 +1274,8 @@ let suite =
       test_store_checkpoints_bound_directory;
     Alcotest.test_case "store: older layout refused" `Quick
       test_store_older_layout_refused;
+    Alcotest.test_case "store: previous checksum format refused" `Quick
+      test_store_previous_format_refused;
     Alcotest.test_case "store: partial checkpoint ignored" `Quick
       test_store_partial_checkpoint_ignored;
     Alcotest.test_case "store: incremental checkpoint" `Quick

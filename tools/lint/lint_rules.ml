@@ -428,6 +428,44 @@ let fsync_confinement =
           | _ -> ());
   }
 
+(* ---- checksum-confinement -------------------------------------------- *)
+
+let checksum_confinement_id = "checksum-confinement"
+
+(* CRC-32C catches accidental corruption only: whoever can change the
+   bytes can recompute it. Three formats use it (network frames, WAL
+   records, snapshot files); everything the protocols rely on — Merkle
+   digests, state hashes, HMAC, signatures — stays on SHA-256. A
+   reference anywhere else is a non-cryptographic checksum on its way
+   to where a digest belongs. Tests are out of scope: they check the
+   function itself. *)
+let checksum_sanctioned = [ "lib/store/wal.ml"; "lib/store/snapshot.ml"; "lib/net/codec.ml" ]
+
+let checksum_confinement =
+  {
+    Lint_engine.id = checksum_confinement_id;
+    summary =
+      "Crypto.Crc32c only in lib/store/wal.ml, lib/store/snapshot.ml and \
+       lib/net/codec.ml: a non-cryptographic checksum never stands in for a digest";
+    default_scope = [ "lib"; "bin"; "bench"; "examples"; "tools"; "tcvs_bench" ];
+    on_case = None;
+    on_expr =
+      Some
+        (fun ctx e ->
+          match e.pexp_desc with
+          | Pexp_ident { txt; _ }
+          | Pexp_open ({ popen_expr = { pmod_desc = Pmod_ident { txt; _ }; _ }; _ }, _)
+            when List.exists (String.equal "Crc32c") (lid_components txt)
+                 && not (List.exists (String.equal ctx.Lint_engine.file) checksum_sanctioned)
+            ->
+              Lint_engine.report ctx checksum_confinement_id e.pexp_loc
+                (Printf.sprintf
+                   "%s outside the frame, WAL and snapshot checksums; anything the \
+                    protocols rely on needs SHA-256"
+                   (lid_string txt))
+          | _ -> ());
+  }
+
 (* ---- obs-scope-naming ------------------------------------------------ *)
 
 let obs_scope_naming_id = "obs-scope-naming"
@@ -527,5 +565,6 @@ let all =
     store_io;
     net_io;
     fsync_confinement;
+    checksum_confinement;
     obs_scope_naming;
   ]
