@@ -924,6 +924,12 @@ let bench_dir name =
   rm_rf dir;
   dir
 
+(* Bytes of the files in [dir] whose names [keep] accepts. *)
+let dir_bytes ?(keep = fun _ -> true) dir =
+  Array.fold_left
+    (fun n f -> if keep f then n + (Unix.stat (Filename.concat dir f)).Unix.st_size else n)
+    0 (Sys.readdir dir)
+
 let perf_store () =
   header "perf-store: WAL / checkpoint / recovery cost (tracked baseline, BENCH_store.json)";
   let smoke = !smoke_mode in
@@ -1026,34 +1032,72 @@ let perf_store () =
   in
   row "(append+fsync, unbatched: %s — the tax group commit amortises)\n"
     (pp_ns append_fsync_ns);
-  (* Checkpoint: serialising every shard tree + bookkeeping as a new
-     generation. *)
+  (* Checkpoint: what one checkpoint costs after a batch of writes.
+     Before each, 32 Sets from a fixed seed are logged, one in each
+     32nd of the key space, so every shard has changed. Only the
+     checkpoint is timed: the mean of the store's own
+     [store.checkpoint_us] histogram over the row's checkpoints. The
+     bytes column sums the snapshot files each checkpoint wrote. *)
   let ckpt_sizes = if smoke then [ 512 ] else [ 1024; 16384 ] in
-  row "\n%-10s %-8s %-14s\n" "entries" "shards" "checkpoint";
+  let ckpt_values = if smoke then [ 64 ] else [ 64; 1024 ] in
+  let ckpt_count = if smoke then 4 else 40 in
+  row "\n%-10s %-8s %-8s %-14s %s\n" "entries" "shards" "value B" "checkpoint"
+    "snapshot B/ckpt";
   let ckpt_results =
     List.concat_map
       (fun entries ->
-        let initial =
-          List.init entries (fun i -> (Printf.sprintf "k%06d" i, String.make 64 'v'))
-        in
-        List.map
-          (fun shards ->
-            let dir = bench_dir "ckpt" in
-            let store =
-              match
-                Store.create_or_open ~checkpoint_every:max_int ~dir ~branching:16 ~shards
-                  ~initial ()
-              with
-              | Ok (s, _) -> s
-              | Error e -> failwith e
+        List.concat_map
+          (fun value_bytes ->
+            let initial =
+              List.init entries (fun i ->
+                  (Printf.sprintf "k%06d" i, String.make value_bytes 'v'))
             in
-            let db = Store.db store in
-            let ckpt_ns = m "checkpoint" (fun () -> Store.checkpoint store ~db) in
-            Store.close store;
-            rm_rf dir;
-            row "%-10d %-8d %s\n" entries shards (pp_ns ckpt_ns);
-            (entries, shards, ckpt_ns))
-          (if smoke then [ 4 ] else [ 1; 4 ]))
+            List.map
+              (fun shards ->
+                let dir = bench_dir "ckpt" in
+                let store =
+                  match
+                    Store.create_or_open ~checkpoint_every:max_int ~dir ~branching:16
+                      ~shards ~initial ()
+                  with
+                  | Ok (s, _) -> s
+                  | Error e -> failwith e
+                in
+                let rng = Crypto.Prng.create ~seed:"perf-store-checkpoint" in
+                let db = ref (Store.db store) and ctr = ref 0 and snap_bytes = ref 0 in
+                let stats () =
+                  Option.value ~default:(0, 0, 0, 0) (Obs.stats "store.checkpoint_us")
+                in
+                let count0, sum0, _, _ = stats () in
+                for _ = 1 to ckpt_count do
+                  for j = 0 to 31 do
+                    incr ctr;
+                    let k = (j * entries / 32) + Crypto.Prng.int rng (entries / 32) in
+                    let op =
+                      Vo.Set
+                        (Printf.sprintf "k%06d" k, Crypto.Prng.bytes rng value_bytes)
+                    in
+                    let db', _ = Store.Shard_db.apply !db op in
+                    db := db';
+                    Store.log_op store ~db:db' ~op ~ctr:!ctr ~last_user:0
+                  done;
+                  Store.checkpoint store ~db:!db;
+                  let suffix = Printf.sprintf ".%d.snap" (Store.generation store) in
+                  let keep f = Filename.check_suffix f suffix in
+                  snap_bytes := !snap_bytes + dir_bytes ~keep dir
+                done;
+                let count1, sum1, _, _ = stats () in
+                let ckpt_ns =
+                  1000. *. float_of_int (sum1 - sum0) /. float_of_int (count1 - count0)
+                in
+                let bytes_per_ckpt = !snap_bytes / ckpt_count in
+                Store.close store;
+                rm_rf dir;
+                row "%-10d %-8d %-8d %s %d\n" entries shards value_bytes (pp_ns ckpt_ns)
+                  bytes_per_ckpt;
+                (entries, shards, value_bytes, ckpt_ns, bytes_per_ckpt))
+              (if smoke then [ 4 ] else [ 1; 4 ]))
+          ckpt_values)
       ckpt_sizes
   in
   (* Recovery: latest snapshot + WAL tail replay, as a function of how
@@ -1103,9 +1147,11 @@ let perf_store () =
   in
   (* Recovery vs run length: checkpoints every 64 ops bound the
      replayed tail, so recovery cost should stay flat as the run grows
-     instead of scaling with total ops logged. *)
+     instead of scaling with total ops logged. The directory's bytes at
+     the end are the space the snapshots and logs take. *)
   let run_lens = if smoke then [ 256 ] else [ 4096; 16384; 65536 ] in
-  row "\n%-12s %-14s %-12s %s\n" "run ops" "recover" "generation" "root";
+  row "\n%-12s %-14s %-12s %-12s %s\n" "run ops" "recover" "generation" "dir bytes"
+    "root";
   let runlen_results =
     List.map
       (fun run_len ->
@@ -1141,11 +1187,12 @@ let perf_store () =
           | Error _ -> false
         in
         let generation = Store.generation store in
+        let dir_bytes = dir_bytes dir in
         Store.close store;
         rm_rf dir;
-        row "%-12d %s %-12d %s\n" run_len (pp_ns recover_ns) generation
+        row "%-12d %s %-12d %-12d %s\n" run_len (pp_ns recover_ns) generation dir_bytes
           (if root_match then "identical" else "MISMATCH");
-        (run_len, recover_ns, generation, root_match))
+        (run_len, recover_ns, generation, dir_bytes, root_match))
       run_lens
   in
   (* Machine-readable trajectory for later PRs to beat. *)
@@ -1173,10 +1220,11 @@ let perf_store () =
     gc_results;
   Printf.bprintf buf "  ],\n  \"checkpoint\": [\n";
   List.iteri
-    (fun i (entries, shards, ckpt_ns) ->
+    (fun i (entries, shards, value_bytes, ckpt_ns, bytes_per_ckpt) ->
       Printf.bprintf buf
-        "    { \"entries\": %d, \"shards\": %d, \"checkpoint_ns\": %.1f }%s\n" entries
-        shards ckpt_ns
+        "    { \"entries\": %d, \"shards\": %d, \"value_bytes\": %d, \"checkpoints\": \
+         %d, \"checkpoint_ns\": %.1f, \"snapshot_bytes_per_checkpoint\": %d }%s\n"
+        entries shards value_bytes ckpt_count ckpt_ns bytes_per_ckpt
         (if i < List.length ckpt_results - 1 then "," else ""))
     ckpt_results;
   Printf.bprintf buf "  ],\n  \"recovery\": [\n";
@@ -1190,11 +1238,11 @@ let perf_store () =
     recovery_results;
   Printf.bprintf buf "  ],\n  \"recovery_vs_run_length\": [\n";
   List.iteri
-    (fun i (run_len, recover_ns, generation, root_match) ->
+    (fun i (run_len, recover_ns, generation, dir_bytes, root_match) ->
       Printf.bprintf buf
         "    { \"run_ops\": %d, \"recover_ns\": %.1f, \"generation\": %d, \
-         \"root_digest_match\": %b }%s\n"
-        run_len recover_ns generation root_match
+         \"dir_bytes\": %d, \"root_digest_match\": %b }%s\n"
+        run_len recover_ns generation dir_bytes root_match
         (if i < List.length runlen_results - 1 then "," else ""))
     runlen_results;
   Printf.bprintf buf "  ]\n}\n";

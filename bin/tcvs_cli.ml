@@ -517,12 +517,20 @@ let store_inspect_cmd =
         let bad = ref 0 in
         List.iter
           (fun (s : Store.stream_info) ->
+            let chain = s.Store.str_base_chain in
+            let full, deltas =
+              match chain with
+              | [] -> (0, 0)
+              | (_, full) :: deltas ->
+                  (full, List.fold_left (fun n (_, bytes) -> n + bytes) 0 deltas)
+            in
             Printf.printf
-              "stream %-8s: base %s (%s), log %s: %d records, lsn %d..%d, %d \
-               bytes, %s\n"
-              s.Store.str_name s.Store.str_base_file
+              "stream %-8s: base %s (%s, %d full + %d delta bytes), log %s: %d \
+               records, lsn %d..%d, %d bytes, %s\n"
+              s.Store.str_name
+              (String.concat "+" (List.map fst chain))
               (if s.Store.str_base_ok then "ok" else "BAD")
-              s.Store.str_log_file s.Store.str_records s.Store.str_lsn_lo
+              full deltas s.Store.str_log_file s.Store.str_records s.Store.str_lsn_lo
               s.Store.str_lsn_hi s.Store.str_log_bytes s.Store.str_log_status;
             if not s.Store.str_base_ok then incr bad;
             (* a torn tail is a legal crash mid-append *)
@@ -545,9 +553,10 @@ let store_inspect_cmd =
   in
   let doc =
     "Inspect a durable store directory without touching it: manifest, \
-     generation, per-stream base snapshots and WAL logs (record counts, LSN \
-     ranges, checksum status), orphaned crash leftovers. Exits 3 when any \
-     base snapshot or log is damaged (a torn log tail is legal)."
+     generation, per-stream base snapshots (a shard's chain: full snapshot, \
+     then deltas) and WAL logs (record counts, LSN ranges, checksum status), \
+     orphaned crash leftovers. Exits 3 when any base snapshot chain or log is \
+     damaged (a torn log tail is legal)."
   in
   Cmd.v (Cmd.info "store-inspect" ~doc) Term.(const run $ dir_arg)
 

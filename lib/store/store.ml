@@ -95,6 +95,11 @@ let durability_of_string s =
             (Printf.sprintf "%s: unknown durability (per-op | per-round | every:N)"
                s))
 
+(* A shard's snapshot chain: a full snapshot, then the deltas written
+   after it, oldest first, each with its size in bytes; and the tree
+   the newest file completes. *)
+type chain = { files : (string * int) list; tip : T.t }
+
 (* The store has one log per stream (shard [i]'s op log, or the meta
    log) per generation. Arrays indexed by stream run shards first,
    meta last. *)
@@ -107,9 +112,11 @@ type t = {
   mutable gen : int;
   mutable next_lsn : int;
   mutable logs : Wal.writer array;  (* generation [gen]'s open logs *)
-  (* Per stream: the snapshot file its log is relative to, as named by
-     [bases.<gen>]. A clean shard's may come from an older generation. *)
-  mutable bases : string array;
+  (* The base snapshots [bases.<gen>] names: per shard its chain,
+     whose files may come from older generations, and the meta
+     snapshot. *)
+  mutable chains : chain array;
+  mutable meta_base : string;
   (* Mirror of the bookkeeping the meta log describes, so a checkpoint
      can serialise it without asking the server. *)
   mutable ctr : int;
@@ -122,9 +129,6 @@ type t = {
      inject this round; [log_op] attaches and consumes them, so the WAL
      record itself carries the (user, request seq) provenance. *)
   mutable origins : (int * int) list;
-  (* Shards with ops logged since the last checkpoint — the ones whose
-     snapshot an incremental checkpoint must rewrite. *)
-  mutable dirty : bool array;
   mutable staged_since_flush : int;
   mutable ops_since_checkpoint : int;
   opened_db : Shard_db.t;
@@ -149,6 +153,7 @@ let rec mkdir_p dir =
   end
 
 let remove_if_exists path = if Sys.file_exists path then Sys.remove path
+let file_bytes path = if Sys.file_exists path then (Unix.stat path).Unix.st_size else 0
 
 let write_current dir g =
   let tmp = current_path dir ^ ".tmp" in
@@ -212,13 +217,27 @@ let read_manifest dir =
 let manifest_exists dir =
   Sys.file_exists (manifest_path dir) || Sys.file_exists (manifest_bak_path dir)
 
+(* The layout magic every [bases.<g>] payload opens with. *)
+let bases_magic = "TCVSBAS3"
+
 (* A directory an earlier version wrote is refused before anything else
    reads it: the torn-MANIFEST repair would rewrite its MANIFEST, and a
    WAL read would truncate its logs, whose checksums no longer match.
-   Its files stay byte-identical. *)
+   The current generation's bases file names the layout its shard
+   snapshots were written in. The directory's files stay
+   byte-identical. *)
 let check_layout dir =
-  if List.exists Snapshot.older_format [ manifest_path dir; manifest_bak_path dir ] then
-    Error (dir ^ ": unsupported store layout (written by an older version?)")
+  let older_bases () =
+    match read_current dir with
+    | Error _ -> false  (* the open itself reports it *)
+    | Ok g -> (
+        match Snapshot.read (bases_path dir g) with
+        | Ok payload -> not (String.starts_with ~prefix:bases_magic payload)
+        | Error _ -> false)
+  in
+  if List.exists Snapshot.older_format [ manifest_path dir; manifest_bak_path dir ]
+     || older_bases ()
+  then Error (dir ^ ": unsupported store layout (written by an older version?)")
   else Ok ()
 
 (* Adversary hook: simulate a torn mid-write MANIFEST (and, for the
@@ -339,49 +358,45 @@ let log_header_matches ~name ~gen payload =
       String.equal magic log_magic && String.equal n name && g = gen
   | None -> false
 
-(* The [bases.<g>] control file names each stream's base snapshot
-   (shards in order, then meta). Its payload opens with the layout
-   magic, and every open reads a bases file first: a directory in the
-   earlier layout (segmented logs, whose bases payload opens with the
-   generation number) is refused instead of having its logs skipped. *)
-let bases_magic = "TCVSBAS2"
-
-let encode_bases ~gen files =
+(* The [bases.<g>] control file names each stream's base snapshots:
+   per shard its chain, full snapshot first, then the meta snapshot as
+   a one-file chain. Its payload opens with the layout magic, which
+   {!check_layout} reads before anything else in the directory. *)
+let encode_bases ~gen chains =
   let w = W.create () in
   W.raw w bases_magic;
   W.u32 w gen;
-  W.list w (W.str w) (Array.to_list files);
+  W.list w (W.list w (W.str w)) chains;
   W.contents w
 
 let read_bases dir g ~count =
   let path = bases_path dir g in
   let* payload = Snapshot.read path in
-  let n = String.length bases_magic in
-  if String.length payload < n
-     || not (String.equal (String.sub payload 0 n) bases_magic)
-  then Error (path ^ ": unsupported store layout (written by an older version?)")
-  else
-    match
-      Wire.decode payload (fun r ->
-          ignore (R.raw r n);
-          let gen = R.u32 r in
-          (gen, Array.of_list (R.list r R.str)))
-    with
-    | None -> Error (path ^ ": malformed bases record")
-    | Some (bgen, _) when bgen <> g ->
-        Error (Printf.sprintf "%s: generation mismatch (found %d)" path bgen)
-    | Some (_, files) when Array.length files <> count ->
-        Error
-          (Printf.sprintf "%s: expected %d stream entries, found %d" path count
-             (Array.length files))
-    | Some (_, files) -> Ok files
+  match
+    Wire.decode payload (fun r ->
+        if not (String.equal (R.raw r (String.length bases_magic)) bases_magic) then
+          failwith "bases magic";
+        let gen = R.u32 r in
+        (gen, Array.of_list (R.list r (fun r -> R.list r R.str))))
+  with
+  | None -> Error (path ^ ": malformed bases record")
+  | Some (bgen, _) when bgen <> g ->
+      Error (Printf.sprintf "%s: generation mismatch (found %d)" path bgen)
+  | Some (_, chains) when Array.length chains <> count ->
+      Error
+        (Printf.sprintf "%s: expected %d stream entries, found %d" path count
+           (Array.length chains))
+  | Some (_, chains)
+    when Array.exists List.is_empty chains || List.length chains.(count - 1) <> 1 ->
+      Error (path ^ ": malformed bases record")
+  | Some (_, chains) -> Ok chains
 
 (* Snapshot basenames referenced by [bases.<g>], or [] when the file is
    absent/unreadable — what garbage collection must keep for the
    retained previous generation. *)
 let bases_files dir g ~count =
   match read_bases dir g ~count with
-  | Ok files -> Array.to_list files
+  | Ok chains -> List.concat (Array.to_list chains)
   | Error _ -> []
 
 let sort_backups backups =
@@ -403,79 +418,143 @@ let bump_seq seqs (user, seq) =
 
 (* ---- snapshots ------------------------------------------------------ *)
 
-(* Shard snapshots persist the exact node structure, not just the
-   bindings: a B⁺-tree's shape depends on its insertion history and
-   the digest commits to the shape, so bulk-loading the same bindings
-   would generally produce a different root. The loader rebuilds the
-   stored structure through the smart constructors — recomputing every
-   digest from the raw bytes — and the stored root digest pins the
-   result. *)
-let rec encode_node w (n : N.t) =
-  match n with
-  | N.Leaf { entries; _ } ->
-      W.u8 w 0;
-      W.list w
-        (fun (e : N.entry) ->
-          W.str w e.N.key;
-          W.str w e.N.value)
-        (Array.to_list entries)
-  | N.Node { keys; children; _ } ->
-      W.u8 w 1;
-      W.list w (W.str w) (Array.to_list keys);
-      W.list w (encode_node w) (Array.to_list children)
-  | N.Stub _ ->
-      (* Stored trees are the server's full trees; stubs live only in
-         client-side verification objects. *)
-      invalid_arg "shard snapshot: stub in stored tree"
+(* A shard snapshot holds Merkle nodes, each stored under its digest:
+   the shard index, the root digest of the tree it completes, then one
+   record per node — a leaf's (key, value) entries, or an internal
+   node's separator keys and child digests. A delta holds only the
+   nodes its chain's newest tree lacks; a full snapshot is a delta
+   against no tree. The nodes are stored, not just the bindings,
+   because a B⁺-tree's shape depends on its insertion history and the
+   digest commits to the shape: bulk-loading the same bindings would
+   generally produce a different root. *)
+module Strings = Set.Make (String)
+module By_digest = Map.Make (String)
+
+type record =
+  | Leaf_rec of (string * string) array
+  | Node_rec of string array * string array
+
+(* Stored trees are the server's full trees; stubs live only in
+   client-side verification objects. *)
+let no_stub () = invalid_arg "shard snapshot: stub in stored tree"
+
+(* The digests of every node in [tree]: what a delta against it leaves
+   out. *)
+let node_digests tree =
+  let rec add acc (n : N.t) =
+    match n with
+    | N.Leaf { digest; _ } -> Strings.add digest acc
+    | N.Node { digest; children; _ } ->
+        Array.fold_left add (Strings.add digest acc) children
+    | N.Stub _ -> no_stub ()
+  in
+  add Strings.empty (T.root tree)
+
+(* Write shard [i]'s [tree] as the nodes whose digests [known] lacks (a
+   known node's subtree is known too: its digest commits to it), and
+   return the file's size. *)
+let write_shard_snapshot path i tree ~known =
+  let rec missing acc (n : N.t) =
+    if Strings.mem (N.digest n) known then acc
+    else
+      match n with
+      | N.Leaf _ -> n :: acc
+      | N.Node { children; _ } -> Array.fold_left missing (n :: acc) children
+      | N.Stub _ -> no_stub ()
+  in
+  let w = W.create () in
+  W.u16 w i;
+  W.str w (T.root_digest tree);
+  W.list w
+    (fun (n : N.t) ->
+      W.str w (N.digest n);
+      match n with
+      | N.Leaf { entries; _ } ->
+          W.u8 w 0;
+          W.list w
+            (fun (e : N.entry) ->
+              W.str w e.N.key;
+              W.str w e.N.value)
+            (Array.to_list entries)
+      | N.Node { keys; children; _ } ->
+          W.u8 w 1;
+          W.list w (W.str w) (Array.to_list keys);
+          W.list w (fun c -> W.str w (N.digest c)) (Array.to_list children)
+      | N.Stub _ -> no_stub ())
+    (missing [] (T.root tree));
+  Snapshot.write path ~payload:(W.contents w);
+  file_bytes path
 
 (* Structural violations raise [Invalid_argument], which [Wire.decode]
    maps to [None] — same failure surface as a short or garbled read. *)
-let rec decode_node r =
+let decode_record r =
+  let digest = R.str r in
   match R.u8 r with
   | 0 ->
       let entries =
         Array.of_list
           (R.list r (fun r ->
                let key = R.str r in
-               let value = R.str r in
-               N.entry ~key ~value))
+               (key, R.str r)))
       in
       for i = 1 to Array.length entries - 1 do
-        if String.compare entries.(i - 1).N.key entries.(i).N.key >= 0 then
+        if String.compare (fst entries.(i - 1)) (fst entries.(i)) >= 0 then
           invalid_arg "shard snapshot: leaf entries not sorted"
       done;
-      N.make_leaf entries
+      (digest, Leaf_rec entries)
   | 1 ->
-      let keys = Array.of_list (R.list r (fun r -> R.str r)) in
-      let children = Array.of_list (R.list r decode_node) in
+      let keys = Array.of_list (R.list r R.str) in
+      let children = Array.of_list (R.list r R.str) in
       if Array.length children < 1 || Array.length keys <> Array.length children - 1
       then invalid_arg "shard snapshot: malformed internal node";
-      N.make_node keys children
+      (digest, Node_rec (keys, children))
   | _ -> invalid_arg "shard snapshot: unknown node tag"
 
-let write_shard_snapshot_file path i tree =
-  let w = W.create () in
-  W.u16 w i;
-  W.str w (T.root_digest tree);
-  encode_node w (T.root tree);
-  Snapshot.write path ~payload:(W.contents w)
-
-let load_shard_snapshot_file path ~branching i =
-  let* payload = Snapshot.read path in
-  let decoded =
-    Wire.decode payload (fun r ->
-        let idx = R.u16 r in
-        let root = R.str r in
-        let node = decode_node r in
-        (idx, root, node))
+(* Load shard [i]'s chain [names] (full snapshot first): read every
+   file's records into one digest → record map, then rebuild the newest
+   file's tree from its root digest down. Each node goes through the
+   smart constructors, which recompute its digest from the raw bytes,
+   and must hash to the digest its parent names. Only live nodes are
+   rebuilt, so a load hashes exactly what the tree holds. *)
+let load_chain dir ~branching i names =
+  let rec read files nodes root = function
+    | [] -> Ok (List.rev files, nodes, root)
+    | name :: rest -> (
+        let path = dir // name in
+        let* payload = Snapshot.read path in
+        match
+          Wire.decode payload (fun r ->
+              let idx = R.u16 r in
+              let root = R.str r in
+              (idx, root, R.list r decode_record))
+        with
+        | None -> Error (path ^ ": malformed shard snapshot")
+        | Some (idx, _, _) when idx <> i ->
+            Error (Printf.sprintf "%s: shard index mismatch (found %d)" path idx)
+        | Some (_, root, records) ->
+            let nodes =
+              List.fold_left (fun m (d, record) -> By_digest.add d record m) nodes records
+            in
+            read ((name, file_bytes path) :: files) nodes root rest)
   in
-  match decoded with
-  | None -> Error (path ^ ": malformed shard snapshot")
-  | Some (idx, _, _) when idx <> i ->
-      Error (Printf.sprintf "%s: shard index mismatch (found %d)" path idx)
-  | Some (_, root, node) ->
-      if String.equal (N.digest node) root then Ok (T.of_root ~branching node)
-      else Error (path ^ ": recovered root digest mismatch")
+  let* files, nodes, root = read [] By_digest.empty "" names in
+  let exception Bad_chain of string in
+  let rec build digest =
+    let node =
+      match By_digest.find_opt digest nodes with
+      | None ->
+          raise (Bad_chain (Crypto.Hex.encode digest ^ " is in no file of the chain"))
+      | Some (Leaf_rec entries) ->
+          N.make_leaf (Array.map (fun (key, value) -> N.entry ~key ~value) entries)
+      | Some (Node_rec (keys, children)) -> N.make_node keys (Array.map build children)
+    in
+    if String.equal (N.digest node) digest then node
+    else raise (Bad_chain (Crypto.Hex.encode digest ^ " does not hash to its digest"))
+  in
+  match build root with
+  | node -> Ok { files; tip = T.of_root ~branching node }
+  | exception Bad_chain e ->
+      Error (Printf.sprintf "%s: node %s" (dir // String.concat "+" names) e)
 
 let write_meta_snapshot_file path m =
   let w = W.create () in
@@ -579,35 +658,41 @@ let read_log dir ~name ~gen ~decode =
 
 (* ---- generation replay ---------------------------------------------- *)
 
-(* Generation [g]'s snapshots: the bases file, the database its shard
-   snapshots compose, and the meta snapshot's bookkeeping. *)
-let load_snapshots dir ~map g =
-  let shards = Shard_map.shards map and branching = Shard_map.branching map in
-  let* bases = read_bases dir g ~count:(shards + 1) in
-  let rec load_trees i acc =
-    if i = shards then Ok (Array.of_list (List.rev acc))
-    else
-      let* tree = load_shard_snapshot_file (dir // bases.(i)) ~branching i in
-      load_trees (i + 1) (tree :: acc)
-  in
-  let* trees = load_trees 0 [] in
-  let* m = load_meta_snapshot_file (dir // bases.(shards)) in
-  Ok (bases, Shard_db.of_trees map trees, m)
-
 type loaded = {
   l_db : Shard_db.t;
   l_meta : meta;
-  l_dirty : bool array;
-  l_bases : string array;
+  l_chains : chain array;
+  l_meta_base : string;
 }
+
+(* Generation [g]'s snapshots: the shard chains [bases.<g>] names, the
+   database their tips compose, and the meta snapshot's bookkeeping. *)
+let load_snapshots dir ~map g =
+  let shards = Shard_map.shards map and branching = Shard_map.branching map in
+  let* bases = read_bases dir g ~count:(shards + 1) in
+  let rec load_chains i acc =
+    if i = shards then Ok (Array.of_list (List.rev acc))
+    else
+      let* chain = load_chain dir ~branching i bases.(i) in
+      load_chains (i + 1) (chain :: acc)
+  in
+  let* chains = load_chains 0 [] in
+  let meta_base = List.hd bases.(shards) in
+  let* m = load_meta_snapshot_file (dir // meta_base) in
+  Ok
+    {
+      l_db = Shard_db.of_trees map (Array.map (fun c -> c.tip) chains);
+      l_meta = m;
+      l_chains = chains;
+      l_meta_base = meta_base;
+    }
 
 (* Every record in generation [g]'s logs was written after [g]'s
    checkpoint, so replay starts from the meta snapshot's bookkeeping
    and applies all logs merged in LSN order. *)
 let load_generation dir ~map g =
   let shards = Shard_map.shards map in
-  let* bases, db0, m0 = load_snapshots dir ~map g in
-  let dirty = Array.make shards false in
+  let* l = load_snapshots dir ~map g in
   let decode_event i payload =
     if i < shards then Option.map (fun r -> `Op r) (decode_op_record payload)
     else decode_meta_record payload
@@ -618,7 +703,6 @@ let load_generation dir ~map g =
       let* evs =
         read_log dir ~name:(stream_name ~shards i) ~gen:g ~decode:(decode_event i)
       in
-      (match evs with _ :: _ when i < shards -> dirty.(i) <- true | _ -> ());
       gather (i + 1) (List.rev_append evs acc)
   in
   let* events = gather 0 [] in
@@ -640,9 +724,9 @@ let load_generation dir ~map g =
         | `Backup b -> (db, { m with m_backups = replace_backup m.m_backups b })
         | `Reply (user, seq, payload) ->
             (db, { m with m_replies = set_assoc user (seq, payload) m.m_replies }))
-      (db0, m0) events
+      (l.l_db, l.l_meta) events
   in
-  Ok { l_db = db; l_meta = m; l_dirty = dirty; l_bases = bases }
+  Ok { l with l_db = db; l_meta = m }
 
 (* ---- garbage collection --------------------------------------------- *)
 
@@ -666,7 +750,9 @@ let classify_file f =
    time, when both reference sets are known. *)
 let gc t ~prev =
   let referenced =
-    bases_files t.dir prev ~count:(Array.length t.bases) @ Array.to_list t.bases
+    Strings.of_list
+      ((t.meta_base :: bases_files t.dir prev ~count:(Array.length t.chains + 1))
+      @ List.concat_map (fun c -> List.map fst c.files) (Array.to_list t.chains))
   in
   Array.iter
     (fun f ->
@@ -675,7 +761,7 @@ let gc t ~prev =
         ||
         match classify_file f with
         | Some (Gen_file g) -> g <> t.gen && g <> prev
-        | Some Snap_file -> not (List.mem f referenced)
+        | Some Snap_file -> not (Strings.mem f referenced)
         | None -> false
       in
       if dead then remove_if_exists (t.dir // f))
@@ -729,25 +815,40 @@ let current_meta t =
     m_replies = t.replies;
   }
 
-(* Write generation [g]'s snapshots — shard [i]'s tree when [fresh i],
-   the bookkeeping [m] always — then publish them: the bases file,
-   then CURRENT. A shard that is not [fresh] keeps its base, whose
-   file may come from an older generation (the bases file carries the
-   reference across). *)
-let write_generation t ~g ~db ~m ~fresh =
-  let shards = Shard_map.shards t.map in
+(* Shard [i]'s chain once generation [g] holds [tree]. A chain whose
+   tip already is [tree] is kept: the new bases file names its files
+   again. Otherwise a delta against the tip extends it, until the
+   chain's deltas reach its full snapshot's size; then a full snapshot
+   starts a new chain. So a load reads at most twice the tree plus one
+   delta. A chain with no files yet starts with a full snapshot. *)
+let next_chain t ~g i tree =
+  let c = t.chains.(i) in
+  match c.files with
+  | _ :: _ when String.equal (T.root_digest c.tip) (T.root_digest tree) -> c
+  | files ->
+      let full, deltas =
+        match files with
+        | [] -> (0, 0)
+        | (_, full) :: deltas -> (full, List.fold_left (fun n (_, b) -> n + b) 0 deltas)
+      in
+      let restart = deltas >= full in
+      let name = snap_name (stream_name ~shards:(Shard_map.shards t.map) i) g in
+      let known = if restart then Strings.empty else node_digests c.tip in
+      let file = (name, write_shard_snapshot (t.dir // name) i tree ~known) in
+      { files = (if restart then [ file ] else files @ [ file ]); tip = tree }
+
+(* Write generation [g]'s snapshots — each changed shard's node delta
+   (or full snapshot), the bookkeeping [m] always — then publish them:
+   the bases file, then CURRENT. *)
+let write_generation t ~g ~db ~m =
   let trees = Shard_db.trees db in
-  for i = 0 to shards - 1 do
-    if fresh i then begin
-      let name = snap_name (stream_name ~shards i) g in
-      write_shard_snapshot_file (t.dir // name) i trees.(i);
-      t.bases.(i) <- name
-    end
-  done;
+  t.chains <- Array.mapi (fun i tree -> next_chain t ~g i tree) trees;
   let meta_name = snap_name "meta" g in
   write_meta_snapshot_file (t.dir // meta_name) m;
-  t.bases.(shards) <- meta_name;
-  Snapshot.write (bases_path t.dir g) ~payload:(encode_bases ~gen:g t.bases);
+  t.meta_base <- meta_name;
+  let chains = Array.to_list (Array.map (fun c -> List.map fst c.files) t.chains) in
+  Snapshot.write (bases_path t.dir g)
+    ~payload:(encode_bases ~gen:g (chains @ [ [ meta_name ] ]));
   write_current t.dir g
 
 let checkpoint t ~db =
@@ -756,15 +857,12 @@ let checkpoint t ~db =
   (* Staged records must be on disk before the generation flips. *)
   flush_logs t;
   let g' = t.gen + 1 in
-  (* Incremental: only shards dirtied since the last checkpoint get a
-     fresh snapshot. *)
-  write_generation t ~g:g' ~db ~m:(current_meta t) ~fresh:(fun i -> t.dirty.(i));
+  write_generation t ~g:g' ~db ~m:(current_meta t);
   Array.iter Wal.close_writer t.logs;
   let prev = t.gen in
   t.gen <- g';
   t.logs <- open_logs t.dir ~shards ~gen:g' ~fsync:t.fsync;
   gc t ~prev;
-  Array.fill t.dirty 0 shards false;
   t.ops_since_checkpoint <- 0;
   Obs.incr c_checkpoints;
   Obs.observe h_checkpoint_us (now_us () - t0);
@@ -821,7 +919,6 @@ let log_op t ~db ~op ~ctr ~last_user =
   in
   List.iter
     (fun (i, sub) ->
-      t.dirty.(i) <- true;
       stage_record t i ~payload:(encode_op_record ~op:sub ~ctr ~last_user ~origin))
     (sub_records t.map op);
   Obs.incr c_ops_logged;
@@ -855,7 +952,11 @@ let recovered_of db m =
     replies = List.map (fun (user, (seq, payload)) -> (user, seq, payload)) m.m_replies;
   }
 
-let adopt_meta t m =
+(* Take over a loaded generation's base snapshots and bookkeeping. *)
+let adopt t l =
+  let m = l.l_meta in
+  t.chains <- l.l_chains;
+  t.meta_base <- l.l_meta_base;
   t.ctr <- m.m_ctr;
   t.last_user <- m.m_last_user;
   t.root_sig <- m.m_root_sig;
@@ -888,9 +989,7 @@ let recover t =
   match loaded with
   | Error _ as e -> e
   | Ok l ->
-      adopt_meta t l.l_meta;
-      t.dirty <- l.l_dirty;
-      t.bases <- l.l_bases;
+      adopt t l;
       Obs.incr c_recoveries;
       Obs.observe h_recover_us (now_us () - t0);
       Log.info (fun f ->
@@ -908,7 +1007,7 @@ let recover_stale t =
   | Error _ as e ->
       reopen_logs t;
       e
-  | Ok (bases, db, m) ->
+  | Ok l ->
       (* Adversarially present the stale snapshots as the whole
          history: delete the logs after them and flip CURRENT back. *)
       for i = 0 to shards do
@@ -916,16 +1015,15 @@ let recover_stale t =
       done;
       write_current t.dir stale;
       t.gen <- stale;
-      t.bases <- bases;
       reopen_logs t;
-      adopt_meta t m;
-      t.dirty <- Array.make shards false;
+      adopt t l;
       t.ops_since_checkpoint <- 0;
       gc t ~prev:(stale - 1);
       Obs.incr c_stale_recoveries;
       Log.info (fun f ->
-          f "%s: rolled back to stale generation %d (ctr %d)" t.dir stale m.m_ctr);
-      Ok (recovered_of db m)
+          f "%s: rolled back to stale generation %d (ctr %d)" t.dir stale
+            l.l_meta.m_ctr);
+      Ok (recovered_of l.l_db l.l_meta)
 
 (* ---- open ----------------------------------------------------------- *)
 
@@ -947,9 +1045,13 @@ let validate_config ~checkpoint_every ~durability =
     | Every_n n when n < 1 -> Error "every:N durability needs N >= 1"
     | Per_op | Per_round | Every_n _ -> Ok ()
 
+(* Chains with no files yet: the next generation writes each shard's
+   tree as a full snapshot. *)
+let unwritten db = Array.map (fun tip -> { files = []; tip }) (Shard_db.trees db)
+
 (* A store logging to generation [gen] with bookkeeping [m], its logs
    open. *)
-let make ~dir ~map ~fsync ~durability ~checkpoint_every ~gen ~db ~bases ~dirty m =
+let make ~dir ~map ~fsync ~durability ~checkpoint_every ~gen ~db ~chains ~meta_base m =
   {
     dir;
     map;
@@ -959,7 +1061,8 @@ let make ~dir ~map ~fsync ~durability ~checkpoint_every ~gen ~db ~bases ~dirty m
     gen;
     next_lsn = m.m_next_lsn;
     logs = open_logs dir ~shards:(Shard_map.shards map) ~gen ~fsync;
-    bases;
+    chains;
+    meta_base;
     ctr = m.m_ctr;
     last_user = m.m_last_user;
     root_sig = m.m_root_sig;
@@ -967,7 +1070,6 @@ let make ~dir ~map ~fsync ~durability ~checkpoint_every ~gen ~db ~bases ~dirty m
     seqs = m.m_seqs;
     replies = m.m_replies;
     origins = [];
-    dirty;
     staged_since_flush = 0;
     ops_since_checkpoint = 0;
     opened_db = db;
@@ -986,28 +1088,27 @@ let create_or_open ?(fsync = false) ?(durability = Per_op)
     let m = fresh_meta ~next_lsn:0 in
     let t =
       make ~dir ~map ~fsync ~durability ~checkpoint_every ~gen:0 ~db
-        ~bases:(Array.make (shards + 1) "") ~dirty:(Array.make shards false) m
+        ~chains:(unwritten db) ~meta_base:"" m
     in
-    write_generation t ~g:0 ~db ~m ~fresh:(fun _ -> true);
+    write_generation t ~g:0 ~db ~m;
     Log.info (fun f -> f "%s: fresh store, %d shard(s)" dir shards);
     Ok (t, `Fresh)
   end
   else begin
     let* () = check_layout dir in
     let* map = read_manifest dir in
-    let shards = Shard_map.shards map in
     let* g = read_current dir in
     let* l = load_generation dir ~map g in
     (* Durable data outlives the run; session bookkeeping does not:
        re-baseline the recovered database as a fresh generation with
-       fresh bookkeeping. *)
+       fresh bookkeeping and full snapshots. *)
     let g' = g + 1 in
     let m' = fresh_meta ~next_lsn:l.l_meta.m_next_lsn in
     let t =
       make ~dir ~map ~fsync ~durability ~checkpoint_every ~gen:g' ~db:l.l_db
-        ~bases:(Array.make (shards + 1) "") ~dirty:(Array.make shards false) m'
+        ~chains:(unwritten l.l_db) ~meta_base:"" m'
     in
-    write_generation t ~g:g' ~db:l.l_db ~m:m' ~fresh:(fun _ -> true);
+    write_generation t ~g:g' ~db:l.l_db ~m:m';
     (* The previous generations are dead: a reopen is a fresh session,
        not a restart, so there is nothing to roll back to. *)
     gc t ~prev:(-1);
@@ -1033,7 +1134,7 @@ let resume ?(fsync = false) ?(durability = Per_op) ?(checkpoint_every = 64) ~dir
     let* l = load_generation dir ~map g in
     let t =
       make ~dir ~map ~fsync ~durability ~checkpoint_every ~gen:g ~db:l.l_db
-        ~bases:l.l_bases ~dirty:l.l_dirty l.l_meta
+        ~chains:l.l_chains ~meta_base:l.l_meta_base l.l_meta
     in
     Obs.incr c_resumes;
     Log.info (fun f ->
@@ -1063,9 +1164,10 @@ let recover_reload t =
 let debug_partial_checkpoint t ~db =
   flush_logs t;
   let g' = t.gen + 1 in
-  let trees = Shard_db.trees db in
-  write_shard_snapshot_file (t.dir // Printf.sprintf "shard0.%d.snap" g') 0
-    trees.(0);
+  ignore
+    (write_shard_snapshot
+       (t.dir // Printf.sprintf "shard0.%d.snap" g')
+       0 (Shard_db.trees db).(0) ~known:Strings.empty);
   let tmp = t.dir // Printf.sprintf "meta.%d.snap.tmp" g' in
   let oc = open_out_bin tmp in
   output_string oc "TCVSSNP2\x00\x00half-written";
@@ -1075,7 +1177,7 @@ let debug_partial_checkpoint t ~db =
 
 type stream_info = {
   str_name : string;
-  str_base_file : string;
+  str_base_chain : (string * int) list;  (* full snapshot first, with sizes *)
   str_base_ok : bool;
   str_log_file : string;
   str_log_bytes : int;
@@ -1132,10 +1234,9 @@ let inspect ~dir =
           let base_ok =
             if i < shards then
               Result.is_ok
-                (load_shard_snapshot_file (dir // bases.(i))
-                   ~branching:(Shard_map.branching map) i)
+                (load_chain dir ~branching:(Shard_map.branching map) i bases.(i))
             else
-              match load_meta_snapshot_file (dir // bases.(i)) with
+              match load_meta_snapshot_file (dir // List.hd bases.(i)) with
               | Ok m ->
                   max_lsn := max !max_lsn (m.m_next_lsn - 1);
                   true
@@ -1163,11 +1264,10 @@ let inspect ~dir =
           max_lsn := max !max_lsn hi;
           {
             str_name = name;
-            str_base_file = bases.(i);
+            str_base_chain = List.map (fun f -> (f, file_bytes (dir // f))) bases.(i);
             str_base_ok = base_ok;
             str_log_file = Filename.basename path;
-            str_log_bytes =
-              (if Sys.file_exists path then (Unix.stat path).Unix.st_size else 0);
+            str_log_bytes = file_bytes path;
             str_records = n;
             str_lsn_lo = lo;
             str_lsn_hi = hi;
@@ -1178,21 +1278,24 @@ let inspect ~dir =
        recovery rolls back to them); anything else unaccounted is an
        orphan: crash leftovers, dead bases. *)
     let accounted =
-      [ "MANIFEST"; "MANIFEST.bak"; "CURRENT"; Printf.sprintf "bases.%d" g ]
-      @ List.concat_map (fun s -> [ s.str_base_file; s.str_log_file ]) streams
+      Strings.of_list
+        ([ "MANIFEST"; "MANIFEST.bak"; "CURRENT"; Printf.sprintf "bases.%d" g ]
+        @ List.concat_map
+            (fun s -> s.str_log_file :: List.map fst s.str_base_chain)
+            streams)
     in
     let prev = g - 1 in
-    let prev_refs = bases_files dir prev ~count:(shards + 1) in
+    let prev_refs = Strings.of_list (bases_files dir prev ~count:(shards + 1)) in
     let files = Sys.readdir dir in
     Array.sort String.compare files;
     let orphans =
       Array.to_list files
       |> List.filter (fun f ->
-             (not (List.mem f accounted))
+             (not (Strings.mem f accounted))
              &&
              match classify_file f with
              | Some (Gen_file g1) -> g1 <> prev
-             | Some Snap_file -> not (List.mem f prev_refs)
+             | Some Snap_file -> not (Strings.mem f prev_refs)
              | None -> true)
     in
     Ok

@@ -8,10 +8,14 @@
     MANIFEST.bak          byte-identical backup, written first — a torn
                           MANIFEST is repaired from it on open
     CURRENT               ASCII generation number (tmp+rename updates)
-    bases.<g>             generation g's control file: the layout magic,
-                          then one base snapshot name per stream
-                          (shards, then meta)
-    shard<i>.<g>.snap     shard i's tree at the start of generation g
+    bases.<g>             generation g's control file: the layout magic
+                          TCVSBAS3, then per shard its snapshot chain
+                          (full snapshot first, then deltas), then the
+                          meta snapshot
+    shard<i>.<g>.snap     Merkle nodes of shard i's tree at generation
+                          g, each under its digest: all of them (full)
+                          or those the chain's previous tree lacks
+                          (delta)
     shard<i>.<g>.wal      shard i's op log since generation g began
                           (checksummed header record names stream/gen)
     meta.<g>.snap         bookkeeping at the start of generation g
@@ -30,21 +34,29 @@
     back into one replay order.
 
     {b Checkpoints} bound the logs: every [checkpoint_every] logged
-    ops the store starts a new generation — fresh snapshots, new empty
+    ops the store starts a new generation — new snapshots, new empty
     logs — so recovery replays fewer than [checkpoint_every] ops
-    however long the run. Checkpoints are incremental: only shards
-    with ops logged since the last checkpoint get a fresh snapshot;
-    clean shards carry their base forward through the new
-    generation's bases file. Exactly one previous generation is
-    retained (the one {!recover_stale} rolls back to); garbage
-    collection at each checkpoint deletes everything else.
+    however long the run. A checkpoint costs what changed: a shard
+    whose root equals its chain's newest tree keeps its chain (reads
+    never cause a snapshot), and a changed shard writes a delta, the
+    Merkle nodes whose digests the chain's newest tree lacks. Once a
+    chain's deltas reach the size of its full snapshot, the shard
+    writes a full snapshot and starts a new chain, so a load reads at
+    most twice the tree plus one delta. Exactly one previous
+    generation is retained (the one {!recover_stale} rolls back to);
+    garbage collection at each checkpoint deletes every snapshot no
+    retained bases file names, and everything else of older
+    generations.
 
     Recovery = the generation's snapshots + its logs replayed in LSN
-    order. Shard snapshots store the exact node structure and are
-    loaded with [Merkle_btree.of_root] (a B⁺-tree's shape depends on
-    its insertion history, so a bulk load of the same bindings could
-    differ), so recovered root digests are byte-identical to the
-    pre-crash roots (pinned by tests). A torn log tail is truncated
+    order. A shard's chain is read into one digest → node map and its
+    newest tree rebuilt from the root digest down through the smart
+    constructors; every rebuilt node must hash to the digest its parent
+    names, and only live nodes are rebuilt. The exact node structure is
+    restored (a B⁺-tree's shape depends on its insertion history, so a
+    bulk load of the same bindings could differ), so recovered root
+    digests are byte-identical to the pre-crash roots (pinned by
+    tests). A torn log tail is truncated
     with a logged warning; mid-log corruption is a hard error (see
     {!Wal}). A directory in an older layout, or one whose snapshots
     and logs carry the SHA-256-prefix checksums that preceded CRC-32C,
@@ -180,10 +192,11 @@ val flush : t -> unit
     is the only flush point. A no-op when nothing is staged. *)
 
 val checkpoint : t -> db:Shard_db.t -> unit
-(** Force a checkpoint of [db] plus the current bookkeeping mirror.
-    Incremental: only shards dirtied since the previous checkpoint are
-    re-snapshotted; clean shards carry their base snapshot into the
-    new generation via its bases file. *)
+(** Force a checkpoint of [db] plus the current bookkeeping mirror. A
+    shard whose root differs from its chain's newest tree writes a
+    delta (or, once the chain's deltas reach its full snapshot's size,
+    a full snapshot that starts a new chain); every other shard
+    carries its chain into the new generation via its bases file. *)
 
 val recover : t -> (recovered, string) result
 (** Honest crash recovery: staged-but-unflushed records are discarded
@@ -223,8 +236,12 @@ val recover_stale : t -> (recovered, string) result
 
 type stream_info = {
   str_name : string;
-  str_base_file : string;
-  str_base_ok : bool;  (** base snapshot reads back valid *)
+  str_base_chain : (string * int) list;
+      (** base snapshot files with their sizes in bytes: a shard's
+          chain, full snapshot first; the meta snapshot alone *)
+  str_base_ok : bool;
+      (** the base reads back valid: a shard's whole chain rebuilds to
+          its newest root *)
   str_log_file : string;
   str_log_bytes : int;
   str_records : int;  (** data records, excluding the header *)
@@ -249,7 +266,7 @@ type info = {
 
 val inspect : dir:string -> (info, string) result
 (** Dump a store directory without mutating it: manifest state,
-    generation, per-stream base snapshots and logs (record counts, LSN
+    generation, per-stream base snapshot chains and logs (record counts, LSN
     ranges, checksum status), and orphaned files. Reads manifests
     without repairing and logs with [Wal.read ~repair:false]. A
     directory in an older layout is an error, as for {!create_or_open}. *)

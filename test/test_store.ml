@@ -483,18 +483,19 @@ let test_store_long_log_recovers () =
   rm_rf dir
 
 (* The snapshot names a [bases.<g>] file lists, decoded independently
-   of the store: layout magic, generation, one name per stream. *)
+   of the store: layout magic, generation, then per stream its chain of
+   names. *)
 let bases_snapshots dir g =
   match Store.Snapshot.read (Filename.concat dir (Printf.sprintf "bases.%d" g)) with
   | Error e -> Alcotest.fail e
   | Ok payload -> (
       match
         Wire.decode payload (fun r ->
-            Alcotest.(check string) "bases magic" "TCVSBAS2" (Wire.R.raw r 8);
+            Alcotest.(check string) "bases magic" "TCVSBAS3" (Wire.R.raw r 8);
             Alcotest.(check int) "bases generation" g (Wire.R.u32 r);
-            Wire.R.list r Wire.R.str)
+            Wire.R.list r (fun r -> Wire.R.list r Wire.R.str))
       with
-      | Some files -> files
+      | Some chains -> List.concat chains
       | None -> Alcotest.failf "bases.%d: malformed" g)
 
 (* Checkpoints alone bound the store: after many generations the
@@ -1243,6 +1244,371 @@ let test_reports_deterministic_across_durability () =
         rest
   | [] -> Alcotest.fail "no durability modes ran"
 
+(* ---- snapshot chains ------------------------------------------------- *)
+
+let keyed_files n ~value_bytes =
+  List.init n (fun i ->
+      (Printf.sprintf "f/%05d" i, String.make value_bytes (Char.chr (97 + (i mod 26)))))
+
+let gen_of_snap f = int_of_string (List.nth (String.split_on_char '.' f) 1)
+let file_size dir f = (Unix.stat (Filename.concat dir f)).Unix.st_size
+
+(* The shard snapshot files generation [g] wrote. *)
+let shard_snaps_of_gen dir g =
+  Sys.readdir dir |> Array.to_list
+  |> List.filter (fun f ->
+         String.starts_with ~prefix:"shard" f
+         && Filename.check_suffix f ".snap"
+         && gen_of_snap f = g)
+  |> List.sort String.compare
+
+let shard_chains dir =
+  match Store.inspect ~dir with
+  | Error e -> Alcotest.failf "inspect failed: %s" e
+  | Ok info ->
+      List.filter
+        (fun (s : Store.stream_info) -> not (String.equal s.Store.str_name "meta"))
+        info.Store.info_streams
+
+let set_logged store db ~ctr key value =
+  let op = Vo.Set (key, value) in
+  let db, _ = Store.Shard_db.apply db op in
+  Store.log_op store ~db ~op ~ctr ~last_user:0;
+  db
+
+let hex_root db = Crypto.Hex.encode (Store.Shard_db.root_digest db)
+
+(* After a 1 KiB preload, a checkpoint after one Set writes the nodes
+   that Set changed as one small delta, and nothing for the other
+   shard. *)
+let test_chain_one_set_small_delta () =
+  let dir = fresh_dir "chain-one-set" in
+  let initial = keyed_files 2048 ~value_bytes:1024 in
+  let store =
+    expect_fresh
+      (Store.create_or_open ~checkpoint_every:1000 ~dir ~branching:8 ~shards:2 ~initial ())
+  in
+  let key = "f/00100" in
+  let shard = Store.Shard_db.route (Store.db store) key in
+  let db = set_logged store (Store.db store) ~ctr:1 key (String.make 1024 'Z') in
+  Store.checkpoint store ~db;
+  let delta = Printf.sprintf "shard%d.1.snap" shard in
+  Alcotest.(check (list string)) "one shard file, for the Set's shard" [ delta ]
+    (shard_snaps_of_gen dir 1);
+  let full = file_size dir (Printf.sprintf "shard%d.0.snap" shard) in
+  let bytes = file_size dir delta in
+  Alcotest.(check bool)
+    (Printf.sprintf "delta %d B under 2%% of the full snapshot's %d B" bytes full)
+    true
+    (bytes * 50 < full);
+  let r = expect_recovered (Store.recover store) in
+  Alcotest.(check string) "full + delta recover the live root" (hex_root db)
+    (hex_root r.Store.db);
+  Store.close store;
+  rm_rf dir
+
+(* A shard whose root did not move gets no snapshot: not after reads,
+   not after a Set of the value already stored. *)
+let test_chain_unchanged_root_no_snapshot () =
+  let dir = fresh_dir "chain-reads" in
+  let initial = initial_files 20 in
+  let store =
+    expect_fresh
+      (Store.create_or_open ~checkpoint_every:1000 ~dir ~branching:8 ~shards:4 ~initial ())
+  in
+  let reads =
+    [ Vo.Get "src/file_05.ml"; Vo.Range ("src/file_00.ml", "src/file_19.ml"); Vo.Get "nope" ]
+  in
+  let db = apply_logged store (Store.db store) reads in
+  Store.checkpoint store ~db;
+  Alcotest.(check (list string)) "reads: no shard snapshot" [] (shard_snaps_of_gen dir 1);
+  let db = set_logged store db ~ctr:4 "src/file_07.ml" "v0-7" in
+  Store.checkpoint store ~db;
+  Alcotest.(check (list string)) "same-value Set: no shard snapshot" []
+    (shard_snaps_of_gen dir 2);
+  Alcotest.(check bool) "meta is still snapshotted" true
+    (Sys.file_exists (Filename.concat dir "meta.2.snap"));
+  let r = expect_recovered (Store.recover store) in
+  Alcotest.(check string) "recovers from the carried chains" (hex_root db)
+    (hex_root r.Store.db);
+  Store.close store;
+  rm_rf dir
+
+(* A 4-shard store over 256 keys of 256 B, and a step that logs one to
+   four seeded Sets and checkpoints, returning the live database. *)
+let seeded_store ~dir ~seed =
+  let initial = keyed_files 256 ~value_bytes:256 in
+  let store =
+    expect_fresh
+      (Store.create_or_open ~checkpoint_every:1000 ~dir ~branching:8 ~shards:4 ~initial ())
+  in
+  let prng = Crypto.Prng.create ~seed in
+  let ctr = ref 0 and db = ref (Store.db store) in
+  let step () =
+    for _ = 0 to Crypto.Prng.int prng 4 do
+      incr ctr;
+      let key = Printf.sprintf "f/%05d" (Crypto.Prng.int prng 256) in
+      db := set_logged store !db ~ctr:!ctr key (Crypto.Prng.bytes prng 256)
+    done;
+    Store.checkpoint store ~db:!db;
+    !db
+  in
+  (store, step)
+
+(* Over 100 checkpoints: no chain's deltas exceed its full snapshot by
+   more than one delta, some chain restarts with a full snapshot, and
+   recovery after every checkpoint lands on the live root. *)
+let test_chain_bounded_over_checkpoints () =
+  let dir = fresh_dir "chain-bound" in
+  let store, step = seeded_store ~dir ~seed:"chain-bound" in
+  let restarts = ref 0 in
+  for _ = 1 to 100 do
+    let db = step () in
+    let g = Store.generation store in
+    List.iter
+      (fun (s : Store.stream_info) ->
+        match s.Store.str_base_chain with
+        | [] -> Alcotest.failf "%s: empty chain" s.Store.str_name
+        | (first, full) :: deltas ->
+            let before_last =
+              match List.rev deltas with
+              | [] -> 0
+              | _ :: rest -> List.fold_left (fun n (_, b) -> n + b) 0 rest
+            in
+            Alcotest.(check bool)
+              (Printf.sprintf "%s: deltas before the last (%d B) under the full %d B"
+                 s.Store.str_name before_last full)
+              true (before_last < full);
+            if gen_of_snap first = g then incr restarts)
+      (shard_chains dir);
+    let r = expect_recovered (Store.recover store) in
+    Alcotest.(check string) "recovered root is the live root" (hex_root db)
+      (hex_root r.Store.db)
+  done;
+  Alcotest.(check bool) (Printf.sprintf "%d chain restarts" !restarts) true (!restarts > 0);
+  Store.close store;
+  rm_rf dir
+
+(* Right after a chain restarts, the previous generation's bases file
+   still keeps its old chain alive: a stale recovery lands on that
+   generation's root. *)
+let test_chain_stale_after_restart () =
+  let dir = fresh_dir "chain-stale" in
+  let store, step = seeded_store ~dir ~seed:"chain-stale" in
+  let restarted () =
+    let g = Store.generation store in
+    List.exists
+      (fun (s : Store.stream_info) ->
+        match s.Store.str_base_chain with (f, _) :: _ -> gen_of_snap f = g | [] -> false)
+      (shard_chains dir)
+  in
+  let rec until_restart prev n =
+    if n = 0 then Alcotest.fail "no chain restarted in 100 checkpoints";
+    let db = step () in
+    if restarted () then prev else until_restart (hex_root db) (n - 1)
+  in
+  let prev = until_restart (hex_root (Store.db store)) 100 in
+  let r = expect_recovered (Store.recover_stale store) in
+  Alcotest.(check string) "stale recovery lands on the previous generation's root" prev
+    (hex_root r.Store.db);
+  Store.close store;
+  rm_rf dir
+
+(* A shard snapshot payload decoded and re-encoded by hand: shard index,
+   root digest, then one (digest, node) record per node. *)
+type node_record = Leaf_r of (string * string) list | Node_r of string list * string list
+
+let decode_shard_snap payload =
+  let module R = Wire.R in
+  Wire.decode payload (fun r ->
+      let idx = R.u16 r in
+      let root = R.str r in
+      let records =
+        R.list r (fun r ->
+            let digest = R.str r in
+            match R.u8 r with
+            | 0 ->
+                ( digest,
+                  Leaf_r
+                    (R.list r (fun r ->
+                         let k = R.str r in
+                         (k, R.str r))) )
+            | _ ->
+                let keys = R.list r R.str in
+                (digest, Node_r (keys, R.list r R.str)))
+      in
+      (idx, root, records))
+
+let encode_shard_snap (idx, root, records) =
+  let module W = Wire.W in
+  let w = W.create () in
+  W.u16 w idx;
+  W.str w root;
+  W.list w
+    (fun (digest, node) ->
+      W.str w digest;
+      match node with
+      | Leaf_r entries ->
+          W.u8 w 0;
+          W.list w
+            (fun (k, v) ->
+              W.str w k;
+              W.str w v)
+            entries
+      | Node_r (keys, children) ->
+          W.u8 w 1;
+          W.list w (W.str w) keys;
+          W.list w (W.str w) children)
+    records;
+  W.contents w
+
+(* Rewrite one record of a shard snapshot — the first [edit] changes —
+   and store the file again with a valid checksum. *)
+let edit_first_record path edit =
+  let payload =
+    match Store.Snapshot.read path with Ok p -> p | Error e -> Alcotest.fail e
+  in
+  match decode_shard_snap payload with
+  | None -> Alcotest.failf "%s: malformed" path
+  | Some ((idx, root, records) as snap) ->
+      Alcotest.(check string) "hand codec round-trips" payload (encode_shard_snap snap);
+      let edited = ref false in
+      let records =
+        List.map
+          (fun (d, node) ->
+            match edit node with
+            | Some node' when not !edited ->
+                edited := true;
+                (d, node')
+            | _ -> (d, node))
+          records
+      in
+      Alcotest.(check bool) "a record was edited" true !edited;
+      Store.Snapshot.write path ~payload:(encode_shard_snap (idx, root, records))
+
+(* Shard 0's chain as a full snapshot and two deltas; each damage to it
+   must make recovery fail with its own error, never fall back to an
+   older tree, and make inspect report the chain BAD. *)
+let test_chain_damage_is_an_error () =
+  List.iter
+    (fun (what, expected, damage) ->
+      let dir = fresh_dir "chain-damage" in
+      let initial = keyed_files 128 ~value_bytes:64 in
+      let store =
+        expect_fresh
+          (Store.create_or_open ~checkpoint_every:1000 ~dir ~branching:8 ~shards:2
+             ~initial ())
+      in
+      let db = set_logged store (Store.db store) ~ctr:1 "f/00001" "first" in
+      Store.checkpoint store ~db;
+      let db = set_logged store db ~ctr:2 "f/00002" "second" in
+      Store.checkpoint store ~db;
+      Alcotest.(check (list string)) "shard 0's chain: full, then two deltas"
+        [ "shard0.0.snap"; "shard0.1.snap"; "shard0.2.snap" ]
+        (List.map fst (List.hd (shard_chains dir)).Store.str_base_chain);
+      damage dir;
+      (match Store.recover store with
+      | Ok r ->
+          Alcotest.failf "%s: recovered a tree (%s, live %s)" what (hex_root r.Store.db)
+            (hex_root db)
+      | Error e -> Alcotest.(check bool) (what ^ ": " ^ e) true (contains e expected));
+      Alcotest.(check bool) (what ^ ": inspect says BAD") false
+        (List.hd (shard_chains dir)).Store.str_base_ok;
+      Store.close store;
+      rm_rf dir)
+    [
+      ( "flipped byte in the middle delta",
+        "checksum mismatch",
+        fun dir -> flip_byte (Filename.concat dir "shard0.1.snap") 20 );
+      ( "middle delta deleted",
+        "no such snapshot",
+        fun dir -> Sys.remove (Filename.concat dir "shard0.1.snap") );
+      ( "node record that does not hash to its digest",
+        "does not hash to its digest",
+        fun dir ->
+          edit_first_record (Filename.concat dir "shard0.2.snap") (function
+            | Leaf_r ((k, _) :: rest) -> Some (Leaf_r ((k, "forged") :: rest))
+            | _ -> None) );
+      ( "child digest no file defines",
+        "is in no file of the chain",
+        fun dir ->
+          edit_first_record (Filename.concat dir "shard0.2.snap") (function
+            | Node_r (keys, _ :: children) ->
+                Some (Node_r (keys, String.make 32 '\xee' :: children))
+            | _ -> None) );
+    ]
+
+(* The parent's layout: a TCVSBAS2 bases payload (magic, generation, one
+   snapshot name per stream) and shard snapshots holding the whole tree
+   as nested nodes. *)
+let rewrite_as_bas2 dir trees =
+  let module W = Wire.W in
+  let module Node = Mtree.Node in
+  let rec nested w (n : Node.t) =
+    match n with
+    | Node.Leaf { entries; _ } ->
+        W.u8 w 0;
+        W.list w
+          (fun (e : Node.entry) ->
+            W.str w e.Node.key;
+            W.str w e.Node.value)
+          (Array.to_list entries)
+    | Node.Node { keys; children; _ } ->
+        W.u8 w 1;
+        W.list w (W.str w) (Array.to_list keys);
+        W.list w (nested w) (Array.to_list children)
+    | Node.Stub _ -> Alcotest.fail "stub in a stored tree"
+  in
+  Array.iteri
+    (fun i tree ->
+      let w = W.create () in
+      W.u16 w i;
+      W.str w (T.root_digest tree);
+      nested w (T.root tree);
+      Store.Snapshot.write
+        (Filename.concat dir (Printf.sprintf "shard%d.0.snap" i))
+        ~payload:(W.contents w))
+    trees;
+  let w = W.create () in
+  W.raw w "TCVSBAS2";
+  W.u32 w 0;
+  W.list w (W.str w) [ "shard0.0.snap"; "shard1.0.snap"; "meta.0.snap" ];
+  Store.Snapshot.write (Filename.concat dir "bases.0") ~payload:(W.contents w)
+
+(* A directory the parent layout wrote — whole, or with its MANIFEST
+   torn — is refused by every way in, and nothing in it changes: the
+   layout check reads the bases magic before the MANIFEST repair
+   could run. *)
+let test_store_bas2_layout_refused () =
+  List.iter
+    (fun torn ->
+      let dir = fresh_dir "bas2" in
+      let initial = initial_files 20 in
+      let store =
+        expect_fresh
+          (Store.create_or_open ~checkpoint_every:1000 ~dir ~branching:8 ~shards:2 ~initial ())
+      in
+      ignore (apply_logged store (Store.db store) ops_script);
+      let trees = Store.Shard_db.trees (Store.db store) in
+      Store.close store;
+      rewrite_as_bas2 dir trees;
+      if torn then Store.debug_tear_manifest ~dir ~wreck_backup:false;
+      let before = dir_contents dir in
+      let refused what = function
+        | Ok _ -> Alcotest.failf "%s opened a TCVSBAS2 store" what
+        | Error e ->
+            Alcotest.(check bool) (what ^ " names the layout: " ^ e) true
+              (contains e "unsupported store layout (written by an older version?)");
+            Alcotest.(check (list (pair string string)))
+              (what ^ " leaves every file byte-identical")
+              before (dir_contents dir)
+      in
+      refused "create_or_open" (Store.create_or_open ~dir ~branching:8 ~shards:2 ~initial ());
+      refused "resume" (Store.resume ~dir ());
+      refused "inspect" (Store.inspect ~dir);
+      rm_rf dir)
+    [ false; true ]
+
 let suite =
   [
     Alcotest.test_case "wal: empty log" `Quick test_wal_empty;
@@ -1301,4 +1667,15 @@ let suite =
       test_reports_deterministic_across_durability;
     Alcotest.test_case "harness: storeless setup builds D₀ once" `Quick
       test_harness_builds_initial_db_once;
+    Alcotest.test_case "chain: one Set writes one small delta" `Quick
+      test_chain_one_set_small_delta;
+    Alcotest.test_case "chain: unchanged root writes no snapshot" `Quick
+      test_chain_unchanged_root_no_snapshot;
+    Alcotest.test_case "chain: bounded over 100 checkpoints" `Quick
+      test_chain_bounded_over_checkpoints;
+    Alcotest.test_case "chain: stale recovery after a restart" `Quick
+      test_chain_stale_after_restart;
+    Alcotest.test_case "chain: damage is an error" `Quick test_chain_damage_is_an_error;
+    Alcotest.test_case "store: TCVSBAS2 layout refused untouched" `Quick
+      test_store_bas2_layout_refused;
   ]
