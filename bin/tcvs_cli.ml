@@ -142,9 +142,10 @@ let adversary_arg =
 let store_arg =
   let doc =
     "Run the server on a durable store (per-shard write-ahead logs + \
-     checksummed snapshots) rooted at $(docv). Created on first use; on an \
-     existing directory the database is recovered from disk and re-baselined. \
-     Required by the crash adversaries."
+     checksummed snapshots) rooted at $(docv). Created on first use. An \
+     existing directory is loaded from disk: $(b,serve) continues its session \
+     in place, $(b,simulate) starts a new session over its data. Required by \
+     the crash adversaries."
   in
   Arg.(value & opt (some string) None & info [ "store" ] ~docv:"DIR" ~doc)
 
@@ -178,8 +179,8 @@ let durability_arg =
   let doc =
     "WAL group-commit cadence under $(b,--store): $(b,per-op) (flush every \
      logged record — the default, and the mode recovery digests are pinned \
-     in), $(b,per-round) (one group commit per simulation round / daemon \
-     tick), or $(b,every:N) (flush once N records are staged)."
+     in) or $(b,per-round) (one group commit per simulation round / daemon \
+     tick)."
   in
   Arg.(value & opt durability_conv Store.Per_op & info [ "durability" ] ~docv:"MODE" ~doc)
 

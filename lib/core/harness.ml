@@ -171,7 +171,6 @@ let build_user setup ~initial_root ~engine ~trace ~keyring ~signers ~user =
              Protocol3.n = setup.users;
              epoch_len;
              initial_root;
-             check_epoch_progress = true;
            }
            ~user ~engine ~trace ~keyring ~signer:signers.(user))
   | Protocol_4 { announce_every } ->
@@ -186,8 +185,7 @@ let build_user setup ~initial_root ~engine ~trace ~keyring ~signers ~user =
            ~user ~engine ~trace ~keyring ~signer:signers.(user))
   | Unverified -> Plain_user.base (Plain_user.create ~user ~engine ~trace)
 
-let create_server ?store ?route_counters ?resume_from protocol ~adversary ~elected_signer
-    ~engine ~db =
+let create_server ?store ?route_counters protocol ~adversary ~elected_signer ~engine ~db =
   let mode, epoch_len =
     match protocol with
     | Protocol_1 _ -> (`Signed, None)
@@ -201,7 +199,7 @@ let create_server ?store ?route_counters ?resume_from protocol ~adversary ~elect
         Some (fun root -> Protocol1.initial_signature ~signer:(elected_signer ()) ~root)
     | Protocol_2 _ | Protocol_3 _ | Protocol_4 _ | Token_baseline _ | Unverified -> None
   in
-  Server.create ?store ?route_counters ?sign_initial_root ?resume_from
+  Server.create ?store ?route_counters ?sign_initial_root
     { Server.mode; epoch_len; adversary }
     ~engine ~db
 
@@ -216,11 +214,12 @@ let run_common setup ~script =
   Obs.set_meta "adversary" (Adversary.name setup.adversary);
   Obs.set_meta "users" (string_of_int setup.users);
   Obs.set_meta "seed" setup.seed;
-  (* Durable store (tentpole): create or reopen before anything reads
-     the initial state — on a reopen, the recovered contents *are* the
-     initial state every agent (and the oracle) must agree on. The
-     directory path stays out of the Obs meta so same-seed reports are
-     byte-identical regardless of where the store lives. *)
+  (* Durable store: create or reopen before anything reads the initial
+     state. A reopened directory starts a new session over its data
+     (Store.rebaseline): the loaded contents *are* the initial state
+     every agent (and the oracle) must agree on. The directory path
+     stays out of the Obs meta so same-seed reports are byte-identical
+     regardless of where the store lives. *)
   let store, initial =
     match setup.store_dir with
     | None -> (None, setup.initial)
@@ -233,7 +232,9 @@ let run_common setup ~script =
         with
         | Error e -> raise (Setup_error (Store_failed e))
         | Ok (s, `Fresh) -> (Some s, setup.initial)
-        | Ok (s, `Reopened) -> (Some s, Store.Shard_db.to_alist (Store.db s)))
+        | Ok (s, `Reopened) ->
+            Store.rebaseline s;
+            (Some s, Store.Shard_db.to_alist (Store.db s)))
   in
   let engine =
     Sim.Engine.create ~measure:Message.encoded_size ~classify:Message.kind ()

@@ -45,8 +45,9 @@ type setup = {
           [None] (the default) is the bare paper protocol *)
   store_dir : string option;
       (** when set, run the server on a durable {!Store} rooted here
-          (created on first use, recovered on reopen); required by the
-          [Crash] / [Rollback_crash] adversaries *)
+          (created on first use; an existing directory is loaded and
+          {!Store.rebaseline}d as a new session); required by the
+          crash adversaries *)
   shards : int option;
       (** key-range shards for the server database (default 1; implies
           the per-shard [server.s<i>.*] observability scopes) *)
@@ -138,7 +139,6 @@ val build_user :
 val create_server :
   ?store:Store.t ->
   ?route_counters:bool ->
-  ?resume_from:Store.recovered ->
   protocol ->
   adversary:Adversary.t ->
   elected_signer:(unit -> Pki.Signer.t) ->

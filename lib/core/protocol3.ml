@@ -4,7 +4,6 @@ type config = {
   n : int;
   epoch_len : int;
   initial_root : string;
-  check_epoch_progress : bool;
 }
 
 let obs_scope = Obs.Scope.v "protocol3"
@@ -198,10 +197,7 @@ let handle_response t ~round ~(answer : Vo.answer) ~vo ~ctr ~last_user ~epoch ~e
     match User_base.in_flight_op t.base with
     | None -> ()
     | Some op -> (
-        if
-          t.config.check_epoch_progress
-          && epoch + 1 < round / t.config.epoch_len
-        then
+        if epoch + 1 < round / t.config.epoch_len then
           fail t ~round
             (Printf.sprintf "server epoch %d lags local clock epoch %d" epoch
                (round / t.config.epoch_len))

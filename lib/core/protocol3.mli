@@ -33,7 +33,6 @@ type config = {
   n : int;
   epoch_len : int;  (** rounds per epoch; users know it (t in the paper) *)
   initial_root : string;
-  check_epoch_progress : bool;  (** alarm if the server's epoch lags the local clock *)
 }
 
 type t

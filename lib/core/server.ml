@@ -401,25 +401,22 @@ let handle_root_signature t ~round ~signature =
 
 (* ---- Crash / recovery ----------------------------------------------- *)
 
-(* Kill the server at the start of the round and restart it from the
-   durable store. Honest recovery ([Crash]) replays snapshot + WAL
-   tail; the [Rollback_crash] variant "recovers" from the previous
-   snapshot generation, silently discarding the tail.
-
-   What survives a restart is exactly what the store holds: the
-   database, the counter, the stored root signature and the epoch
-   backups. Volatile lies die with the process — a forked branch and
-   the rollback history are gone (a recovered server must not
-   re-present pre-crash branch history as fresh). The request queue is
-   modelled as preserved: in the paper's model users retransmit an
-   unanswered query, which is indistinguishable from the queue
-   surviving, and it keeps honest crashes free of spurious
-   availability timeouts. *)
-let adopt_recovered t (r : Store.recovered) =
-  t.main.db <- r.Store.db;
-  t.main.ctr <- r.Store.ctr;
-  t.main.last_user <- r.Store.last_user;
-  t.main.root_sig <- r.Store.root_sig;
+(* Serve what the store holds: its database, counter, last user, root
+   signature and epoch backups. The server does this when it is
+   created over a store, and again after every simulated crash, once
+   the store has reloaded its directory. Volatile lies die with the
+   process — a forked branch and the rollback history are gone (a
+   recovered server must not re-present pre-crash branch history as
+   fresh). The request queue is modelled as preserved: in the paper's
+   model users retransmit an unanswered query, which is
+   indistinguishable from the queue surviving, and it keeps honest
+   crashes free of spurious availability timeouts. *)
+let adopt t store =
+  let book = Store.book store in
+  t.main.db <- Store.db store;
+  t.main.ctr <- book.Store.ctr;
+  t.main.last_user <- book.Store.last_user;
+  t.main.root_sig <- book.Store.root_sig;
   t.main.history <- [];
   t.forked <- None;
   t.discard_next_sig <- false;
@@ -435,7 +432,7 @@ let adopt_recovered t (r : Store.recovered) =
           backup_gctr = b.Store.gctr;
           backup_signature = b.Store.signature;
         })
-    r.Store.backups;
+    book.Store.backups;
   match t.config.mode with
   | `Signed ->
       if t.main.root_sig = None then
@@ -452,25 +449,23 @@ let adopt_recovered t (r : Store.recovered) =
       else t.awaiting_sig_on <- None
   | `Plain | `Token -> ()
 
+(* Kill the server at the start of the round and restart it from the
+   durable store: damage the directory as the fault would, then reload
+   it. An honest [Crash] damages nothing; [Rollback_crash] leaves only
+   the stale previous generation; the torn-manifest variants tear the
+   MANIFEST (and its twin); [Checkpoint_crash] dies mid-checkpoint. *)
 let crash_recover t ~round =
   match t.store with
   | None -> () (* no store, nothing to crash back onto *)
-  | Some store ->
+  | Some store -> (
       Obs.incr c_crashes;
-      let result =
-        match t.config.adversary with
-        | Adversary.Rollback_crash _ -> Store.recover_stale store
-        | Adversary.Torn_manifest { wreck; _ } ->
-            Store.debug_tear_manifest ~dir:(Store.dir store) ~wreck_backup:wreck;
-            Store.recover_reload store
-        | Adversary.Checkpoint_crash _ ->
-            (* Die mid-checkpoint: next-gen snapshot leftovers on disk,
-               generation never published. Recovery must ignore them. *)
-            Store.debug_partial_checkpoint store ~db:t.main.db;
-            Store.recover store
-        | _ -> Store.recover store
-      in
-      (match result with
+      (match t.config.adversary with
+      | Adversary.Rollback_crash _ -> Store.debug_rollback store
+      | Adversary.Torn_manifest { wreck; _ } ->
+          Store.debug_tear_manifest ~dir:(Store.dir store) ~wreck_backup:wreck
+      | Adversary.Checkpoint_crash _ -> Store.debug_partial_checkpoint store ~db:t.main.db
+      | _ -> ());
+      match Store.recover store with
       | Error e ->
           (* An unrecoverable store is a loud failure, never a
              half-initialized shard map served as truth: alarm as the
@@ -478,8 +473,8 @@ let crash_recover t ~round =
           t.halted <- true;
           Sim.Engine.alarm t.engine ~agent:Sim.Id.Server
             ~reason:("store recovery failed: " ^ e)
-      | Ok r ->
-          adopt_recovered t r;
+      | Ok () ->
+          adopt t store;
           process_queue t ~round)
 
 let maybe_crash t ~round =
@@ -523,8 +518,7 @@ let handle_token_turn t ~op ~record =
 
 (* ---- Wiring --------------------------------------------------------- *)
 
-let create ?store ?(route_counters = false) ?sign_initial_root ?resume_from config ~engine
-    ~db =
+let create ?store ?(route_counters = false) ?sign_initial_root config ~engine ~db =
   (match store with
   | Some s when Store.db s != db -> invalid_arg "Server.create: db is not the store's database"
   | Some _ | None -> ());
@@ -561,14 +555,11 @@ let create ?store ?(route_counters = false) ?sign_initial_root ?resume_from conf
       route_counters;
     }
   in
-  (match resume_from with
-  | None -> ()
-  | Some r ->
-      (* A reopened daemon store: adopt the recovered bookkeeping so the
-         restarted server continues the same session (ctr, last user,
-         root signature, epoch backups) instead of re-baselining. *)
-      adopt_recovered t r;
-      t.total_ops <- r.Store.ctr);
+  Option.iter
+    (fun store ->
+      adopt t store;
+      t.total_ops <- t.main.ctr)
+    store;
   let on_message ~round ~src msg =
     if t.halted then ()
     else

@@ -45,7 +45,6 @@ val create :
   ?store:Store.t ->
   ?route_counters:bool ->
   ?sign_initial_root:(string -> string) ->
-  ?resume_from:Store.recovered ->
   config ->
   engine:Message.t Sim.Engine.t ->
   db:Store.Shard_db.t ->
@@ -59,19 +58,17 @@ val create :
 
     [store], when given, makes the server durable: [db] must be
     {!Store.db}[ store] (the initial contents on a fresh store, the
-    recovered database on a reopened one; anything else raises
-    [Invalid_argument]), every served operation, stored root signature
-    and epoch backup is logged to the store's WAL, and the [Crash] /
-    [Rollback_crash] adversaries become meaningful.
+    loaded database on a resumed one; anything else raises
+    [Invalid_argument]). The server adopts the store's {!Store.book} —
+    ctr, last user, root signature, epoch backups — so a restarted
+    server continues the same session; it adopts the store's database
+    and book again after every simulated crash. Every served
+    operation, stored root signature and epoch backup is logged to the
+    store's WAL, and the crash adversaries become meaningful.
     [route_counters] (default [false]) switches on the per-shard
     [server.s<i>.ops_routed] routing counters plus the
     [server.ops_routed] aggregate; callers set it on store and sharded
-    runs, so legacy single-tree reports keep their exact metric set.
-
-    [resume_from], when given (the network daemon's {!Store.resume}
-    path), adopts the recovered bookkeeping — ctr, last user, root
-    signature, epoch backups — so a restarted server continues the same
-    session instead of re-baselining. *)
+    runs, so legacy single-tree reports keep their exact metric set. *)
 
 val initial_root : t -> string
 (** [M(D₀)] — common knowledge among users. *)

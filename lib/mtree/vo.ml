@@ -69,7 +69,6 @@ let pp_error fmt = function
   | Insufficient -> Format.pp_print_string fmt "insufficient proof (replay hit a pruned subtree)"
   | Malformed m -> Format.fprintf fmt "malformed verification object: %s" m
 
-let branching t = t.branching
 
 let root_node t =
   match t.body with

@@ -88,7 +88,6 @@ val apply_detail : t -> op -> (answer * string * string * shard_transition list,
     verifier witnesses these per-shard chains instead of serialising on
     the composed root. *)
 
-val branching : t -> int
 val size_bytes : t -> int
 (** Size of the wire encoding — the paper's "O(log n) digests" claim is
     measured in these bytes. *)

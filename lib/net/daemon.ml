@@ -53,9 +53,12 @@ let default_config =
     adversary = Adversary.Honest;
     max_conns = 64;
     checkpoint_every = 64;
-    (* Per_op keeps kill -9 at any instant loss-free for acknowledged
-       requests — the at-most-once guarantee the smoke tests pin.
-       Per_round trades that window for one fsync per tick. *)
+    (* Both modes keep kill -9 at any instant loss-free for
+       acknowledged requests: [drain_outbox] only queues a reply, the
+       [Store.flush] in [finish_round] or [execute_pending] follows it,
+       and [Loop.turn] writes queued frames after that. Per_op, the
+       mode the smoke tests run, flushes every record; Per_round
+       flushes once per tick. *)
     durability = Store.Per_op;
     journal = None;
     admin_port = None;
@@ -289,30 +292,19 @@ let initial_slice cfg =
 
 let open_store cfg ~initial =
   match cfg.store_dir with
-  | None -> Ok (None, None)
+  | None -> Ok None
   | Some dir ->
-      if Store.manifest_exists dir then
-        match
-          Store.resume ~checkpoint_every:cfg.checkpoint_every
-            ~durability:cfg.durability ~dir ()
-        with
-        | Ok (s, r) -> Ok (Some s, Some r)
-        | Error e -> Error e
-      else (
-        match
-          Store.create_or_open ~checkpoint_every:cfg.checkpoint_every
-            ~durability:cfg.durability ~dir
-            ~branching:cfg.branching ~shards:cfg.shards
-            ~initial ()
-        with
-        | Ok (s, _) -> Ok (Some s, None)
-        | Error e -> Error e)
+      Result.map
+        (fun (s, _) -> Some s)
+        (Store.create_or_open ~checkpoint_every:cfg.checkpoint_every
+           ~durability:cfg.durability ~dir ~branching:cfg.branching ~shards:cfg.shards
+           ~initial ())
 
 let build_state cfg =
   let initial = initial_slice cfg in
   match open_store cfg ~initial with
   | Error e -> Error ("store: " ^ e)
-  | Ok (store, resume_from) ->
+  | Ok store ->
       let engine =
         Sim.Engine.create ~measure:Message.encoded_size ~classify:Message.kind ()
       in
@@ -322,7 +314,7 @@ let build_state cfg =
         | None -> Store.Shard_db.create ~branching:cfg.branching ~shards:cfg.shards initial
       in
       let server =
-        Harness.create_server ?store ~route_counters:true ?resume_from cfg.protocol
+        Harness.create_server ?store ~route_counters:true cfg.protocol
           ~adversary:cfg.adversary
           ~elected_signer:(fun () ->
             (* same deterministic PKI ceremony as the clients *)
@@ -353,17 +345,14 @@ let build_state cfg =
           ~fwd_ctx:(cfg.shard_id <> None) ~users:cfg.users ~max_conns:cfg.max_conns
           (Option.map (fun p -> Obs.Journal.open_ ~proc p) cfg.journal)
       in
-      (match resume_from with
-      | None -> ()
-      | Some (r : Store.recovered) ->
-          List.iter (fun (u, s) -> Hashtbl.replace fe.vseq u s) r.Store.seqs;
-          List.iter
-            (fun (u, s, payload) -> Hashtbl.replace fe.reply_cache u (s, payload))
-            r.Store.replies;
-          Log.info (fun f ->
-              f "resumed store: generation %d, ctr %d, %d user seqs"
-                (match store with Some s -> Store.generation s | None -> 0)
-                r.Store.ctr (List.length r.Store.seqs)));
+      (* A resumed store carries the dedup table and reply cache of the
+         session it continues. *)
+      Option.iter
+        (fun s ->
+          let b = Store.book s in
+          List.iter (fun (u, seq) -> Hashtbl.replace fe.vseq u seq) b.Store.seqs;
+          List.iter (fun (u, r) -> Hashtbl.replace fe.reply_cache u r) b.Store.replies)
+        store;
       Ok { cfg; fe; engine; server; store; outbox; free_pending = false }
 
 (* ---- Admin endpoint --------------------------------------------------- *)

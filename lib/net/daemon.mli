@@ -60,11 +60,13 @@ type config = {
   max_conns : int;
   checkpoint_every : int;
   durability : Store.durability;
-      (** WAL flush cadence. {!Store.Per_op} (the default) keeps
-          [kill -9] at any instant loss-free for acknowledged requests;
-          {!Store.Per_round} group-commits each tick — everything a
-          tick staged becomes durable together at [finish_round],
-          before the next [Tick] is announced. *)
+      (** WAL flush cadence. {!Store.Per_op} (the default) flushes
+          every record; {!Store.Per_round} group-commits each tick —
+          everything a tick staged becomes durable together at
+          [finish_round], before the next [Tick] is announced. Either
+          way [kill -9] at any instant loses no acknowledged request:
+          a reply reaches its socket only after the records behind it
+          were flushed. *)
   journal : string option;
       (** when set, span events (daemon.dispatch / daemon.dedup /
           daemon.reply / daemon.flush) are appended to this JSONL file

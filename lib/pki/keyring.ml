@@ -9,8 +9,6 @@ let register t user verifier =
   Hashtbl.add t.table user verifier
 
 let find t user = Hashtbl.find_opt t.table user
-let users t =
-  Hashtbl.fold (fun id _ acc -> id :: acc) t.table [] |> List.sort Int.compare
 
 let verify t user msg ~signature =
   match find t user with

@@ -20,8 +20,6 @@ val register : t -> user_id -> Signer.verifier -> unit
     user). *)
 
 val find : t -> user_id -> Signer.verifier option
-val users : t -> user_id list
-(** Registered ids in increasing order. *)
 
 val verify : t -> user_id -> string -> signature:string -> bool
 (** [verify ring i msg ~signature] is [false] when [i] is unknown —

@@ -18,7 +18,6 @@ let of_trees map trees =
   { map; shards = trees }
 
 let map t = t.map
-let branching t = Shard_map.branching t.map
 let shard_count t = Array.length t.shards
 let trees t = t.shards
 let route t key = Shard_map.route t.map key

@@ -27,7 +27,6 @@ val of_trees : Shard_map.t -> Mtree.Merkle_btree.t array -> t
     @raise Invalid_argument on a shard-count mismatch. *)
 
 val map : t -> Shard_map.t
-val branching : t -> int
 val shard_count : t -> int
 val trees : t -> Mtree.Merkle_btree.t array
 val route : t -> string -> int

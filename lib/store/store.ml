@@ -42,58 +42,34 @@ type backup = {
   signature : string;
 }
 
-type recovered = {
-  db : Shard_db.t;
+type book = {
   ctr : int;
   last_user : int;
   root_sig : string option;
-  backups : backup list;
-  seqs : (int * int) list;
-  replies : (int * int * string) list;
+  backups : backup list;  (* sorted by (epoch, user), one per pair *)
+  (* Network-session bookkeeping: highest request seq executed per
+     user, and the last reply per user — what makes a client
+     retransmission across a daemon restart exactly-once. *)
+  seqs : (int * int) list;  (* sorted by user *)
+  replies : (int * (int * string)) list;  (* user -> (seq, payload), sorted by user *)
 }
 
-type meta = {
-  m_ctr : int;
-  m_last_user : int;
-  m_root_sig : string option;
-  m_next_lsn : int;
-  m_backups : backup list;
-  (* Network-session bookkeeping (PR 5): highest request seq executed
-     per user, and the last reply payload per user — what makes a
-     client retransmission across a daemon restart exactly-once. *)
-  m_seqs : (int * int) list;  (* sorted by user *)
-  m_replies : (int * (int * string)) list;  (* user -> (seq, payload) *)
-}
+let fresh_book =
+  { ctr = 0; last_user = -1; root_sig = None; backups = []; seqs = []; replies = [] }
 
 (* When records reach the OS. [Per_op] flushes (and under [fsync],
    syncs) after every logged record — the pre-group-commit behaviour,
    byte for byte. [Per_round] stages everything and relies on the
    caller invoking {!flush} at round boundaries: one flush + one fsync
-   per dirty stream per round, however many records the round logged.
-   [Every_n n] flushes every stream once [n] records are staged. *)
-type durability = Per_op | Per_round | Every_n of int
+   per dirty stream per round, however many records the round logged. *)
+type durability = Per_op | Per_round
 
-let durability_to_string = function
-  | Per_op -> "per-op"
-  | Per_round -> "per-round"
-  | Every_n n -> Printf.sprintf "every:%d" n
+let durability_to_string = function Per_op -> "per-op" | Per_round -> "per-round"
 
-let durability_of_string s =
-  match s with
+let durability_of_string = function
   | "per-op" -> Ok Per_op
   | "per-round" -> Ok Per_round
-  | _ -> (
-      match String.index_opt s ':' with
-      | Some i when String.equal (String.sub s 0 i) "every" -> (
-          match
-            int_of_string_opt (String.sub s (i + 1) (String.length s - i - 1))
-          with
-          | Some n when n >= 1 -> Ok (Every_n n)
-          | _ -> Error (s ^ ": batch size must be a positive integer"))
-      | _ ->
-          Error
-            (Printf.sprintf "%s: unknown durability (per-op | per-round | every:N)"
-               s))
+  | s -> Error (s ^ ": unknown durability (per-op | per-round)")
 
 (* A shard's snapshot chain: a full snapshot, then the deltas written
    after it, oldest first, each with its size in bytes; and the tree
@@ -119,19 +95,13 @@ type t = {
   mutable meta_base : string;
   (* Mirror of the bookkeeping the meta log describes, so a checkpoint
      can serialise it without asking the server. *)
-  mutable ctr : int;
-  mutable last_user : int;
-  mutable root_sig : string option;
-  mutable backups : backup list;
-  mutable seqs : (int * int) list;
-  mutable replies : (int * (int * string)) list;
+  mutable book : book;
   (* Origins declared by the network daemon for the ops it is about to
      inject this round; [log_op] attaches and consumes them, so the WAL
      record itself carries the (user, request seq) provenance. *)
   mutable origins : (int * int) list;
-  mutable staged_since_flush : int;
   mutable ops_since_checkpoint : int;
-  opened_db : Shard_db.t;
+  mutable db : Shard_db.t;  (* as of the last open or recovery *)
   mutable closed : bool;
 }
 
@@ -213,9 +183,6 @@ let read_manifest dir =
                "%s: manifest unrecoverable — refusing to serve a \
                 half-initialized shard map (%s; backup: %s)"
                dir primary backup))
-
-let manifest_exists dir =
-  Sys.file_exists (manifest_path dir) || Sys.file_exists (manifest_bak_path dir)
 
 (* The layout magic every [bases.<g>] payload opens with. *)
 let bases_magic = "TCVSBAS3"
@@ -399,11 +366,10 @@ let bases_files dir g ~count =
   | Ok chains -> List.concat (Array.to_list chains)
   | Error _ -> []
 
-let sort_backups backups =
-  List.sort (fun a b -> compare (a.epoch, a.user) (b.epoch, b.user)) backups
-
 let replace_backup backups b =
-  b :: List.filter (fun x -> not (x.user = b.user && x.epoch = b.epoch)) backups
+  List.sort
+    (fun a b -> compare (a.epoch, a.user) (b.epoch, b.user))
+    (b :: List.filter (fun x -> not (x.user = b.user && x.epoch = b.epoch)) backups)
 
 (* Per-user maps kept as sorted assoc lists: user counts are small, and
    lists keep snapshot encoding deterministic without Hashtbl order. *)
@@ -556,28 +522,29 @@ let load_chain dir ~branching i names =
   | exception Bad_chain e ->
       Error (Printf.sprintf "%s: node %s" (dir // String.concat "+" names) e)
 
-let write_meta_snapshot_file path m =
+(* The meta snapshot: the bookkeeping [b] and the next free LSN. *)
+let write_meta_snapshot_file path b ~next_lsn =
   let w = W.create () in
-  W.u32 w m.m_ctr;
-  W.u32 w (m.m_last_user + 1);
-  (match m.m_root_sig with
+  W.u32 w b.ctr;
+  W.u32 w (b.last_user + 1);
+  (match b.root_sig with
   | None -> W.u8 w 0
   | Some s ->
       W.u8 w 1;
       W.str w s);
-  W.u64 w m.m_next_lsn;
-  W.list w (fun b -> encode_backup w b) (sort_backups m.m_backups);
+  W.u64 w next_lsn;
+  W.list w (encode_backup w) b.backups;
   W.list w
     (fun (user, seq) ->
       W.u16 w user;
       W.u32 w seq)
-    m.m_seqs;
+    b.seqs;
   W.list w
     (fun (user, (seq, payload)) ->
       W.u16 w user;
       W.u32 w seq;
       W.str w payload)
-    m.m_replies;
+    b.replies;
   Snapshot.write path ~payload:(W.contents w)
 
 let load_meta_snapshot_file path =
@@ -605,18 +572,10 @@ let load_meta_snapshot_file path =
               let seq = R.u32 r in
               (user, (seq, R.str r)))
         in
-        {
-          m_ctr = ctr;
-          m_last_user = last_user;
-          m_root_sig = root_sig;
-          m_next_lsn = next_lsn;
-          m_backups = backups;
-          m_seqs = seqs;
-          m_replies = replies;
-        })
+        ({ ctr; last_user; root_sig; backups; seqs; replies }, next_lsn))
   with
   | None -> Error (path ^ ": malformed meta snapshot")
-  | Some m -> Ok m
+  | Some loaded -> Ok loaded
 
 (* ---- logs ----------------------------------------------------------- *)
 
@@ -658,16 +617,23 @@ let read_log dir ~name ~gen ~decode =
 
 (* ---- generation replay ---------------------------------------------- *)
 
+(* A generation as its files hold it: the database and bookkeeping
+   its snapshots and logs replay to, its base snapshots, the next free
+   LSN, and how many logged ops its logs held. *)
 type loaded = {
+  l_gen : int;
   l_db : Shard_db.t;
-  l_meta : meta;
+  l_book : book;
+  l_next_lsn : int;
   l_chains : chain array;
   l_meta_base : string;
+  l_tail_ops : int;
 }
 
-(* Generation [g]'s snapshots: the shard chains [bases.<g>] names, the
-   database their tips compose, and the meta snapshot's bookkeeping. *)
-let load_snapshots dir ~map g =
+(* Generation [g]: the shard chains and meta snapshot [bases.<g>]
+   names, then every record of its logs, which were all written after
+   its checkpoint, merged in LSN order. *)
+let load_generation dir ~map g =
   let shards = Shard_map.shards map and branching = Shard_map.branching map in
   let* bases = read_bases dir g ~count:(shards + 1) in
   let rec load_chains i acc =
@@ -678,21 +644,7 @@ let load_snapshots dir ~map g =
   in
   let* chains = load_chains 0 [] in
   let meta_base = List.hd bases.(shards) in
-  let* m = load_meta_snapshot_file (dir // meta_base) in
-  Ok
-    {
-      l_db = Shard_db.of_trees map (Array.map (fun c -> c.tip) chains);
-      l_meta = m;
-      l_chains = chains;
-      l_meta_base = meta_base;
-    }
-
-(* Every record in generation [g]'s logs was written after [g]'s
-   checkpoint, so replay starts from the meta snapshot's bookkeeping
-   and applies all logs merged in LSN order. *)
-let load_generation dir ~map g =
-  let shards = Shard_map.shards map in
-  let* l = load_snapshots dir ~map g in
+  let* book, next_lsn = load_meta_snapshot_file (dir // meta_base) in
   let decode_event i payload =
     if i < shards then Option.map (fun r -> `Op r) (decode_op_record payload)
     else decode_meta_record payload
@@ -706,27 +658,47 @@ let load_generation dir ~map g =
       gather (i + 1) (List.rev_append evs acc)
   in
   let* events = gather 0 [] in
-  let events = List.sort (fun (a, _) (b, _) -> Int.compare a b) events in
-  let db, m =
-    List.fold_left
-      (fun (db, m) (lsn, ev) ->
-        let m = { m with m_next_lsn = max m.m_next_lsn (lsn + 1) } in
-        match ev with
-        | `Op (op, ctr, last_user, origin) ->
-            let db, _answer = Shard_db.apply db op in
-            let seqs =
-              match origin with None -> m.m_seqs | Some o -> bump_seq m.m_seqs o
-            in
-            ( db,
-              { m with m_ctr = ctr; m_last_user = last_user; m_root_sig = None;
-                m_seqs = seqs } )
-        | `Sig s -> (db, { m with m_root_sig = Some s })
-        | `Backup b -> (db, { m with m_backups = replace_backup m.m_backups b })
-        | `Reply (user, seq, payload) ->
-            (db, { m with m_replies = set_assoc user (seq, payload) m.m_replies }))
-      (l.l_db, l.l_meta) events
+  let replay l (lsn, ev) =
+    let l = { l with l_next_lsn = max l.l_next_lsn (lsn + 1) } in
+    let b = l.l_book in
+    match ev with
+    | `Op (op, ctr, last_user, origin) ->
+        let seqs = match origin with None -> b.seqs | Some o -> bump_seq b.seqs o in
+        {
+          l with
+          l_db = fst (Shard_db.apply l.l_db op);
+          l_book = { b with ctr; last_user; root_sig = None; seqs };
+          (* A fanned-out op writes one record per shard, each with the
+             op's ctr: count the op once. *)
+          l_tail_ops = (if ctr = b.ctr then l.l_tail_ops else l.l_tail_ops + 1);
+        }
+    | `Sig s -> { l with l_book = { b with root_sig = Some s } }
+    | `Backup x -> { l with l_book = { b with backups = replace_backup b.backups x } }
+    | `Reply (user, seq, payload) ->
+        { l with l_book = { b with replies = set_assoc user (seq, payload) b.replies } }
   in
-  Ok { l with l_db = db; l_meta = m }
+  Ok
+    (List.fold_left replay
+       {
+         l_gen = g;
+         l_db = Shard_db.of_trees map (Array.map (fun c -> c.tip) chains);
+         l_book = book;
+         l_next_lsn = next_lsn;
+         l_chains = chains;
+         l_meta_base = meta_base;
+         l_tail_ops = 0;
+       }
+       (List.sort (fun (a, _) (b, _) -> Int.compare a b) events))
+
+(* The one way into a directory, for an open and a recovery alike:
+   refuse an older layout, read the MANIFEST (repairing a torn copy
+   from its twin), then CURRENT's generation. *)
+let load dir =
+  let* () = check_layout dir in
+  let* map = read_manifest dir in
+  let* g = read_current dir in
+  let* l = load_generation dir ~map g in
+  Ok (map, l)
 
 (* ---- garbage collection --------------------------------------------- *)
 
@@ -742,37 +714,32 @@ let classify_file f =
   | [ _; g; "snap" ] -> Option.map (fun _ -> Snap_file) (int_of_string_opt g)
   | _ -> None
 
-(* Delete everything the current generation (in memory) and the
-   previous generation's bases file (on disk) no longer reference:
-   superseded bases files, unreferenced snapshots (including orphans a
-   crashed checkpoint left behind), logs of dead generations, and
-   half-written .tmp files. Runs at checkpoint and stale-recovery
-   time, when both reference sets are known. *)
-let gc t ~prev =
-  let referenced =
-    Strings.of_list
-      ((t.meta_base :: bases_files t.dir prev ~count:(Array.length t.chains + 1))
-      @ List.concat_map (fun c -> List.map fst c.files) (Array.to_list t.chains))
-  in
+(* Keep generations [gen] and [prev]: delete every other generation's
+   bases file and logs, every snapshot that neither [referenced] (what
+   [gen]'s bases file names) nor [bases.<prev>] names — orphans a
+   crashed checkpoint left behind included — and half-written .tmp
+   files. *)
+let gc dir ~count ~gen ~prev ~referenced =
+  let referenced = Strings.of_list (referenced @ bases_files dir prev ~count) in
   Array.iter
     (fun f ->
       let dead =
         Filename.check_suffix f ".tmp"
         ||
         match classify_file f with
-        | Some (Gen_file g) -> g <> t.gen && g <> prev
+        | Some (Gen_file g) -> g <> gen && g <> prev
         | Some Snap_file -> not (Strings.mem f referenced)
         | None -> false
       in
-      if dead then remove_if_exists (t.dir // f))
-    (Sys.readdir t.dir)
+      if dead then remove_if_exists (dir // f))
+    (Sys.readdir dir)
 
 (* ---- accessors ------------------------------------------------------ *)
 
-let db t = t.opened_db
+let db t = t.db
+let book t = t.book
 let generation t = t.gen
 let dir t = t.dir
-let durability t = t.durability
 
 let fresh_lsn t =
   let lsn = t.next_lsn in
@@ -791,9 +758,7 @@ let flush_log t w =
     ignore (Wal.flush ~fsync:t.fsync w)
   end
 
-let flush_logs t =
-  Array.iter (flush_log t) t.logs;
-  t.staged_since_flush <- 0
+let flush_logs t = Array.iter (flush_log t) t.logs
 
 (* The group-commit point: the network daemon and the simulated server
    call this once per round. *)
@@ -803,17 +768,6 @@ let flush t =
   Obs.observe h_flush_us (now_us () - t0)
 
 (* ---- checkpoint ----------------------------------------------------- *)
-
-let current_meta t =
-  {
-    m_ctr = t.ctr;
-    m_last_user = t.last_user;
-    m_root_sig = t.root_sig;
-    m_next_lsn = t.next_lsn;
-    m_backups = t.backups;
-    m_seqs = t.seqs;
-    m_replies = t.replies;
-  }
 
 (* Shard [i]'s chain once generation [g] holds [tree]. A chain whose
    tip already is [tree] is kept: the new bases file names its files
@@ -838,35 +792,56 @@ let next_chain t ~g i tree =
       { files = (if restart then [ file ] else files @ [ file ]); tip = tree }
 
 (* Write generation [g]'s snapshots — each changed shard's node delta
-   (or full snapshot), the bookkeeping [m] always — then publish them:
-   the bases file, then CURRENT. *)
-let write_generation t ~g ~db ~m =
+   (or full snapshot), the bookkeeping mirror always — then publish
+   them: the bases file, then CURRENT. *)
+let write_generation t ~g ~db =
   let trees = Shard_db.trees db in
   t.chains <- Array.mapi (fun i tree -> next_chain t ~g i tree) trees;
   let meta_name = snap_name "meta" g in
-  write_meta_snapshot_file (t.dir // meta_name) m;
+  write_meta_snapshot_file (t.dir // meta_name) t.book ~next_lsn:t.next_lsn;
   t.meta_base <- meta_name;
   let chains = Array.to_list (Array.map (fun c -> List.map fst c.files) t.chains) in
   Snapshot.write (bases_path t.dir g)
     ~payload:(encode_bases ~gen:g (chains @ [ [ meta_name ] ]));
   write_current t.dir g
 
-let checkpoint t ~db =
-  let t0 = now_us () in
+(* Start the next generation from [db] and the bookkeeping mirror, log
+   to it, and keep generation [prev] for stale recovery to roll back
+   to. *)
+let advance t ~db ~prev =
   let shards = Shard_map.shards t.map in
   (* Staged records must be on disk before the generation flips. *)
   flush_logs t;
-  let g' = t.gen + 1 in
-  write_generation t ~g:g' ~db ~m:(current_meta t);
+  let g = t.gen + 1 in
+  write_generation t ~g ~db;
   Array.iter Wal.close_writer t.logs;
-  let prev = t.gen in
-  t.gen <- g';
-  t.logs <- open_logs t.dir ~shards ~gen:g' ~fsync:t.fsync;
-  gc t ~prev;
-  t.ops_since_checkpoint <- 0;
+  t.gen <- g;
+  t.logs <- open_logs t.dir ~shards ~gen:g ~fsync:t.fsync;
+  gc t.dir ~count:(shards + 1) ~gen:g ~prev
+    ~referenced:
+      (t.meta_base :: List.concat_map (fun c -> List.map fst c.files) (Array.to_list t.chains));
+  t.ops_since_checkpoint <- 0
+
+let checkpoint t ~db =
+  let t0 = now_us () in
+  advance t ~db ~prev:t.gen;
   Obs.incr c_checkpoints;
   Obs.observe h_checkpoint_us (now_us () - t0);
-  Log.debug (fun f -> f "%s: checkpointed generation %d" t.dir g')
+  Log.debug (fun f -> f "%s: checkpointed generation %d" t.dir t.gen)
+
+(* Chains with no files yet: the next generation writes each shard's
+   tree as a full snapshot. *)
+let unwritten db = Array.map (fun tip -> { files = []; tip }) (Shard_db.trees db)
+
+(* Durable data outlives a simulated session; its bookkeeping does
+   not. The earlier generations die with the session, so there is
+   nothing to roll back to. *)
+let rebaseline t =
+  t.book <- fresh_book;
+  t.chains <- unwritten t.db;
+  advance t ~db:t.db ~prev:(-1);
+  Log.info (fun f ->
+      f "%s: re-baselined %d entries as generation %d" t.dir (Shard_db.size t.db) t.gen)
 
 (* ---- logging -------------------------------------------------------- *)
 
@@ -885,27 +860,17 @@ let sub_records map (op : Vo.op) =
       let boundaries = Shard_map.boundaries map in
       List.map (fun i -> (i, Vo.sub_op_for boundaries i op)) (Vo.shards_for boundaries op)
 
-(* Stage one record on stream [idx], then apply the durability policy:
-   per-op flushes that stream immediately (the pre-group-commit
-   behaviour), every:N flushes all streams once N records are staged,
-   per-round leaves everything for the round-boundary {!flush}. *)
+(* Stage one record on stream [idx]; per-op durability flushes that
+   stream at once (the pre-group-commit behaviour), per-round leaves
+   everything for the round-boundary {!flush}. *)
 let stage_record t idx ~payload =
   let w = t.logs.(idx) in
   Wal.stage w ~lsn:(fresh_lsn t) ~payload;
-  t.staged_since_flush <- t.staged_since_flush + 1;
-  match t.durability with
-  | Per_op ->
-      flush_log t w;
-      t.staged_since_flush <- 0
-  | Per_round -> ()
-  | Every_n n -> if t.staged_since_flush >= n then flush_logs t
+  match t.durability with Per_op -> flush_log t w | Per_round -> ()
 
 let meta_index t = Shard_map.shards t.map
 
 let log_op t ~db ~op ~ctr ~last_user =
-  t.ctr <- ctr;
-  t.last_user <- last_user;
-  t.root_sig <- None;
   (* A declared origin is consumed by the operation the daemon injected
      for that user; every fan-out sub-record repeats it (replay-time
      [bump_seq] is idempotent). *)
@@ -914,9 +879,17 @@ let log_op t ~db ~op ~ctr ~last_user =
     | None -> None
     | Some seq ->
         t.origins <- List.remove_assoc last_user t.origins;
-        t.seqs <- bump_seq t.seqs (last_user, seq);
         Some (last_user, seq)
   in
+  let b = t.book in
+  t.book <-
+    {
+      b with
+      ctr;
+      last_user;
+      root_sig = None;
+      seqs = (match origin with None -> b.seqs | Some o -> bump_seq b.seqs o);
+    };
   List.iter
     (fun (i, sub) ->
       stage_record t i ~payload:(encode_op_record ~op:sub ~ctr ~last_user ~origin))
@@ -926,233 +899,123 @@ let log_op t ~db ~op ~ctr ~last_user =
   if t.ops_since_checkpoint >= t.checkpoint_every then checkpoint t ~db
 
 let log_root_sig t s =
-  t.root_sig <- Some s;
+  t.book <- { t.book with root_sig = Some s };
   stage_record t (meta_index t) ~payload:(encode_sig_record s)
 
 let log_backup t b =
-  t.backups <- replace_backup t.backups b;
+  t.book <- { t.book with backups = replace_backup t.book.backups b };
   stage_record t (meta_index t) ~payload:(encode_backup_record b)
 
 let declare_origin t ~user ~seq = t.origins <- set_assoc user seq t.origins
 
 let log_reply t ~user ~seq ~payload =
-  t.replies <- set_assoc user (seq, payload) t.replies;
+  t.book <- { t.book with replies = set_assoc user (seq, payload) t.book.replies };
   stage_record t (meta_index t) ~payload:(encode_reply_record ~user ~seq ~payload)
 
-(* ---- recovery ------------------------------------------------------- *)
+(* ---- open and recovery ---------------------------------------------- *)
 
-let recovered_of db m =
-  {
-    db;
-    ctr = m.m_ctr;
-    last_user = m.m_last_user;
-    root_sig = m.m_root_sig;
-    backups = sort_backups m.m_backups;
-    seqs = m.m_seqs;
-    replies = List.map (fun (user, (seq, payload)) -> (user, seq, payload)) m.m_replies;
-  }
-
-(* Take over a loaded generation's base snapshots and bookkeeping. *)
+(* Log to generation [l]: take over its database, bookkeeping and base
+   snapshots, and count its logged ops towards the next checkpoint. *)
 let adopt t l =
-  let m = l.l_meta in
+  t.gen <- l.l_gen;
+  t.db <- l.l_db;
+  t.book <- l.l_book;
+  t.next_lsn <- l.l_next_lsn;
   t.chains <- l.l_chains;
   t.meta_base <- l.l_meta_base;
-  t.ctr <- m.m_ctr;
-  t.last_user <- m.m_last_user;
-  t.root_sig <- m.m_root_sig;
-  t.backups <- m.m_backups;
-  t.seqs <- m.m_seqs;
-  t.replies <- m.m_replies;
+  t.ops_since_checkpoint <- l.l_tail_ops;
   t.origins <- [];
-  t.next_lsn <- m.m_next_lsn
+  t.logs <- open_logs t.dir ~shards:(Shard_map.shards t.map) ~gen:t.gen ~fsync:t.fsync
+
+(* A store that logs to generation [l]; {!adopt} sets every field that
+   depends on it. *)
+let make ~dir ~map ~fsync ~durability ~checkpoint_every l =
+  let t =
+    {
+      dir;
+      map;
+      fsync;
+      durability;
+      checkpoint_every;
+      gen = 0;
+      next_lsn = 0;
+      logs = [||];
+      chains = [||];
+      meta_base = "";
+      book = fresh_book;
+      origins = [];
+      ops_since_checkpoint = 0;
+      db = l.l_db;
+      closed = false;
+    }
+  in
+  adopt t l;
+  t
+
+let create_or_open ?(fsync = false) ?(durability = Per_op) ?(checkpoint_every = 64) ~dir
+    ~branching ~shards ~initial () =
+  if checkpoint_every < 1 then Error "checkpoint_every must be >= 1"
+  else begin
+    mkdir_p dir;
+    if not (Sys.is_directory dir) then Error (dir ^ ": not a directory")
+    else if Sys.file_exists (manifest_path dir) || Sys.file_exists (manifest_bak_path dir)
+    then begin
+      (* A restart continues the same session: same generation, same
+         bookkeeping. That is what makes an honest kill -9 and restart
+         invisible to the protocols, and a rollback visible. *)
+      let* map, l = load dir in
+      let t = make ~dir ~map ~fsync ~durability ~checkpoint_every l in
+      Obs.incr c_resumes;
+      Log.info (fun f ->
+          f "%s: resumed generation %d (ctr %d, %d entries, %d logged ops)" dir t.gen
+            t.book.ctr (Shard_db.size t.db) l.l_tail_ops);
+      Ok (t, `Reopened)
+    end
+    else begin
+      let map = Shard_map.create ~branching ~shards ~keys:(List.map fst initial) in
+      let db = Shard_db.of_map map initial in
+      write_manifest dir ~payload:(Shard_map.encode map);
+      let t =
+        make ~dir ~map ~fsync ~durability ~checkpoint_every
+          {
+            l_gen = 0;
+            l_db = db;
+            l_book = fresh_book;
+            l_next_lsn = 0;
+            l_chains = unwritten db;
+            l_meta_base = "";
+            l_tail_ops = 0;
+          }
+      in
+      write_generation t ~g:0 ~db;
+      Log.info (fun f -> f "%s: fresh store, %d shard(s)" dir shards);
+      Ok (t, `Fresh)
+    end
+  end
 
 (* A crash loses whatever was staged and not yet flushed: discard the
-   buffers before closing, so the simulated restart replays exactly
-   what a real process death would have left on disk. *)
-let drop_staged_and_close t =
+   buffers before closing, so the reload sees exactly what a real
+   process death would have left on disk. The directory is then
+   reloaded as an open reloads it. The shard map is immutable, so a
+   (possibly repaired) MANIFEST must match the one in memory. On an
+   error the logs stay closed: the store must not be written again. *)
+let recover t =
+  let t0 = now_us () in
   Array.iter
     (fun w ->
       Wal.discard w;
       Wal.close_writer w)
     t.logs;
-  t.staged_since_flush <- 0
-
-let reopen_logs t =
-  t.logs <-
-    open_logs t.dir ~shards:(Shard_map.shards t.map) ~gen:t.gen ~fsync:t.fsync
-
-let recover t =
-  let t0 = now_us () in
-  drop_staged_and_close t;
-  let loaded = load_generation t.dir ~map:t.map t.gen in
-  reopen_logs t;
-  match loaded with
-  | Error _ as e -> e
-  | Ok l ->
-      adopt t l;
-      Obs.incr c_recoveries;
-      Obs.observe h_recover_us (now_us () - t0);
-      Log.info (fun f ->
-          f "%s: recovered generation %d (ctr %d)" t.dir t.gen l.l_meta.m_ctr);
-      Ok (recovered_of l.l_db l.l_meta)
-
-let recover_stale t =
-  let shards = Shard_map.shards t.map in
-  drop_staged_and_close t;
-  let stale =
-    if t.gen > 0 && Sys.file_exists (bases_path t.dir (t.gen - 1)) then t.gen - 1
-    else t.gen
-  in
-  match load_snapshots t.dir ~map:t.map stale with
-  | Error _ as e ->
-      reopen_logs t;
-      e
-  | Ok l ->
-      (* Adversarially present the stale snapshots as the whole
-         history: delete the logs after them and flip CURRENT back. *)
-      for i = 0 to shards do
-        remove_if_exists (log_path t.dir (stream_name ~shards i) stale)
-      done;
-      write_current t.dir stale;
-      t.gen <- stale;
-      reopen_logs t;
-      adopt t l;
-      t.ops_since_checkpoint <- 0;
-      gc t ~prev:(stale - 1);
-      Obs.incr c_stale_recoveries;
-      Log.info (fun f ->
-          f "%s: rolled back to stale generation %d (ctr %d)" t.dir stale
-            l.l_meta.m_ctr);
-      Ok (recovered_of l.l_db l.l_meta)
-
-(* ---- open ----------------------------------------------------------- *)
-
-let fresh_meta ~next_lsn =
-  {
-    m_ctr = 0;
-    m_last_user = -1;
-    m_root_sig = None;
-    m_next_lsn = next_lsn;
-    m_backups = [];
-    m_seqs = [];
-    m_replies = [];
-  }
-
-let validate_config ~checkpoint_every ~durability =
-  if checkpoint_every < 1 then Error "checkpoint_every must be >= 1"
-  else
-    match durability with
-    | Every_n n when n < 1 -> Error "every:N durability needs N >= 1"
-    | Per_op | Per_round | Every_n _ -> Ok ()
-
-(* Chains with no files yet: the next generation writes each shard's
-   tree as a full snapshot. *)
-let unwritten db = Array.map (fun tip -> { files = []; tip }) (Shard_db.trees db)
-
-(* A store logging to generation [gen] with bookkeeping [m], its logs
-   open. *)
-let make ~dir ~map ~fsync ~durability ~checkpoint_every ~gen ~db ~chains ~meta_base m =
-  {
-    dir;
-    map;
-    fsync;
-    durability;
-    checkpoint_every;
-    gen;
-    next_lsn = m.m_next_lsn;
-    logs = open_logs dir ~shards:(Shard_map.shards map) ~gen ~fsync;
-    chains;
-    meta_base;
-    ctr = m.m_ctr;
-    last_user = m.m_last_user;
-    root_sig = m.m_root_sig;
-    backups = m.m_backups;
-    seqs = m.m_seqs;
-    replies = m.m_replies;
-    origins = [];
-    staged_since_flush = 0;
-    ops_since_checkpoint = 0;
-    opened_db = db;
-    closed = false;
-  }
-
-let create_or_open ?(fsync = false) ?(durability = Per_op)
-    ?(checkpoint_every = 64) ~dir ~branching ~shards ~initial () =
-  let* () = validate_config ~checkpoint_every ~durability in
-  mkdir_p dir;
-  if not (Sys.is_directory dir) then Error (dir ^ ": not a directory")
-  else if not (manifest_exists dir) then begin
-    let map = Shard_map.create ~branching ~shards ~keys:(List.map fst initial) in
-    let db = Shard_db.of_map map initial in
-    write_manifest dir ~payload:(Shard_map.encode map);
-    let m = fresh_meta ~next_lsn:0 in
-    let t =
-      make ~dir ~map ~fsync ~durability ~checkpoint_every ~gen:0 ~db
-        ~chains:(unwritten db) ~meta_base:"" m
-    in
-    write_generation t ~g:0 ~db ~m;
-    Log.info (fun f -> f "%s: fresh store, %d shard(s)" dir shards);
-    Ok (t, `Fresh)
-  end
+  let* map, l = load t.dir in
+  if not (String.equal (Shard_map.encode map) (Shard_map.encode t.map)) then
+    Error (t.dir ^ ": MANIFEST changed shard map under a live store")
   else begin
-    let* () = check_layout dir in
-    let* map = read_manifest dir in
-    let* g = read_current dir in
-    let* l = load_generation dir ~map g in
-    (* Durable data outlives the run; session bookkeeping does not:
-       re-baseline the recovered database as a fresh generation with
-       fresh bookkeeping and full snapshots. *)
-    let g' = g + 1 in
-    let m' = fresh_meta ~next_lsn:l.l_meta.m_next_lsn in
-    let t =
-      make ~dir ~map ~fsync ~durability ~checkpoint_every ~gen:g' ~db:l.l_db
-        ~chains:(unwritten l.l_db) ~meta_base:"" m'
-    in
-    write_generation t ~g:g' ~db:l.l_db ~m:m';
-    (* The previous generations are dead: a reopen is a fresh session,
-       not a restart, so there is nothing to roll back to. *)
-    gc t ~prev:(-1);
-    Log.info (fun f ->
-        f "%s: reopened store (%d entries), re-baselined as generation %d" dir
-          (Shard_db.size l.l_db) g');
-    Ok (t, `Reopened)
+    adopt t l;
+    Obs.incr c_recoveries;
+    Obs.observe h_recover_us (now_us () - t0);
+    Log.info (fun f -> f "%s: recovered generation %d (ctr %d)" t.dir t.gen t.book.ctr);
+    Ok ()
   end
-
-(* A daemon restart must look like the same session continuing — same
-   generation, same counter, same pending session bookkeeping — not a
-   re-baselined fresh run (that is what makes an honest `kill -9` +
-   restart invisible to the protocol layer, and a rollback visible). *)
-let resume ?(fsync = false) ?(durability = Per_op) ?(checkpoint_every = 64) ~dir () =
-  let* () = validate_config ~checkpoint_every ~durability in
-  if not (Sys.file_exists dir && Sys.is_directory dir) then
-    Error (dir ^ ": no store to resume")
-  else if not (manifest_exists dir) then Error (dir ^ ": no MANIFEST")
-  else
-    let* () = check_layout dir in
-    let* map = read_manifest dir in
-    let* g = read_current dir in
-    let* l = load_generation dir ~map g in
-    let t =
-      make ~dir ~map ~fsync ~durability ~checkpoint_every ~gen:g ~db:l.l_db
-        ~chains:l.l_chains ~meta_base:l.l_meta_base l.l_meta
-    in
-    Obs.incr c_resumes;
-    Log.info (fun f ->
-        f "%s: resumed generation %d (ctr %d, %d entries)" dir g l.l_meta.m_ctr
-          (Shard_db.size l.l_db));
-    Ok (t, recovered_of l.l_db l.l_meta)
-
-(* Like {!recover}, but re-read the MANIFEST from disk first — the
-   recovery path a real restart takes, which the torn-manifest
-   adversary corrupts. The shard map is immutable, so a successful
-   (possibly repaired) read must match the in-memory one. *)
-let recover_reload t =
-  match read_manifest t.dir with
-  | Error _ as e -> e
-  | Ok map ->
-      if not (String.equal (Shard_map.encode map) (Shard_map.encode t.map)) then
-        Error (t.dir ^ ": MANIFEST changed shard map under a live store")
-      else recover t
 
 (* ---- crash-injection hooks (adversaries) ---------------------------- *)
 
@@ -1172,6 +1035,26 @@ let debug_partial_checkpoint t ~db =
   let oc = open_out_bin tmp in
   output_string oc "TCVSSNP2\x00\x00half-written";
   close_out oc
+
+(* Simulate a server that comes back on stale state: present the
+   retained previous generation (generation 0's initial snapshots when
+   no checkpoint has happened yet) as the whole history. CURRENT points
+   back at it, and everything newer is deleted: its own logs, the
+   newer generation's files, and every snapshot only they name. *)
+let debug_rollback t =
+  let shards = Shard_map.shards t.map in
+  let stale =
+    if t.gen > 0 && Sys.file_exists (bases_path t.dir (t.gen - 1)) then t.gen - 1
+    else t.gen
+  in
+  write_current t.dir stale;
+  for i = 0 to shards do
+    remove_if_exists (log_path t.dir (stream_name ~shards i) stale)
+  done;
+  gc t.dir ~count:(shards + 1) ~gen:stale ~prev:(stale - 1)
+    ~referenced:(bases_files t.dir stale ~count:(shards + 1));
+  Obs.incr c_stale_recoveries;
+  Log.info (fun f -> f "%s: rolled back to generation %d" t.dir stale)
 
 (* ---- read-only inspection (tcvs_cli store-inspect) ------------------ *)
 
@@ -1237,8 +1120,8 @@ let inspect ~dir =
                 (load_chain dir ~branching:(Shard_map.branching map) i bases.(i))
             else
               match load_meta_snapshot_file (dir // List.hd bases.(i)) with
-              | Ok m ->
-                  max_lsn := max !max_lsn (m.m_next_lsn - 1);
+              | Ok (_, next_lsn) ->
+                  max_lsn := max !max_lsn (next_lsn - 1);
                   true
               | Error _ -> false
           in

@@ -22,33 +22,44 @@
     meta.<g>.wal          the bookkeeping log
     v}
 
+    {b One way in.} {!create_or_open} creates a fresh directory, or
+    resumes an existing one in place: the same generation, its
+    database and its {!book}. {!recover} reloads the directory the same
+    way after a simulated crash, and the crash adversaries first damage
+    the directory as their fault would ({!debug_tear_manifest},
+    {!debug_partial_checkpoint}, {!debug_rollback}). A load checks the
+    layout, reads the MANIFEST (repairing a torn copy from its twin),
+    CURRENT, the generation's snapshot chains, then replays its logs.
+    {!rebaseline} starts a new session over old data.
+
     {b Write path (group commit).} Every server mutation is encoded
     and {e staged} on the owning shard's log (a multi-shard [Set_many]
-    fans out, one record per shard); root signatures and epoch backups
-    go to the meta log. The {!durability} mode decides when staged
-    records reach the OS: per-op (stage+flush each record — the
-    pre-group-commit behaviour, byte for byte), per-round (everything
-    waits for the round-boundary {!flush}: one channel flush and at
-    most one fsync per dirty stream per round), or every:N. Records
-    carry a store-wide monotone LSN, so recovery can merge all logs
-    back into one replay order.
+    fans out, one record per shard); root signatures, epoch backups and
+    cached replies go to the meta log. The {!durability} mode decides
+    when staged records reach the OS: per-op (stage+flush each record —
+    the pre-group-commit behaviour, byte for byte) or per-round
+    (everything waits for the round-boundary {!flush}: one channel flush
+    and at most one fsync per dirty stream per round). Records carry a
+    store-wide monotone LSN, so recovery can merge all logs back into
+    one replay order.
 
     {b Checkpoints} bound the logs: every [checkpoint_every] logged
     ops the store starts a new generation — new snapshots, new empty
-    logs — so recovery replays fewer than [checkpoint_every] ops
-    however long the run. A checkpoint costs what changed: a shard
-    whose root equals its chain's newest tree keeps its chain (reads
-    never cause a snapshot), and a changed shard writes a delta, the
-    Merkle nodes whose digests the chain's newest tree lacks. Once a
-    chain's deltas reach the size of its full snapshot, the shard
-    writes a full snapshot and starts a new chain, so a load reads at
-    most twice the tree plus one delta. Exactly one previous
-    generation is retained (the one {!recover_stale} rolls back to);
-    garbage collection at each checkpoint deletes every snapshot no
-    retained bases file names, and everything else of older
+    logs — so a load replays fewer than [checkpoint_every] ops however
+    long the run, and however often it restarts: an open counts the
+    ops it replayed towards the next checkpoint. A checkpoint costs
+    what changed: a shard whose root equals its chain's newest tree
+    keeps its chain (reads never cause a snapshot), and a changed shard
+    writes a delta, the Merkle nodes whose digests the chain's newest
+    tree lacks. Once a chain's deltas reach the size of its full
+    snapshot, the shard writes a full snapshot and starts a new chain,
+    so a load reads at most twice the tree plus one delta. Exactly one
+    previous generation is retained (the one {!debug_rollback} rolls
+    back to); garbage collection at each checkpoint deletes every
+    snapshot no retained bases file names, and everything else of older
     generations.
 
-    Recovery = the generation's snapshots + its logs replayed in LSN
+    A load = the generation's snapshots + its logs replayed in LSN
     order. A shard's chain is read into one digest → node map and its
     newest tree rebuilt from the root digest down through the smart
     constructors; every rebuilt node must hash to the digest its parent
@@ -80,32 +91,32 @@ type backup = {
     own wire type so [lib/core] depends on the store, never the
     reverse). *)
 
-type recovered = {
-  db : Shard_db.t;
+type book = {
   ctr : int;
-  last_user : int;
+  last_user : int;  (** -1 before the first op *)
   root_sig : string option;
-  backups : backup list;  (** sorted by (epoch, user) *)
+  backups : backup list;  (** sorted by (epoch, user), one per pair *)
   seqs : (int * int) list;
       (** highest request seq executed per user, sorted by user — the
           network daemon's exactly-once dedup table *)
-  replies : (int * int * string) list;
-      (** [(user, seq, payload)]: last cached reply per user, sorted by
-          user; [payload] is the net-encoded response message *)
+  replies : (int * (int * string)) list;
+      (** [(user, (seq, payload))]: last cached reply per user, sorted
+          by user; [payload] is the net-encoded response message *)
 }
+(** The session bookkeeping the meta log and meta snapshot carry: what
+    a server needs besides the database to continue a session. *)
 
-type durability = Per_op | Per_round | Every_n of int
+type durability = Per_op | Per_round
 (** When staged records reach the OS. [Per_op] flushes after every
     logged record — the pre-group-commit behaviour, byte for byte
     (the default everywhere; pinned recovery digests are taken in this
     mode). [Per_round] defers everything to the round-boundary
     {!flush} — one flush + at most one fsync per dirty stream per
-    round, whatever the round logged. [Every_n n] flushes all streams
-    once [n] records are staged. A crash loses whatever was staged
+    round, whatever the round logged. A crash loses whatever was staged
     and not yet flushed — never anything a completed flush covered. *)
 
 val durability_to_string : durability -> string
-(** ["per-op"], ["per-round"], ["every:N"]. *)
+(** ["per-op"], ["per-round"]. *)
 
 val durability_of_string : string -> (durability, string) result
 (** Inverse of {!durability_to_string} — the CLI flag parser. *)
@@ -123,43 +134,34 @@ val create_or_open :
   unit ->
   (t * [ `Fresh | `Reopened ], string) result
 (** Fresh directory: fix the shard map from [initial]'s keys, write the
-    MANIFEST and generation 0, start logging. Existing directory:
-    recover the data (MANIFEST's shard map and [branching]/[shards]
-    win over the arguments), then re-baseline it as a new generation
-    with fresh bookkeeping (ctr 0, no signature, no backups) — durable
-    data outlives a run, session bookkeeping does not. [fsync]
-    (default false) syncs at every flush point; [durability] (default
-    {!Per_op}) sets the flush cadence; [checkpoint_every] (default 64)
-    is the number of logged operations between automatic checkpoints.
-    A directory in an older layout is an error. *)
+    MANIFEST and generation 0, start logging. Existing directory: load
+    it (MANIFEST's shard map and [branching]/[shards] win over the
+    arguments) and keep logging to its current generation, with its
+    {!book} — what a restarted network daemon does, so clients can
+    tell an honest restart (generation unchanged or advanced) from a
+    rollback (generation regressed). [fsync] (default false) syncs at
+    every flush point; [durability] (default {!Per_op}) sets the flush
+    cadence; [checkpoint_every] (default 64) is the number of logged
+    operations between automatic checkpoints, counting those the open
+    replayed. A directory in an older layout is an error. *)
 
-val manifest_exists : string -> bool
-(** Whether [dir] holds a MANIFEST (or its backup) — i.e. whether
-    {!resume} has something to resume. *)
-
-val resume :
-  ?fsync:bool ->
-  ?durability:durability ->
-  ?checkpoint_every:int ->
-  dir:string ->
-  unit ->
-  (t * recovered, string) result
-(** Reopen an existing store {e in place}: recover the latest
-    generation and keep logging to it, preserving the session
-    bookkeeping (ctr, last user, root signature, backups, seqs, reply
-    cache) instead of re-baselining like {!create_or_open}. This is
-    what a restarted network daemon uses — the store generation stays
-    the same, so clients can distinguish an honest restart (generation
-    unchanged or advanced) from a rollback (generation regressed).
-    Errors if the directory or MANIFEST is missing. *)
+val rebaseline : t -> unit
+(** Start a new session over the data: write the database as a new
+    generation of full snapshots with fresh bookkeeping (ctr 0, no
+    signature, no backups, no replies) and delete every older
+    generation. The simulator calls this when a run reopens a
+    directory an earlier run left. *)
 
 val db : t -> Shard_db.t
-(** The database state as of {!create_or_open} — what a server should
-    start serving from. *)
+(** The database as of the last open or {!recover} — what a server
+    should serve from. *)
+
+val book : t -> book
+(** The bookkeeping as of the last logged record: after an open or
+    {!recover}, what the directory held. *)
 
 val generation : t -> int
 val dir : t -> string
-val durability : t -> durability
 
 val log_op :
   t -> db:Shard_db.t -> op:Mtree.Vo.op -> ctr:int -> last_user:int -> unit
@@ -176,7 +178,7 @@ val declare_origin : t -> user:int -> seq:int -> unit
 (** Tag the {e next} {!log_op} for [user] with the network-level
     request seq that caused it. The origin rides in the op's WAL
     records, so replay rebuilds the per-user dedup table (the
-    [seqs] of {!recovered}, which the daemon reads) — the daemon never
+    [seqs] of {!book}, which the daemon reads) — the daemon never
     executes the same request twice across a crash. *)
 
 val log_reply : t -> user:int -> seq:int -> payload:string -> unit
@@ -198,24 +200,20 @@ val checkpoint : t -> db:Shard_db.t -> unit
     a full snapshot that starts a new chain); every other shard
     carries its chain into the new generation via its bases file. *)
 
-val recover : t -> (recovered, string) result
-(** Honest crash recovery: staged-but-unflushed records are discarded
-    (a crash would have lost them), then the current generation is
-    replayed — its snapshots + its logs merged in LSN order.
-    The store keeps logging to the same generation afterwards. *)
-
-val recover_reload : t -> (recovered, string) result
-(** {!recover}, but re-read the MANIFEST from disk first (repairing a
-    torn one from MANIFEST.bak when possible). A MANIFEST that cannot
-    be recovered — or that no longer matches the shard map this store
-    was opened with — is a hard error: the store refuses to serve a
-    half-initialized shard map. Exercised by the [torn-manifest]
-    adversaries. *)
+val recover : t -> (unit, string) result
+(** Crash recovery: staged-but-unflushed records are discarded (a
+    crash would have lost them), then the directory is reloaded
+    exactly as {!create_or_open} loads an existing one — layout check,
+    MANIFEST (repairing a torn copy), CURRENT, snapshot chains, log
+    replay — and the store logs to the generation it found. {!db} and
+    {!book} then say what the directory held. A MANIFEST that cannot be
+    recovered, or that names a different shard map, is an error, and so
+    is any load failure; the store then must not be written again. *)
 
 val debug_tear_manifest : dir:string -> wreck_backup:bool -> unit
 (** Test/adversary hook: truncate the MANIFEST mid-write (to half its
     length). With [wreck_backup], truncate MANIFEST.bak too, making the
-    damage unrepairable. *)
+    damage unrepairable (the [torn-manifest] adversaries). *)
 
 val debug_partial_checkpoint : t -> db:Shard_db.t -> unit
 (** Test/adversary hook: die mid-checkpoint — flush, write one
@@ -224,13 +222,14 @@ val debug_partial_checkpoint : t -> db:Shard_db.t -> unit
     subsequent {!recover} must land on the old generation and ignore
     the leftovers (the [checkpoint-crash] adversary). *)
 
-val recover_stale : t -> (recovered, string) result
-(** Adversarial recovery: load the {e previous} generation's snapshots
-    (generation 0's initial state when no checkpoint has happened yet),
-    discard every log record after them, and rewind the store's own
-    logging state to match — the [rollback-crash] adversary. The
-    resulting counter/root regression is exactly what Protocols
-    I–III must flag. *)
+val debug_rollback : t -> unit
+(** Test/adversary hook: a server that comes back on stale state.
+    Point CURRENT back at the retained previous generation (generation
+    0's initial snapshots when no checkpoint has happened yet) and
+    delete everything newer, that generation's own logs included. A
+    subsequent {!recover} then loads the stale snapshots as the whole
+    history (the [rollback-crash] adversary): the counter/root
+    regression Protocols I–III must flag. *)
 
 (** {2 Read-only inspection} — the [tcvs_cli store-inspect] backend. *)
 

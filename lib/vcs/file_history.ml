@@ -14,7 +14,6 @@ type t = { revisions : revision list; head : string }
 
 let empty = { revisions = []; head = "" }
 let head_revision t = List.length t.revisions
-let revisions t = t.revisions
 let head_content t = t.head
 
 let content_at t n =

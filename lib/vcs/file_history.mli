@@ -23,9 +23,6 @@ val empty : t
 val head_revision : t -> int
 (** 0 for an empty history. *)
 
-val revisions : t -> revision list
-(** Oldest first. *)
-
 val head_content : t -> string
 (** Content at the head revision; [""] for an empty history. *)
 

@@ -551,6 +551,43 @@ let test_dead_code_flags () =
          ("bin/main.ml", "let () = print_int Tcvs.Util.table");
        ])
 
+let test_dead_code_local_scope () =
+  (* A parameter, a let local or a case variable named like a def is
+     not a call to it: here the punned [~durability] and the case
+     variable leave the [durability] accessor unreached. *)
+  Alcotest.(check (list string))
+    "a def only locals shadow is dead" [ "Util.durability" ]
+    (dead_code_symbols
+       [
+         ( "lib/core/util.ml",
+           "type t = { durability : int }\n\
+            let durability t = t.durability\n\
+            let make ~durability = { durability }\n\
+            let pick o = match o with Some durability -> durability | None -> 0" );
+         ( "bin/main.ml",
+           "let () = print_int ((Tcvs.Util.make ~durability:1).durability + Tcvs.Util.pick None)" );
+       ]);
+  (* A local's scope ends with its binding: a call past a let local, or
+     in a case that binds no such name, is a real call. *)
+  Alcotest.(check (list string))
+    "a call past the shadow is live" []
+    (dead_code_symbols
+       [
+         ( "lib/core/util.ml",
+           "let helper x = x + 1\n\
+            let after x = (let helper = 3 in helper) + helper x" );
+         ("bin/main.ml", "let () = print_int (Tcvs.Util.after 1)");
+       ]);
+  Alcotest.(check (list string))
+    "a call in a case that binds no such name is live" []
+    (dead_code_symbols
+       [
+         ( "lib/core/util.ml",
+           "let helper x = x + 1\n\
+            let cases o = match o with Some helper -> helper | None -> helper 0" );
+         ("bin/main.ml", "let () = print_int (Tcvs.Util.cases None)");
+       ])
+
 let test_dead_code_needs_a_program () =
   (* With no program in the graph nothing roots it, so the rule is
      silent, as event-loop-purity is without an event-loop root. *)
@@ -764,6 +801,7 @@ let suite =
     Alcotest.test_case "dead-code: flags" `Quick test_dead_code_flags;
     Alcotest.test_case "dead-code: needs a program" `Quick test_dead_code_needs_a_program;
     Alcotest.test_case "dead-code: suppressed" `Quick test_dead_code_suppressed;
+    Alcotest.test_case "dead-code: locals shadow defs" `Quick test_dead_code_local_scope;
     Alcotest.test_case "baseline: round trip + line drift" `Quick test_baseline_round_trip;
     Alcotest.test_case "json report: schema stability" `Quick test_json_schema_stability;
     Alcotest.test_case "repo deep baseline holds" `Quick test_repo_deep_baseline_holds;

@@ -167,7 +167,9 @@ let test_vo_wire_roundtrip () =
       match Vo.decode (Vo.encode vo) with
       | None -> Alcotest.fail "decode failed"
       | Some vo' -> (
-          Alcotest.(check int) "branching preserved" (Vo.branching vo) (Vo.branching vo');
+          (* The encoding opens with the branching factor. *)
+          Alcotest.(check string) "re-encodes byte-identically, branching included"
+            (Vo.encode vo) (Vo.encode vo');
           match (Vo.apply vo op, Vo.apply vo' op) with
           | Ok (a, o, n), Ok (a', o', n') ->
               Alcotest.(check bool) "replays agree" true (a = a' && o = o' && n = n')

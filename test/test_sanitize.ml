@@ -73,7 +73,7 @@ let test_protocol3_epoch_assignment () =
     Pki.Keyring.setup ~scheme:(Pki.Signer.Hmac_shared { key = "shared" }) ~users:2 prng
   in
   let config =
-    { Protocol3.n = 2; epoch_len = 50; initial_root = "r0"; check_epoch_progress = true }
+    { Protocol3.n = 2; epoch_len = 50; initial_root = "r0" }
   in
   let p = Protocol3.create config ~user:1 ~engine ~trace ~keyring ~signer:signers.(1) in
   Alcotest.(check bool)

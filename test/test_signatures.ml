@@ -200,7 +200,8 @@ let test_signer_cross_scheme_rejection () =
 
 let test_keyring_setup () =
   let ring, signers = Pki.Keyring.setup ~scheme:(Pki.Signer.Hmac_shared { key = "k" }) ~users:5 rng in
-  Alcotest.(check (list int)) "user ids" [ 0; 1; 2; 3; 4 ] (Pki.Keyring.users ring);
+  Alcotest.(check (list int)) "user ids" [ 0; 1; 2; 3; 4 ]
+    (List.filter (fun id -> Pki.Keyring.find ring id <> None) (List.init 8 Fun.id));
   let s = Pki.Signer.sign signers.(3) "hello" in
   Alcotest.(check bool) "verify by id" true (Pki.Keyring.verify ring 3 "hello" ~signature:s);
   Alcotest.(check bool) "unknown user never verifies" false

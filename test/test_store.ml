@@ -1,7 +1,7 @@
 (* The durable store: WAL framing and failure policy, snapshots, shard
    maps, crash recovery (byte-identical roots, pinned), stale-recovery
-   rollback, reopen re-baselining, and the crash adversaries end to end
-   through the harness. *)
+   rollback, reopening in place, re-baselining, and the crash
+   adversaries end to end through the harness. *)
 
 open Tcvs
 module T = Mtree.Merkle_btree
@@ -207,8 +207,11 @@ let expect_reopened = function
   | Ok (_, `Fresh) -> Alcotest.fail "expected a reopened store"
   | Error e -> Alcotest.fail e
 
-let expect_recovered = function
-  | Ok r -> r
+(* Reload [store]'s directory as a simulated crash does, and return
+   the database it found; [Store.book store] is the bookkeeping. *)
+let expect_recovered store =
+  match Store.recover store with
+  | Ok () -> Store.db store
   | Error e -> Alcotest.failf "recovery failed: %s" e
 
 (* Apply [ops] through the shard db while logging each to the store,
@@ -237,13 +240,14 @@ let test_store_crash_recovery_root () =
   let live_root = Store.Shard_db.root_digest db in
   Alcotest.(check string) "live root is pinned" pinned_final_root
     (Crypto.Hex.encode live_root);
-  let r = expect_recovered (Store.recover store) in
+  let r = expect_recovered store in
   Alcotest.(check string) "recovered root byte-identical"
     (Crypto.Hex.encode live_root)
-    (Crypto.Hex.encode (Store.Shard_db.root_digest r.Store.db));
-  Alcotest.(check int) "counter recovered" (List.length ops_script) r.Store.ctr;
+    (Crypto.Hex.encode (Store.Shard_db.root_digest r));
+  Alcotest.(check int) "counter recovered" (List.length ops_script)
+    (Store.book store).Store.ctr;
   Alcotest.(check int) "last user recovered" ((List.length ops_script - 1) mod 3)
-    r.Store.last_user;
+    (Store.book store).Store.last_user;
   (* For this script a from-scratch bulk load of the final contents
      also lands on the same root. *)
   let rebuilt =
@@ -264,17 +268,17 @@ let test_store_recovery_across_checkpoints () =
   let db = apply_logged store (Store.db store) ops_script in
   Alcotest.(check bool) "auto-checkpoints advanced the generation" true
     (Store.generation store > 0);
-  let r = expect_recovered (Store.recover store) in
+  let r = expect_recovered store in
   Alcotest.(check string) "root byte-identical across checkpoint + tail"
     (Crypto.Hex.encode (Store.Shard_db.root_digest db))
-    (Crypto.Hex.encode (Store.Shard_db.root_digest r.Store.db));
+    (Crypto.Hex.encode (Store.Shard_db.root_digest r));
   (* Snapshot + empty tail: checkpoint, then recover with no WAL records
      after it. *)
   Store.checkpoint store ~db;
-  let r2 = expect_recovered (Store.recover store) in
+  let r2 = expect_recovered store in
   Alcotest.(check string) "snapshot-only recovery agrees"
     (Crypto.Hex.encode (Store.Shard_db.root_digest db))
-    (Crypto.Hex.encode (Store.Shard_db.root_digest r2.Store.db));
+    (Crypto.Hex.encode (Store.Shard_db.root_digest r2));
   Store.close store
 
 let test_store_recovery_torn_tail () =
@@ -317,25 +321,26 @@ let test_store_stale_recovery_rewinds () =
       (db1, List.length half) rest
     |> fst
   in
-  let r = expect_recovered (Store.recover_stale store) in
+  Store.debug_rollback store;
+  let r = expect_recovered store in
   (* The stale generation is the pre-checkpoint baseline: everything —
      even the checkpointed half — is adversarially forgotten. *)
   Alcotest.(check string) "rewound to the initial baseline"
     (Crypto.Hex.encode (Store.Shard_db.root_digest (Store.Shard_db.create ~branching:8 ~shards:4 initial)))
-    (Crypto.Hex.encode (Store.Shard_db.root_digest r.Store.db));
-  Alcotest.(check int) "counter rewound" 0 r.Store.ctr;
+    (Crypto.Hex.encode (Store.Shard_db.root_digest r));
+  Alcotest.(check int) "counter rewound" 0 (Store.book store).Store.ctr;
   Alcotest.(check bool) "state regressed" true
     (not
        (String.equal
-          (Store.Shard_db.root_digest r.Store.db)
+          (Store.Shard_db.root_digest r)
           (Store.Shard_db.root_digest db2)));
   (* And the store keeps working from the rewound state. *)
-  let db', _ = Store.Shard_db.apply r.Store.db (Vo.Set ("post/crash.ml", "P1")) in
+  let db', _ = Store.Shard_db.apply r (Vo.Set ("post/crash.ml", "P1")) in
   Store.log_op store ~db:db' ~op:(Vo.Set ("post/crash.ml", "P1")) ~ctr:1 ~last_user:0;
-  let r2 = expect_recovered (Store.recover store) in
+  let r2 = expect_recovered store in
   Alcotest.(check string) "post-rollback writes recoverable"
     (Crypto.Hex.encode (Store.Shard_db.root_digest db'))
-    (Crypto.Hex.encode (Store.Shard_db.root_digest r2.Store.db));
+    (Crypto.Hex.encode (Store.Shard_db.root_digest r2));
   Store.close store
 
 let test_store_reopen_rebaselines () =
@@ -350,11 +355,22 @@ let test_store_reopen_rebaselines () =
   let store2 =
     expect_reopened (Store.create_or_open ~dir ~branching:8 ~shards:4 ~initial ())
   in
+  Store.rebaseline store2;
   Alcotest.(check string) "data survives the reopen"
     (Crypto.Hex.encode (Store.Shard_db.root_digest db))
     (Crypto.Hex.encode (Store.Shard_db.root_digest (Store.db store2)));
   Alcotest.(check bool) "re-baselined as a new generation" true
     (Store.generation store2 > gen0);
+  Alcotest.(check int) "fresh bookkeeping" 0 (Store.book store2).Store.ctr;
+  Store.close store2;
+  (* The new generation stands alone: a restart resumes it, with no
+     tail to replay and nothing older to roll back to. *)
+  let store2 =
+    expect_reopened (Store.create_or_open ~dir ~branching:8 ~shards:4 ~initial ())
+  in
+  Alcotest.(check int) "the restart resumes the re-baselined generation" (gen0 + 1)
+    (Store.generation store2);
+  Alcotest.(check int) "with its fresh bookkeeping" 0 (Store.book store2).Store.ctr;
   Alcotest.(check (list (pair string string))) "contents identical"
     (Store.Shard_db.to_alist db)
     (Store.Shard_db.to_alist (Store.db store2));
@@ -376,19 +392,19 @@ let test_store_durability_modes_equivalent () =
       in
       let db = apply_logged store (Store.db store) ops_script in
       Store.flush store;
-      let r = expect_recovered (Store.recover store) in
+      let r = expect_recovered store in
       Alcotest.(check string)
         (name ^ ": recovered root is the pinned Per_op root")
         pinned_final_root
-        (Crypto.Hex.encode (Store.Shard_db.root_digest r.Store.db));
+        (Crypto.Hex.encode (Store.Shard_db.root_digest r));
       Alcotest.(check string) (name ^ ": live root agrees")
         (Crypto.Hex.encode (Store.Shard_db.root_digest db))
-        (Crypto.Hex.encode (Store.Shard_db.root_digest r.Store.db));
+        (Crypto.Hex.encode (Store.Shard_db.root_digest r));
       Alcotest.(check int) (name ^ ": counter recovered") (List.length ops_script)
-        r.Store.ctr;
+        (Store.book store).Store.ctr;
       Store.close store;
       rm_rf dir)
-    [ (Store.Per_round, "per-round"); (Store.Every_n 3, "every-3") ]
+    [ (Store.Per_round, "per-round") ]
 
 (* Under deferred durability a crash loses exactly the staged-but-
    unflushed tail — never anything a completed flush covered. *)
@@ -415,25 +431,26 @@ let test_store_staged_tail_lost_on_crash () =
       (db1, List.length half) rest
     |> fst
   in
-  let r = expect_recovered (Store.recover store) in
+  let r = expect_recovered store in
   Alcotest.(check string) "recovered to the last flush point"
     (Crypto.Hex.encode (Store.Shard_db.root_digest db1))
-    (Crypto.Hex.encode (Store.Shard_db.root_digest r.Store.db));
-  Alcotest.(check int) "counter rewound to the flush point" (List.length half) r.Store.ctr;
+    (Crypto.Hex.encode (Store.Shard_db.root_digest r));
+  Alcotest.(check int) "counter rewound to the flush point" (List.length half)
+    (Store.book store).Store.ctr;
   Alcotest.(check bool) "the staged tail really was dropped" true
     (not
        (String.equal
-          (Store.Shard_db.root_digest r.Store.db)
+          (Store.Shard_db.root_digest r)
           (Store.Shard_db.root_digest db2)));
   (* The store keeps logging cleanly from the recovered state. *)
-  let db', _ = Store.Shard_db.apply r.Store.db (Vo.Set ("post/loss.ml", "L1")) in
+  let db', _ = Store.Shard_db.apply r (Vo.Set ("post/loss.ml", "L1")) in
   Store.log_op store ~db:db' ~op:(Vo.Set ("post/loss.ml", "L1"))
-    ~ctr:(r.Store.ctr + 1) ~last_user:0;
+    ~ctr:((Store.book store).Store.ctr + 1) ~last_user:0;
   Store.flush store;
-  let r2 = expect_recovered (Store.recover store) in
+  let r2 = expect_recovered store in
   Alcotest.(check string) "post-recovery writes durable"
     (Crypto.Hex.encode (Store.Shard_db.root_digest db'))
-    (Crypto.Hex.encode (Store.Shard_db.root_digest r2.Store.db));
+    (Crypto.Hex.encode (Store.Shard_db.root_digest r2));
   Store.close store;
   rm_rf dir
 
@@ -457,11 +474,11 @@ let test_store_long_log_recovers () =
   in
   let db = apply_logged store (Store.db store) (bulk_ops 40) in
   Store.flush store;
-  let r = expect_recovered (Store.recover store) in
+  let r = expect_recovered store in
   Alcotest.(check string) "recovery of a 40-op log is byte-identical"
     (Crypto.Hex.encode (Store.Shard_db.root_digest db))
-    (Crypto.Hex.encode (Store.Shard_db.root_digest r.Store.db));
-  Alcotest.(check int) "counter intact" 40 r.Store.ctr;
+    (Crypto.Hex.encode (Store.Shard_db.root_digest r));
+  Alcotest.(check int) "counter intact" 40 (Store.book store).Store.ctr;
   Store.close store;
   (match Store.inspect ~dir with
   | Error e -> Alcotest.failf "inspect failed: %s" e
@@ -547,15 +564,14 @@ let test_store_checkpoints_bound_directory () =
       Alcotest.(check int) "recovery replays only the ops since the checkpoint"
         (n mod every) replayed;
       Alcotest.(check bool) "fewer than checkpoint_every" true (replayed < every));
-  let store2, r =
-    match Store.resume ~checkpoint_every:every ~dir () with
-    | Ok x -> x
-    | Error e -> Alcotest.failf "resume failed: %s" e
+  let store2 =
+    expect_reopened
+      (Store.create_or_open ~checkpoint_every:every ~dir ~branching:8 ~shards ~initial ())
   in
   Alcotest.(check string) "recovered root byte-identical"
     (Crypto.Hex.encode (Store.Shard_db.root_digest db))
-    (Crypto.Hex.encode (Store.Shard_db.root_digest r.Store.db));
-  Alcotest.(check int) "counter intact" n r.Store.ctr;
+    (Crypto.Hex.encode (Store.Shard_db.root_digest (Store.db store2)));
+  Alcotest.(check int) "counter intact" n (Store.book store2).Store.ctr;
   Store.close store2;
   rm_rf dir
 
@@ -570,7 +586,6 @@ let test_store_older_layout_refused () =
     expect_fresh (Store.create_or_open ~dir ~branching:8 ~shards:2 ~initial ())
   in
   ignore (apply_logged store (Store.db store) ops_script);
-  Store.close store;
   (* Rewrite generation 0 as the earlier layout stored it: per stream,
      base snapshot, first live segment, asof + 1, ctr, last user + 1,
      no signature. *)
@@ -600,8 +615,9 @@ let test_store_older_layout_refused () =
   in
   refused "create_or_open"
     (Store.create_or_open ~dir ~branching:8 ~shards:2 ~initial ());
-  refused "resume" (Store.resume ~dir ());
+  refused "recover" (Store.recover store);
   refused "inspect" (Store.inspect ~dir);
+  Store.close store;
   rm_rf dir
 
 (* The previous formats, built here with SHA-256: snapshot files were
@@ -670,7 +686,6 @@ let test_store_previous_format_refused () =
           (Store.create_or_open ~checkpoint_every:8 ~dir ~branching:8 ~shards:2 ~initial ())
       in
       ignore (apply_logged store (Store.db store) ops_script);
-      Store.close store;
       rewrite_in_previous_format dir;
       if torn then Store.debug_tear_manifest ~dir ~wreck_backup:false;
       let before = dir_contents dir in
@@ -684,8 +699,9 @@ let test_store_previous_format_refused () =
               before (dir_contents dir)
       in
       refused "create_or_open" (Store.create_or_open ~dir ~branching:8 ~shards:2 ~initial ());
-      refused "resume" (Store.resume ~dir ());
+      refused "recover" (Store.recover store);
       refused "inspect" (Store.inspect ~dir);
+      Store.close store;
       rm_rf dir)
     [ false; true ]
 
@@ -701,11 +717,12 @@ let test_store_partial_checkpoint_ignored () =
   in
   let db = apply_logged store (Store.db store) ops_script in
   Store.debug_partial_checkpoint store ~db;
-  let r = expect_recovered (Store.recover store) in
+  let r = expect_recovered store in
   Alcotest.(check string) "recovery lands on the old generation, bytes intact"
     pinned_final_root
-    (Crypto.Hex.encode (Store.Shard_db.root_digest r.Store.db));
-  Alcotest.(check int) "counter intact" (List.length ops_script) r.Store.ctr;
+    (Crypto.Hex.encode (Store.Shard_db.root_digest r));
+  Alcotest.(check int) "counter intact" (List.length ops_script)
+    (Store.book store).Store.ctr;
   Store.close store;
   (* The unpublished next-generation files are visible as orphans. *)
   (match Store.inspect ~dir with
@@ -759,11 +776,12 @@ let test_store_incremental_checkpoint () =
   done;
   Alcotest.(check bool) "meta is always re-snapshotted" true
     (Sys.file_exists (Filename.concat dir (Printf.sprintf "meta.%d.snap" g2)));
-  let r = expect_recovered (Store.recover store) in
+  let r = expect_recovered store in
   Alcotest.(check string) "recovery from the mixed-generation bases"
     (Crypto.Hex.encode (Store.Shard_db.root_digest db2))
-    (Crypto.Hex.encode (Store.Shard_db.root_digest r.Store.db));
-  Alcotest.(check int) "counter intact" (List.length ops_script + 1) r.Store.ctr;
+    (Crypto.Hex.encode (Store.Shard_db.root_digest r));
+  Alcotest.(check int) "counter intact" (List.length ops_script + 1)
+    (Store.book store).Store.ctr;
   Store.close store;
   (* Cold restart reads the same mixed bases. *)
   let store2 =
@@ -813,14 +831,16 @@ let test_store_torn_manifest_repaired () =
   in
   let db = apply_logged store (Store.db store) ops_script in
   Store.debug_tear_manifest ~dir ~wreck_backup:false;
-  let r = expect_recovered (Store.recover_reload store) in
+  let r = expect_recovered store in
   Alcotest.(check string) "repaired from MANIFEST.bak, root intact"
     (Crypto.Hex.encode (Store.Shard_db.root_digest db))
-    (Crypto.Hex.encode (Store.Shard_db.root_digest r.Store.db));
-  Alcotest.(check int) "counter intact" (List.length ops_script) r.Store.ctr;
+    (Crypto.Hex.encode (Store.Shard_db.root_digest r));
+  Alcotest.(check int) "counter intact" (List.length ops_script)
+    (Store.book store).Store.ctr;
   Store.close store;
   (* The repair is durable: a later cold reopen sees a whole MANIFEST. *)
-  Alcotest.(check bool) "manifest present" true (Store.manifest_exists dir);
+  Alcotest.(check bool) "manifest present" true
+    (Sys.file_exists (Filename.concat dir "MANIFEST"));
   let store2 =
     expect_reopened (Store.create_or_open ~dir ~branching:8 ~shards:4 ~initial ())
   in
@@ -837,8 +857,8 @@ let test_store_torn_manifest_wrecked_fatal () =
   in
   ignore (apply_logged store (Store.db store) ops_script);
   Store.debug_tear_manifest ~dir ~wreck_backup:true;
-  (match Store.recover_reload store with
-  | Ok _ -> Alcotest.fail "recovery served a half-initialized shard map"
+  (match Store.recover store with
+  | Ok () -> Alcotest.fail "recovery served a half-initialized shard map"
   | Error _ -> ());
   Store.close store
 
@@ -869,17 +889,16 @@ let test_store_resume_preserves_bookkeeping () =
   let n = List.length ops_script in
   let gen = Store.generation store in
   Store.close store;
-  let store2, r =
-    match Store.resume ~dir () with
-    | Ok x -> x
-    | Error e -> Alcotest.failf "resume failed: %s" e
+  let store2 =
+    expect_reopened (Store.create_or_open ~dir ~branching:8 ~shards:4 ~initial ())
   in
-  (* Unlike create_or_open, resume keeps the generation — clients use a
-     generation regression as the rollback detector. *)
+  let r = Store.book store2 in
+  (* The reopen keeps the generation — clients use a generation
+     regression as the rollback detector. *)
   Alcotest.(check int) "generation preserved" gen (Store.generation store2);
   Alcotest.(check string) "root preserved"
     (Crypto.Hex.encode (Store.Shard_db.root_digest db))
-    (Crypto.Hex.encode (Store.Shard_db.root_digest r.Store.db));
+    (Crypto.Hex.encode (Store.Shard_db.root_digest (Store.db store2)));
   Alcotest.(check int) "counter preserved" n r.Store.ctr;
   (* ops_script has 8 ops over users 0,1,2: user u's last op is the
      largest i with i mod 3 = u. *)
@@ -892,7 +911,7 @@ let test_store_resume_preserves_bookkeeping () =
     [ (0, expect_seq 0); (1, expect_seq 1); (2, expect_seq 2) ]
     r.Store.seqs;
   List.iter
-    (fun (u, seq, payload) ->
+    (fun (u, (seq, payload)) ->
       Alcotest.(check int) (Printf.sprintf "u%d cached seq" u) (expect_seq u) seq;
       Alcotest.(check string)
         (Printf.sprintf "u%d cached payload" u)
@@ -903,16 +922,15 @@ let test_store_resume_preserves_bookkeeping () =
   (* The resumed store carries the dedup table into its next
      checkpoint, which replaces the log the table was replayed from: a
      second restart must still recover it. *)
-  Store.checkpoint store2 ~db:r.Store.db;
+  Store.checkpoint store2 ~db:(Store.db store2);
   Store.close store2;
-  let store3, r2 =
-    match Store.resume ~dir () with
-    | Ok x -> x
-    | Error e -> Alcotest.failf "second resume failed: %s" e
+  let store3 =
+    expect_reopened (Store.create_or_open ~dir ~branching:8 ~shards:4 ~initial ())
   in
+  let r2 = Store.book store3 in
   Alcotest.(check (list (pair int int))) "dedup seqs survive a checkpoint" r.Store.seqs
     r2.Store.seqs;
-  Alcotest.(check (list (triple int int string))) "cached replies survive a checkpoint"
+  Alcotest.(check (list (pair int (pair int string)))) "cached replies survive a checkpoint"
     r.Store.replies r2.Store.replies;
   Store.close store3
 
@@ -1232,7 +1250,7 @@ let test_reports_deterministic_across_durability () =
         let report = Obs.Report.to_json () in
         rm_rf dir;
         (name, report))
-      [ (Store.Per_op, "per-op"); (Store.Per_round, "per-round"); (Store.Every_n 16, "every-16") ]
+      [ (Store.Per_op, "per-op"); (Store.Per_round, "per-round") ]
   in
   match reports with
   | (_, baseline) :: rest ->
@@ -1301,9 +1319,9 @@ let test_chain_one_set_small_delta () =
     (Printf.sprintf "delta %d B under 2%% of the full snapshot's %d B" bytes full)
     true
     (bytes * 50 < full);
-  let r = expect_recovered (Store.recover store) in
+  let r = expect_recovered store in
   Alcotest.(check string) "full + delta recover the live root" (hex_root db)
-    (hex_root r.Store.db);
+    (hex_root r);
   Store.close store;
   rm_rf dir
 
@@ -1328,9 +1346,9 @@ let test_chain_unchanged_root_no_snapshot () =
     (shard_snaps_of_gen dir 2);
   Alcotest.(check bool) "meta is still snapshotted" true
     (Sys.file_exists (Filename.concat dir "meta.2.snap"));
-  let r = expect_recovered (Store.recover store) in
+  let r = expect_recovered store in
   Alcotest.(check string) "recovers from the carried chains" (hex_root db)
-    (hex_root r.Store.db);
+    (hex_root r);
   Store.close store;
   rm_rf dir
 
@@ -1381,9 +1399,9 @@ let test_chain_bounded_over_checkpoints () =
               true (before_last < full);
             if gen_of_snap first = g then incr restarts)
       (shard_chains dir);
-    let r = expect_recovered (Store.recover store) in
+    let r = expect_recovered store in
     Alcotest.(check string) "recovered root is the live root" (hex_root db)
-      (hex_root r.Store.db)
+      (hex_root r)
   done;
   Alcotest.(check bool) (Printf.sprintf "%d chain restarts" !restarts) true (!restarts > 0);
   Store.close store;
@@ -1408,9 +1426,10 @@ let test_chain_stale_after_restart () =
     if restarted () then prev else until_restart (hex_root db) (n - 1)
   in
   let prev = until_restart (hex_root (Store.db store)) 100 in
-  let r = expect_recovered (Store.recover_stale store) in
+  Store.debug_rollback store;
+  let r = expect_recovered store in
   Alcotest.(check string) "stale recovery lands on the previous generation's root" prev
-    (hex_root r.Store.db);
+    (hex_root r);
   Store.close store;
   rm_rf dir
 
@@ -1508,9 +1527,9 @@ let test_chain_damage_is_an_error () =
         (List.map fst (List.hd (shard_chains dir)).Store.str_base_chain);
       damage dir;
       (match Store.recover store with
-      | Ok r ->
-          Alcotest.failf "%s: recovered a tree (%s, live %s)" what (hex_root r.Store.db)
-            (hex_root db)
+      | Ok () ->
+          Alcotest.failf "%s: recovered a tree (%s, live %s)" what
+            (hex_root (Store.db store)) (hex_root db)
       | Error e -> Alcotest.(check bool) (what ^ ": " ^ e) true (contains e expected));
       Alcotest.(check bool) (what ^ ": inspect says BAD") false
         (List.hd (shard_chains dir)).Store.str_base_ok;
@@ -1588,10 +1607,8 @@ let test_store_bas2_layout_refused () =
         expect_fresh
           (Store.create_or_open ~checkpoint_every:1000 ~dir ~branching:8 ~shards:2 ~initial ())
       in
-      ignore (apply_logged store (Store.db store) ops_script);
-      let trees = Store.Shard_db.trees (Store.db store) in
-      Store.close store;
-      rewrite_as_bas2 dir trees;
+      let db = apply_logged store (Store.db store) ops_script in
+      rewrite_as_bas2 dir (Store.Shard_db.trees db);
       if torn then Store.debug_tear_manifest ~dir ~wreck_backup:false;
       let before = dir_contents dir in
       let refused what = function
@@ -1604,10 +1621,92 @@ let test_store_bas2_layout_refused () =
               before (dir_contents dir)
       in
       refused "create_or_open" (Store.create_or_open ~dir ~branching:8 ~shards:2 ~initial ());
-      refused "resume" (Store.resume ~dir ());
+      refused "recover" (Store.recover store);
       refused "inspect" (Store.inspect ~dir);
+      Store.close store;
       rm_rf dir)
     [ false; true ]
+
+(* A store restarted more often than every [checkpoint_every] ops still
+   checkpoints: an open counts the logged ops it replayed towards the
+   next checkpoint, each op once however many shards it touched. So no
+   open replays [checkpoint_every] ops or more, however often the
+   daemon restarts. *)
+let test_store_restarts_still_checkpoint () =
+  let dir = fresh_dir "restarts" in
+  let initial = initial_files 20 and every = 8 in
+  let reopen () =
+    expect_reopened
+      (Store.create_or_open ~checkpoint_every:every ~dir ~branching:8 ~shards:2 ~initial ())
+  in
+  (* Shard-log records the next open replays. *)
+  let tail_records () =
+    match Store.inspect ~dir with
+    | Error e -> Alcotest.failf "inspect failed: %s" e
+    | Ok info ->
+        List.fold_left
+          (fun n (s : Store.stream_info) ->
+            if String.equal s.Store.str_name "meta" then n else n + s.Store.str_records)
+          0 info.Store.info_streams
+  in
+  let store =
+    ref
+      (expect_fresh
+         (Store.create_or_open ~checkpoint_every:every ~dir ~branching:8 ~shards:2 ~initial
+            ()))
+  in
+  let ctr = ref 0 and db = ref (Store.db !store) in
+  (* Log [n] ops, each [op i] for a fresh counter value, then stop. *)
+  let run n op =
+    for _ = 1 to n do
+      incr ctr;
+      let o = op !ctr in
+      let db', _ = Store.Shard_db.apply !db o in
+      Store.log_op !store ~db:db' ~op:o ~ctr:!ctr ~last_user:0;
+      db := db'
+    done;
+    Store.close !store
+  in
+  let restart round =
+    store := reopen ();
+    Alcotest.(check int) (Printf.sprintf "restart %d: counter continues" round) !ctr
+      (Store.book !store).Store.ctr;
+    Alcotest.(check string) (Printf.sprintf "restart %d: root continues" round)
+      (hex_root !db) (hex_root (Store.db !store))
+  in
+  (* One-shard Sets: one record per op. *)
+  let set i = Vo.Set (Printf.sprintf "src/file_%02d.ml" (i mod 20), string_of_int i) in
+  run 5 set;
+  for round = 1 to 5 do
+    let tail = tail_records () in
+    Alcotest.(check bool)
+      (Printf.sprintf "restart %d replays %d ops, under checkpoint_every %d" round tail every)
+      true (tail < every);
+    restart round;
+    run 5 set
+  done;
+  Alcotest.(check bool) "the last open replays under checkpoint_every" true
+    (tail_records () < every);
+  (* Set_manys over both shards: two records per op, one op counted. *)
+  rm_rf dir;
+  store :=
+    expect_fresh
+      (Store.create_or_open ~checkpoint_every:every ~dir ~branching:8 ~shards:2 ~initial ());
+  ctr := 0;
+  db := Store.db !store;
+  let both i =
+    Vo.Set_many [ ("src/file_00.ml", string_of_int i); ("src/file_19.ml", string_of_int i) ]
+  in
+  Alcotest.(check int) "the Set_many spans both shards" 2
+    (List.length (Vo.shards_for (Store.Shard_map.boundaries (Store.Shard_db.map !db)) (both 0)));
+  run 3 both;
+  for round = 1 to 2 do
+    restart round;
+    run 3 both
+  done;
+  Alcotest.(check int) "checkpointed at the 8th op: one op (two records) left" 2
+    (tail_records ());
+  rm_rf dir
 
 let suite =
   [
@@ -1678,4 +1777,6 @@ let suite =
     Alcotest.test_case "chain: damage is an error" `Quick test_chain_damage_is_an_error;
     Alcotest.test_case "store: TCVSBAS2 layout refused untouched" `Quick
       test_store_bas2_layout_refused;
+    Alcotest.test_case "store: restarts still checkpoint" `Quick
+      test_store_restarts_still_checkpoint;
   ]

@@ -24,6 +24,10 @@
      enclosing def is charged with the call. This is the
      over-approximation that makes reachability sound for first-class
      functions without data-flow analysis;
+   - a bare name that an enclosing [fun], [let], [match] case, [for]
+     or let-op pattern binds is that local, never a call to the
+     top-level def it shadows (a punned [~durability] argument does
+     not keep a [durability] accessor alive);
    - references the resolver cannot attribute to a def in the scanned
      file set (stdlib, external libraries, record fields) are kept as
      {e extern facts} on the def — the reachability rules classify
@@ -165,6 +169,7 @@ type file_env = {
   f_mod : string; (* capitalized basename: "Daemon" *)
   mutable f_aliases : alias list; (* all scopes, flattened *)
   mutable f_opens : string list list;
+  mutable f_locals : string list; (* names an enclosing pattern binds *)
   mutable f_mutable_fields : string list; (* field names declared mutable *)
   f_structure : structure;
 }
@@ -513,6 +518,10 @@ let add_edge def target prov loc =
 
 let record_ref u env path def ~head txt loc =
   let comps = lid_components txt in
+  match comps with
+  | [ name ] when List.mem name env.f_locals ->
+      () (* a parameter or local binding, not the def it shadows *)
+  | _ -> (
   match resolve u env path comps ~depth:0 with
   | Some (target, via) ->
       if not (String.equal target def.d_id) then
@@ -528,11 +537,19 @@ let record_ref u env path def ~head txt loc =
   | None ->
       let name = String.concat "." comps in
       if List.length comps >= 2 || List.exists (String.equal name) watched_bare then
-        def.d_extern <- (name, loc) :: def.d_extern
+        def.d_extern <- (name, loc) :: def.d_extern)
 
 let collect_pass2 u env =
   let graph = u.graph in
   let find_def path name = Hashtbl.find_opt graph.defs (def_id env path name) in
+  (* Walk [k] with the names [pats] bind in scope: a bare reference to
+     one of them is the local, whatever top-level def it shadows. *)
+  let bound pats k =
+    let saved = env.f_locals in
+    env.f_locals <- List.concat_map binding_names pats @ saved;
+    k ();
+    env.f_locals <- saved
+  in
   (* expression walker: [def] is the charged def, [head] marks the
      callee position of an application *)
   let rec expr path def e =
@@ -543,11 +560,11 @@ let collect_pass2 u env =
         | Pexp_ident { txt; _ } -> record_ref u env path def ~head:true txt f.pexp_loc
         | _ -> expr path def f);
         List.iter (fun (_, a) -> expr path def a) args
-    | Pexp_fun (_, default, _, body) ->
+    | Pexp_fun (_, default, pat, body) ->
         def.d_closures <- def.d_closures + 1;
         if def.d_closure_loc = None then def.d_closure_loc <- Some e.pexp_loc;
         Option.iter (expr path def) default;
-        expr path def body
+        bound [ pat ] (fun () -> expr path def body)
     | Pexp_function cases ->
         def.d_closures <- def.d_closures + 1;
         if def.d_closure_loc = None then def.d_closure_loc <- Some e.pexp_loc;
@@ -558,9 +575,11 @@ let collect_pass2 u env =
         expr path def arg
     | Pexp_construct (_, arg) -> Option.iter (expr path def) arg
     | Pexp_variant (_, arg) -> Option.iter (expr path def) arg
-    | Pexp_let (_, bindings, body) ->
-        List.iter (fun vb -> binding_body path def vb.pvb_expr) bindings;
-        expr path def body
+    | Pexp_let (rec_flag, bindings, body) ->
+        let pats = List.map (fun vb -> vb.pvb_pat) bindings in
+        let rhs () = List.iter (fun vb -> binding_body path def vb.pvb_expr) bindings in
+        if rec_flag = Asttypes.Recursive then bound pats rhs else rhs ();
+        bound pats (fun () -> expr path def body)
     | Pexp_match (scrut, cases) | Pexp_try (scrut, cases) ->
         expr path def scrut;
         List.iter (case path def) cases
@@ -583,10 +602,10 @@ let collect_pass2 u env =
     | Pexp_while (c, body) ->
         expr path def c;
         expr path def body
-    | Pexp_for (_, lo, hi, _, body) ->
+    | Pexp_for (pat, lo, hi, _, body) ->
         expr path def lo;
         expr path def hi;
-        expr path def body
+        bound [ pat ] (fun () -> expr path def body)
     | Pexp_constraint (e, _) | Pexp_coerce (e, _, _) -> expr path def e
     | Pexp_open ({ popen_expr = { pmod_desc = Pmod_ident { txt; _ }; _ }; _ }, e) ->
         (* `M.(e)` and `let open M in e`: M's names are in scope in e *)
@@ -618,11 +637,12 @@ let collect_pass2 u env =
               op.pbop_op.loc;
             expr path def op.pbop_exp)
           (let_ :: ands);
-        expr path def body
+        bound (List.map (fun op -> op.pbop_pat) (let_ :: ands)) (fun () -> expr path def body)
     | _ -> ()
   and case path def c =
-    Option.iter (expr path def) c.pc_guard;
-    expr path def c.pc_rhs
+    bound [ c.pc_lhs ] (fun () ->
+        Option.iter (expr path def) c.pc_guard;
+        expr path def c.pc_rhs)
   and module_in_expr path def mexpr =
     match mexpr.pmod_desc with
     | Pmod_structure items ->
@@ -638,9 +658,9 @@ let collect_pass2 u env =
      no closure when applied fully *)
   and binding_body path def e =
     match e.pexp_desc with
-    | Pexp_fun (_, default, _, body) ->
+    | Pexp_fun (_, default, pat, body) ->
         Option.iter (expr path def) default;
-        binding_body path def body
+        bound [ pat ] (fun () -> binding_body path def body)
     | Pexp_newtype (_, body) | Pexp_constraint (body, _) -> binding_body path def body
     | Pexp_function cases -> List.iter (case path def) cases
     | _ -> expr path def e
@@ -703,6 +723,7 @@ let build ?(libraries = []) files =
           f_mod = module_name_of_file file;
           f_aliases = [];
           f_opens = [];
+          f_locals = [];
           f_mutable_fields = [];
           f_structure = str;
         }
