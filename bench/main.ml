@@ -1258,85 +1258,6 @@ let perf_store () =
   row "\nwrote %s\n" path
 
 (* ======================================================================= *)
-(* perf-obs: telemetry hot-path baseline (writes BENCH_obs.json)           *)
-(* ======================================================================= *)
-
-(* What telemetry costs on the paths protocol code hits per message
-   (counter bump, histogram observe), plus trace emission on and off,
-   get-or-create registry lookups, and a journal span event (one
-   formatted line plus an eagerly flushed write). *)
-
-let perf_obs () =
-  header "perf-obs: telemetry hot paths ns/op (tracked baseline, BENCH_obs.json)";
-  let smoke = !smoke_mode in
-  let quota = if smoke then 0.02 else 0.25 in
-  let scope = Obs.Scope.v "bench.obs" in
-  let c = Obs.counter ~scope "bump" in
-  let h = Obs.histogram ~scope "observe" in
-  let m name f = measure_ns ~quota name f in
-  let incr_ns = m "counter-incr" (fun () -> Obs.incr c) in
-  let observe_ns =
-    let v = ref 0 in
-    m "histogram-observe" (fun () ->
-        v := (!v + 257) land 0xffff;
-        Obs.observe h !v)
-  in
-  let lookup_ns =
-    m "get-or-create" (fun () -> ignore (Obs.counter ~scope "bump"))
-  in
-  Obs.set_tracing false;
-  let trace_off_ns =
-    m "trace-emit-off" (fun () -> Obs.Trace.emit ~scope ~at:1 ~name:"e" "x")
-  in
-  Obs.set_tracing true;
-  let trace_on_ns =
-    m "trace-emit-on" (fun () -> Obs.Trace.emit ~scope ~dur:2 ~at:1 ~name:"e" "x")
-  in
-  Obs.set_tracing false;
-  let journal_ns =
-    let path = Filename.temp_file "tcvs-bench-obs" ".jsonl" in
-    let j = Obs.Journal.open_ ~proc:"bench" path in
-    let ns =
-      m "journal-event" (fun () ->
-          Obs.Journal.event j ~user:0 ~span:1 ~round:7 ~ev:"client.send" "request")
-    in
-    Obs.Journal.close j;
-    Sys.remove path;
-    ns
-  in
-  Obs.reset ();
-  row "counter-incr      %s\n" (pp_ns incr_ns);
-  row "histogram-observe %s\n" (pp_ns observe_ns);
-  row "get-or-create     %s\n" (pp_ns lookup_ns);
-  row "trace-emit        %s off  %s on\n" (pp_ns trace_off_ns) (pp_ns trace_on_ns);
-  row "journal-event     %s   (formatted line + eager write)\n" (pp_ns journal_ns);
-  let buf = Buffer.create 1024 in
-  Printf.bprintf buf "{\n  \"experiment\": \"perf-obs\",\n";
-  Printf.bprintf buf "  \"quota_s\": %g,\n  \"smoke\": %b,\n" quota smoke;
-  Printf.bprintf buf "  \"ns_per_op\": {\n";
-  let fields =
-    [
-      ("counter_incr", incr_ns);
-      ("histogram_observe", observe_ns);
-      ("counter_get_or_create", lookup_ns);
-      ("trace_emit_off", trace_off_ns);
-      ("trace_emit_on", trace_on_ns);
-      ("journal_event", journal_ns);
-    ]
-  in
-  List.iteri
-    (fun i (k, v) ->
-      Printf.bprintf buf "    \"%s\": %.1f%s\n" k v
-        (if i < List.length fields - 1 then "," else ""))
-    fields;
-  Printf.bprintf buf "  }\n}\n";
-  let path = "BENCH_obs.json" in
-  let oc = open_out path in
-  output_string oc (Buffer.contents buf);
-  close_out oc;
-  row "\nwrote %s\n" path
-
-(* ======================================================================= *)
 (* Registry and entry point                                                *)
 (* ======================================================================= *)
 
@@ -1364,7 +1285,6 @@ let experiments =
     ("ext-global-k", "extension: global-k sync trigger", ext_global_k);
     ("proto-compare", "four-protocol comparison sweep (BENCH_protocols.json)", proto_compare);
     ("perf-store", "durable store tracked baseline (BENCH_store.json)", perf_store);
-    ("perf-obs", "telemetry hot-path tracked baseline (BENCH_obs.json)", perf_obs);
   ]
 
 let () =

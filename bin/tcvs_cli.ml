@@ -135,7 +135,9 @@ let adversary_arg =
      loudly rather than serve a half-initialized shard map), \
      checkpoint-crash:R (crash mid-checkpoint, next-generation snapshot \
      leftovers unpublished; an honest crash that must recover \
-     byte-identically)."
+     byte-identically). R counts session rounds: simulator rounds, and \
+     under $(b,serve) the lockstep ticks (the cluster round on a shard \
+     daemon); a free session has no rounds, so these never fire there."
   in
   Arg.(value & opt string "honest" & info [ "adversary"; "a" ] ~docv:"ADV" ~doc)
 
@@ -421,10 +423,10 @@ let session_cmd =
         let engine = Sim.Engine.create ~measure:Message.encoded_size () in
         let trace = Sim.Trace.create () in
         let server =
-          Server.create
-            { Server.mode = `Plain; epoch_len = None; adversary }
-            ~engine
-            ~db:(Store.Shard_db.create ~branching:8 ~shards:1 [])
+          Server.on_engine engine
+            (Server.create
+               { Server.mode = `Plain; epoch_len = None; adversary }
+               ~db:(Store.Shard_db.create ~branching:8 ~shards:1 []))
         in
         let config =
           Protocol2.default_config ~n:2 ~k ~initial_root:(Server.initial_root server)

@@ -20,10 +20,10 @@ let () =
   let engine = Sim.Engine.create ~measure:Message.encoded_size () in
   let trace = Sim.Trace.create () in
   let server =
-    Server.create
-      { Server.mode = `Plain; epoch_len = None; adversary = Adversary.Honest }
-      ~engine
-      ~db:(Store.Shard_db.create ~branching:8 ~shards:1 [])
+    Server.on_engine engine
+      (Server.create
+         { Server.mode = `Plain; epoch_len = None; adversary = Adversary.Honest }
+         ~db:(Store.Shard_db.create ~branching:8 ~shards:1 []))
   in
   let config =
     Protocol2.default_config ~n:2 ~k:8 ~initial_root:(Server.initial_root server)

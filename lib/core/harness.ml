@@ -185,7 +185,7 @@ let build_user setup ~initial_root ~engine ~trace ~keyring ~signers ~user =
            ~user ~engine ~trace ~keyring ~signer:signers.(user))
   | Unverified -> Plain_user.base (Plain_user.create ~user ~engine ~trace)
 
-let create_server ?store ?route_counters protocol ~adversary ~elected_signer ~engine ~db =
+let create_server ?store ?route_counters protocol ~adversary ~elected_signer ~db =
   let mode, epoch_len =
     match protocol with
     | Protocol_1 _ -> (`Signed, None)
@@ -201,7 +201,7 @@ let create_server ?store ?route_counters protocol ~adversary ~elected_signer ~en
   in
   Server.create ?store ?route_counters ?sign_initial_root
     { Server.mode; epoch_len; adversary }
-    ~engine ~db
+    ~db
 
 let run_common setup ~script =
   (match validate setup with Ok () -> () | Error e -> raise (Setup_error e));
@@ -254,9 +254,9 @@ let run_common setup ~script =
   if sharded then
     Obs.set_meta "shards" (string_of_int (Store.Shard_db.shard_count initial_db));
   let server =
-    create_server ?store ~route_counters:sharded setup.protocol ~adversary:setup.adversary
-      ~elected_signer:(fun () -> signers.(0))
-      ~engine ~db:initial_db
+    Server.on_engine engine
+      (create_server ?store ~route_counters:sharded setup.protocol ~adversary:setup.adversary
+         ~elected_signer:(fun () -> signers.(0)) ~db:initial_db)
   in
   (* The server composed M(D₀) once: for N ≥ 2 shards it is one extra
      hash level over the sorted shard roots. *)

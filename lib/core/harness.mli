@@ -142,16 +142,16 @@ val create_server :
   protocol ->
   adversary:Adversary.t ->
   elected_signer:(unit -> Pki.Signer.t) ->
-  engine:Message.t Sim.Engine.t ->
   db:Store.Shard_db.t ->
+  reply:(user:int -> Message.t -> unit) ->
+  alarm:(string -> unit) ->
   Server.t
 (** The server [protocol] runs against, built as {!run} builds it —
     exported so the network daemon sets up the same server. Protocol I
     gets the [`Signed] mode and the elected user's signature over
     [h(M(D₀) ‖ 0)]; only then is [elected_signer] called. Protocol III
     gets its epoch length, the token baseline the [`Token] mode, every
-    other protocol [`Plain]. [db] and the optional arguments are
-    {!Server.create}'s. *)
+    other protocol [`Plain]. The other arguments are {!Server.create}'s. *)
 
 val run_script : setup -> script:scripted list -> outcome
 (** Like {!run} but with explicit database operations instead of

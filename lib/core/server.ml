@@ -18,7 +18,8 @@ type branch = {
 
 type t = {
   config : config;
-  engine : Message.t Sim.Engine.t;
+  reply : user:int -> Message.t -> unit;
+  alarm : string -> unit;
   initial_root : string;
   (* Retained so a crash-recovery that rewinds to the pristine state
      can re-seed Protocol I's bootstrap signature. *)
@@ -236,17 +237,17 @@ let check_invariants t =
       in
       match fork_ok with Error _ as e -> e | Ok () -> check_history t)
 
-(* Validate the stored state after every mutation; a violation becomes
-   a simulator alarm attributed to the server (there is no user to
-   blame — the state itself went bad). Only the first alarm matters to
-   the harness, so later repeats are harmless. *)
+(* Validate the stored state after every mutation; a violation is an
+   alarm raised by the server itself (there is no user to blame — the
+   state itself went bad). Only the first alarm matters to the
+   harness, so later repeats are harmless. *)
 let sanitize_pass t =
   if Sanitize.enabled () then begin
     Sanitize.count_check ();
     match check_invariants t with
     | Ok () -> ()
     | Error reason ->
-        Sim.Engine.alarm t.engine ~agent:Sim.Id.Server ~reason:("sanitize: " ^ reason)
+        t.alarm ("sanitize: " ^ reason)
   end
 
 (* ---- Persistence ---------------------------------------------------- *)
@@ -367,7 +368,7 @@ let execute_query t ~round ~user ~(op : Vo.op) ~piggyback =
   sanitize_pass t;
   Obs.incr c_queries;
   if t.config.mode = `Signed then t.awaiting_sig_on <- Some branch;
-  Sim.Engine.send t.engine ~src:Sim.Id.Server ~dst:(Sim.Id.User user) response
+  t.reply ~user response
 
 let rec process_queue t ~round =
   if t.awaiting_sig_on = None && not (Queue.is_empty t.queue) then begin
@@ -471,8 +472,7 @@ let crash_recover t ~round =
              half-initialized shard map served as truth: alarm as the
              server and stop answering anything. *)
           t.halted <- true;
-          Sim.Engine.alarm t.engine ~agent:Sim.Id.Server
-            ~reason:("store recovery failed: " ^ e)
+          t.alarm ("store recovery failed: " ^ e)
       | Ok () ->
           adopt t store;
           process_queue t ~round)
@@ -494,8 +494,7 @@ let token_head t = match t.token_log with [] -> None | r :: _ -> Some r
 
 let handle_token_query t ~user ~op =
   let vo = Sdb.generate_vo t.main.db op in
-  Sim.Engine.send t.engine ~src:Sim.Id.Server ~dst:(Sim.Id.User user)
-    (Message.Token_state { record = token_head t; vo })
+  t.reply ~user (Message.Token_state { record = token_head t; vo })
 
 let handle_token_turn t ~op ~record =
   (match op with
@@ -516,9 +515,9 @@ let handle_token_turn t ~op ~record =
       sanitize_pass t);
   t.token_log <- record :: t.token_log
 
-(* ---- Wiring --------------------------------------------------------- *)
+(* ---- Construction and the two entry points ---------------------------- *)
 
-let create ?store ?(route_counters = false) ?sign_initial_root config ~engine ~db =
+let create ?store ?(route_counters = false) ?sign_initial_root config ~db ~reply ~alarm =
   (match store with
   | Some s when Store.db s != db -> invalid_arg "Server.create: db is not the store's database"
   | Some _ | None -> ());
@@ -538,7 +537,8 @@ let create ?store ?(route_counters = false) ?sign_initial_root config ~engine ~d
   let t =
     {
       config;
-      engine;
+      reply;
+      alarm;
       initial_root;
       initial_root_sig;
       store;
@@ -560,34 +560,41 @@ let create ?store ?(route_counters = false) ?sign_initial_root config ~engine ~d
       adopt t store;
       t.total_ops <- t.main.ctr)
     store;
-  let on_message ~round ~src msg =
-    if t.halted then ()
-    else
-      match (src, msg) with
-    | Sim.Id.User user, Message.Query { op; piggyback } ->
-        if config.mode = `Token then handle_token_query t ~user ~op
+  t
+
+let handle t ~round ~user msg =
+  if not t.halted then
+    match msg with
+    | Message.Query { op; piggyback } ->
+        if t.config.mode = `Token then handle_token_query t ~user ~op
         else handle_query t ~round ~user ~op ~piggyback
-    | Sim.Id.User _, Message.Root_signature { signature; _ } ->
-        handle_root_signature t ~round ~signature
-    | Sim.Id.User _, Message.Token_take_turn { op; record } ->
-        handle_token_turn t ~op ~record
-    | _, (Message.Response _ | Message.Token_state _) -> ()
-    | _, (Message.Sync_begin _ | Message.Sync_count _ | Message.Sync_registers _
-         | Message.Sync_verdict _ | Message.Shard_witness _) ->
-        () (* external channel traffic never reaches the server *)
-    | Sim.Id.Server, _ -> ()
+    | Message.Root_signature { signature; _ } -> handle_root_signature t ~round ~signature
+    | Message.Token_take_turn { op; record } -> handle_token_turn t ~op ~record
+    | Message.Response _ | Message.Token_state _ | Message.Sync_begin _
+    | Message.Sync_count _ | Message.Sync_registers _ | Message.Sync_verdict _
+    | Message.Shard_witness _ ->
+        () (* replies and external channel traffic never reach the server *)
+
+(* Round boundary = the group-commit point: flush staged WAL records
+   before the adversary gets a chance to crash us, so Per_round
+   durability loses nothing at a boundary crash. *)
+let end_round t ~round =
+  if not t.halted then Option.iter Store.flush t.store;
+  maybe_crash t ~round
+
+(* The simulator binding: the engine delivers a user's message to
+   [handle] in the round it arrives, and activates the server once per
+   round after every delivery. *)
+let on_engine engine make =
+  let t =
+    make
+      ~reply:(fun ~user -> Sim.Engine.send engine ~src:Sim.Id.Server ~dst:(Sim.Id.User user))
+      ~alarm:(fun reason -> Sim.Engine.alarm engine ~agent:Sim.Id.Server ~reason)
   in
-  let on_activate ~round =
-    (* Round boundary = the group-commit point: flush staged WAL
-       records (and run any due compaction) before the adversary gets
-       a chance to crash us, so Per_round durability loses nothing at
-       a boundary crash. *)
-    (match t.store with
-    | Some store when not t.halted -> Store.flush store
-    | Some _ | None -> ());
-    maybe_crash t ~round
+  let on_message ~round ~src msg =
+    match src with Sim.Id.User user -> handle t ~round ~user msg | Sim.Id.Server -> ()
   in
-  Sim.Engine.register engine Sim.Id.Server { on_message; on_activate };
+  Sim.Engine.register engine Sim.Id.Server { on_message; on_activate = end_round t };
   t
 
 let initial_root t = t.initial_root

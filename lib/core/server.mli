@@ -46,15 +46,17 @@ val create :
   ?route_counters:bool ->
   ?sign_initial_root:(string -> string) ->
   config ->
-  engine:Message.t Sim.Engine.t ->
   db:Store.Shard_db.t ->
+  reply:(user:int -> Message.t -> unit) ->
+  alarm:(string -> unit) ->
   t
-(** Build the server state and register it with the engine under
-    {!Sim.Id.Server}. The main branch starts at [db], D₀, which the
-    caller builds once and shares with its users' [M(D₀)].
+(** Build the server state. The main branch starts at [db], D₀, which
+    the caller builds once and shares with its users' [M(D₀)].
     [sign_initial_root], given in Protocol I, is called once with the
     root of [db] and returns the elected user's signature over it (the
-    paper's initialisation step).
+    paper's initialisation step). Replies go to [reply]; [alarm]
+    reports what the server detects in itself (a sanitizer failure,
+    an unrecoverable store).
 
     [store], when given, makes the server durable: [db] must be
     {!Store.db}[ store] (the initial contents on a fresh store, the
@@ -69,6 +71,24 @@ val create :
     [server.s<i>.ops_routed] routing counters plus the
     [server.ops_routed] aggregate; callers set it on store and sharded
     runs, so legacy single-tree reports keep their exact metric set. *)
+
+val handle : t -> round:int -> user:int -> Message.t -> unit
+(** Serve [user]'s query, root signature or token turn in session
+    round [round] (a Protocol III response announces epoch
+    [round / epoch_len]). *)
+
+val end_round : t -> round:int -> unit
+(** End session round [round]: flush the store's staged records (the
+    group commit), then run a crash adversary due at [round]. *)
+
+val on_engine :
+  Message.t Sim.Engine.t ->
+  (reply:(user:int -> Message.t -> unit) -> alarm:(string -> unit) -> t) ->
+  t
+(** The simulator binding: [on_engine engine (create config ~db)] is
+    the server registered as {!Sim.Id.Server}, replying and alarming
+    there; it handles each message in the round the engine delivers
+    it, and ends every round. *)
 
 val initial_root : t -> string
 (** [M(D₀)] — common knowledge among users. *)
@@ -87,7 +107,7 @@ val history_length : t -> int
 (** {2 Runtime sanitizers}
 
     Run automatically after every mutation while {!Sanitize.enabled};
-    a failure raises a simulator alarm attributed to the server. Also
+    a failure goes to the server's [alarm]. Also
     callable directly (tests, the harness's end-of-run backstop). *)
 
 val check_history : t -> (unit, string) result

@@ -5,9 +5,11 @@
     client-local simulator engine and bridges it to a {!Daemon} over
     TCP. The daemon's [Tick] frames drive the local engine, so the
     distributed session advances in lockstep with every other client
-    and the agent cannot tell it left the single-process simulator:
-    detection verdicts on a given seed and workload match the
-    in-process harness.
+    and the server serves at the session's round. test_net's parity
+    cases pin the verdicts to the in-process harness on the same seed
+    and script: honest P1–P4 and unverified sessions end clean, and
+    tamper:10 on P2 and P3 alarms for the simulator's first reason (on
+    P3 in its round; a peer broadcast takes one round more over TCP).
 
     Reliability: every [Request]/[Publish] is retransmitted on a
     jittered exponential tick backoff (deterministic under the seeded

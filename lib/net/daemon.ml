@@ -54,11 +54,11 @@ let default_config =
     max_conns = 64;
     checkpoint_every = 64;
     (* Both modes keep kill -9 at any instant loss-free for
-       acknowledged requests: [drain_outbox] only queues a reply, the
-       [Store.flush] in [finish_round] or [execute_pending] follows it,
-       and [Loop.turn] writes queued frames after that. Per_op, the
-       mode the smoke tests run, flushes every record; Per_round
-       flushes once per tick. *)
+       acknowledged requests: a reply waits in [unsent] until the
+       [Store.flush] of [commit] covers the records behind it, and
+       [Loop.turn] writes it after that. Per_op, the mode the smoke
+       tests run, flushes every record; Per_round flushes once per
+       tick. *)
     durability = Store.Per_op;
     journal = None;
     admin_port = None;
@@ -70,11 +70,10 @@ let default_config =
 type state = {
   cfg : config;
   fe : Front.t;
-  engine : Message.t Sim.Engine.t;
   server : Server.t;
   store : Store.t option;
-  outbox : (int * Message.t) Queue.t; (* server→user messages captured by stubs *)
-  mutable free_pending : bool; (* a free-role query awaits execution *)
+  unsent : (int * string) Queue.t; (* encoded replies awaiting the next flush *)
+  alarmed : bool ref; (* the server raised an alarm *)
 }
 
 let jot st = Front.jot st.fe
@@ -94,27 +93,37 @@ let welcome st () =
       w_root = Server.true_root st.server;
     }
 
-(* ---- Reply capture --------------------------------------------------- *)
+(* ---- Replies ---------------------------------------------------------- *)
 
-let drain_outbox st =
-  while not (Queue.is_empty st.outbox) do
-    let u, msg = Queue.pop st.outbox in
-    match Hashtbl.find_opt st.fe.Front.outstanding u with
-    | Some (seq, ctx) ->
-        let payload = Codec.encode_message msg in
-        Front.record_reply st.fe ~user:u ~seq payload;
-        (match st.store with
-        | Some s -> Store.log_reply s ~user:u ~seq ~payload
-        | None -> ());
-        Obs.incr c_requests;
-        Log.debug (fun f -> f "u%d: reply for seq %d" u seq);
-        Front.jot_fwd st.fe ~user:u ~seq ~ctx ~ev:"daemon.reply" (Message.kind msg);
-        (* disconnected: the cached reply answers the re-request. The
-           message is encoded once, for the cache, the log and here. *)
-        Front.send_to st.fe u (Codec.encode_reply ~seq ~ctx payload)
-    | None ->
-        Log.warn (fun f -> f "response for u%d with no outstanding request" u)
-  done
+(* The server's reply to [u]'s outstanding query, as the server
+   produces it: encoded once, for the reply cache, the log and the
+   wire, and held until a flush makes the records behind it durable. *)
+let queue_reply fe store unsent ~user:u msg =
+  match Hashtbl.find_opt fe.Front.outstanding u with
+  | Some (seq, ctx) ->
+      let payload = Codec.encode_message msg in
+      Front.record_reply fe ~user:u ~seq payload;
+      Option.iter (fun s -> Store.log_reply s ~user:u ~seq ~payload) store;
+      Obs.incr c_requests;
+      Log.debug (fun f -> f "u%d: reply for seq %d" u seq);
+      Front.jot_fwd fe ~user:u ~seq ~ctx ~ev:"daemon.reply" (Message.kind msg);
+      Queue.add (u, Codec.encode_reply ~seq ~ctx payload) unsent
+  | None -> Log.warn (fun f -> f "response for u%d with no outstanding request" u)
+
+(* Group commit: flush what the batch staged (ops, origins, cached
+   replies), then queue its replies on their sockets. A user who
+   disconnected meanwhile gets the cached reply on its re-request. *)
+let commit st =
+  Option.iter Store.flush st.store;
+  Queue.iter (fun (u, frame) -> Front.send_to st.fe u frame) st.unsent;
+  Queue.clear st.unsent
+
+(* Serve a request at the session's round. A lockstep reply waits for
+   the tick's group commit; a free or shard-link request is its own, so
+   its reply leaves this turn, before a later request's checkpoint. *)
+let execute st (sess : Front.session) msg =
+  Server.handle st.server ~round:st.fe.round ~user:sess.user msg;
+  if not (Front.lockstep sess) then commit st
 
 (* ---- Frame handling -------------------------------------------------- *)
 
@@ -159,16 +168,10 @@ let handle_request st (sess : Front.session) ~seq ~ctx ~msg =
   match msg with
   | Message.Query _ ->
       if Front.admit_query st.fe sess ~seq ~ctx then begin
-        Log.debug (fun f -> f "u%d: query seq %d injected (round %d)" u seq st.fe.round);
+        Log.debug (fun f -> f "u%d: query seq %d (round %d)" u seq st.fe.round);
         Front.jot_fwd st.fe ~user:u ~seq ~ctx ~ev:"daemon.dispatch" (Message.kind msg);
-        (match st.store with
-        | Some s -> Store.declare_origin s ~user:u ~seq
-        | None -> ());
-        Sim.Engine.send st.engine ~src:(Sim.Id.User u) ~dst:Sim.Id.Server msg;
-        (* free and shard-link requests execute on arrival — no round clock *)
-        match sess.role with
-        | Some (Codec.Free | Codec.Shard_link) -> st.free_pending <- true
-        | _ -> ()
+        Option.iter (fun s -> Store.declare_origin s ~user:u ~seq) st.store;
+        execute st sess msg
       end
   | Message.Root_signature _ | Message.Token_take_turn _ ->
       (* At-least-once is safe here: the server ignores a signature it is
@@ -177,7 +180,7 @@ let handle_request st (sess : Front.session) ~seq ~ctx ~msg =
       if seq > Option.value ~default:(-1) (Hashtbl.find_opt vseq u) then begin
         jot st ~user:u ~span:seq ~ev:"daemon.dispatch" (Message.kind msg);
         Hashtbl.replace vseq u seq;
-        Sim.Engine.send st.engine ~src:(Sim.Id.User u) ~dst:Sim.Id.Server msg
+        execute st sess msg
       end;
       Conn.send sess.conn (Codec.Ack { seq })
   | _ ->
@@ -188,30 +191,16 @@ let handle_request st (sess : Front.session) ~seq ~ctx ~msg =
              detail = "request carries a server-to-user message";
            })
 
-(* Execute injected-but-unexecuted requests now. Free and shard-link
-   requests normally execute from the main loop; a Prepare arriving in
-   the same read burst as a (duplicate) request must never seal a round
-   with work still staged. *)
-let execute_pending st =
-  if st.free_pending then begin
-    st.free_pending <- false;
-    Sim.Engine.step st.engine;
-    Sim.Engine.step st.engine;
-    drain_outbox st;
-    (* requests here have no round clock: each batch is its own group
-       commit, so acknowledged replies are durable before they leave *)
-    match st.store with Some s -> Store.flush s | None -> ()
-  end
-
-(* Prepare phase of the cluster round barrier: flush so everything this
-   round executed is durable, then vote with the shard's current root.
-   Idempotent — a retransmitted Prepare re-reports the same root. *)
+(* Prepare phase of the cluster round barrier: end the round on the
+   server (flush, then a crash adversary due now), then vote with the
+   shard's current root. Idempotent — a retransmitted Prepare
+   re-reports the same root. *)
 let handle_prepare st (sess : Front.session) ~round =
   match (sess.role, st.cfg.shard_id) with
   | Some Codec.Shard_link, Some shard_id ->
-      execute_pending st;
       if round > st.fe.round then st.fe.round <- round;
-      (match st.store with Some s -> Store.flush s | None -> ());
+      Server.end_round st.server ~round;
+      commit st;
       jot st ~ev:"shard.seal" (Printf.sprintf "prepare r%d" round);
       Conn.send sess.conn
         (Codec.Shard_root
@@ -241,36 +230,27 @@ let handle_frame st (sess : Front.session) frame =
 
 (* ---- The round clock ------------------------------------------------- *)
 
+(* The tick's requests were served on arrival, at its round. Its end is
+   the group commit: all it staged becomes durable before its replies
+   leave and the next Tick goes out (under Per_round, the only flush);
+   a crash adversary due this round fires first. *)
 let finish_round st =
-  (* two steps: the first delivers this round's requests to the server
-     (which executes and sends), the second delivers its responses to
-     the capture stubs *)
-  Sim.Engine.step st.engine;
-  Sim.Engine.step st.engine;
-  drain_outbox st;
-  (* Group-commit point: everything this tick staged (ops, origins,
-     cached replies) becomes durable together before the next Tick is
-     announced — under Per_round this is the tick's only flush. *)
-  (match st.store with
-  | Some s ->
-      let t0 = Unix.gettimeofday () in
-      Store.flush s;
-      let dur_us = int_of_float ((Unix.gettimeofday () -. t0) *. 1e6) in
-      jot st ~dur_us ~ev:"daemon.flush" "group-commit"
-  | None -> ());
+  let t0 = Unix.gettimeofday () in
+  Server.end_round st.server ~round:st.fe.round;
+  commit st;
+  let dur_us = int_of_float ((Unix.gettimeofday () -. t0) *. 1e6) in
+  if st.store <> None then jot st ~dur_us ~ev:"daemon.flush" "group-commit";
   Obs.observe h_round_us
     (int_of_float ((Unix.gettimeofday () -. st.fe.tick_sent_at) *. 1e6));
-  let alarm =
-    if Sim.Engine.first_alarm st.engine <> None then Some "server-alarm" else None
-  in
-  Front.close_round st.fe ~alarm ~idle:(Queue.is_empty st.outbox)
+  Front.close_round st.fe
+    ~alarm:(if !(st.alarmed) then Some "server-alarm" else None)
+    ~idle:true
 
 (* The daemon's work before each turn of the loop. *)
 let step st =
   Front.start_clock st.fe;
   if st.fe.ticking then
-    if Front.tick_complete st.fe then finish_round st else Front.retick st.fe;
-  execute_pending st
+    if Front.tick_complete st.fe then finish_round st else Front.retick st.fe
 
 (* ---- Setup ----------------------------------------------------------- *)
 
@@ -305,38 +285,11 @@ let build_state cfg =
   match open_store cfg ~initial with
   | Error e -> Error ("store: " ^ e)
   | Ok store ->
-      let engine =
-        Sim.Engine.create ~measure:Message.encoded_size ~classify:Message.kind ()
-      in
       let db =
         match store with
         | Some s -> Store.db s
         | None -> Store.Shard_db.create ~branching:cfg.branching ~shards:cfg.shards initial
       in
-      let server =
-        Harness.create_server ?store ~route_counters:true cfg.protocol
-          ~adversary:cfg.adversary
-          ~elected_signer:(fun () ->
-            (* same deterministic PKI ceremony as the clients *)
-            let _, signers =
-              Pki.Keyring.setup
-                ~scheme:(Pki.Signer.Hmac_shared { key = "experiment-shared-key" })
-                ~users:cfg.users
-                (Crypto.Prng.create ~seed:cfg.seed)
-            in
-            signers.(0))
-          ~engine ~db
-      in
-      let outbox = Queue.create () in
-      for u = 0 to cfg.users - 1 do
-        Sim.Engine.register engine (Sim.Id.User u)
-          {
-            Sim.Engine.on_message =
-              (fun ~round:_ ~src msg ->
-                if src = Sim.Id.Server then Queue.add (u, msg) outbox);
-            on_activate = (fun ~round:_ -> ());
-          }
-      done;
       let proc =
         match cfg.shard_id with Some i -> "shard" ^ string_of_int i | None -> "daemon"
       in
@@ -353,7 +306,25 @@ let build_state cfg =
           List.iter (fun (u, seq) -> Hashtbl.replace fe.vseq u seq) b.Store.seqs;
           List.iter (fun (u, r) -> Hashtbl.replace fe.reply_cache u r) b.Store.replies)
         store;
-      Ok { cfg; fe; engine; server; store; outbox; free_pending = false }
+      let unsent = Queue.create () and alarmed = ref false in
+      let server =
+        Harness.create_server ?store ~route_counters:true cfg.protocol
+          ~adversary:cfg.adversary
+          ~elected_signer:(fun () ->
+            (* same deterministic PKI ceremony as the clients *)
+            let _, signers =
+              Pki.Keyring.setup
+                ~scheme:(Pki.Signer.Hmac_shared { key = "experiment-shared-key" })
+                ~users:cfg.users
+                (Crypto.Prng.create ~seed:cfg.seed)
+            in
+            signers.(0))
+          ~db ~reply:(queue_reply fe store unsent)
+          ~alarm:(fun reason ->
+            Log.err (fun f -> f "server alarm: %s" reason);
+            alarmed := true)
+      in
+      Ok { cfg; fe; server; store; unsent; alarmed }
 
 (* ---- Admin endpoint --------------------------------------------------- *)
 
@@ -410,8 +381,8 @@ let[@tcvs.lint.root "event-loop"] serve st l =
 
 let run cfg =
   match
-    (* shard mode: one engine user (the router) over a single internal
-       shard; the cluster-wide partition lives in [initial_slice] *)
+    (* shard mode: one user (the router) over a single internal shard;
+       the cluster-wide partition lives in [initial_slice] *)
     match cfg.shard_id with
     | Some i when i < 0 || i >= cfg.shard_count ->
         Error

@@ -3,38 +3,38 @@
     One process, one event loop ({!Front.serve} over {!Loop.turn}), no
     threads; {!run}'s handlers all run between two of its selects.
     The client-facing protocol — handshake, exactly-once dedup, relay,
-    round clock — is {!Front}'s; this module is the engine/store bridge
-    and the shard side of the cluster barrier. The daemon embeds
-    the existing {!Tcvs.Server} agent in a private simulator engine and
-    bridges it to the network: client [Request] frames are injected as
-    engine messages, the engine is stepped, and captured server
-    responses go back out as [Reply] frames — so WAL durability,
-    sharding, crash recovery and every adversary hook work unchanged.
+    round clock — is {!Front}'s; this module calls {!Tcvs.Server}
+    directly and is the shard side of the cluster barrier. A client
+    [Request] goes to {!Tcvs.Server.handle} on arrival, at the
+    session's round; its reply is encoded, cached and logged at once,
+    and leaves as a [Reply] after the flush that makes it durable.
 
     Two serving modes, never mixed on one daemon:
 
     - {e Lockstep}: the daemon is the round clock for a distributed
-      protocol session. Each round it sends [Tick] to every client,
-      collects their frames until all have answered [Tick_done], then
-      steps the engine twice (one step delivers requests to the server,
-      the next delivers its responses back to the capture stubs).
+      protocol session. Each round it sends [Tick] to every client;
+      once all have answered [Tick_done] it ends the round
+      ({!Tcvs.Server.end_round}), sends its replies and ticks the next.
       User-to-user broadcasts arrive as [Publish] frames and are
       relayed as [Deliver]s; a [Publish] is only acknowledged once
       {e every} recipient has acknowledged its [Deliver], so the
       external channel stays reliable end-to-end across daemon crashes
       (receivers deduplicate on [(src, sseq)]).
 
-    - {e Free}: bench clients; each [Request] is executed on arrival.
+    - {e Free}: bench clients; each [Request] is executed on arrival as
+      its own group commit. There is no round clock, so a round-keyed
+      adversary never fires.
 
     A third mode, {e shard daemon} ([shard_id = Some i]), serves one
     shard of a [shard_count]-way cluster behind {!Router}: a single
     [Shard_link] connection from the router, requests executed on
     arrival over a 1-shard store holding only the keys the cluster's
     shard map routes to shard [i], plus the prepare/commit round
-    barrier ([Prepare] → flush → [Shard_root] vote; [Commit] journals
-    the published composed root). Unlike [Free], the dedup state
-    survives shard-link reconnects — exactly-once holds across both
-    router reconnects and shard crashes.
+    barrier ([Prepare] ends the cluster round on the server, then
+    votes [Shard_root]; [Commit] journals the published composed
+    root). Unlike [Free], the dedup state survives shard-link
+    reconnects — exactly-once holds across both router reconnects and
+    shard crashes.
 
     Exactly-once across restarts: the network seq of each executed
     query rides in the op's WAL records ({!Store.declare_origin}) and
@@ -83,7 +83,7 @@ type config = {
           partition (computed from the full [files] key list, exactly
           as a single-daemon [--shards shard_count] run would), behind
           a router [Shard_link]. Forces one internal shard and one
-          engine user. *)
+          user. *)
   shard_count : int;  (** cluster width; only read when [shard_id] is set *)
 }
 

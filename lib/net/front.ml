@@ -2,7 +2,7 @@
    Both present one protocol to clients — the Hello/Welcome handshake,
    exactly-once requests, the Publish → Deliver broadcast relay and the
    lockstep round clock — and differ only in how a fresh query is
-   answered: the daemon executes it on its embedded engine, the router
+   answered: the daemon hands it to its server, the router
    fans it out to shard daemons and composes the reply. This module is
    the shared half: plain functions over a state record [t] that each
    process's own state embeds. *)

@@ -734,7 +734,8 @@ let test_repo_event_loop_roots () =
                 (Hashtbl.mem reached h))
             handlers)
         [
-          ("Daemon.serve", [ "Front.handle_frame"; "Daemon.execute_pending"; "Admin.service" ]);
+          ( "Daemon.serve",
+            [ "Front.handle_frame"; "Server.handle"; "Daemon.commit"; "Admin.service" ] );
           ( "Router.serve",
             [
               "Front.handle_frame"; "Router.pump_links"; "Router.handle_link_frame"; "Admin.service";

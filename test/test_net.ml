@@ -582,6 +582,164 @@ let test_client_peer_closes () =
             (contains e ~sub:"connection closed")
       | Ok _ -> Alcotest.fail "handshake succeeded against a closing peer")
 
+(* ---- verdict parity with the simulator --------------------------------- *)
+
+module H = Tcvs.Harness
+
+(* The workload profile of `tcvs simulate` and `tcvs client`. *)
+let cli_events ~rounds ~seed =
+  Workload.Schedule.generate
+    {
+      Workload.Schedule.default_profile with
+      users;
+      files = 24;
+      mean_think = 4.0;
+      offline_probability = 0.02;
+      mean_offline = 30.0;
+    }
+    ~seed ~rounds
+
+(* The first alarm of the in-process run, as (round, reason). *)
+let simulated protocol adversary ~seed ~events =
+  let setup = { (H.default_setup ~protocol ~users ~adversary) with H.seed } in
+  match (H.run setup ~events).H.alarms with
+  | [] -> None
+  | a :: _ -> Some (a.Sim.Engine.at_round, a.Sim.Engine.reason)
+
+(* A client's verdict, read from the pipe its process writes it to. *)
+let read_verdict ~deadline (pid, fd) =
+  let rec await () =
+    let left = deadline -. Unix.gettimeofday () in
+    if left <= 0. then begin
+      kill_wait pid;
+      Alcotest.fail "a client did not finish its session in time"
+    end
+    else
+      match Unix.select [ fd ] [] [] left with
+      | [], _, _ -> await ()
+      | _ -> ()
+      | exception Unix.Unix_error (Unix.EINTR, _, _) -> await ()
+  in
+  await ();
+  let ic = Unix.in_channel_of_descr fd in
+  let (v : (Net.Client.verdict, string) result) = Marshal.from_channel ic in
+  close_in ic;
+  ignore (Unix.waitpid [] pid);
+  match v with Ok v -> v | Error e -> Alcotest.failf "client failed: %s" e
+
+(* The same session over loopback: a forked daemon and one forked
+   [Net.Client.run] per user. Returns every client's verdict and the
+   earliest local alarm among them (the lowest user on a tie, as the
+   simulator activates users in order). *)
+let over_tcp protocol adversary ~seed ~events =
+  let pf = Filename.concat (fresh_dir ()) "daemon.port" in
+  let daemon =
+    fork_proc (fun () ->
+        Net.Daemon.run
+          {
+            Net.Daemon.default_config with
+            port_file = Some pf;
+            users;
+            protocol;
+            seed;
+            adversary;
+          })
+  in
+  Fun.protect
+    ~finally:(fun () -> kill_wait daemon)
+    (fun () ->
+      let port = wait_port_file pf in
+      let script = H.script_of_events events in
+      let clients =
+        List.init users (fun user ->
+            let r, w = Unix.pipe () in
+            let pid =
+              fork_proc (fun () ->
+                  Unix.close r;
+                  let oc = Unix.out_channel_of_descr w in
+                  let cfg =
+                    {
+                      (Net.Client.default_config ~user ~port) with
+                      Net.Client.users;
+                      protocol;
+                      seed;
+                      script;
+                    }
+                  in
+                  Marshal.to_channel oc (Net.Client.run cfg : (Net.Client.verdict, string) result) [];
+                  close_out oc)
+            in
+            Unix.close w;
+            (pid, r))
+      in
+      let deadline = Unix.gettimeofday () +. 60. in
+      let verdicts = List.map (read_verdict ~deadline) clients in
+      let alarms =
+        List.stable_sort
+          (fun (a, _) (b, _) -> Int.compare a b)
+          (List.concat_map (fun v -> v.Net.Client.v_local_alarms) verdicts)
+      in
+      (verdicts, match alarms with [] -> None | a :: _ -> Some a))
+
+let p2 = H.Protocol_2 { k = 8; tag_mode = `Tagged; check_gctr = true; sync_trigger = `Per_user }
+
+(* Honest sessions end clean over TCP, as in the simulator. The two
+   Protocol III configurations pin the server's epoch to the session's
+   round: a server whose round ran ahead of the tick would announce
+   epochs early, and every client would alarm that the server is
+   missing stored states. *)
+let test_parity_honest () =
+  List.iter
+    (fun (protocol, rounds, seed) ->
+      let name = Printf.sprintf "%s, %d rounds, seed %s" (H.protocol_name protocol) rounds seed in
+      let events = cli_events ~rounds ~seed in
+      (match simulated protocol Tcvs.Adversary.Honest ~seed ~events with
+      | None -> ()
+      | Some (r, reason) -> Alcotest.failf "%s: simulator alarmed at %d: %s" name r reason);
+      let verdicts, first = over_tcp protocol Tcvs.Adversary.Honest ~seed ~events in
+      (match first with
+      | None -> ()
+      | Some (r, reason) -> Alcotest.failf "%s: a client alarmed at round %d: %s" name r reason);
+      List.iter
+        (fun v ->
+          Alcotest.(check string) (name ^ ": session drained") "drained"
+            v.Net.Client.v_session_reason;
+          Alcotest.(check bool) (name ^ ": clean verdict") false v.Net.Client.v_alarmed)
+        verdicts)
+    [
+      (H.Protocol_1 { k = 8 }, 60, "parity");
+      (p2, 60, "parity");
+      (H.Protocol_3 { epoch_len = 40 }, 200, "s1");
+      (H.Protocol_3 { epoch_len = 120 }, 300, "seed-e");
+      (H.Protocol_4 { announce_every = 4 }, 60, "parity");
+      (H.Unverified, 60, "parity");
+    ]
+
+(* tamper:10 alarms over TCP for the simulator's reason. Protocol III
+   never uses the external channel, so its alarm also lands in the
+   simulator's round; a Protocol II sync broadcast takes one round more
+   over TCP (captured at the publisher's next step, injected at each
+   receiver's next tick), so only its reason is compared. *)
+let test_parity_tamper () =
+  List.iter
+    (fun (protocol, rounds, seed, same_round) ->
+      let name = H.protocol_name protocol in
+      let adversary = Tcvs.Adversary.Tamper_value { at_op = 10 } in
+      let events = cli_events ~rounds ~seed in
+      match simulated protocol adversary ~seed ~events with
+      | None -> Alcotest.failf "%s: the simulator missed tamper:10" name
+      | Some (sim_round, sim_reason) -> (
+          let verdicts, first = over_tcp protocol adversary ~seed ~events in
+          List.iter
+            (fun v -> Alcotest.(check bool) (name ^ ": every client alarmed") true v.Net.Client.v_alarmed)
+            verdicts;
+          match first with
+          | None -> Alcotest.failf "%s: no client raised a local alarm" name
+          | Some (round, reason) ->
+              Alcotest.(check string) (name ^ ": first alarm reason") sim_reason reason;
+              if same_round then Alcotest.(check int) (name ^ ": first alarm round") sim_round round))
+    [ (p2, 200, "s1", false); (H.Protocol_3 { epoch_len = 120 }, 300, "seed-e", true) ]
+
 let suite =
   [
     Alcotest.test_case "codec: frame round-trips" `Quick test_frame_roundtrips;
@@ -599,4 +757,7 @@ let suite =
     Alcotest.test_case "client: unresolvable host is an error" `Quick test_client_unresolvable;
     Alcotest.test_case "client: refused dial names the address" `Quick test_client_refused;
     Alcotest.test_case "client: peer closing mid-handshake" `Quick test_client_peer_closes;
+    Alcotest.test_case "parity: honest sessions end clean over TCP" `Quick test_parity_honest;
+    Alcotest.test_case "parity: tamper:10 alarms for the simulator's reason" `Quick
+      test_parity_tamper;
   ]

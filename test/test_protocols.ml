@@ -372,9 +372,10 @@ let make_cvs_pair ?(adversary = Adversary.Honest) () =
   let engine = Sim.Engine.create ~measure:Message.encoded_size () in
   let trace = Sim.Trace.create () in
   let server =
-    Server.create
-      { Server.mode = `Plain; epoch_len = None; adversary }
-      ~engine ~db:(Store.Shard_db.create ~branching:8 ~shards:1 [])
+    Server.on_engine engine
+      (Server.create
+         { Server.mode = `Plain; epoch_len = None; adversary }
+         ~db:(Store.Shard_db.create ~branching:8 ~shards:1 []))
   in
   let config = Protocol2.default_config ~n:2 ~k:6 ~initial_root:(Server.initial_root server) in
   let s0 = Cvs.session ~engine ~base:(Protocol2.base (Protocol2.create config ~user:0 ~engine ~trace)) in
@@ -449,9 +450,10 @@ let test_history_cap_bounds_snapshots () =
   let trace = Sim.Trace.create () in
   let cap = Server.history_cap in
   let server =
-    Server.create
-      { Server.mode = `Plain; epoch_len = None; adversary = Adversary.Honest }
-      ~engine ~db:(Store.Shard_db.create ~branching:8 ~shards:1 [])
+    Server.on_engine engine
+      (Server.create
+         { Server.mode = `Plain; epoch_len = None; adversary = Adversary.Honest }
+         ~db:(Store.Shard_db.create ~branching:8 ~shards:1 []))
   in
   let config = Protocol2.default_config ~n:1 ~k:1000 ~initial_root:(Server.initial_root server) in
   let s = Cvs.session ~engine ~base:(Protocol2.base (Protocol2.create config ~user:0 ~engine ~trace)) in
@@ -463,6 +465,28 @@ let test_history_cap_bounds_snapshots () =
     (Printf.sprintf "spine bounded by cap (%d <= %d)" (Server.history_length server) cap)
     true
     (Server.history_length server <= cap)
+
+(* The server's clock is the round its caller hands it: a Protocol III
+   server driven by plain calls announces epoch [round / epoch_len]. *)
+let test_server_epoch_is_the_round () =
+  let replies = ref [] in
+  let server =
+    Server.create
+      { Server.mode = `Plain; epoch_len = Some 10; adversary = Adversary.Honest }
+      ~db:(Store.Shard_db.create ~branching:8 ~shards:1 [])
+      ~reply:(fun ~user msg -> replies := (user, msg) :: !replies)
+      ~alarm:(fun reason -> Alcotest.failf "server alarmed: %s" reason)
+  in
+  List.iter
+    (fun round ->
+      Server.handle server ~round ~user:1
+        (Message.Query { op = Mtree.Vo.Get "k"; piggyback = [] });
+      match !replies with
+      | (1, Message.Response { epoch; _ }) :: _ ->
+          Alcotest.(check int) (Printf.sprintf "epoch at round %d" round) (round / 10) epoch
+      | _ -> Alcotest.failf "no response at round %d" round)
+    [ 0; 9; 10; 25; 191 ];
+  Alcotest.(check int) "one reply per query" 5 (List.length !replies)
 
 (* ---- sync driver: one real user among scripted peers ---------------------- *)
 
@@ -1111,6 +1135,7 @@ let suite =
     quick "cvs: list files" test_cvs_list_files;
     quick "cvs: tampering surfaces as Server_compromised" test_cvs_detects_tamper;
     quick "server: history cap bounds rollback snapshots" test_history_cap_bounds_snapshots;
+    quick "server: P3 epoch is the round it is handed" test_server_epoch_is_the_round;
     quick "edge: k = 1" test_k_equals_one;
     quick "edge: single user" test_single_user;
     quick "edge: adversary at the first operation" test_adversary_at_first_op;

@@ -959,9 +959,11 @@ let test_server_crash_clears_history () =
   Alcotest.check_raises "a db other than the store's is refused"
     (Invalid_argument "Server.create: db is not the store's database") (fun () ->
       ignore
-        (Server.create ~store config ~engine
-           ~db:(Store.Shard_db.create ~branching:8 ~shards:1 initial)));
-  let server = Server.create ~store config ~engine ~db:(Store.db store) in
+        (Server.create ~store config
+           ~db:(Store.Shard_db.create ~branching:8 ~shards:1 initial)
+           ~reply:(fun ~user:_ _ -> ())
+           ~alarm:ignore));
+  let server = Server.on_engine engine (Server.create ~store config ~db:(Store.db store)) in
   List.iter
     (fun i ->
       Sim.Engine.send engine ~src:(Sim.Id.User 0) ~dst:Sim.Id.Server
@@ -978,6 +980,36 @@ let test_server_crash_clears_history () =
     (Crypto.Hex.encode (Server.true_root server));
   Alcotest.(check int) "counter preserved" 3 (Server.ops_performed server);
   Alcotest.(check int) "no alarms" 0 (List.length (Sim.Engine.alarms engine))
+
+(* A round-keyed crash fires at the round boundary its caller names:
+   crash:5 at [end_round ~round:5], and at no boundary before. *)
+let test_server_crash_at_end_round () =
+  let dir = fresh_dir "server-clock" in
+  let store =
+    expect_fresh
+      (Store.create_or_open ~dir ~branching:8 ~shards:1 ~initial:(initial_files 8) ())
+  in
+  let alarms = ref [] in
+  let server =
+    Server.create ~store
+      { Server.mode = `Plain; epoch_len = None; adversary = Adversary.Crash { at_round = 5 } }
+      ~db:(Store.db store)
+      ~reply:(fun ~user:_ _ -> ())
+      ~alarm:(fun reason -> alarms := reason :: !alarms)
+  in
+  Server.handle server ~round:1 ~user:0
+    (Message.Query { op = Vo.Set ("k", "v"); piggyback = [] });
+  for round = 1 to 4 do
+    Server.end_round server ~round;
+    Alcotest.(check int) (Printf.sprintf "no crash at round %d" round) 1
+      (Server.history_length server)
+  done;
+  Server.end_round server ~round:5;
+  Alcotest.(check int) "the crash at round 5 cleared the history" 0
+    (Server.history_length server);
+  Alcotest.(check int) "counter recovered" 1 (Server.ops_performed server);
+  Alcotest.(check (list string)) "no alarms" [] !alarms;
+  Store.close store
 
 (* ---- harness: crash adversaries end to end --------------------------- *)
 
@@ -1747,6 +1779,8 @@ let suite =
       test_store_incremental_checkpoint;
     Alcotest.test_case "store: inspect reports layout" `Quick test_store_inspect_layout;
     Alcotest.test_case "server: crash clears history" `Quick test_server_crash_clears_history;
+    Alcotest.test_case "server: crash:R fires at end_round R" `Quick
+      test_server_crash_at_end_round;
     Alcotest.test_case "harness: crash is transparent" `Slow test_harness_crash_transparent;
     Alcotest.test_case "harness: torn MANIFEST transparent" `Slow
       test_harness_torn_manifest_repaired_quiet;

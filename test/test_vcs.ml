@@ -183,10 +183,10 @@ let test_repo_protocol_equivalence () =
   let engine = Sim.Engine.create () in
   let trace = Sim.Trace.create () in
   let server =
-    Tcvs.Server.create
-      { Tcvs.Server.mode = `Plain; epoch_len = None; adversary = Tcvs.Adversary.Honest }
-      ~engine
-      ~db:(Store.Shard_db.create ~branching:8 ~shards:1 [])
+    Tcvs.Server.on_engine engine
+      (Tcvs.Server.create
+         { Tcvs.Server.mode = `Plain; epoch_len = None; adversary = Tcvs.Adversary.Honest }
+         ~db:(Store.Shard_db.create ~branching:8 ~shards:1 []))
   in
   let config =
     Tcvs.Protocol2.default_config ~n:1 ~k:50

@@ -167,19 +167,20 @@ let skip_dirs = [ "_build"; ".git"; "_opam"; ".tcvs-lint.d" ]
 
 (* Every .ml under [root]/[dir] as a root-relative path, in sorted
    order: rule scopes are prefix matches on these paths and output
-   order must be stable under CI. *)
+   order must be stable under CI. An entry removed while the tree is
+   walked (a running program's scratch file) is skipped. *)
 let ml_files ?(dir = "") ~root () =
   let rec walk rel acc =
     let abs = if rel = "" then root else Filename.concat root rel in
-    let entries = Sys.readdir abs in
+    let entries = try Sys.readdir abs with Sys_error _ -> [||] in
     Array.sort String.compare entries;
     Array.fold_left
       (fun acc entry ->
         let rel = if rel = "" then entry else rel ^ "/" ^ entry in
-        if Sys.is_directory (Filename.concat root rel) then
-          if List.exists (String.equal entry) skip_dirs then acc else walk rel acc
-        else if Filename.check_suffix entry ".ml" then rel :: acc
-        else acc)
+        match Sys.is_directory (Filename.concat root rel) with
+        | exception Sys_error _ -> acc
+        | true -> if List.exists (String.equal entry) skip_dirs then acc else walk rel acc
+        | false -> if Filename.check_suffix entry ".ml" then rel :: acc else acc)
       acc entries
   in
   List.rev (walk dir [])
