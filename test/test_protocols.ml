@@ -1135,7 +1135,6 @@ let suite =
     quick "cvs: list files" test_cvs_list_files;
     quick "cvs: tampering surfaces as Server_compromised" test_cvs_detects_tamper;
     quick "server: history cap bounds rollback snapshots" test_history_cap_bounds_snapshots;
-    quick "server: P3 epoch is the round it is handed" test_server_epoch_is_the_round;
     quick "edge: k = 1" test_k_equals_one;
     quick "edge: single user" test_single_user;
     quick "edge: adversary at the first operation" test_adversary_at_first_op;
@@ -1167,4 +1166,5 @@ let suite =
       (test_sync_next_session_held `P2);
     quick "sync: timeout alarms on a withholding peer (protocol 1)" (test_sync_timeout `P1);
     quick "sync: timeout alarms on a withholding peer (protocol 2)" (test_sync_timeout `P2);
+    quick "server: P3 epoch is the round it is handed" test_server_epoch_is_the_round;
   ]

@@ -1779,8 +1779,6 @@ let suite =
       test_store_incremental_checkpoint;
     Alcotest.test_case "store: inspect reports layout" `Quick test_store_inspect_layout;
     Alcotest.test_case "server: crash clears history" `Quick test_server_crash_clears_history;
-    Alcotest.test_case "server: crash:R fires at end_round R" `Quick
-      test_server_crash_at_end_round;
     Alcotest.test_case "harness: crash is transparent" `Slow test_harness_crash_transparent;
     Alcotest.test_case "harness: torn MANIFEST transparent" `Slow
       test_harness_torn_manifest_repaired_quiet;
@@ -1813,4 +1811,6 @@ let suite =
       test_store_bas2_layout_refused;
     Alcotest.test_case "store: restarts still checkpoint" `Quick
       test_store_restarts_still_checkpoint;
+    Alcotest.test_case "server: crash:R fires at end_round R" `Quick
+      test_server_crash_at_end_round;
   ]
