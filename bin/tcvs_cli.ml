@@ -137,7 +137,9 @@ let adversary_arg =
      leftovers unpublished; an honest crash that must recover \
      byte-identically). R counts session rounds: simulator rounds, and \
      under $(b,serve) the lockstep ticks (the cluster round on a shard \
-     daemon); a free session has no rounds, so these never fire there."
+     daemon, which ends only the rounds it seals, so the crash comes at \
+     the first sealed round from R on); a free session has no rounds, \
+     so these never fire there."
   in
   Arg.(value & opt string "honest" & info [ "adversary"; "a" ] ~docv:"ADV" ~doc)
 

@@ -450,7 +450,7 @@ let adopt t store =
       else t.awaiting_sig_on <- None
   | `Plain | `Token -> ()
 
-(* Kill the server at the start of the round and restart it from the
+(* Kill the server at the end of the round and restart it from the
    durable store: damage the directory as the fault would, then reload
    it. An honest [Crash] damages nothing; [Rollback_crash] leaves only
    the stale previous generation; the torn-manifest variants tear the
@@ -483,7 +483,7 @@ let maybe_crash t ~round =
     | Adversary.Rollback_crash { at_round }
     | Adversary.Torn_manifest { at_round; _ }
     | Adversary.Checkpoint_crash { at_round } )
-    when round = at_round && not t.crashed ->
+    when round >= at_round && not t.crashed ->
       t.crashed <- true;
       crash_recover t ~round
   | _ -> ()
@@ -576,8 +576,9 @@ let handle t ~round ~user msg =
         () (* replies and external channel traffic never reach the server *)
 
 (* Round boundary = the group-commit point: flush staged WAL records
-   before the adversary gets a chance to crash us, so Per_round
-   durability loses nothing at a boundary crash. *)
+   before a crash adversary due by this round (once: a shard daemon
+   ends only the rounds it seals), so Per_round durability loses
+   nothing at a boundary crash. *)
 let end_round t ~round =
   if not t.halted then Option.iter Store.flush t.store;
   maybe_crash t ~round

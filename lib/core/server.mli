@@ -79,7 +79,7 @@ val handle : t -> round:int -> user:int -> Message.t -> unit
 
 val end_round : t -> round:int -> unit
 (** End session round [round]: flush the store's staged records (the
-    group commit), then run a crash adversary due at [round]. *)
+    group commit), then run a crash adversary due by [round], once. *)
 
 val on_engine :
   Message.t Sim.Engine.t ->

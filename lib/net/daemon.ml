@@ -53,12 +53,9 @@ let default_config =
     adversary = Adversary.Honest;
     max_conns = 64;
     checkpoint_every = 64;
-    (* Both modes keep kill -9 at any instant loss-free for
-       acknowledged requests: a reply waits in [unsent] until the
-       [Store.flush] of [commit] covers the records behind it, and
-       [Loop.turn] writes it after that. Per_op, the mode the smoke
-       tests run, flushes every record; Per_round flushes once per
-       tick. *)
+    (* Per_op, the mode the smoke tests run, flushes every record;
+       Per_round once per tick. Either way a reply is held
+       ([Front.hold]) until [commit]'s flush covers its records. *)
     durability = Store.Per_op;
     journal = None;
     admin_port = None;
@@ -72,7 +69,6 @@ type state = {
   fe : Front.t;
   server : Server.t;
   store : Store.t option;
-  unsent : (int * string) Queue.t; (* encoded replies awaiting the next flush *)
   alarmed : bool ref; (* the server raised an alarm *)
 }
 
@@ -96,27 +92,25 @@ let welcome st () =
 (* ---- Replies ---------------------------------------------------------- *)
 
 (* The server's reply to [u]'s outstanding query, as the server
-   produces it: encoded once, for the reply cache, the log and the
-   wire, and held until a flush makes the records behind it durable. *)
-let queue_reply fe store unsent ~user:u msg =
+   produces it: encoded once, logged at once, and held until a flush
+   makes the records behind it durable. *)
+let queue_reply fe store ~user:u msg =
   match Hashtbl.find_opt fe.Front.outstanding u with
   | Some (seq, ctx) ->
       let payload = Codec.encode_message msg in
-      Front.record_reply fe ~user:u ~seq payload;
       Option.iter (fun s -> Store.log_reply s ~user:u ~seq ~payload) store;
       Obs.incr c_requests;
       Log.debug (fun f -> f "u%d: reply for seq %d" u seq);
       Front.jot_fwd fe ~user:u ~seq ~ctx ~ev:"daemon.reply" (Message.kind msg);
-      Queue.add (u, Codec.encode_reply ~seq ~ctx payload) unsent
+      Front.hold fe ~user:u ~seq ~ctx payload
   | None -> Log.warn (fun f -> f "response for u%d with no outstanding request" u)
 
-(* Group commit: flush what the batch staged (ops, origins, cached
-   replies), then queue its replies on their sockets. A user who
+(* Group commit: flush what the batch staged (ops, origins, replies),
+   then cache its replies and queue them on their sockets. A user who
    disconnected meanwhile gets the cached reply on its re-request. *)
 let commit st =
   Option.iter Store.flush st.store;
-  Queue.iter (fun (u, frame) -> Front.send_to st.fe u frame) st.unsent;
-  Queue.clear st.unsent
+  Front.release st.fe
 
 (* Serve a request at the session's round. A lockstep reply waits for
    the tick's group commit; a free or shard-link request is its own, so
@@ -306,7 +300,7 @@ let build_state cfg =
           List.iter (fun (u, seq) -> Hashtbl.replace fe.vseq u seq) b.Store.seqs;
           List.iter (fun (u, r) -> Hashtbl.replace fe.reply_cache u r) b.Store.replies)
         store;
-      let unsent = Queue.create () and alarmed = ref false in
+      let alarmed = ref false in
       let server =
         Harness.create_server ?store ~route_counters:true cfg.protocol
           ~adversary:cfg.adversary
@@ -319,12 +313,12 @@ let build_state cfg =
                 (Crypto.Prng.create ~seed:cfg.seed)
             in
             signers.(0))
-          ~db ~reply:(queue_reply fe store unsent)
+          ~db ~reply:(queue_reply fe store)
           ~alarm:(fun reason ->
             Log.err (fun f -> f "server alarm: %s" reason);
             alarmed := true)
       in
-      Ok { cfg; fe; server; store; unsent; alarmed }
+      Ok { cfg; fe; server; store; alarmed }
 
 (* ---- Admin endpoint --------------------------------------------------- *)
 

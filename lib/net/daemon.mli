@@ -6,8 +6,8 @@
     round clock — is {!Front}'s; this module calls {!Tcvs.Server}
     directly and is the shard side of the cluster barrier. A client
     [Request] goes to {!Tcvs.Server.handle} on arrival, at the
-    session's round; its reply is encoded, cached and logged at once,
-    and leaves as a [Reply] after the flush that makes it durable.
+    session's round; its reply is logged at once, and is cached and
+    sent as a [Reply] after the flush that makes it durable.
 
     Two serving modes, never mixed on one daemon:
 
@@ -61,12 +61,11 @@ type config = {
   checkpoint_every : int;
   durability : Store.durability;
       (** WAL flush cadence. {!Store.Per_op} (the default) flushes
-          every record; {!Store.Per_round} group-commits each tick —
-          everything a tick staged becomes durable together at
-          [finish_round], before the next [Tick] is announced. Either
-          way [kill -9] at any instant loses no acknowledged request:
-          a reply reaches its socket only after the records behind it
-          were flushed. *)
+          every record; {!Store.Per_round} group-commits each tick at
+          [finish_round], before the next [Tick]. Either way [kill -9]
+          at any instant loses no acknowledged request: a reply is
+          cached and sent only after the records behind it were
+          flushed. *)
   journal : string option;
       (** when set, span events (daemon.dispatch / daemon.dedup /
           daemon.reply / daemon.flush) are appended to this JSONL file

@@ -58,6 +58,7 @@ type t = {
   (* user → admitted query (seq, trace ctx) awaiting its reply; the ctx
      is echoed verbatim on the Reply so the op keeps one span id *)
   outstanding : (int, int * Codec.ctx) Hashtbl.t;
+  held : (int * int * string * string) Queue.t; (* (user, seq, reply, its frame) *)
   relays : (int * int, relay) Hashtbl.t; (* (src, sseq) → broadcast relay state *)
   u_done : int array; (* per-user last Tick_done round *)
   u_drained : bool array;
@@ -101,6 +102,7 @@ let create ~src ~scope ~ev ~ev_dispatch ?(fwd_ctx = false) ~users ~max_conns jou
     vseq = Hashtbl.create 16;
     reply_cache = Hashtbl.create 16;
     outstanding = Hashtbl.create 16;
+    held = Queue.create ();
     relays = Hashtbl.create 64;
     u_done = Array.make n (-1);
     u_drained = Array.make n false;
@@ -242,11 +244,20 @@ let admit_query t sess ~seq ~ctx =
         true
       end
 
-let record_reply t ~user ~seq payload =
-  Hashtbl.replace t.reply_cache user (seq, payload);
-  match Hashtbl.find_opt t.outstanding user with
-  | Some (s, _) when s = seq -> Hashtbl.remove t.outstanding user
-  | _ -> ()
+(* A reply joins the dedup path only when it may leave, so a re-sent
+   query cannot fetch it before the durability point that covers it. *)
+let hold t ~user ~seq ~ctx payload =
+  Queue.add (user, seq, payload, Codec.encode_reply ~seq ~ctx payload) t.held
+
+let release t =
+  Queue.iter
+    (fun (user, seq, payload, frame) ->
+      Hashtbl.replace t.reply_cache user (seq, payload);
+      if Option.map fst (Hashtbl.find_opt t.outstanding user) = Some seq then
+        Hashtbl.remove t.outstanding user;
+      send_to t user frame)
+    t.held;
+  Queue.clear t.held
 
 (* ---- Broadcast relay --------------------------------------------------- *)
 

@@ -37,6 +37,7 @@ type t = {
   vseq : (int, int) Hashtbl.t;  (** per-user highest admitted request seq *)
   reply_cache : (int, int * string) Hashtbl.t;  (** user → (seq, encoded reply) *)
   outstanding : (int, int * Codec.ctx) Hashtbl.t;  (** user → query awaiting its reply *)
+  held : (int * int * string * string) Queue.t;  (** (user, seq, reply, frame) until {!release} *)
   relays : (int * int, relay) Hashtbl.t;  (** (src, sseq) → undelivered broadcast *)
   u_done : int array;  (** per-user last [Tick_done] round *)
   u_drained : bool array;
@@ -73,9 +74,6 @@ val jot : t -> ?user:int -> ?span:int -> ?dur_us:int -> ev:string -> string -> u
 val jot_fwd : t -> user:int -> seq:int -> ctx:Codec.ctx -> ev:string -> string -> unit
 val session_for_user : t -> int -> session option
 val lockstep : session -> bool
-val send_to : t -> int -> string -> unit
-(** An encoded frame ({!Codec.encode_reply}, {!Codec.encode_frame}) to
-    user [u]'s live session, if any. *)
 
 val reject : session -> Codec.error_code -> string -> unit
 (** Send a typed error frame, flush, close. *)
@@ -96,8 +94,13 @@ val admit_query : t -> session -> seq:int -> ctx:Codec.ctx -> bool
     [Lost_reply]), a second query while one is outstanding is a
     [Protocol_violation]. *)
 
-val record_reply : t -> user:int -> seq:int -> string -> unit
-(** Cache the encoded reply to [seq] and clear it as outstanding. *)
+val hold : t -> user:int -> seq:int -> ctx:Codec.ctx -> string -> unit
+(** Hold the encoded reply to [user]'s query [seq]: until {!release} it
+    is neither cached nor sent, and a re-sent query gets nothing. *)
+
+val release : t -> unit
+(** At the process's durability point: cache every held reply, clear
+    its query as outstanding and send it to its user, in order. *)
 
 val handle_frame : t -> session -> Codec.frame -> unit
 (** Every frame the process does not handle itself. *)

@@ -113,7 +113,6 @@ type state = {
      dedup, never via a silent re-execution *)
   fe : Front.t;
   compose_q : rop Queue.t; (* global dispatch order *)
-  held : (int * string) Queue.t; (* encoded lockstep replies awaiting Commit *)
   mutable g_ctr : int; (* composed ops — the cluster's global ctr *)
   mutable g_last_user : int;
   mutable dirty : bool; (* an op was composed since the last barrier *)
@@ -402,16 +401,14 @@ let try_compose st =
         match compose st rop with
         | None -> () (* alarmed; session teardown happens in the main loop *)
         | Some msg ->
-            let payload = Codec.encode_message msg in
-            Front.record_reply st.fe ~user:rop.o_user ~seq:rop.o_seq payload;
             Obs.incr c_ops;
             jot st ~user:rop.o_user ~span:rop.o_seq ~ev:"router.reply"
               (Message.kind msg);
-            let frame = Codec.encode_reply ~seq:rop.o_seq ~ctx:rop.o_ctx payload in
+            Front.hold st.fe ~user:rop.o_user ~seq:rop.o_seq ~ctx:rop.o_ctx
+              (Codec.encode_message msg);
             (* two-phase: a lockstep reply only leaves after the round's
                composed root is committed; bench replies flow freely *)
-            if rop.o_lockstep then Queue.add (rop.o_user, frame) st.held
-            else Front.send_to st.fe rop.o_user frame;
+            if not rop.o_lockstep then Front.release st.fe;
             loop ())
     | _ -> ()
   in
@@ -538,10 +535,6 @@ let handle_link_frame st l frame =
 
 (* ---- The round clock and the barrier ---------------------------------- *)
 
-let release_held st =
-  Queue.iter (fun (u, frame) -> Front.send_to st.fe u frame) st.held;
-  Queue.clear st.held
-
 (* After the barrier (or a clean round): alarm, drain, or tick again. *)
 let post_round st =
   Front.close_round st.fe
@@ -578,14 +571,14 @@ let commit_barrier st b_round =
     st.links;
   st.barrier <- Idle;
   st.dirty <- false;
-  release_held st;
+  Front.release st.fe;
   post_round st
 
 (* A barrier that cannot seal ends the session: its held replies never
    leave, so no client acts on a root no shard vouched for. *)
 let abandon_barrier st reason =
   st.barrier <- Idle;
-  Queue.clear st.held;
+  Queue.clear st.fe.held;
   Front.end_session st.fe ~alarmed:true ~reason
 
 (* Drive the lockstep round machine: called from the main loop whenever
@@ -647,7 +640,7 @@ let admin_snapshot st =
     (match st.barrier with Idle -> "idle" | Sealing b -> Printf.sprintf "sealing-r%d" b.b_round)
     (List.length fe.sessions)
     (Hashtbl.length fe.outstanding)
-    (Queue.length st.compose_q) (Queue.length st.held)
+    (Queue.length st.compose_q) (Queue.length st.fe.held)
     (List.length st.alarms);
   Array.iteri
     (fun i l ->
@@ -724,7 +717,6 @@ let build_state cfg =
               ~users:cfg.users ~max_conns:cfg.max_conns
               (Option.map (fun p -> Obs.Journal.open_ ~proc:"router" p) cfg.journal);
           compose_q = Queue.create ();
-          held = Queue.create ();
           g_ctr = 0;
           g_last_user = -1;
           dirty = false;

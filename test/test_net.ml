@@ -740,6 +740,76 @@ let test_parity_tamper () =
               if same_round then Alcotest.(check int) (name ^ ": first alarm round") sim_round round))
     [ (p2, 200, "s1", false); (H.Protocol_3 { epoch_len = 120 }, 300, "seed-e", true) ]
 
+(* A lockstep reply is neither cached nor sent before the flush that
+   ends its round: under per-round durability its records are only
+   staged until then. A client that reconnects mid-round re-sends its
+   query at once; the re-send must find the query still outstanding
+   and get nothing, and the reply must reach the new connection once
+   the round ends. *)
+let test_lockstep_reply_waits_for_flush () =
+  let dir = fresh_dir () in
+  let pf = Filename.concat dir "daemon.port" in
+  let daemon =
+    fork_proc (fun () ->
+        Net.Daemon.run
+          {
+            (daemon_cfg pf) with
+            users = 1;
+            store_dir = Some (Filename.concat dir "store");
+            durability = Store.Per_round;
+          })
+  in
+  Fun.protect
+    ~finally:(fun () -> kill_wait daemon)
+    (fun () ->
+      let port = wait_port_file pf in
+      (* a reconnect can race the daemon noticing the old connection close *)
+      let rec join tries =
+        let c = connect port in
+        Conn.send c (hello ~role:Codec.Lockstep ~user:0 ~users:1 ());
+        match await_frame c with
+        | Codec.Welcome _ -> c
+        | Codec.Error_frame { code = Codec.Bad_user; _ } when tries > 0 ->
+            Conn.close c;
+            ignore (Unix.select [] [] [] 0.05);
+            join (tries - 1)
+        | f -> Alcotest.failf "expected Welcome, got %s" (Codec.frame_kind f)
+      in
+      let rec next_reply c =
+        match await_frame c with
+        | Codec.Reply { seq; _ } -> seq
+        | Codec.Tick _ -> next_reply c
+        | f -> Alcotest.failf "expected a Reply, got %s" (Codec.frame_kind f)
+      in
+      let no_reply_within c secs =
+        let deadline = Unix.gettimeofday () +. secs in
+        let rec loop () =
+          Conn.flush c;
+          match Conn.pop c with
+          | Ok (Some (Codec.Reply _)) -> Alcotest.fail "a reply left before its round's flush"
+          | Ok (Some _) -> loop ()
+          | Error e -> Alcotest.failf "undecodable frame: %s" (Codec.error_to_string e)
+          | Ok None ->
+              let left = deadline -. Unix.gettimeofday () in
+              if left > 0. && not (Conn.eof c) then begin
+                ignore (Unix.select [ Conn.fd c ] [] [] left);
+                Conn.fill c;
+                loop ()
+              end
+        in
+        loop ()
+      in
+      let c = join 0 in
+      Conn.send c (query ~user:0 ~seq:1);
+      no_reply_within c 0.2;
+      Conn.close c;
+      let c = join 100 in
+      Conn.send c (query ~user:0 ~seq:1);
+      no_reply_within c 0.3;
+      Conn.send c (Codec.Tick_done { round = 1; drained = false; alarmed = false });
+      Alcotest.(check int) "the reply, after the round's flush" 1 (next_reply c);
+      Conn.close c)
+
 let suite =
   [
     Alcotest.test_case "codec: frame round-trips" `Quick test_frame_roundtrips;
@@ -760,4 +830,6 @@ let suite =
     Alcotest.test_case "parity: honest sessions end clean over TCP" `Quick test_parity_honest;
     Alcotest.test_case "parity: tamper:10 alarms for the simulator's reason" `Quick
       test_parity_tamper;
+    Alcotest.test_case "lockstep: a re-sent query waits for the round's flush" `Quick
+      test_lockstep_reply_waits_for_flush;
   ]

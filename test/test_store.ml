@@ -982,7 +982,9 @@ let test_server_crash_clears_history () =
   Alcotest.(check int) "no alarms" 0 (List.length (Sim.Engine.alarms engine))
 
 (* A round-keyed crash fires at the round boundary its caller names:
-   crash:5 at [end_round ~round:5], and at no boundary before. *)
+   crash:5 at [end_round ~round:5], and at no boundary before. A caller
+   that ends only some rounds (a shard daemon ends the cluster rounds
+   it seals) gets the crash at its first round end past 5. *)
 let test_server_crash_at_end_round () =
   let dir = fresh_dir "server-clock" in
   let store =
@@ -990,15 +992,19 @@ let test_server_crash_at_end_round () =
       (Store.create_or_open ~dir ~branching:8 ~shards:1 ~initial:(initial_files 8) ())
   in
   let alarms = ref [] in
-  let server =
+  let crash_at_5 () =
     Server.create ~store
       { Server.mode = `Plain; epoch_len = None; adversary = Adversary.Crash { at_round = 5 } }
       ~db:(Store.db store)
       ~reply:(fun ~user:_ _ -> ())
       ~alarm:(fun reason -> alarms := reason :: !alarms)
   in
-  Server.handle server ~round:1 ~user:0
-    (Message.Query { op = Vo.Set ("k", "v"); piggyback = [] });
+  let set server round =
+    Server.handle server ~round ~user:0
+      (Message.Query { op = Vo.Set ("k", string_of_int round); piggyback = [] })
+  in
+  let server = crash_at_5 () in
+  set server 1;
   for round = 1 to 4 do
     Server.end_round server ~round;
     Alcotest.(check int) (Printf.sprintf "no crash at round %d" round) 1
@@ -1008,6 +1014,17 @@ let test_server_crash_at_end_round () =
   Alcotest.(check int) "the crash at round 5 cleared the history" 0
     (Server.history_length server);
   Alcotest.(check int) "counter recovered" 1 (Server.ops_performed server);
+  let server = crash_at_5 () in
+  set server 3;
+  Server.end_round server ~round:3;
+  Alcotest.(check int) "no crash at round 3" 1 (Server.history_length server);
+  Server.end_round server ~round:8;
+  Alcotest.(check int) "round 5 skipped: the crash at round 8" 0
+    (Server.history_length server);
+  Alcotest.(check int) "counter recovered after the skip" 2 (Server.ops_performed server);
+  set server 9;
+  Server.end_round server ~round:9;
+  Alcotest.(check int) "one crash per server" 1 (Server.history_length server);
   Alcotest.(check (list string)) "no alarms" [] !alarms;
   Store.close store
 

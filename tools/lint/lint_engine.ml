@@ -163,16 +163,19 @@ let lint_file ~config ~rules ?file path =
   let file = match file with Some f -> f | None -> path in
   lint_string ~config ~rules ~file (Lint_config.read_file path)
 
-let skip_dirs = [ "_build"; ".git"; "_opam"; ".tcvs-lint.d" ]
+(* [smoke-out] is the scratch directory of tcvs_bench's smoke test,
+   which may run beside the lint's own tests under dune and removes
+   files in it as it goes. *)
+let skip_dirs = [ "_build"; ".git"; "_opam"; ".tcvs-lint.d"; "smoke-out" ]
 
 (* Every .ml under [root]/[dir] as a root-relative path, in sorted
    order: rule scopes are prefix matches on these paths and output
-   order must be stable under CI. An entry removed while the tree is
-   walked (a running program's scratch file) is skipped. *)
+   order must be stable under CI. An entry removed between the readdir
+   that lists it and its stat is skipped. *)
 let ml_files ?(dir = "") ~root () =
   let rec walk rel acc =
     let abs = if rel = "" then root else Filename.concat root rel in
-    let entries = try Sys.readdir abs with Sys_error _ -> [||] in
+    let entries = Sys.readdir abs in
     Array.sort String.compare entries;
     Array.fold_left
       (fun acc entry ->
