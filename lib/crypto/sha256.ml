@@ -1,6 +1,6 @@
 (* SHA-256 per FIPS 180-4. 32-bit words are held in native ints (OCaml
-   ints are 63-bit here) and masked after every arithmetic operation;
-   this avoids Int32 boxing in the compression loop. *)
+   ints are 63-bit here) and masked back to 32 bits after each sum and
+   each Σ/σ; this avoids Int32 boxing in the compression loop. *)
 
 let mask = 0xffffffff
 
@@ -26,10 +26,10 @@ let k =
 
 type ctx = {
   h : int array; (* 8 state words *)
-  buf : Bytes.t; (* 64-byte block buffer *)
+  buf : Bytes.t; (* 64-byte block buffer; finalize pads in it too *)
   mutable buf_len : int; (* bytes pending in [buf] *)
   mutable total : int; (* total message bytes absorbed *)
-  w : int array; (* message schedule scratch *)
+  w : int array; (* the last 16 words of the message schedule *)
 }
 
 let init () =
@@ -40,133 +40,132 @@ let init () =
     buf = Bytes.create 64;
     buf_len = 0;
     total = 0;
-    w = Array.make 64 0;
+    w = Array.make 16 0;
   }
 
-let rotr x n = ((x lsr n) lor (x lsl (32 - n))) land mask
+(* Rotations read the doubled word [x lor (x lsl 32)], whose bits n to
+   n+31 are [x] rotated right by n, so each Σ/σ needs one mask, not one
+   per rotation. It is exact: a 63-bit int drops bit 63 of the doubled
+   word, and no rotation here reads above bit 25+31 = 56. *)
+let[@inline] big_sigma0 x =
+  let d = x lor (x lsl 32) in
+  ((d lsr 2) lxor (d lsr 13) lxor (d lsr 22)) land mask
 
-(* Compress one 64-byte block starting at [off] in [src]. *)
+let[@inline] big_sigma1 x =
+  let d = x lor (x lsl 32) in
+  ((d lsr 6) lxor (d lsr 11) lxor (d lsr 25)) land mask
+
+let[@inline] small_sigma0 x =
+  let d = x lor (x lsl 32) in
+  ((d lsr 7) lxor (d lsr 18)) land mask lxor (x lsr 3)
+
+let[@inline] small_sigma1 x =
+  let d = x lor (x lsl 32) in
+  ((d lsr 17) lxor (d lsr 19)) land mask lxor (x lsr 10)
+
+(* Round [t] of 64, then the feed-forward into [ctx.h]. The working
+   variables are arguments, so they stay in registers. From round 16 on,
+   schedule word t replaces word t-16 in the 16-slot ring [ctx.w]. Ch is
+   g ^ (e & (f ^ g)) and Maj is (a & b) | (c & (a | b)). The unchecked
+   reads index [k] below 64 and [w] below 16. *)
+let rec rounds ctx t a b c d e f g h =
+  if t = 64 then begin
+    let s = ctx.h in
+    s.(0) <- (s.(0) + a) land mask;
+    s.(1) <- (s.(1) + b) land mask;
+    s.(2) <- (s.(2) + c) land mask;
+    s.(3) <- (s.(3) + d) land mask;
+    s.(4) <- (s.(4) + e) land mask;
+    s.(5) <- (s.(5) + f) land mask;
+    s.(6) <- (s.(6) + g) land mask;
+    s.(7) <- (s.(7) + h) land mask
+  end
+  else
+    let w = ctx.w in
+    let wt =
+      if t < 16 then Array.unsafe_get w t
+      else
+        let x =
+          (Array.unsafe_get w (t land 15)
+          + small_sigma0 (Array.unsafe_get w ((t - 15) land 15))
+          + Array.unsafe_get w ((t - 7) land 15)
+          + small_sigma1 (Array.unsafe_get w ((t - 2) land 15)))
+          land mask
+        in
+        Array.unsafe_set w (t land 15) x;
+        x
+    in
+    let t1 = h + big_sigma1 e + (g lxor (e land (f lxor g))) + Array.unsafe_get k t + wt in
+    let t2 = big_sigma0 a + ((a land b) lor (c land (a lor b))) in
+    rounds ctx (t + 1) ((t1 + t2) land mask) a b c ((d + t1) land mask) e f g
+
+(* Compress one 64-byte block starting at [off] in [src]; each word
+   load is bounds-checked. *)
 let compress ctx src off =
   let w = ctx.w in
   for t = 0 to 15 do
-    let i = off + (4 * t) in
-    w.(t) <-
-      (Char.code (Bytes.unsafe_get src i) lsl 24)
-      lor (Char.code (Bytes.unsafe_get src (i + 1)) lsl 16)
-      lor (Char.code (Bytes.unsafe_get src (i + 2)) lsl 8)
-      lor Char.code (Bytes.unsafe_get src (i + 3))
+    w.(t) <- Int32.to_int (Bytes.get_int32_be src (off + (4 * t))) land mask
   done;
-  for t = 16 to 63 do
-    let s0 =
-      rotr w.(t - 15) 7 lxor rotr w.(t - 15) 18 lxor (w.(t - 15) lsr 3)
-    in
-    let s1 =
-      rotr w.(t - 2) 17 lxor rotr w.(t - 2) 19 lxor (w.(t - 2) lsr 10)
-    in
-    w.(t) <- (w.(t - 16) + s0 + w.(t - 7) + s1) land mask
-  done;
-  let h = ctx.h in
-  let a = ref h.(0)
-  and b = ref h.(1)
-  and c = ref h.(2)
-  and d = ref h.(3)
-  and e = ref h.(4)
-  and f = ref h.(5)
-  and g = ref h.(6)
-  and hh = ref h.(7) in
-  for t = 0 to 63 do
-    let s1 = rotr !e 6 lxor rotr !e 11 lxor rotr !e 25 in
-    let ch = (!e land !f) lxor (lnot !e land !g) in
-    let t1 = (!hh + s1 + ch + k.(t) + w.(t)) land mask in
-    let s0 = rotr !a 2 lxor rotr !a 13 lxor rotr !a 22 in
-    let maj = (!a land !b) lxor (!a land !c) lxor (!b land !c) in
-    let t2 = (s0 + maj) land mask in
-    hh := !g;
-    g := !f;
-    f := !e;
-    e := (!d + t1) land mask;
-    d := !c;
-    c := !b;
-    b := !a;
-    a := (t1 + t2) land mask
-  done;
-  h.(0) <- (h.(0) + !a) land mask;
-  h.(1) <- (h.(1) + !b) land mask;
-  h.(2) <- (h.(2) + !c) land mask;
-  h.(3) <- (h.(3) + !d) land mask;
-  h.(4) <- (h.(4) + !e) land mask;
-  h.(5) <- (h.(5) + !f) land mask;
-  h.(6) <- (h.(6) + !g) land mask;
-  h.(7) <- (h.(7) + !hh) land mask
+  let s = ctx.h in
+  rounds ctx 0 s.(0) s.(1) s.(2) s.(3) s.(4) s.(5) s.(6) s.(7)
 
-let feed_bytes ctx src ~off ~len =
-  if off < 0 || len < 0 || off + len > Bytes.length src then
-    invalid_arg "Sha256.feed_bytes";
-  ctx.total <- ctx.total + len;
-  let pos = ref off and remaining = ref len in
-  (* Top up a partially filled block buffer first. *)
-  if ctx.buf_len > 0 then begin
-    let need = 64 - ctx.buf_len in
-    let take = min need !remaining in
-    Bytes.blit src !pos ctx.buf ctx.buf_len take;
+(* Absorb [len] bytes of [src] from [off]: top up a partly filled block
+   buffer, compress whole blocks straight from [src], keep the rest. *)
+let rec feed_bytes ctx src off len =
+  if ctx.buf_len = 0 && len >= 64 then begin
+    compress ctx src off;
+    feed_bytes ctx src (off + 64) (len - 64)
+  end
+  else if len > 0 then begin
+    let take = min (64 - ctx.buf_len) len in
+    Bytes.blit src off ctx.buf ctx.buf_len take;
     ctx.buf_len <- ctx.buf_len + take;
-    pos := !pos + take;
-    remaining := !remaining - take;
     if ctx.buf_len = 64 then begin
       compress ctx ctx.buf 0;
-      ctx.buf_len <- 0
+      ctx.buf_len <- 0;
+      feed_bytes ctx src (off + take) (len - take)
     end
-  end;
-  while !remaining >= 64 do
-    compress ctx src !pos;
-    pos := !pos + 64;
-    remaining := !remaining - 64
-  done;
-  if !remaining > 0 then begin
-    Bytes.blit src !pos ctx.buf 0 !remaining;
-    ctx.buf_len <- !remaining
   end
 
 let feed ctx s =
-  feed_bytes ctx (Bytes.unsafe_of_string s) ~off:0 ~len:(String.length s)
+  ctx.total <- ctx.total + String.length s;
+  feed_bytes ctx (Bytes.unsafe_of_string s) 0 (String.length s)
+
+(* One byte into the block buffer, for the length prefix. *)
+let add_byte ctx v =
+  Bytes.set ctx.buf ctx.buf_len (Char.unsafe_chr (v land 0xff));
+  if ctx.buf_len = 63 then begin
+    compress ctx ctx.buf 0;
+    ctx.buf_len <- 0
+  end
+  else ctx.buf_len <- ctx.buf_len + 1
 
 let add_framed ctx s =
   let n = String.length s in
-  let hdr = Bytes.create 4 in
-  Bytes.unsafe_set hdr 0 (Char.unsafe_chr ((n lsr 24) land 0xff));
-  Bytes.unsafe_set hdr 1 (Char.unsafe_chr ((n lsr 16) land 0xff));
-  Bytes.unsafe_set hdr 2 (Char.unsafe_chr ((n lsr 8) land 0xff));
-  Bytes.unsafe_set hdr 3 (Char.unsafe_chr (n land 0xff));
-  feed_bytes ctx hdr ~off:0 ~len:4;
+  ctx.total <- ctx.total + 4;
+  add_byte ctx (n lsr 24);
+  add_byte ctx (n lsr 16);
+  add_byte ctx (n lsr 8);
+  add_byte ctx n;
   feed ctx s
 
 let finalize ctx =
   Obs.incr c_digests;
   Obs.incr c_bytes ~by:ctx.total;
-  let bitlen = ctx.total * 8 in
-  (* Padding: 0x80, zeros, then 64-bit big-endian bit length. *)
-  let pad_len =
-    let rem = (ctx.total + 1 + 8) mod 64 in
-    if rem = 0 then 1 else 1 + (64 - rem)
-  in
-  let pad = Bytes.make (pad_len + 8) '\x00' in
-  Bytes.set pad 0 '\x80';
-  for i = 0 to 7 do
-    Bytes.set pad
-      (pad_len + i)
-      (Char.chr ((bitlen lsr (8 * (7 - i))) land 0xff))
-  done;
-  (* Bypass the total counter: feed_bytes updates it but it is no longer
-     meaningful after padding. *)
-  feed_bytes ctx pad ~off:0 ~len:(Bytes.length pad);
-  assert (ctx.buf_len = 0);
+  (* Padding, in the block buffer: 0x80, zeros, then the 64-bit
+     big-endian bit length in the last 8 bytes of the final block. *)
+  let buf = ctx.buf and n = ctx.buf_len in
+  Bytes.set buf n '\x80';
+  Bytes.fill buf (n + 1) (63 - n) '\x00';
+  if n >= 56 then begin
+    compress ctx buf 0;
+    Bytes.fill buf 0 56 '\x00'
+  end;
+  Bytes.set_int64_be buf 56 (Int64.of_int (ctx.total * 8));
+  compress ctx buf 0;
   let out = Bytes.create 32 in
   for i = 0 to 7 do
-    let v = ctx.h.(i) in
-    Bytes.set out (4 * i) (Char.chr ((v lsr 24) land 0xff));
-    Bytes.set out ((4 * i) + 1) (Char.chr ((v lsr 16) land 0xff));
-    Bytes.set out ((4 * i) + 2) (Char.chr ((v lsr 8) land 0xff));
-    Bytes.set out ((4 * i) + 3) (Char.chr (v land 0xff))
+    Bytes.set_int32_be out (4 * i) (Int32.of_int ctx.h.(i))
   done;
   Bytes.unsafe_to_string out
 

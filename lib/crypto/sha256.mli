@@ -12,8 +12,6 @@ val init : unit -> ctx
 val feed : ctx -> string -> unit
 (** [feed ctx s] absorbs the bytes of [s]. May be called repeatedly. *)
 
-val feed_bytes : ctx -> bytes -> off:int -> len:int -> unit
-
 (** [add_framed ctx s] absorbs a 4-byte big-endian length prefix
     followed by the bytes of [s] — the injective length-framed
     encoding used by Merkle-tree digests — without building an

@@ -30,11 +30,11 @@ let leaf_digest entries =
   Obs.incr c_node_rebuilds;
   let ctx = Crypto.Sha256.init () in
   Crypto.Sha256.feed ctx "L";
-  Array.iter
-    (fun e ->
-      Crypto.Sha256.add_framed ctx e.key;
-      Crypto.Sha256.add_framed ctx e.vdigest)
-    entries;
+  for i = 0 to Array.length entries - 1 do
+    let e = entries.(i) in
+    Crypto.Sha256.add_framed ctx e.key;
+    Crypto.Sha256.add_framed ctx e.vdigest
+  done;
   Crypto.Sha256.finalize ctx
 
 let node_digest keys children_digests =

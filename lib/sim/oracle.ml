@@ -4,7 +4,6 @@ module Vo = Mtree.Vo
 type verdict = {
   deviated : bool;
   first_deviation : Trace.transaction option;
-  trusted_final_root : string;
 }
 
 let answers_equal (a : Vo.answer) (b : Vo.answer) =
@@ -47,7 +46,6 @@ let replay_with ~init ~apply ~root trace =
   {
     deviated = !first_deviation <> None;
     first_deviation = !first_deviation;
-    trusted_final_root = root !db;
   }
 
 let replay ?branching ~initial trace =

@@ -25,8 +25,6 @@ type verdict = {
           recorded one — differs from the trusted replay. Root-chain
           checking is what makes write-only fork divergence visible:
           answers alone ([Updated]) carry no state. *)
-  trusted_final_root : string;
-      (** root digest a trusted server would end with *)
 }
 
 val trusted_answer :

@@ -73,6 +73,50 @@ let test_sha_boundary_lengths () =
         (Crypto.Hex.encode (Crypto.Sha256.finalize ctx)))
     [ 54; 55; 56; 57; 63; 64; 65; 119; 120; 127; 128 ]
 
+(* Every padding branch and the multi-block path, against an outside
+   implementation: the 1025 prefixes (lengths 0..1024) of the bytes
+   (7i+3) land 255 are hashed and their digests concatenated; the
+   expected SHA-256 of that string comes from Python's hashlib. *)
+let test_sha_prefix_known_answer () =
+  let src = String.init 1024 (fun i -> Char.chr (((7 * i) + 3) land 255)) in
+  let digests =
+    String.concat "" (List.init 1025 (fun n -> Crypto.Sha256.digest (String.sub src 0 n)))
+  in
+  check_hex "digest of the 1025 prefix digests"
+    "66b93985351e0d35eb39e3c4698e513dae169491196dde1bcca4f2d58b5c84e7"
+    (Crypto.Sha256.digest digests)
+
+(* [add_framed] absorbs a 4-byte big-endian length, then the field. *)
+let framed s =
+  let n = String.length s in
+  String.init 4 (fun i -> Char.chr ((n lsr (8 * (3 - i))) land 0xff)) ^ s
+
+let prop_sha_split_feeds =
+  QCheck.Test.make ~name:"sha256: feed/add_framed splits = one-shot framed digest" ~count:300
+    QCheck.(list_of_size (Gen.int_bound 12) (pair bool (string_of_size (Gen.int_bound 150))))
+    (fun parts ->
+      let ctx = Crypto.Sha256.init () in
+      List.iter
+        (fun (frame, s) ->
+          if frame then Crypto.Sha256.add_framed ctx s else Crypto.Sha256.feed ctx s)
+        parts;
+      let whole = String.concat "" (List.map (fun (frame, s) -> if frame then framed s else s) parts) in
+      Crypto.Sha256.finalize ctx = Crypto.Sha256.digest whole)
+
+(* Exact allocation of one 64-byte digest, in minor-heap words: the
+   context (record, state, block buffer, 16-word schedule ring), the
+   32-byte result and the [~by] option of the bytes counter. A change
+   either way fails here until this figure is updated. *)
+let test_sha_minor_words () =
+  let s = String.make 64 'a' and n = 1000 in
+  ignore (Sys.opaque_identity (Crypto.Sha256.digest s));
+  let before = Gc.minor_words () in
+  for _ = 1 to n do
+    ignore (Sys.opaque_identity (Crypto.Sha256.digest s))
+  done;
+  let words = int_of_float (Gc.minor_words () -. before) in
+  Alcotest.(check int) "minor words per 64-byte digest" 50 (words / n)
+
 (* ---- CRC-32C --------------------------------------------------------- *)
 
 let check_crc name expected got = Alcotest.(check string) name expected (Printf.sprintf "%08x" got)
@@ -307,4 +351,7 @@ let suite =
     quick "prng: exponential mean" test_prng_exponential_mean;
     quick "prng: shuffle permutes" test_prng_shuffle_permutes;
     quick "prng: bernoulli extremes" test_prng_bernoulli_extremes;
+    quick "sha256: 1025-prefix known answer" test_sha_prefix_known_answer;
+    QCheck_alcotest.to_alcotest prop_sha_split_feeds;
+    quick "sha256: minor words per 64-byte digest" test_sha_minor_words;
   ]

@@ -641,6 +641,33 @@ let test_op_codec_pinned () =
   Alcotest.(check bool) "unknown tag rejected" true
     (Wire.decode "\x05" Vo.decode_op = None)
 
+(* Exact SHA-256 work per write, from the crypto layer's own counter,
+   on mtree-ops' trees (branching 16, 16-byte values, the middle key):
+   a Set hashes the new value and rebuilds each node on the root path,
+   a Remove only the nodes. No kernel or absorb-path change may move
+   how much is hashed. *)
+let test_digests_per_write () =
+  let digests_of f =
+    let before = Obs.value "crypto.sha256.digests" in
+    ignore (Sys.opaque_identity (f ()));
+    Obs.value "crypto.sha256.digests" - before
+  in
+  List.iter
+    (fun (log2_n, set_cost) ->
+      let n = 1 lsl log2_n in
+      let db =
+        T.of_alist ~branching:16
+          (List.init n (fun i -> (Printf.sprintf "k%06d" i, String.make 16 'v')))
+      in
+      let key = Printf.sprintf "k%06d" (n / 2) in
+      let label = Printf.sprintf "|D| = 2^%d" log2_n in
+      Alcotest.(check int) (label ^ ": set = 1 + depth") (1 + T.depth db) set_cost;
+      Alcotest.(check int) (label ^ ": set") set_cost
+        (digests_of (fun () -> T.set db ~key ~value:"new"));
+      Alcotest.(check int) (label ^ ": remove") (set_cost - 1)
+        (digests_of (fun () -> T.remove db key)))
+    [ (8, 4); (12, 5); (16, 6) ]
+
 let suite =
   let quick name f = Alcotest.test_case name `Quick f in
   [
@@ -682,4 +709,5 @@ let suite =
     quick "vo: size_bytes exact" test_vo_size_bytes_exact;
     quick "branching validation" test_branching_validation;
     QCheck_alcotest.to_alcotest prop_random_sequences;
+    quick "digests per set and remove" test_digests_per_write;
   ]
