@@ -435,7 +435,10 @@ let session_cmd =
         in
         let session u =
           Cvs.session ~engine
-            ~base:(Protocol2.base (Protocol2.create config ~user:u ~engine ~trace))
+            ~base:
+              (Protocol2.base
+                 (User_base.on_engine engine ~user:u ~agent:Protocol2.agent
+                    (Protocol2.create config ~user:u ~trace)))
         in
         let alice = session 0 and bob = session 1 in
         let step name = function

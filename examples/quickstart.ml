@@ -28,8 +28,15 @@ let () =
   let config =
     Protocol2.default_config ~n:2 ~k:8 ~initial_root:(Server.initial_root server)
   in
-  let alice = Cvs.session ~engine ~base:(Protocol2.base (Protocol2.create config ~user:0 ~engine ~trace)) in
-  let bob = Cvs.session ~engine ~base:(Protocol2.base (Protocol2.create config ~user:1 ~engine ~trace)) in
+  (* A user is a protocol agent; [on_engine] wires it to the simulator,
+     which delivers its messages and ticks it every round. *)
+  let user u =
+    Protocol2.base
+      (User_base.on_engine engine ~user:u ~agent:Protocol2.agent
+         (Protocol2.create config ~user:u ~trace))
+  in
+  let alice = Cvs.session ~engine ~base:(user 0) in
+  let bob = Cvs.session ~engine ~base:(user 1) in
 
   (* 2. Alice creates a file and commits twice. *)
   let* rev1 =

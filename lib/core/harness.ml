@@ -66,6 +66,7 @@ let default_setup ~protocol ~users ~adversary =
 
 type outcome = {
   rounds_run : int;
+  trace : Sim.Trace.t;
   completed_transactions : int;
   issued_transactions : int;
   alarms : Sim.Engine.alarm_record list;
@@ -143,47 +144,62 @@ let oracle_scope = Obs.Scope.v "oracle"
 
 (* ---- User construction ---------------------------------------------- *)
 
-let build_user setup ~initial_root ~engine ~trace ~keyring ~signers ~user =
-  let synced sync base =
-    Sync_session.set_timeout sync ~rounds:setup.sync_timeout;
-    base
+let keys setup =
+  Pki.Keyring.setup ~scheme:setup.scheme ~users:setup.users
+    (Crypto.Prng.create ~seed:setup.seed)
+
+let fresh_db setup initial =
+  Store.Shard_db.create ~branching:setup.branching
+    ~shards:(Option.value ~default:1 setup.shards)
+    initial
+
+let initial_root setup = Store.Shard_db.root_digest (fresh_db setup setup.initial)
+
+let build_user setup ~initial_root ~trace ~keyring ~signers ~script ~user ~send ~broadcast
+    ~alarm =
+  let agent : User_base.agent =
+    match setup.protocol with
+    | Protocol_1 { k } ->
+        let p1 =
+          Protocol1.create
+            { Protocol1.n = setup.users; k; initial_root; elected_signer = 0 }
+            ~user ~trace ~keyring ~signer:signers.(user) ~send ~broadcast ~alarm
+        in
+        Sync_session.set_timeout (Protocol1.sync p1) ~rounds:setup.sync_timeout;
+        Protocol1.agent p1
+    | Protocol_2 { k; tag_mode; check_gctr; sync_trigger } ->
+        let p2 =
+          Protocol2.create
+            { Protocol2.n = setup.users; k; initial_root; tag_mode; check_gctr; sync_trigger }
+            ~user ~trace ~send ~broadcast ~alarm
+        in
+        Sync_session.set_timeout (Protocol2.sync p2) ~rounds:setup.sync_timeout;
+        Protocol2.agent p2
+    | Protocol_3 { epoch_len } ->
+        Protocol3.agent
+          (Protocol3.create
+             { Protocol3.n = setup.users; epoch_len; initial_root }
+             ~user ~trace ~keyring ~signer:signers.(user) ~send ~broadcast ~alarm)
+    | Protocol_4 { announce_every } ->
+        Protocol4.agent
+          (Protocol4.create
+             { (Protocol4.default_config ~n:setup.users ~initial_root) with announce_every }
+             ~user ~trace ~send ~broadcast ~alarm)
+    | Token_baseline { slot_len } ->
+        Token_user.agent
+          (Token_user.create
+             { Token_user.n = setup.users; slot_len; initial_root }
+             ~user ~trace ~keyring ~signer:signers.(user) ~send ~broadcast ~alarm)
+    | Unverified -> Plain_user.agent (User_base.create ~user ~trace ~send ~broadcast ~alarm)
   in
-  match setup.protocol with
-  | Protocol_1 { k } ->
-      let p1 =
-        Protocol1.create
-          { Protocol1.n = setup.users; k; initial_root; elected_signer = 0 }
-          ~user ~engine ~trace ~keyring ~signer:signers.(user)
-      in
-      synced (Protocol1.sync p1) (Protocol1.base p1)
-  | Protocol_2 { k; tag_mode; check_gctr; sync_trigger } ->
-      let p2 =
-        Protocol2.create
-          { Protocol2.n = setup.users; k; initial_root; tag_mode; check_gctr;
-            sync_trigger }
-          ~user ~engine ~trace
-      in
-      synced (Protocol2.sync p2) (Protocol2.base p2)
-  | Protocol_3 { epoch_len } ->
-      Protocol3.base
-        (Protocol3.create
-           {
-             Protocol3.n = setup.users;
-             epoch_len;
-             initial_root;
-           }
-           ~user ~engine ~trace ~keyring ~signer:signers.(user))
-  | Protocol_4 { announce_every } ->
-      Protocol4.base
-        (Protocol4.create
-           { (Protocol4.default_config ~n:setup.users ~initial_root) with announce_every }
-           ~user ~engine ~trace)
-  | Token_baseline { slot_len } ->
-      Token_user.base
-        (Token_user.create
-           { Token_user.n = setup.users; slot_len; initial_root }
-           ~user ~engine ~trace ~keyring ~signer:signers.(user))
-  | Unverified -> Plain_user.base (Plain_user.create ~user ~engine ~trace)
+  User_base.set_response_timeout agent.base ~rounds:setup.response_timeout;
+  (* Intents are round-gated, so the user's whole share of the script
+     is queued up front. *)
+  List.iter
+    (fun { at; by; what } ->
+      if by = user then User_base.enqueue_intent agent.base ~round:at ~op:what)
+    script;
+  agent
 
 let create_server ?store ?route_counters protocol ~adversary ~elected_signer ~db =
   let mode, epoch_len =
@@ -240,16 +256,8 @@ let run_common setup ~script =
     Sim.Engine.create ~measure:Message.encoded_size ~classify:Message.kind ()
   in
   let trace = Sim.Trace.create () in
-  let rng = Crypto.Prng.create ~seed:setup.seed in
-  let keyring, signers = Pki.Keyring.setup ~scheme:setup.scheme ~users:setup.users rng in
-  let initial_db =
-    match store with
-    | Some s -> Store.db s
-    | None ->
-        Store.Shard_db.create ~branching:setup.branching
-          ~shards:(Option.value ~default:1 setup.shards)
-          initial
-  in
+  let keyring, signers = keys setup in
+  let initial_db = match store with Some s -> Store.db s | None -> fresh_db setup initial in
   let sharded = store <> None || setup.shards <> None in
   if sharded then
     Obs.set_meta "shards" (string_of_int (Store.Shard_db.shard_count initial_db));
@@ -263,13 +271,10 @@ let run_common setup ~script =
   let initial_root = Server.initial_root server in
   let bases =
     Array.init setup.users (fun user ->
-        build_user setup ~initial_root ~engine ~trace ~keyring ~signers ~user)
+        (User_base.on_engine engine ~user ~agent:Fun.id
+           (build_user setup ~initial_root ~trace ~keyring ~signers ~script ~user))
+          .User_base.base)
   in
-  Array.iter (fun b -> User_base.set_response_timeout b ~rounds:setup.response_timeout) bases;
-  (* Enqueue the whole script up front; intents are round-gated. *)
-  List.iter
-    (fun { at; by; what } -> User_base.enqueue_intent bases.(by) ~round:at ~op:what)
-    script;
   let last_event_round = List.fold_left (fun acc { at; _ } -> max acc at) 0 script in
   let max_rounds = last_event_round + setup.tail_rounds in
   let all_drained () =
@@ -374,10 +379,8 @@ let run_common setup ~script =
   (match violation_round with
   | Some r -> Obs.record_max (Obs.counter ~scope:obs_scope "violation_round") r
   | None -> ());
-  Obs.incr (Obs.counter ~scope:obs_scope "ops_after_violation") ~by:ops_after_violation;
-  Obs.incr
-    (Obs.counter ~scope:obs_scope "total_ops_after_violation")
-    ~by:total_ops_after_violation;
+  Obs.add (Obs.counter ~scope:obs_scope "ops_after_violation") ops_after_violation;
+  Obs.add (Obs.counter ~scope:obs_scope "total_ops_after_violation") total_ops_after_violation;
   (match detection_round, violation_round with
   | Some d, Some v when d >= v ->
       Obs.record_max (Obs.counter ~scope:obs_scope "latency_rounds") (d - v)
@@ -391,6 +394,7 @@ let run_common setup ~script =
   end;
   {
     rounds_run = Sim.Engine.round engine;
+    trace;
     completed_transactions = completed;
     issued_transactions = Sim.Trace.count trace;
     alarms;

@@ -71,6 +71,7 @@ val initial_files : int -> (string * string) list
 
 type outcome = {
   rounds_run : int;
+  trace : Sim.Trace.t;  (** every user's query and response actions *)
   completed_transactions : int;
   issued_transactions : int;
   alarms : Sim.Engine.alarm_record list;
@@ -123,18 +124,27 @@ val script_of_events : Workload.Schedule.event list -> scripted list
     process holding its slice of the workload) derives byte-identical
     operations. *)
 
+val keys : setup -> Pki.Keyring.t * Pki.Signer.t array
+(** The key ceremony every party runs from the session's seed. *)
+
+val initial_root : setup -> string
+(** [M(D₀)] of a storeless session. *)
+
 val build_user :
   setup ->
   initial_root:string ->
-  engine:Message.t Sim.Engine.t ->
   trace:Sim.Trace.t ->
   keyring:Pki.Keyring.t ->
   signers:Pki.Signer.t array ->
+  script:scripted list ->
   user:int ->
-  User_base.t
-(** Construct one protocol user exactly as {!run} would — exported so
-    a remote client process ({!Net}) can host the same agent over a
-    local engine. *)
+  send:(Message.t -> unit) ->
+  broadcast:(Message.t -> unit) ->
+  alarm:(string -> unit) ->
+  User_base.agent
+(** User [user] exactly as {!run} builds it, with the setup's timeouts
+    and its share of [script] queued — also what a remote client
+    process ([Net.Client]) drives over TCP. *)
 
 val create_server :
   ?store:Store.t ->

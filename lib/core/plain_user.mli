@@ -6,12 +6,5 @@
     `overhead-ops` experiment, and the victim model in the attack
     demonstrations (it never detects anything). *)
 
-type t
-
-val create :
-  user:int ->
-  engine:Message.t Sim.Engine.t ->
-  trace:Sim.Trace.t ->
-  t
-
-val base : t -> User_base.t
+val agent : User_base.t -> User_base.agent
+(** The unverified user over [base]: it has no state of its own. *)

@@ -20,7 +20,6 @@ type t = {
 let initial_signature ~signer ~root =
   Pki.Signer.sign signer (State_tag.root_sig_message ~root ~ctr:0)
 
-let base t = t.base
 let sync t = t.sync
 let me t = User_base.user t.base
 
@@ -45,8 +44,7 @@ let handle_response t ~round ~(answer : Vo.answer) ~vo ~ctr ~last_user ~root_sig
             t.lctr <- t.lctr + 1;
             t.gctr <- ctr + 1;
             let new_message = State_tag.root_sig_message ~root:new_root ~ctr:(ctr + 1) in
-            Sim.Engine.send (User_base.engine t.base) ~src:(Sim.Id.User (me t))
-              ~dst:Sim.Id.Server
+            User_base.send t.base
               (Message.Root_signature
                  {
                    signer = me t;
@@ -59,25 +57,25 @@ let handle_response t ~round ~(answer : Vo.answer) ~vo ~ctr ~last_user ~root_sig
 
 let total reports = List.fold_left (fun acc (_, lctr) -> acc + lctr) 0 reports
 
-let create config ~user ~engine ~trace ~keyring ~signer =
-  let base = User_base.create ~user ~engine ~trace in
-  let t =
-    {
-      config;
-      base;
-      keyring;
-      signer;
-      lctr = 0;
-      gctr = 0;
-      sync =
-        Sync_session.create base ~n:config.n ~k:config.k ~trigger:`Per_user
-          ~scope:(Obs.Scope.v "protocol1") ~name:"protocol-1";
-    }
-  in
-  Sync_session.register t.sync
+let create config ~user ~trace ~keyring ~signer ~send ~broadcast ~alarm =
+  let base = User_base.create ~user ~trace ~send ~broadcast ~alarm in
+  {
+    config;
+    base;
+    keyring;
+    signer;
+    lctr = 0;
+    gctr = 0;
+    sync =
+      Sync_session.create base ~n:config.n ~k:config.k ~trigger:`Per_user
+        ~scope:(Obs.Scope.v "protocol1") ~name:"protocol-1";
+  }
+
+let agent t =
+  Sync_session.agent t.sync
     {
       Sync_session.report = (fun () -> t.lctr);
-      message = (fun ~session lctr -> Message.Sync_count { session; reporter = user; lctr });
+      message = (fun ~session lctr -> Message.Sync_count { session; reporter = me t; lctr });
       read =
         (function
         | Message.Sync_count { session; reporter; lctr } -> Some (session, reporter, lctr)
@@ -91,5 +89,4 @@ let create config ~user ~engine ~trace ~keyring ~signer =
           | Message.Response { answer; vo; ctr; last_user; root_sig; _ } ->
               handle_response t ~round ~answer ~vo ~ctr ~last_user ~root_sig
           | _ -> ());
-    };
-  t
+    }

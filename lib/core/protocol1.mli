@@ -28,14 +28,15 @@ type t
 val create :
   config ->
   user:int ->
-  engine:Message.t Sim.Engine.t ->
   trace:Sim.Trace.t ->
   keyring:Pki.Keyring.t ->
   signer:Pki.Signer.t ->
+  send:(Message.t -> unit) ->
+  broadcast:(Message.t -> unit) ->
+  alarm:(string -> unit) ->
   t
-(** Registers the agent with the engine under [User user]. *)
 
-val base : t -> User_base.t
+val agent : t -> User_base.agent
 
 val sync : t -> int Sync_session.t
 (** The user's sync driver; reports carry [lctrᵢ]. *)

@@ -94,24 +94,25 @@ let handle_response t ~round ~(answer : Vo.answer) ~vo ~ctr ~last_user =
             Sync_session.op_completed t.sync ~round ~gctr:regs.gctr
           end)
 
-let create config ~user ~engine ~trace =
-  let base = User_base.create ~user ~engine ~trace in
-  let t =
-    {
-      config;
-      base;
-      regs = State_tag.no_registers;
-      sync =
-        Sync_session.create base ~n:config.n ~k:config.k ~trigger:config.sync_trigger
-          ~scope:(Obs.Scope.v "protocol2") ~name:"protocol-2";
-      tag_ledger = [];
-    }
-  in
-  Sync_session.register t.sync
+let create config ~user ~trace ~send ~broadcast ~alarm =
+  let base = User_base.create ~user ~trace ~send ~broadcast ~alarm in
+  {
+    config;
+    base;
+    regs = State_tag.no_registers;
+    sync =
+      Sync_session.create base ~n:config.n ~k:config.k ~trigger:config.sync_trigger
+        ~scope:(Obs.Scope.v "protocol2") ~name:"protocol-2";
+    tag_ledger = [];
+  }
+
+let agent t =
+  Sync_session.agent t.sync
     {
       Sync_session.report = (fun () -> t.regs);
       message =
-        (fun ~session registers -> Message.Sync_registers { session; reporter = user; registers });
+        (fun ~session registers ->
+          Message.Sync_registers { session; reporter = me t; registers });
       read =
         (function
         | Message.Sync_registers { session; reporter; registers } ->
@@ -126,5 +127,4 @@ let create config ~user ~engine ~trace =
           | Message.Response { answer; vo; ctr; last_user; _ } ->
               handle_response t ~round ~answer ~vo ~ctr ~last_user
           | _ -> ());
-    };
-  t
+    }

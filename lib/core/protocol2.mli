@@ -47,11 +47,14 @@ type t
 val create :
   config ->
   user:int ->
-  engine:Message.t Sim.Engine.t ->
   trace:Sim.Trace.t ->
+  send:(Message.t -> unit) ->
+  broadcast:(Message.t -> unit) ->
+  alarm:(string -> unit) ->
   t
 
 val base : t -> User_base.t
+val agent : t -> User_base.agent
 
 val sync : t -> State_tag.registers Sync_session.t
 (** The user's sync driver; reports carry the registers. *)

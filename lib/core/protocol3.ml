@@ -24,7 +24,6 @@ type t = {
   mutable epochs_verified : int;
 }
 
-let base t = t.base
 let me t = User_base.user t.base
 let fail t ~round reason = User_base.terminate t.base ~round ~reason
 
@@ -245,36 +244,32 @@ let next_piggyback t =
   in
   backup @ request
 
-let create config ~user ~engine ~trace ~keyring ~signer =
-  let t =
-    {
-      config;
-      base = User_base.create ~user ~engine ~trace;
-      keyring;
-      signer;
-      regs = State_tag.no_registers;
-      known_epoch = 0;
-      pending_backup = None;
-      next_assigned = user;
-      awaiting_states = false;
-      epochs_verified = 0;
-    }
-  in
-  let on_message ~round ~src msg =
-    if not (User_base.terminated t.base) then begin
-      match (src, msg) with
-      | Sim.Id.Server, Message.Response { answer; vo; ctr; last_user; epoch; epoch_states; _ }
-        ->
-          handle_response t ~round ~answer ~vo ~ctr ~last_user ~epoch ~epoch_states
-      | _, _ -> ()
-    end
-  in
-  let on_activate ~round =
-    if not (User_base.terminated t.base) then begin
-      User_base.check_timeout t.base ~round;
-      let piggyback = if User_base.due_intent t.base ~round <> None then next_piggyback t else [] in
-      ignore (User_base.issue t.base ~round ~piggyback)
-    end
-  in
-  Sim.Engine.register engine (Sim.Id.User user) { on_message; on_activate };
-  t
+let create config ~user ~trace ~keyring ~signer ~send ~broadcast ~alarm =
+  {
+    config;
+    base = User_base.create ~user ~trace ~send ~broadcast ~alarm;
+    keyring;
+    signer;
+    regs = State_tag.no_registers;
+    known_epoch = 0;
+    pending_backup = None;
+    next_assigned = user;
+    awaiting_states = false;
+    epochs_verified = 0;
+  }
+
+let handle t ~round ~src msg =
+  match (src, msg) with
+  | Sim.Id.Server, Message.Response { answer; vo; ctr; last_user; epoch; epoch_states; _ }
+    when not (User_base.terminated t.base) ->
+      handle_response t ~round ~answer ~vo ~ctr ~last_user ~epoch ~epoch_states
+  | _, _ -> ()
+
+let tick t ~round =
+  if not (User_base.terminated t.base) then begin
+    User_base.check_timeout t.base ~round;
+    let piggyback = if User_base.due_intent t.base ~round <> None then next_piggyback t else [] in
+    ignore (User_base.issue t.base ~round ~piggyback)
+  end
+
+let agent t = { User_base.base = t.base; handle = handle t; tick = tick t }

@@ -40,13 +40,15 @@ type t
 val create :
   config ->
   user:int ->
-  engine:Message.t Sim.Engine.t ->
   trace:Sim.Trace.t ->
   keyring:Pki.Keyring.t ->
   signer:Pki.Signer.t ->
+  send:(Message.t -> unit) ->
+  broadcast:(Message.t -> unit) ->
+  alarm:(string -> unit) ->
   t
 
-val base : t -> User_base.t
+val agent : t -> User_base.agent
 
 (** {2 Runtime sanitizer}
 

@@ -39,7 +39,6 @@ type t = {
   mutable outbox_len : int;
 }
 
-let base t = t.base
 let me t = User_base.user t.base
 
 let sorted_rings t =
@@ -48,9 +47,6 @@ let sorted_rings t =
     (fun shard ring acc -> (shard, ring) :: acc)
     t.rings []
   |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
-
-let broadcast t msg =
-  Sim.Engine.broadcast (User_base.engine t.base) ~src:(Sim.Id.User (me t)) msg
 
 let fail t ~round reason = User_base.terminate t.base ~round ~reason
 
@@ -165,7 +161,8 @@ let witness t ~round ~shard ~position ~root ~source =
 let flush_witnesses t =
   if t.outbox_len > 0 then begin
     Obs.incr c_announcements;
-    broadcast t (Message.Shard_witness { reporter = me t; entries = List.rev t.outbox });
+    User_base.broadcast t.base
+      (Message.Shard_witness { reporter = me t; entries = List.rev t.outbox });
     t.outbox <- [];
     t.outbox_len <- 0
   end
@@ -214,37 +211,34 @@ let handle_witnesses t ~round ~reporter ~entries =
     entries;
   if not (User_base.terminated t.base) then sanitize_witnesses t ~round
 
-let create config ~user ~engine ~trace =
-  let t =
-    {
-      config;
-      base = User_base.create ~user ~engine ~trace;
-      gctr = 0;
-      rings = Hashtbl.create 8;
-      outbox = [];
-      outbox_len = 0;
-    }
-  in
-  let on_message ~round ~src msg =
-    if not (User_base.terminated t.base) then begin
-      match (src, msg) with
-      | Sim.Id.Server, Message.Response { answer; vo; ctr; _ } ->
-          handle_response t ~round ~answer ~vo ~ctr
-      | Sim.Id.User _, Message.Shard_witness { reporter; entries } ->
-          handle_witnesses t ~round ~reporter ~entries
-      | _, _ -> ()
-    end
-  in
-  let on_activate ~round =
-    if not (User_base.terminated t.base) then begin
-      User_base.check_timeout t.base ~round;
-      (* Wait-free: a due intent is always issued — no sync session,
-         token turn or pending verification ever withholds it, so
-         [run.blocked_rounds] never moves for this protocol. Witnesses
-         still pending when there is nothing to issue are tail-flushed
-         so the announce batch never waits on more traffic. *)
-      if not (User_base.issue t.base ~round ~piggyback:[]) then flush_witnesses t
-    end
-  in
-  Sim.Engine.register engine (Sim.Id.User user) { on_message; on_activate };
-  t
+let create config ~user ~trace ~send ~broadcast ~alarm =
+  {
+    config;
+    base = User_base.create ~user ~trace ~send ~broadcast ~alarm;
+    gctr = 0;
+    rings = Hashtbl.create 8;
+    outbox = [];
+    outbox_len = 0;
+  }
+
+let handle t ~round ~src msg =
+  if not (User_base.terminated t.base) then
+    match (src, msg) with
+    | Sim.Id.Server, Message.Response { answer; vo; ctr; _ } ->
+        handle_response t ~round ~answer ~vo ~ctr
+    | Sim.Id.User _, Message.Shard_witness { reporter; entries } ->
+        handle_witnesses t ~round ~reporter ~entries
+    | _, _ -> ()
+
+let tick t ~round =
+  if not (User_base.terminated t.base) then begin
+    User_base.check_timeout t.base ~round;
+    (* Wait-free: a due intent is always issued — no sync session,
+       token turn or pending verification ever withholds it, so
+       [run.blocked_rounds] never moves for this protocol. Witnesses
+       still pending when there is nothing to issue are tail-flushed
+       so the announce batch never waits on more traffic. *)
+    if not (User_base.issue t.base ~round ~piggyback:[]) then flush_witnesses t
+  end
+
+let agent t = { User_base.base = t.base; handle = handle t; tick = tick t }

@@ -52,11 +52,13 @@ type t
 val create :
   config ->
   user:int ->
-  engine:Message.t Sim.Engine.t ->
   trace:Sim.Trace.t ->
+  send:(Message.t -> unit) ->
+  broadcast:(Message.t -> unit) ->
+  alarm:(string -> unit) ->
   t
 
-val base : t -> User_base.t
+val agent : t -> User_base.agent
 
 (** {2 Runtime sanitizer}
 

@@ -4,9 +4,9 @@
     compared exactly and deterministic paths stay deterministic; the
     sanitizers are its dynamic counterpart, validating what only exists
     at runtime: Merkle digest caches ({!Mtree.Merkle_btree.check_invariants}),
-    server branch history ({!Server.check_history}), Protocol II's XOR
-    register ledger ({!Protocol2.check_registers}) and Protocol III's
-    epoch bookkeeping ({!Protocol3.check_epochs}).
+    server state and branch history ({!Server.check_invariants}),
+    Protocol II's XOR register ledger ({!Protocol2.check_registers}) and
+    Protocol III's epoch bookkeeping ({!Protocol3.check_epochs}).
 
     Off by default (full-tree digest recomputation per check); armed by
     the test suite, [tcvs simulate --sanitize] or [TCVS_SANITIZE=1].

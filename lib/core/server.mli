@@ -110,14 +110,11 @@ val history_length : t -> int
     a failure goes to the server's [alarm]. Also
     callable directly (tests, the harness's end-of-run backstop). *)
 
-val check_history : t -> (unit, string) result
-(** Branch history well-formedness: snapshot count within
-    {!history_cap}, and — under adversaries that apply operations
-    honestly (Honest, Bitrot) — strictly decreasing counters down the
-    newest-first snapshot list. *)
-
 val check_invariants : t -> (unit, string) result
 (** Full state validation: {!Store.Shard_db.check_invariants} on every
     live branch database (digest recomputation from raw bytes — this
-    is what catches {!Adversary.Bitrot} — plus shard routing) followed
-    by {!check_history}. *)
+    is what catches {!Adversary.Bitrot} — plus shard routing), then
+    branch history well-formedness: snapshot count within
+    {!history_cap}, and — under adversaries that apply operations
+    honestly (Honest, Bitrot) — strictly decreasing counters down the
+    newest-first snapshot list. *)

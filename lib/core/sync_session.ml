@@ -68,8 +68,7 @@ let[@tcvs.lint.allow "dead-code"] syncs_completed t = t.syncs_completed
 let set_timeout t ~rounds = t.timeout <- rounds
 let me t = User_base.user t.base
 
-let broadcast t msg =
-  Sim.Engine.broadcast (User_base.engine t.base) ~src:(Sim.Id.User (me t)) msg
+let broadcast t msg = User_base.broadcast t.base msg
 
 let activate t ~round =
   if not t.active then begin
@@ -163,35 +162,33 @@ let event p : Message.t -> (int * _ event) option = function
   | msg ->
       Option.map (fun (session, reporter, r) -> (session, Report (reporter, r))) (p.read msg)
 
-let register t p =
-  let on_message ~round ~src msg =
-    if not (User_base.terminated t.base) then begin
-      match src with
-      | Sim.Id.Server ->
-          p.on_server ~round msg;
-          step t p ~round
-      | Sim.Id.User _ -> (
-          match event p msg with
-          | Some (session, ev) when session = t.session -> on_event t p ~round ev
-          | Some (session, ev) when session > t.session -> t.held <- t.held @ [ (session, ev) ]
-          | Some _ | None -> ())
-    end
-  in
-  let on_activate ~round =
-    if not (User_base.terminated t.base) then begin
-      User_base.check_timeout t.base ~round;
-      (match t.timeout with
-      | Some limit when t.active && round - t.started_round > limit ->
-          User_base.terminate t.base ~round
-            ~reason:
-              (Printf.sprintf
-                 "%s sync stuck for %d rounds — external broadcast channel partitioned or a \
-                  peer is withholding its report"
-                 t.name (round - t.started_round))
-      | Some _ | None -> ());
-      step t p ~round;
-      if t.active then User_base.note_blocked t.base ~round
-      else ignore (User_base.issue t.base ~round ~piggyback:[])
-    end
-  in
-  Sim.Engine.register (User_base.engine t.base) (Sim.Id.User (me t)) { on_message; on_activate }
+let handle t p ~round ~src msg =
+  if not (User_base.terminated t.base) then
+    match src with
+    | Sim.Id.Server ->
+        p.on_server ~round msg;
+        step t p ~round
+    | Sim.Id.User _ -> (
+        match event p msg with
+        | Some (session, ev) when session = t.session -> on_event t p ~round ev
+        | Some (session, ev) when session > t.session -> t.held <- t.held @ [ (session, ev) ]
+        | Some _ | None -> ())
+
+let tick t p ~round =
+  if not (User_base.terminated t.base) then begin
+    User_base.check_timeout t.base ~round;
+    (match t.timeout with
+    | Some limit when t.active && round - t.started_round > limit ->
+        User_base.terminate t.base ~round
+          ~reason:
+            (Printf.sprintf
+               "%s sync stuck for %d rounds — external broadcast channel partitioned or a \
+                peer is withholding its report"
+               t.name (round - t.started_round))
+    | Some _ | None -> ());
+    step t p ~round;
+    if t.active then User_base.note_blocked t.base ~round
+    else ignore (User_base.issue t.base ~round ~piggyback:[])
+  end
+
+let agent t p = { User_base.base = t.base; handle = handle t p; tick = tick t p }

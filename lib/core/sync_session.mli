@@ -53,12 +53,11 @@ val create :
     [scope] ([scope.u<i>.syncs] per user); [name] prefixes the alarm
     texts. *)
 
-val register : 'report t -> 'report protocol -> unit
-(** Register the user's agent with the engine: server messages go to
-    [on_server], peers' sync messages to the session they belong to,
-    and on activation the user checks its response and sync timeouts,
-    reports if due, then issues its next operation unless a session is
-    unresolved. *)
+val agent : 'report t -> 'report protocol -> User_base.agent
+(** The user's agent: [handle] gives server messages to [on_server]
+    and peers' sync messages to the session they belong to; on [tick]
+    the user checks its response and sync timeouts, reports if due,
+    then issues its next operation unless a session is unresolved. *)
 
 val op_completed : 'report t -> round:int -> gctr:int -> unit
 (** Count one verified operation, after which the global counter is

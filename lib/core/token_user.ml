@@ -15,7 +15,6 @@ type t = {
   mutable last_slot_handled : int;
 }
 
-let base t = t.base
 let me t = User_base.user t.base
 let fail t ~round reason = User_base.terminate t.base ~round ~reason
 
@@ -51,8 +50,7 @@ let take_slot t ~round ~slot =
   (match op with
   | Some _ -> ignore (User_base.issue t.base ~round ~piggyback:[])
   | None ->
-      Sim.Engine.send (User_base.engine t.base) ~src:(Sim.Id.User (me t)) ~dst:Sim.Id.Server
-        (Message.Query { op = Vo.Get ""; piggyback = [] }));
+      User_base.send t.base (Message.Query { op = Vo.Get ""; piggyback = [] }));
   t.phase <- Awaiting_state { slot; op }
 
 let handle_token_state t ~round ~record ~vo =
@@ -98,41 +96,35 @@ let handle_token_state t ~round ~record ~vo =
                   token_signature = Pki.Signer.sign t.signer message;
                 }
               in
-              Sim.Engine.send (User_base.engine t.base) ~src:(Sim.Id.User (me t))
-                ~dst:Sim.Id.Server
-                (Message.Token_take_turn { op; record = new_record });
+              User_base.send t.base (Message.Token_take_turn { op; record = new_record });
               if Option.is_some op then
                 User_base.complete t.base ~round ~answer:replayed ~roots:(old_root, new_root) ()
             end
       end
 
-let create config ~user ~engine ~trace ~keyring ~signer =
-  let t =
-    {
-      config;
-      base = User_base.create ~user ~engine ~trace;
-      keyring;
-      signer;
-      phase = Idle;
-      last_slot_handled = -1;
-    }
-  in
-  let on_message ~round ~src msg =
-    if not (User_base.terminated t.base) then begin
-      match (src, msg) with
-      | Sim.Id.Server, Message.Token_state { record; vo } ->
-          handle_token_state t ~round ~record ~vo
-      | _, _ -> ()
-    end
-  in
-  let on_activate ~round =
-    if not (User_base.terminated t.base) then begin
-      User_base.check_timeout t.base ~round;
-      let slot = round / config.slot_len in
-      if slot mod config.n = me t && slot > t.last_slot_handled && t.phase = Idle then
-        take_slot t ~round ~slot
-      else User_base.note_blocked t.base ~round
-    end
-  in
-  Sim.Engine.register engine (Sim.Id.User user) { on_message; on_activate };
-  t
+let create config ~user ~trace ~keyring ~signer ~send ~broadcast ~alarm =
+  {
+    config;
+    base = User_base.create ~user ~trace ~send ~broadcast ~alarm;
+    keyring;
+    signer;
+    phase = Idle;
+    last_slot_handled = -1;
+  }
+
+let handle t ~round ~src msg =
+  match (src, msg) with
+  | Sim.Id.Server, Message.Token_state { record; vo } when not (User_base.terminated t.base) ->
+      handle_token_state t ~round ~record ~vo
+  | _, _ -> ()
+
+let tick t ~round =
+  if not (User_base.terminated t.base) then begin
+    User_base.check_timeout t.base ~round;
+    let slot = round / t.config.slot_len in
+    if slot mod t.config.n = me t && slot > t.last_slot_handled && t.phase = Idle then
+      take_slot t ~round ~slot
+    else User_base.note_blocked t.base ~round
+  end
+
+let agent t = { User_base.base = t.base; handle = handle t; tick = tick t }

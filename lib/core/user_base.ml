@@ -5,8 +5,10 @@ let c_blocked = Obs.counter ~scope:obs_scope "blocked_rounds"
 
 type t = {
   user : int;
-  engine : Message.t Sim.Engine.t;
   trace : Sim.Trace.t;
+  send : Message.t -> unit;
+  broadcast : Message.t -> unit;
+  alarm : string -> unit;
   mutable intents : (int * Mtree.Vo.op) list; (* sorted by round *)
   mutable in_flight : (int * Mtree.Vo.op) option; (* (trace seq, op) *)
   mutable in_flight_since : int;
@@ -14,11 +16,13 @@ type t = {
   mutable terminated : bool;
 }
 
-let create ~user ~engine ~trace =
+let create ~user ~trace ~send ~broadcast ~alarm =
   {
     user;
-    engine;
     trace;
+    send;
+    broadcast;
+    alarm;
     intents = [];
     in_flight = None;
     in_flight_since = 0;
@@ -27,8 +31,9 @@ let create ~user ~engine ~trace =
   }
 
 let user t = t.user
-let engine t = t.engine
 let trace t = t.trace
+let send t msg = t.send msg
+let broadcast t msg = t.broadcast msg
 
 let enqueue_intent t ~round ~op =
   t.intents <-
@@ -55,8 +60,7 @@ let issue t ~round ~piggyback =
       let seq = Sim.Trace.issue t.trace ~user:t.user ~op ~round in
       t.in_flight <- Some (seq, op);
       t.in_flight_since <- round;
-      Sim.Engine.send t.engine ~src:(Sim.Id.User t.user) ~dst:Sim.Id.Server
-        (Message.Query { op; piggyback });
+      t.send (Message.Query { op; piggyback });
       true
 
 let in_flight_op t = Option.map snd t.in_flight
@@ -81,7 +85,7 @@ let terminated t = t.terminated
 let terminate t ~round:_ ~reason =
   if not t.terminated then begin
     t.terminated <- true;
-    Sim.Engine.alarm t.engine ~agent:(Sim.Id.User t.user) ~reason
+    t.alarm reason
   end
 
 type verified = {
@@ -117,3 +121,21 @@ let check_timeout t ~round =
           (Printf.sprintf
              "availability violation: no response within %d rounds (b* bound exceeded)" bound)
   | _ -> ()
+
+type agent = {
+  base : t;
+  handle : round:int -> src:Sim.Id.t -> Message.t -> unit;
+  tick : round:int -> unit;
+}
+
+let on_engine engine ~user ~agent make =
+  let me = Sim.Id.User user in
+  let a =
+    make
+      ~send:(Sim.Engine.send engine ~src:me ~dst:Sim.Id.Server)
+      ~broadcast:(Sim.Engine.broadcast engine ~src:me)
+      ~alarm:(fun reason -> Sim.Engine.alarm engine ~agent:me ~reason)
+  in
+  let { handle; tick; _ } = agent a in
+  Sim.Engine.register engine me { on_message = handle; on_activate = tick };
+  a

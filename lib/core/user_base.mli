@@ -4,19 +4,26 @@
     ("the user terminates and reports an error").
 
     Protocol modules own the verification logic; this module owns
-    when a user is allowed to talk to the server. *)
+    when a user is allowed to talk to the server. An agent knows no
+    network and no simulator: it sends through [send], [broadcast] and
+    [alarm], and is driven by its {!agent}'s [handle] and [tick]. *)
 
 type t
 
 val create :
   user:int ->
-  engine:Message.t Sim.Engine.t ->
   trace:Sim.Trace.t ->
+  send:(Message.t -> unit) ->
+  broadcast:(Message.t -> unit) ->
+  alarm:(string -> unit) ->
   t
 
 val user : t -> int
-val engine : t -> Message.t Sim.Engine.t
 val trace : t -> Sim.Trace.t
+
+val send : t -> Message.t -> unit
+val broadcast : t -> Message.t -> unit
+(** To the server; to every other user, over the external channel. *)
 
 val enqueue_intent : t -> round:int -> op:Mtree.Vo.op -> unit
 (** Schedule an operation the user wants to perform no earlier than
@@ -66,7 +73,7 @@ val complete :
 val terminated : t -> bool
 
 val terminate : t -> round:int -> reason:string -> unit
-(** Raise the engine alarm and stop participating. Idempotent. *)
+(** Raise the alarm and stop participating. Idempotent. *)
 
 val set_response_timeout : t -> rounds:int option -> unit
 (** Enable availability-violation detection: the paper's model assumes
@@ -79,3 +86,19 @@ val check_timeout : t -> round:int -> unit
 (** To be called from the agent's activation hook: terminates with an
     availability alarm if the in-flight transaction has exceeded the
     response timeout. *)
+
+type agent = {
+  base : t;
+  handle : round:int -> src:Sim.Id.t -> Message.t -> unit;  (** a message, in its round *)
+  tick : round:int -> unit;  (** the user's activation, after the round's messages *)
+}
+
+val on_engine :
+  Message.t Sim.Engine.t ->
+  user:int ->
+  agent:('a -> agent) ->
+  (send:(Message.t -> unit) -> broadcast:(Message.t -> unit) -> alarm:(string -> unit) -> 'a) ->
+  'a
+(** The simulator binding: [on_engine engine ~user ~agent:P.agent
+    (P.create config ~user ~trace)] is the agent registered, sending,
+    broadcasting and alarming as [User user]. *)

@@ -20,9 +20,6 @@ val split : t -> label:string -> t
 val bytes : t -> int -> string
 (** [bytes g n] returns the next [n] bytes of the stream. *)
 
-val byte : t -> int
-(** Next byte, as 0..255. *)
-
 val int : t -> int -> int
 (** [int g bound] is uniform in [0, bound). Uses rejection sampling, so
     it is exactly uniform.

@@ -151,7 +151,7 @@ let add_framed ctx s =
 
 let finalize ctx =
   Obs.incr c_digests;
-  Obs.incr c_bytes ~by:ctx.total;
+  Obs.add c_bytes ctx.total;
   (* Padding, in the block buffer: 0x80, zeros, then the 64-bit
      big-endian bit length in the last 8 bytes of the final block. *)
   let buf = ctx.buf and n = ctx.buf_len in

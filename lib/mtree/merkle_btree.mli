@@ -19,7 +19,6 @@ val size : t -> int
 (** Number of (key, value) entries. *)
 
 val find : t -> string -> string option
-val mem : t -> string -> bool
 
 val set : t -> key:string -> value:string -> t
 (** Insert or overwrite. *)

@@ -33,7 +33,6 @@ type t =
       (** An off-path subtree represented only by its digest. *)
 
 val digest : t -> string
-val empty_leaf : t
 
 val make_leaf : entry array -> t
 (** Smart constructor: computes and caches the digest. Entries must be
@@ -91,11 +90,6 @@ val entry_count : t -> int
 
 val to_alist : t -> (string * string) list
 (** All entries in key order. @raise Insufficient_proof on stubs. *)
-
-val min_leaf_entries : branching:int -> int
-val max_leaf_entries : branching:int -> int
-val min_children : branching:int -> int
-val max_children : branching:int -> int
 
 val check_invariants : branching:int -> t -> (unit, string) result
 (** Structural validation (for tests): sortedness, separator bounds,

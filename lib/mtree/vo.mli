@@ -122,20 +122,15 @@ val compose_root : string array -> string array -> string
     disagree on the extra hash level by construction. *)
 
 val max_shards : int
-(** 61: the most shards a database may have, one bit each in
-    {!shard_mask}'s immediate int. {!Store.Shard_map} enforces it. *)
-
-val shard_mask : string array -> op -> int
-(** Which shards (by [boundaries] routing) [op] touches, as a bitmask
-    (bit [i] set iff shard [i] is touched) — the allocation-free form
-    the sharded replay and Protocol IV's per-op routing use.
-    @raise Invalid_argument beyond {!max_shards} shards. *)
+(** 61: the most shards a database may have, one bit each in the
+    immediate int the sharded replay routes with. {!Store.Shard_map}
+    enforces it. *)
 
 val shards_for : string array -> op -> int list
-(** Which shards (by [boundaries] routing) [op] touches, ascending —
-    list form of {!shard_mask}: the one op→shard split the router's
-    fan-out, {!Store.Shard_db.apply}, the store's WAL records and the
-    server's routing counters share. *)
+(** Which shards (by [boundaries] routing) [op] touches, ascending:
+    the one op→shard split the router's fan-out,
+    {!Store.Shard_db.apply}, the store's WAL records and the server's
+    routing counters share. *)
 
 val sub_op_for : string array -> int -> op -> op
 (** Restrict [op] to the keys shard [i] owns (only [Set_many] actually

@@ -58,6 +58,7 @@ let silence_limit = 10.0
 type verdict = {
   v_alarmed : bool;
   v_local_alarms : (int * string) list;
+  v_transactions : Sim.Trace.transaction list;
   v_session_alarmed : bool;
   v_session_reason : string;
   v_rounds : int;
@@ -82,11 +83,9 @@ type pending = {
 
 type session = {
   cfg : config;
-  engine : Message.t Sim.Engine.t;
-  base : User_base.t;
-  to_server : Message.t Queue.t; (* captured user→server sends *)
-  to_peers : Message.t Queue.t; (* captured broadcasts *)
-  inbound : (Sim.Id.t * Message.t) Queue.t; (* to inject before next step *)
+  outbox : Message.t Queue.t; (* the agent's server-bound sends of this round *)
+  inbound : (Sim.Id.t * Message.t) Queue.t; (* for the agent, at its next tick *)
+  mutable alarms : (int * string) list; (* (round, reason), newest first *)
   unacked : (int, pending) Hashtbl.t; (* seq → awaiting Reply/Ack *)
   seen : (int * int, unit) Hashtbl.t; (* delivered (src, sseq) *)
   rng : Crypto.Prng.t; (* retransmission jitter *)
@@ -112,19 +111,14 @@ let jot s ?span ?dur_us ~ev detail =
         ~ev detail
   | None -> ()
 
-let local_alarm s reason =
-  Sim.Engine.alarm s.engine ~agent:(Sim.Id.User s.cfg.user) ~reason
+let local_alarm s reason = s.alarms <- (s.last_stepped, reason) :: s.alarms
 
-let next_seq s =
+(* Number [msg] from the client's one counter, frame it with [make]
+   (a Request or a Publish), send it and track it until acknowledged. *)
+let track_and_send s make msg =
   s.seq <- s.seq + 1;
-  s.seq
-
-let track_and_send s frame =
-  let seq =
-    match frame with
-    | Codec.Request { seq; _ } | Codec.Publish { seq; _ } -> seq
-    | _ -> invalid_arg "track_and_send"
-  in
+  let seq = s.seq in
+  let frame = make seq { Codec.x_round = s.last_stepped; x_user = s.cfg.user; x_span = seq } msg in
   Hashtbl.replace s.unacked seq
     { p_frame = frame; p_last_sent = s.last_stepped; p_attempt = 0 };
   Log.debug (fun f ->
@@ -164,58 +158,59 @@ let retransmit_due s ~tick =
       end)
     s.unacked
 
-let drained s =
-  User_base.pending_intents s.base = 0
-  && User_base.in_flight_op s.base = None
-  && Hashtbl.length s.unacked = 0
-  && Queue.is_empty s.to_server && Queue.is_empty s.to_peers
+let request s = track_and_send s (fun seq ctx msg -> Codec.Request { seq; ctx; msg })
 
-let alarmed s = Sim.Engine.first_alarm s.engine <> None
+(* A broadcast leaves in the tick that made it. The daemon relays a
+   Publish as soon as it arrives, before this client's Tick_done, and
+   every link is FIFO, so each peer holds it before the next Tick: one
+   round, as in the simulator. *)
+let publish s = track_and_send s (fun seq ctx msg -> Codec.Publish { seq; ctx; msg })
 
-let send_tick_done s ~round =
-  Conn.send s.conn
-    (Codec.Tick_done { round; drained = drained s; alarmed = alarmed s })
+let send_tick_done s (a : User_base.agent) ~round =
+  let drained =
+    User_base.pending_intents a.base = 0 && User_base.in_flight_op a.base = None
+    && Hashtbl.length s.unacked = 0 && Queue.is_empty s.outbox
+  in
+  Conn.send s.conn (Codec.Tick_done { round; drained; alarmed = s.alarms <> [] })
 
-let handle_tick s ~round =
+(* A round's messages in the simulator's order, as far as a client can
+   tell it: the server's reply first, since the server answers while a
+   round is delivered, before any user ticks; then peers' broadcasts in
+   user order, since users tick in order, each peer's in sending order.
+   Socket arrival order would be a race between peers. *)
+let sender_rank = function Sim.Id.Server -> -1 | Sim.Id.User v -> v
+
+(* Round r of the agent, as the simulator runs it: what it sent the
+   server in round r-1 leaves now (the daemon serves it in round r),
+   then it gets what arrived since its last tick, then it ticks. A Tick
+   that skips rounds runs each of them. *)
+let handle_tick s (a : User_base.agent) ~round =
   if round <= s.last_stepped then begin
     Log.debug (fun f ->
         f "duplicate tick %d (at %d), resending tick_done" round s.last_stepped);
-    send_tick_done s ~round
+    send_tick_done s a ~round
   end
   else begin
-    (* inject everything received since the last step — the local
-       engine delivers sends enqueued now at the very next step *)
-    Queue.iter
-      (fun (from, msg) ->
-        Sim.Engine.send s.engine ~src:from ~dst:(Sim.Id.User s.cfg.user) msg)
-      s.inbound;
-    Queue.clear s.inbound;
     while s.last_stepped < round do
-      Sim.Engine.step s.engine;
-      s.last_stepped <- s.last_stepped + 1
+      s.last_stepped <- s.last_stepped + 1;
+      let round = s.last_stepped in
+      Queue.iter (request s) s.outbox;
+      Queue.clear s.outbox;
+      List.iter
+        (fun (src, msg) -> a.handle ~round ~src msg)
+        (List.stable_sort
+           (fun (x, _) (y, _) -> Int.compare (sender_rank x) (sender_rank y))
+           (List.of_seq (Queue.to_seq s.inbound)));
+      Queue.clear s.inbound;
+      a.tick ~round
     done;
-    let ctx seq =
-      { Codec.x_round = s.last_stepped; x_user = s.cfg.user; x_span = seq }
-    in
-    Queue.iter
-      (fun msg ->
-        let seq = next_seq s in
-        track_and_send s (Codec.Request { seq; ctx = ctx seq; msg }))
-      s.to_server;
-    Queue.clear s.to_server;
-    Queue.iter
-      (fun msg ->
-        let seq = next_seq s in
-        track_and_send s (Codec.Publish { seq; ctx = ctx seq; msg }))
-      s.to_peers;
-    Queue.clear s.to_peers;
     retransmit_due s ~tick:round;
-    send_tick_done s ~round
+    send_tick_done s a ~round
   end
 
-let handle_frame s frame =
+let handle_frame s a frame =
   match frame with
-  | Codec.Tick { round } -> handle_tick s ~round
+  | Codec.Tick { round } -> handle_tick s a ~round
   | Codec.Reply { seq; msg; _ } ->
       if Hashtbl.mem s.unacked seq then begin
         Log.debug (fun f -> f "reply for seq %d" seq);
@@ -342,10 +337,10 @@ let check_link s =
           s.link <- Joining (i, now +. dial_timeout))
   | Up | Joining _ | Redial _ -> ()
 
-let on_frame s frame =
+let on_frame s a frame =
   s.last_rx <- Unix.gettimeofday ();
   match (s.link, frame) with
-  | Up, _ -> handle_frame s frame
+  | Up, _ -> handle_frame s a frame
   | Joining (i, _), Codec.Welcome w -> handle_welcome s i w
   | Joining (i, _), Codec.Error_frame { code; detail } ->
       join_failed s i
@@ -359,7 +354,7 @@ let on_frame s frame =
    supervision run between two selects of its one loop, which waits
    at most until the next redial. Nothing is dispatched once the
    session has ended or failed. *)
-let[@tcvs.lint.root "event-loop"] drive s =
+let[@tcvs.lint.root "event-loop"] drive s (a : User_base.agent) =
   let live () = s.finished = None && s.fatal = None in
   let rec loop () =
     if live () then check_link s;
@@ -368,15 +363,11 @@ let[@tcvs.lint.root "event-loop"] drive s =
         Conn.send s.conn Codec.Bye;
         Conn.flush s.conn;
         Conn.close s.conn;
-        let local =
-          List.map
-            (fun (a : Sim.Engine.alarm_record) -> (a.at_round, a.reason))
-            (Sim.Engine.alarms s.engine)
-        in
         Ok
           {
-            v_alarmed = session_alarmed || local <> [];
-            v_local_alarms = local;
+            v_alarmed = session_alarmed || s.alarms <> [];
+            v_local_alarms = List.rev s.alarms;
+            v_transactions = Sim.Trace.completed (User_base.trace a.base);
             v_session_alarmed = session_alarmed;
             v_session_reason = reason;
             v_rounds = round;
@@ -395,7 +386,7 @@ let[@tcvs.lint.root "event-loop"] drive s =
           [
             Loop.Frames
               ( s.conn,
-                (fun frame -> if live () then on_frame s frame),
+                (fun frame -> if live () then on_frame s a frame),
                 fun e ->
                   let e = Codec.error_to_string e in
                   match s.link with
@@ -407,6 +398,8 @@ let[@tcvs.lint.root "event-loop"] drive s =
   in
   loop ()
 
+(* The session's transport, then its user exactly as the in-process
+   harness builds it, sending through this client. *)
 let build_session cfg addr conn =
   let setup =
     {
@@ -421,77 +414,44 @@ let build_session cfg addr conn =
       shards = Some cfg.shards;
     }
   in
-  let engine =
-    Sim.Engine.create ~measure:Message.encoded_size ~classify:Message.kind ()
-  in
-  let trace = Sim.Trace.create () in
-  let rng = Crypto.Prng.create ~seed:cfg.seed in
-  let keyring, signers =
-    Pki.Keyring.setup ~scheme:setup.Harness.scheme ~users:cfg.users rng
-  in
-  let initial_root =
-    Store.Shard_db.root_digest
-      (Store.Shard_db.create ~branching:cfg.branching ~shards:cfg.shards
-         setup.Harness.initial)
-  in
-  let to_server = Queue.create () in
-  let to_peers = Queue.create () in
-  let me = Sim.Id.User cfg.user in
-  (* the server-side of every conversation lives across the wire; a
-     stub captures what the agent sends to it *)
-  Sim.Engine.register engine Sim.Id.Server
+  let s =
     {
-      Sim.Engine.on_message =
-        (fun ~round:_ ~src msg -> if src = me then Queue.add msg to_server);
-      on_activate = (fun ~round:_ -> ());
-    };
-  (* broadcasts go to every registered user except the sender: one stub
-     peer is enough to capture each broadcast exactly once *)
-  if cfg.users > 1 then
-    Sim.Engine.register engine
-      (Sim.Id.User ((cfg.user + 1) mod cfg.users))
-      {
-        Sim.Engine.on_message =
-          (fun ~round:_ ~src msg -> if src = me then Queue.add msg to_peers);
-        on_activate = (fun ~round:_ -> ());
-      };
-  let base =
-    Harness.build_user setup ~initial_root ~engine ~trace ~keyring ~signers
-      ~user:cfg.user
+      cfg;
+      outbox = Queue.create ();
+      inbound = Queue.create ();
+      alarms = [];
+      unacked = Hashtbl.create 16;
+      seen = Hashtbl.create 64;
+      rng =
+        Crypto.Prng.split
+          (Crypto.Prng.create ~seed:cfg.seed)
+          ~label:(Printf.sprintf "net-client-%d" cfg.user);
+      initial_root = Harness.initial_root setup;
+      addr;
+      conn;
+      link = Joining (0, Unix.gettimeofday () +. dial_timeout);
+      seq = 0;
+      last_stepped = 0;
+      generation = 0;
+      boot_id = "";
+      reconnects = 0;
+      last_rx = Unix.gettimeofday ();
+      finished = None;
+      fatal = None;
+      journal =
+        Option.map
+          (fun p -> Obs.Journal.open_ ~proc:(Printf.sprintf "client%d" cfg.user) p)
+          cfg.journal;
+    }
   in
-  User_base.set_response_timeout base ~rounds:cfg.response_timeout;
-  List.iter
-    (fun { Harness.at; by; what } ->
-      if by = cfg.user then User_base.enqueue_intent base ~round:at ~op:what)
-    cfg.script;
-  {
-    cfg;
-    engine;
-    base;
-    to_server;
-    to_peers;
-    inbound = Queue.create ();
-    unacked = Hashtbl.create 16;
-    seen = Hashtbl.create 64;
-    rng = Crypto.Prng.split rng ~label:(Printf.sprintf "net-client-%d" cfg.user);
-    initial_root;
-    addr;
-    conn;
-    link = Joining (0, Unix.gettimeofday () +. dial_timeout);
-    seq = 0;
-    last_stepped = 0;
-    generation = 0;
-    boot_id = "";
-    reconnects = 0;
-    last_rx = Unix.gettimeofday ();
-    finished = None;
-    fatal = None;
-    journal =
-      Option.map
-        (fun p ->
-          Obs.Journal.open_ ~proc:(Printf.sprintf "client%d" cfg.user) p)
-        cfg.journal;
-  }
+  let keyring, signers = Harness.keys setup in
+  let agent =
+    Harness.build_user setup ~initial_root:s.initial_root ~trace:(Sim.Trace.create ())
+      ~keyring ~signers ~script:cfg.script ~user:cfg.user
+      ~send:(fun msg -> Queue.add msg s.outbox)
+      ~broadcast:(publish s) ~alarm:(local_alarm s)
+  in
+  (s, agent)
 
 let run cfg =
   match
@@ -500,8 +460,8 @@ let run cfg =
   with
   | Error e -> Error (Printf.sprintf "connect %s:%d: %s" cfg.host cfg.port e)
   | Ok (addr, conn) ->
-      let s = build_session cfg addr conn in
+      let s, agent = build_session cfg addr conn in
       send_hello s;
-      let r = drive s in
+      let r = drive s agent in
       Option.iter Obs.Journal.close s.journal;
       r

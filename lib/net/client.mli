@@ -1,15 +1,16 @@
 (** The Trusted-CVS network client.
 
-    {!run} hosts one {e real} protocol agent ({!Tcvs.Harness.build_user}
-    — the same construction the in-process harness uses) over a
-    client-local simulator engine and bridges it to a {!Daemon} over
-    TCP. The daemon's [Tick] frames drive the local engine, so the
-    distributed session advances in lockstep with every other client
-    and the server serves at the session's round. test_net's parity
-    cases pin the verdicts to the in-process harness on the same seed
-    and script: honest P1–P4 and unverified sessions end clean, and
-    tamper:10 on P2 and P3 alarms for the simulator's first reason (on
-    P3 in its round; a peer broadcast takes one round more over TCP).
+    {!run} hosts one {e real} protocol agent, built exactly as the
+    in-process harness builds it ({!Tcvs.Harness.build_user}), and
+    drives it itself on the session's clock. Each [Tick r] from the
+    {!Daemon} is the agent's round r, as the simulator runs it: what
+    the agent sent the server in round r-1 leaves now and is served in
+    round r, the agent gets every reply and peer broadcast that arrived
+    since its last tick, then it ticks; a broadcast leaves in the tick
+    that made it and reaches each peer before the next [Tick]. So every
+    message takes one round, as in the paper's model. test_net's parity
+    cases pin each user's completed transactions and alarms to the
+    in-process harness on the same seed and script.
 
     Reliability: every [Request]/[Publish] is retransmitted on a
     jittered exponential tick backoff (deterministic under the seeded
@@ -58,6 +59,7 @@ val default_config : user:int -> port:int -> config
 type verdict = {
   v_alarmed : bool;  (** local alarm or session-wide alarm *)
   v_local_alarms : (int * string) list;  (** (round, reason), oldest first *)
+  v_transactions : Sim.Trace.transaction list;  (** the user's, in completion order *)
   v_session_alarmed : bool;
   v_session_reason : string;  (** the daemon's [Session_end] reason *)
   v_rounds : int;

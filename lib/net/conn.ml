@@ -84,7 +84,7 @@ let[@tcvs.lint.allow "event-loop-purity"] fill t =
       | n ->
           t.rbuf <- t.rbuf ^ Bytes.sub_string scratch 0 n;
           t.bytes_in <- t.bytes_in + n;
-          Obs.incr c_bytes_received ~by:n;
+          Obs.add c_bytes_received n;
           if n = Bytes.length scratch then loop ()
       | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _)
         ->
@@ -136,7 +136,7 @@ let[@tcvs.lint.allow "event-loop-purity"] flush t =
     match Unix.write_substring t.sock t.wbuf 0 len with
     | n ->
         t.bytes_out <- t.bytes_out + n;
-        Obs.incr c_bytes_sent ~by:n;
+        Obs.add c_bytes_sent n;
         t.wbuf <- String.sub t.wbuf n (len - n)
     | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _)
       ->

@@ -70,6 +70,7 @@ type state = {
   server : Server.t;
   store : Store.t option;
   alarmed : bool ref; (* the server raised an alarm *)
+  mutable due : (int * int * Message.t) list; (* the tick's (user, seq, request), newest first *)
 }
 
 let jot st = Front.jot st.fe
@@ -112,12 +113,28 @@ let commit st =
   Option.iter Store.flush st.store;
   Front.release st.fe
 
-(* Serve a request at the session's round. A lockstep reply waits for
-   the tick's group commit; a free or shard-link request is its own, so
-   its reply leaves this turn, before a later request's checkpoint. *)
-let execute st (sess : Front.session) msg =
-  Server.handle st.server ~round:st.fe.round ~user:sess.user msg;
-  if not (Front.lockstep sess) then commit st
+(* Serve [user]'s request at the session's round. A signature or token
+   turn is acked only once served: a crash cannot lose one it acked. *)
+let serve st ~user ~seq msg =
+  match msg with
+  | Message.Query _ ->
+      Option.iter (fun s -> Store.declare_origin s ~user ~seq) st.store;
+      Server.handle st.server ~round:st.fe.round ~user msg
+  | _ ->
+      Server.handle st.server ~round:st.fe.round ~user msg;
+      Option.iter
+        (fun (s : Front.session) -> Conn.send s.conn (Codec.Ack { seq }))
+        (Front.session_for_user st.fe user)
+
+(* A lockstep request waits for its tick's end. A free or shard-link
+   one is served now as its own group commit, so its reply leaves this
+   turn, before a later request's checkpoint. *)
+let execute st (sess : Front.session) ~seq msg =
+  if Front.lockstep sess then st.due <- (sess.user, seq, msg) :: st.due
+  else begin
+    serve st ~user:sess.user ~seq msg;
+    commit st
+  end
 
 (* ---- Frame handling -------------------------------------------------- *)
 
@@ -164,19 +181,21 @@ let handle_request st (sess : Front.session) ~seq ~ctx ~msg =
       if Front.admit_query st.fe sess ~seq ~ctx then begin
         Log.debug (fun f -> f "u%d: query seq %d (round %d)" u seq st.fe.round);
         Front.jot_fwd st.fe ~user:u ~seq ~ctx ~ev:"daemon.dispatch" (Message.kind msg);
-        Option.iter (fun s -> Store.declare_origin s ~user:u ~seq) st.store;
-        execute st sess msg
+        execute st sess ~seq msg
       end
   | Message.Root_signature _ | Message.Token_take_turn _ ->
       (* At-least-once is safe here: the server ignores a signature it is
-         not waiting for, so the ack can race a retransmission. *)
+         not waiting for, so the ack can race a retransmission. A
+         retransmission of one still waiting for its tick is acked when
+         that is served. *)
       let vseq = st.fe.Front.vseq in
       if seq > Option.value ~default:(-1) (Hashtbl.find_opt vseq u) then begin
         jot st ~user:u ~span:seq ~ev:"daemon.dispatch" (Message.kind msg);
         Hashtbl.replace vseq u seq;
-        execute st sess msg
-      end;
-      Conn.send sess.conn (Codec.Ack { seq })
+        execute st sess ~seq msg
+      end
+      else if not (List.exists (fun (v, q, _) -> v = u && q = seq) st.due) then
+        Conn.send sess.conn (Codec.Ack { seq })
   | _ ->
       Conn.send sess.conn
         (Codec.Error_frame
@@ -224,12 +243,15 @@ let handle_frame st (sess : Front.session) frame =
 
 (* ---- The round clock ------------------------------------------------- *)
 
-(* The tick's requests were served on arrival, at its round. Its end is
-   the group commit: all it staged becomes durable before its replies
-   leave and the next Tick goes out (under Per_round, the only flush);
-   a crash adversary due this round fires first. *)
+(* The tick's end: its requests are served in user order, as the
+   simulator serves a round (stably), then the group commit makes all it
+   staged durable before its replies, acks and the next Tick go out
+   (under Per_round, the only flush); a crash adversary fires first. *)
 let finish_round st =
   let t0 = Unix.gettimeofday () in
+  let due = List.stable_sort (fun (a, _, _) (b, _, _) -> Int.compare a b) (List.rev st.due) in
+  st.due <- [];
+  List.iter (fun (user, seq, msg) -> serve st ~user ~seq msg) due;
   Server.end_round st.server ~round:st.fe.round;
   commit st;
   let dur_us = int_of_float ((Unix.gettimeofday () -. t0) *. 1e6) in
@@ -318,7 +340,7 @@ let build_state cfg =
             Log.err (fun f -> f "server alarm: %s" reason);
             alarmed := true)
       in
-      Ok { cfg; fe; server; store; alarmed }
+      Ok { cfg; fe; server; store; alarmed; due = [] }
 
 (* ---- Admin endpoint --------------------------------------------------- *)
 

@@ -70,7 +70,8 @@ let counter ?scope ?(volatile = false) name =
       register full (Scounter c);
       c
 
-let incr ?(by = 1) c = c.c_value <- c.c_value + by
+let incr c = c.c_value <- c.c_value + 1
+let add c n = c.c_value <- c.c_value + n
 let record_max c v = if v > c.c_value then c.c_value <- v
 
 let histogram ?scope ?(volatile = false) name =

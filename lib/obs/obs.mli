@@ -56,7 +56,10 @@ val counter : ?scope:Scope.t -> ?volatile:bool -> string -> counter
     cadence.
     @raise Invalid_argument if the name is registered as another kind. *)
 
-val incr : ?by:int -> counter -> unit
+val incr : counter -> unit
+val add : counter -> int -> unit
+(** [add c n] adds [n] to [c]; [incr c] adds 1. *)
+
 val record_max : counter -> int -> unit
 (** Raise the counter to [v] if [v] is larger — for values that every
     agent reports but that describe one shared quantity (e.g. completed

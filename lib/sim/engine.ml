@@ -70,7 +70,7 @@ let record_kind t msg ~bytes =
             pair
       in
       Obs.incr c_n;
-      Obs.incr c_b ~by:bytes;
+      Obs.add c_b bytes;
       kind
 
 let send t ~src ~dst msg =
@@ -78,7 +78,7 @@ let send t ~src ~dst msg =
   t.messages_sent <- t.messages_sent + 1;
   t.bytes_sent <- t.bytes_sent + bytes;
   Obs.incr c_messages;
-  Obs.incr c_bytes ~by:bytes;
+  Obs.add c_bytes bytes;
   let kind = record_kind t msg ~bytes in
   if Obs.tracing () then
     Obs.Trace.emit ~scope:obs_scope ~at:t.round ~name:"send"
@@ -101,7 +101,7 @@ let broadcast t ~src msg =
           t.broadcasts_sent <- t.broadcasts_sent + 1;
           t.bytes_sent <- t.bytes_sent + bytes;
           Obs.incr c_broadcast_deliveries;
-          Obs.incr c_bytes ~by:bytes;
+          Obs.add c_bytes bytes;
           ignore (record_kind t msg ~bytes);
           t.pending <- { src; dst = id; payload = msg } :: t.pending
       | Id.User _ | Id.Server -> ())

@@ -21,22 +21,27 @@ let trusted_answer db (op : Vo.op) =
   | Vo.Remove k -> (T.remove db k, Vo.Updated)
   | Vo.Range (lo, hi) -> (db, Vo.Entries (T.range db ~lo ~hi))
 
+(* A pre-root is the previous post-root, and a root is computed only
+   for a transaction that records roots, at most once per state. *)
 let replay_with ~init ~apply ~root trace =
   let db = ref init in
+  let db_root = ref (lazy (root init)) in
   let first_deviation = ref None in
   List.iter
     (fun (tx : Trace.transaction) ->
       match tx.answer with
       | None -> () (* incomplete: availability handled by the caller *)
       | Some reported ->
-          let pre_root = root !db in
+          let pre_root = !db_root in
           let db', expected = apply !db tx.op in
           db := db';
+          db_root := lazy (root db');
           let roots_consistent =
             match tx.roots with
             | None -> true
             | Some (old_root, new_root) ->
-                String.equal old_root pre_root && String.equal new_root (root !db)
+                String.equal old_root (Lazy.force pre_root)
+                && String.equal new_root (Lazy.force !db_root)
           in
           if
             ((not (answers_equal expected reported)) || not roots_consistent)

@@ -10,15 +10,13 @@ type line_op =
   | Del of string  (** line only in the old version *)
   | Add of string  (** line only in the new version *)
 
-val diff_lines : string list -> string list -> line_op list
-(** [diff_lines old new_] is a minimal edit script: the subsequence of
-    [Keep]/[Del] is [old], the subsequence of [Keep]/[Add] is [new_],
-    and the number of [Del] + [Add] is minimal. *)
-
 val split_lines : string -> string list
 (** [String.split_on_char '\n']; the inverse of
     [String.concat "\n"], so text round-trips exactly (including
     presence/absence of a trailing newline). *)
 
 val diff : string -> string -> line_op list
-(** Split both strings into lines with {!split_lines} and diff them. *)
+(** [diff old new_] is a minimal edit script over the lines of both
+    strings, split with {!split_lines}: the subsequence of [Keep]/[Del]
+    is [old]'s lines, the subsequence of [Keep]/[Add] is [new_]'s, and
+    the number of [Del] + [Add] is minimal. *)

@@ -20,14 +20,12 @@ val add_edge : t -> src:string -> dst:string -> t
 val vertices : t -> string list
 (** Sorted. *)
 
-val edges : t -> (string * string) list
 val vertex_count : t -> int
 val edge_count : t -> int
 val in_degree : t -> string -> int
 val out_degree : t -> string -> int
 val total_degree : t -> string -> int
 val successors : t -> string -> string list
-val is_empty : t -> bool
 
 val has_cycle : t -> bool
 (** Directed cycle detection (self-loops and parallel edges included). *)

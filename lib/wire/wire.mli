@@ -39,8 +39,6 @@ module R : sig
   val raw : t -> int -> string
   val list : t -> (t -> 'a) -> 'a list
   val at_end : t -> bool
-  val expect_end : t -> unit
-  (** @raise Underflow if bytes remain. *)
 end
 
 val decode : string -> (R.t -> 'a) -> 'a option

@@ -104,9 +104,9 @@ let prop_sha_split_feeds =
       Crypto.Sha256.finalize ctx = Crypto.Sha256.digest whole)
 
 (* Exact allocation of one 64-byte digest, in minor-heap words: the
-   context (record, state, block buffer, 16-word schedule ring), the
-   32-byte result and the [~by] option of the bytes counter. A change
-   either way fails here until this figure is updated. *)
+   context (record, state, block buffer, 16-word schedule ring) and the
+   32-byte result. A change either way fails here until this figure is
+   updated. *)
 let test_sha_minor_words () =
   let s = String.make 64 'a' and n = 1000 in
   ignore (Sys.opaque_identity (Crypto.Sha256.digest s));
@@ -115,7 +115,7 @@ let test_sha_minor_words () =
     ignore (Sys.opaque_identity (Crypto.Sha256.digest s))
   done;
   let words = int_of_float (Gc.minor_words () -. before) in
-  Alcotest.(check int) "minor words per 64-byte digest" 50 (words / n)
+  Alcotest.(check int) "minor words per 64-byte digest" 48 (words / n)
 
 (* ---- CRC-32C --------------------------------------------------------- *)
 

@@ -599,12 +599,9 @@ let cli_events ~rounds ~seed =
     }
     ~seed ~rounds
 
-(* The first alarm of the in-process run, as (round, reason). *)
+(* The in-process run of the same session. *)
 let simulated protocol adversary ~seed ~events =
-  let setup = { (H.default_setup ~protocol ~users ~adversary) with H.seed } in
-  match (H.run setup ~events).H.alarms with
-  | [] -> None
-  | a :: _ -> Some (a.Sim.Engine.at_round, a.Sim.Engine.reason)
+  H.run { (H.default_setup ~protocol ~users ~adversary) with H.seed } ~events
 
 (* A client's verdict, read from the pipe its process writes it to. *)
 let read_verdict ~deadline (pid, fd) =
@@ -628,9 +625,8 @@ let read_verdict ~deadline (pid, fd) =
   match v with Ok v -> v | Error e -> Alcotest.failf "client failed: %s" e
 
 (* The same session over loopback: a forked daemon and one forked
-   [Net.Client.run] per user. Returns every client's verdict and the
-   earliest local alarm among them (the lowest user on a tie, as the
-   simulator activates users in order). *)
+   [Net.Client.run] per user. Returns every client's verdict, in user
+   order. *)
 let over_tcp protocol adversary ~seed ~events =
   let pf = Filename.concat (fresh_dir ()) "daemon.port" in
   let daemon =
@@ -673,18 +669,35 @@ let over_tcp protocol adversary ~seed ~events =
             (pid, r))
       in
       let deadline = Unix.gettimeofday () +. 60. in
-      let verdicts = List.map (read_verdict ~deadline) clients in
-      let alarms =
-        List.stable_sort
-          (fun (a, _) (b, _) -> Int.compare a b)
-          (List.concat_map (fun v -> v.Net.Client.v_local_alarms) verdicts)
-      in
-      (verdicts, match alarms with [] -> None | a :: _ -> Some a))
+      List.map (read_verdict ~deadline) clients)
 
 let p2 = H.Protocol_2 { k = 8; tag_mode = `Tagged; check_gctr = true; sync_trigger = `Per_user }
 
-(* Honest sessions end clean over TCP, as in the simulator. The two
-   Protocol III configurations pin the server's epoch to the session's
+(* What user [u] saw of each transaction it completed: (completed
+   round, op, answer, old root, new root), with the bytes shown as short
+   digests. *)
+let history u txs =
+  let short x =
+    let digest = Crypto.Sha256.digest (Marshal.to_string x [ Marshal.No_sharing ]) in
+    String.sub (Crypto.Hex.encode digest) 0 8
+  in
+  List.filter_map
+    (fun (tx : Sim.Trace.transaction) ->
+      if tx.user <> u then None
+      else
+        Some
+          (Printf.sprintf "round %s: op %s, answer %s, roots %s"
+             (match tx.completed_round with Some r -> string_of_int r | None -> "-")
+             (short tx.op)
+             (match tx.answer with Some a -> short a | None -> "-")
+             (match tx.roots with Some (o, n) -> short o ^ " -> " ^ short n | None -> "-")))
+    txs
+
+(* Honest sessions end clean over TCP, and every user completes the
+   simulator's transactions, in its rounds, with its answers and roots:
+   the daemon serves a tick's requests in user order, as the simulator
+   serves a round, and every message takes one round. The two Protocol
+   III configurations also pin the server's epoch to the session's
    round: a server whose round ran ahead of the tick would announce
    epochs early, and every client would alarm that the server is
    missing stored states. *)
@@ -693,19 +706,26 @@ let test_parity_honest () =
     (fun (protocol, rounds, seed) ->
       let name = Printf.sprintf "%s, %d rounds, seed %s" (H.protocol_name protocol) rounds seed in
       let events = cli_events ~rounds ~seed in
-      (match simulated protocol Tcvs.Adversary.Honest ~seed ~events with
-      | None -> ()
-      | Some (r, reason) -> Alcotest.failf "%s: simulator alarmed at %d: %s" name r reason);
-      let verdicts, first = over_tcp protocol Tcvs.Adversary.Honest ~seed ~events in
-      (match first with
-      | None -> ()
-      | Some (r, reason) -> Alcotest.failf "%s: a client alarmed at round %d: %s" name r reason);
-      List.iter
-        (fun v ->
+      let sim = simulated protocol Tcvs.Adversary.Honest ~seed ~events in
+      (match sim.H.alarms with
+      | [] -> ()
+      | a :: _ ->
+          Alcotest.failf "%s: simulator alarmed at %d: %s" name a.Sim.Engine.at_round
+            a.Sim.Engine.reason);
+      let sim_txs = Sim.Trace.completed sim.H.trace in
+      List.iteri
+        (fun u v ->
+          (match v.Net.Client.v_local_alarms with
+          | [] -> ()
+          | (r, reason) :: _ -> Alcotest.failf "%s: u%d alarmed at round %d: %s" name u r reason);
           Alcotest.(check string) (name ^ ": session drained") "drained"
             v.Net.Client.v_session_reason;
-          Alcotest.(check bool) (name ^ ": clean verdict") false v.Net.Client.v_alarmed)
-        verdicts)
+          Alcotest.(check bool) (name ^ ": clean verdict") false v.Net.Client.v_alarmed;
+          Alcotest.(check (list string))
+            (Printf.sprintf "%s: u%d's history" name u)
+            (history u sim_txs)
+            (history u v.Net.Client.v_transactions))
+        (over_tcp protocol Tcvs.Adversary.Honest ~seed ~events))
     [
       (H.Protocol_1 { k = 8 }, 60, "parity");
       (p2, 60, "parity");
@@ -715,30 +735,43 @@ let test_parity_honest () =
       (H.Unverified, 60, "parity");
     ]
 
-(* tamper:10 alarms over TCP for the simulator's reason. Protocol III
-   never uses the external channel, so its alarm also lands in the
-   simulator's round; a Protocol II sync broadcast takes one round more
-   over TCP (captured at the publisher's next step, injected at each
-   receiver's next tick), so only its reason is compared. *)
+(* tamper:10 raises the simulator's alarms over TCP: each client's
+   local alarms, round and reason, are the simulator's alarms for that
+   user. A peer broadcast takes one round, as in the simulator, so the
+   sync-based protocols alarm in its round too (P1 at 26, P2 at 34),
+   as do Protocol III, which never uses the external channel (at 250),
+   and Protocol IV, whose four users alarm in one round (16). *)
 let test_parity_tamper () =
   List.iter
-    (fun (protocol, rounds, seed, same_round) ->
+    (fun (protocol, rounds, seed, round) ->
       let name = H.protocol_name protocol in
       let adversary = Tcvs.Adversary.Tamper_value { at_op = 10 } in
       let events = cli_events ~rounds ~seed in
-      match simulated protocol adversary ~seed ~events with
-      | None -> Alcotest.failf "%s: the simulator missed tamper:10" name
-      | Some (sim_round, sim_reason) -> (
-          let verdicts, first = over_tcp protocol adversary ~seed ~events in
-          List.iter
-            (fun v -> Alcotest.(check bool) (name ^ ": every client alarmed") true v.Net.Client.v_alarmed)
-            verdicts;
-          match first with
-          | None -> Alcotest.failf "%s: no client raised a local alarm" name
-          | Some (round, reason) ->
-              Alcotest.(check string) (name ^ ": first alarm reason") sim_reason reason;
-              if same_round then Alcotest.(check int) (name ^ ": first alarm round") sim_round round))
-    [ (p2, 200, "s1", false); (H.Protocol_3 { epoch_len = 120 }, 300, "seed-e", true) ]
+      let sim = (simulated protocol adversary ~seed ~events).H.alarms in
+      (match sim with
+      | [] -> Alcotest.failf "%s: the simulator missed tamper:10" name
+      | a :: _ -> Alcotest.(check int) (name ^ ": simulator's alarm round") round a.at_round);
+      List.iteri
+        (fun u v ->
+          let mine =
+            List.filter_map
+              (fun (a : Sim.Engine.alarm_record) ->
+                if Sim.Id.equal a.agent (Sim.Id.User u) then Some (a.at_round, a.reason) else None)
+              sim
+          in
+          Alcotest.(check bool)
+            (Printf.sprintf "%s: u%d alarmed" name u)
+            true v.Net.Client.v_alarmed;
+          Alcotest.(check (list (pair int string)))
+            (Printf.sprintf "%s: u%d's alarms" name u)
+            mine v.Net.Client.v_local_alarms)
+        (over_tcp protocol adversary ~seed ~events))
+    [
+      (H.Protocol_1 { k = 8 }, 200, "s1", 26);
+      (p2, 200, "s1", 34);
+      (H.Protocol_3 { epoch_len = 120 }, 300, "seed-e", 250);
+      (H.Protocol_4 { announce_every = 4 }, 200, "s1", 16);
+    ]
 
 (* A lockstep reply is neither cached nor sent before the flush that
    ends its round: under per-round durability its records are only

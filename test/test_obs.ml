@@ -21,7 +21,7 @@ let test_counter_arithmetic () =
   let c = Obs.counter ~scope "ctr" in
   Alcotest.(check int) "fresh counter is zero" 0 (Obs.value "test.obs.ctr");
   Obs.incr c;
-  Obs.incr c ~by:41;
+  Obs.add c 41;
   Alcotest.(check int) "incr accumulates" 42 (Obs.value "test.obs.ctr");
   Alcotest.(check int) "absent name reads zero" 0 (Obs.value "test.obs.nope");
   Obs.record_max c 10;
@@ -61,7 +61,7 @@ let test_reset_between_runs () =
   Obs.reset ();
   let c = Obs.counter ~scope "survivor" in
   let h = Obs.histogram ~scope "hsurvivor" in
-  Obs.incr c ~by:7;
+  Obs.add c 7;
   Obs.observe h 3;
   Obs.set_meta "who" "first-run";
   Obs.reset ();
@@ -110,7 +110,7 @@ let test_volatile_split () =
   let vh = Obs.histogram ~scope ~volatile:true "vol_hist" in
   let c = Obs.counter ~scope "stable_ctr" in
   let h = Obs.histogram ~scope "stable_hist" in
-  Obs.incr vc ~by:5;
+  Obs.add vc 5;
   Obs.observe vh 7;
   Obs.incr c;
   Obs.observe h 2;

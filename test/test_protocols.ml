@@ -378,8 +378,13 @@ let make_cvs_pair ?(adversary = Adversary.Honest) () =
          ~db:(Store.Shard_db.create ~branching:8 ~shards:1 []))
   in
   let config = Protocol2.default_config ~n:2 ~k:6 ~initial_root:(Server.initial_root server) in
-  let s0 = Cvs.session ~engine ~base:(Protocol2.base (Protocol2.create config ~user:0 ~engine ~trace)) in
-  let s1 = Cvs.session ~engine ~base:(Protocol2.base (Protocol2.create config ~user:1 ~engine ~trace)) in
+  let user u =
+    Protocol2.base
+      (User_base.on_engine engine ~user:u ~agent:Protocol2.agent
+         (Protocol2.create config ~user:u ~trace))
+  in
+  let s0 = Cvs.session ~engine ~base:(user 0) in
+  let s1 = Cvs.session ~engine ~base:(user 1) in
   (s0, s1)
 
 let ok = function
@@ -456,7 +461,13 @@ let test_history_cap_bounds_snapshots () =
          ~db:(Store.Shard_db.create ~branching:8 ~shards:1 []))
   in
   let config = Protocol2.default_config ~n:1 ~k:1000 ~initial_root:(Server.initial_root server) in
-  let s = Cvs.session ~engine ~base:(Protocol2.base (Protocol2.create config ~user:0 ~engine ~trace)) in
+  let s =
+    Cvs.session ~engine
+      ~base:
+        (Protocol2.base
+           (User_base.on_engine engine ~user:0 ~agent:Protocol2.agent
+              (Protocol2.create config ~user:0 ~trace)))
+  in
   for i = 1 to cap + 16 do
     ignore (ok (Cvs.commit s ~path:"f.ml" ~content:(string_of_int i) ~log:"c"))
   done;
@@ -520,17 +531,19 @@ let scripted_sync protocol ~n ?timeout ~script ~rounds () =
             (Crypto.Prng.create ~seed:"sync")
         in
         let p =
-          Protocol1.create
-            { Protocol1.n; k = 8; initial_root = State_tag.zero; elected_signer = 0 }
-            ~user:1 ~engine ~trace ~keyring ~signer:signers.(1)
+          User_base.on_engine engine ~user:1 ~agent:Protocol1.agent
+            (Protocol1.create
+               { Protocol1.n; k = 8; initial_root = State_tag.zero; elected_signer = 0 }
+               ~user:1 ~trace ~keyring ~signer:signers.(1))
         in
         Sync_session.set_timeout (Protocol1.sync p) ~rounds:timeout;
         fun () -> Sync_session.syncs_completed (Protocol1.sync p)
     | `P2 ->
         let p =
-          Protocol2.create
-            (Protocol2.default_config ~n ~k:8 ~initial_root:State_tag.zero)
-            ~user:1 ~engine ~trace
+          User_base.on_engine engine ~user:1 ~agent:Protocol2.agent
+            (Protocol2.create
+               (Protocol2.default_config ~n ~k:8 ~initial_root:State_tag.zero)
+               ~user:1 ~trace)
         in
         Sync_session.set_timeout (Protocol2.sync p) ~rounds:timeout;
         fun () -> Sync_session.syncs_completed (Protocol2.sync p)

@@ -51,10 +51,9 @@ let test_merkle_bitrot_caught_by_invariants () =
 (* ---- Protocol II register ledger ---------------------------------------- *)
 
 let test_protocol2_register_ledger () =
-  let engine = Sim.Engine.create () in
   let trace = Sim.Trace.create () in
   let config = Protocol2.default_config ~n:2 ~k:4 ~initial_root:"r0" in
-  let p = Protocol2.create config ~user:0 ~engine ~trace in
+  let p = Protocol2.create config ~user:0 ~trace ~send:ignore ~broadcast:ignore ~alarm:ignore in
   Alcotest.(check bool)
     "fresh registers consistent" true
     (Result.is_ok (Protocol2.check_registers p));
@@ -66,7 +65,6 @@ let test_protocol2_register_ledger () =
 (* ---- Protocol III epoch bookkeeping -------------------------------------- *)
 
 let test_protocol3_epoch_assignment () =
-  let engine = Sim.Engine.create () in
   let trace = Sim.Trace.create () in
   let prng = Crypto.Prng.create ~seed:"sanitize-test" in
   let keyring, signers =
@@ -75,7 +73,10 @@ let test_protocol3_epoch_assignment () =
   let config =
     { Protocol3.n = 2; epoch_len = 50; initial_root = "r0" }
   in
-  let p = Protocol3.create config ~user:1 ~engine ~trace ~keyring ~signer:signers.(1) in
+  let p =
+    Protocol3.create config ~user:1 ~trace ~keyring ~signer:signers.(1) ~send:ignore
+      ~broadcast:ignore ~alarm:ignore
+  in
   Alcotest.(check bool)
     "fresh bookkeeping consistent" true
     (Result.is_ok (Protocol3.check_epochs p));
@@ -87,10 +88,9 @@ let test_protocol3_epoch_assignment () =
 (* ---- Protocol IV witness rings -------------------------------------------- *)
 
 let test_protocol4_witness_rings () =
-  let engine = Sim.Engine.create () in
   let trace = Sim.Trace.create () in
   let config = Protocol4.default_config ~n:2 ~initial_root:"r0" in
-  let p = Protocol4.create config ~user:0 ~engine ~trace in
+  let p = Protocol4.create config ~user:0 ~trace ~send:ignore ~broadcast:ignore ~alarm:ignore in
   Alcotest.(check bool)
     "fresh rings consistent" true
     (Result.is_ok (Protocol4.check_witnesses p));

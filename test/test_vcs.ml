@@ -194,7 +194,10 @@ let test_repo_protocol_equivalence () =
   in
   let session =
     Tcvs.Cvs.session ~engine
-      ~base:(Tcvs.Protocol2.base (Tcvs.Protocol2.create config ~user:0 ~engine ~trace))
+      ~base:
+        (Tcvs.Protocol2.base
+           (Tcvs.User_base.on_engine engine ~user:0 ~agent:Tcvs.Protocol2.agent
+              (Tcvs.Protocol2.create config ~user:0 ~trace)))
   in
   List.iter
     (fun (path, content, log) ->
